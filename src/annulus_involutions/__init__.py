@@ -4,11 +4,10 @@ reversibilities."""
 
 from .expr import PlanarField, differentiate, evaluate, parse, to_source, tokenize
 from .fields import builtin_field, builtin_names
-from .flow import EventSpec, IntegratorConfig, Trajectory, flow, flow_to_event, jacobian_fd
-from .period import AnnulusSample, Cycle, detect_cycle, period, sample_annulus
+from .flow import EventSpec, IntegratorConfig, Trajectory, flow_to_event, jacobian_fd
+from .period import AnnulusSample, Cycle, detect_cycle, sample_annulus
 from .reversibility import (
     BranchTag,
-    ConjugateSection,
     ReversibilityInvolution,
     classify,
     conjugate_section,
@@ -40,13 +39,11 @@ __all__ = [
     "IntegratorConfig",
     "EventSpec",
     "Trajectory",
-    "flow",
     "flow_to_event",
     "jacobian_fd",
     "Cycle",
     "AnnulusSample",
     "detect_cycle",
-    "period",
     "sample_annulus",
     "Section",
     "make_section",
@@ -55,7 +52,6 @@ __all__ = [
     "uniqueness_probe",
     "verify_sigma_symmetry",
     "BranchTag",
-    "ConjugateSection",
     "ReversibilityInvolution",
     "classify",
     "conjugate_section",

@@ -5,6 +5,11 @@ Config files are flat ``key = value`` text; see README for the full key
 list.  Exit codes: 0 all checks/samples passed, 1 some check or sample
 failed, 2 config error, 3 section failed transversality validation (for the
 reversibility and verify commands).
+
+The three suite commands (symmetry, reversibility, verify) share one
+driver, ``_run_suite``; each supplies only the suite it runs and the files
+it writes.  A sample whose sigma fails is left out of the pairs CSV with
+one stderr line.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    SAMPLE_FAILURES,
     ConfigError,
     CycleError,
     ExpressionError,
@@ -255,15 +261,18 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _safe_pairs_rows(samples, sigma):
+def _pairs_csv(name: str, samples, sigma) -> str:
+    """(z, sigma(z)) rows; a sample whose sigma fails is dropped, with one
+    stderr line in the form check errors use."""
     rows = []
     for z in samples:
         try:
             image = sigma(z)
-        except Exception:
+        except SAMPLE_FAILURES as exc:
+            print(f"{name}: ({z[0]:.6g}, {z[1]:.6g}): {exc}", file=sys.stderr)
             continue
         rows.append((float(z[0]), float(z[1]), float(image[0]), float(image[1])))
-    return rows
+    return _csv_text(["x", "y", "sigma_x", "sigma_y"], rows)
 
 
 def _gather_samples(config: RunConfig, section, cfg) -> tuple[list, list[float], list[str]]:
@@ -291,13 +300,6 @@ def _gather_samples(config: RunConfig, section, cfg) -> tuple[list, list[float],
     fracs = sample_time_fractions(config.times, config.seed + 1)
     times = [float(0.2 + 0.8 * f) * t_ref for f in fracs]
     return samples, times, degraded
-
-
-def _summary(report: VerificationReport) -> tuple[str, int]:
-    npass, total = report.counts()
-    if npass == total:
-        return f"PASS {npass}/{total}", EXIT_OK
-    return f"FAIL {npass}/{total}", EXIT_CHECK_FAILED
 
 
 def cmd_period(config: RunConfig) -> int:
@@ -349,96 +351,80 @@ def _uniqueness_checks(config: RunConfig, section, cfg) -> list[CheckResult]:
     ]
 
 
-def cmd_symmetry(config: RunConfig) -> int:
+def _run_suite(config: RunConfig, suite, *, seed_only: bool = False) -> int:
+    """Shared driver of the suite commands.
+
+    Builds the section, gathers samples and times, runs
+    ``suite(config, section, samples, times, cfg)`` -- which returns the
+    report and the (file name, text) outputs in write order -- writes the
+    files, prints every check error to stderr and the summary line to
+    stdout.  A section that fails transversality is a config error when it
+    only seeds the samples (``seed_only``); otherwise it exits with code 3.
+    """
     cfg = config.integrator()
     try:
         section = config.build_section()
     except SectionError as exc:
+        if isinstance(exc, TransversalityError) and not seed_only:
+            print(f"transversality error: {exc}", file=sys.stderr)
+            return EXIT_TRANSVERSALITY
         print(f"section error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     samples, times, degraded = _gather_samples(config, section, cfg)
     for msg in degraded:
         print(msg, file=sys.stderr)
+    try:
+        report, files = suite(config, section, samples, times, cfg)
+    except TransversalityError as exc:
+        print(f"transversality error: {exc}", file=sys.stderr)
+        return EXIT_TRANSVERSALITY
+    except (CycleError, FlowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files:
+        write_atomic(config.out_dir / name, text)
+    for c in report.checks:
+        for err in c.errors:
+            print(f"{c.name}: {err}", file=sys.stderr)
+    npass, total = report.counts()
+    if npass == total:
+        print(f"PASS {npass}/{total}")
+        return EXIT_OK
+    print(f"FAIL {npass}/{total}")
+    return EXIT_CHECK_FAILED
+
+
+def _symmetry_suite(config: RunConfig, section, samples, times, cfg):
     sigma = SymmetryInvolution(config.field, cfg)
     report = verify_sigma_symmetry(config.field, samples, times, cfg, sigma=sigma)
     report.checks.extend(_uniqueness_checks(config, section, cfg))
     report.provenance["section"] = section.label
     report.provenance["config_digest"] = config.digest()
-    pairs = _safe_pairs_rows(samples, sigma)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_json(config.out_dir / "symmetry_report.json")
-    write_atomic(config.out_dir / "symmetry_pairs.csv",
-                 _csv_text(["x", "y", "sigma_x", "sigma_y"], pairs))
-    for c in report.checks:
-        for err in c.errors:
-            print(f"{c.name}: {err}", file=sys.stderr)
-    line, code = _summary(report)
-    print(line)
-    return code
+    pairs = _pairs_csv("symmetry_pairs", samples, sigma)
+    return report, [("symmetry_report.json", report.to_json()),
+                    ("symmetry_pairs.csv", pairs)]
 
 
-def cmd_reversibility(config: RunConfig) -> int:
-    cfg = config.integrator()
-    try:
-        section = config.build_section()
-    except TransversalityError as exc:
-        print(f"transversality error: {exc}", file=sys.stderr)
-        return EXIT_TRANSVERSALITY
-    except SectionError as exc:
-        print(f"section error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    samples, times, degraded = _gather_samples(config, section, cfg)
-    for msg in degraded:
-        print(msg, file=sys.stderr)
-    try:
-        sigma = ReversibilityInvolution(config.field, section, cfg)
-        report = verify_reversibility(config.field, section, samples, times, cfg,
-                                      sigma=sigma)
-        report.provenance["config_digest"] = config.digest()
-        pairs = _safe_pairs_rows(samples, sigma)
-        star_csv = sigma.delta_star.to_csv()
-    except TransversalityError as exc:
-        print(f"transversality error: {exc}", file=sys.stderr)
-        return EXIT_TRANSVERSALITY
-    except (CycleError, FlowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_json(config.out_dir / "reversibility_report.json")
-    write_atomic(config.out_dir / "delta_star.csv", star_csv)
-    write_atomic(config.out_dir / "reversibility_pairs.csv",
-                 _csv_text(["x", "y", "sigma_x", "sigma_y"], pairs))
-    for c in report.checks:
-        for err in c.errors:
-            print(f"{c.name}: {err}", file=sys.stderr)
-    line, code = _summary(report)
-    print(line)
-    return code
+def _reversibility_suite(config: RunConfig, section, samples, times, cfg):
+    sigma = ReversibilityInvolution(config.field, section, cfg)
+    report = verify_reversibility(config.field, section, samples, times, cfg,
+                                  sigma=sigma)
+    report.provenance["config_digest"] = config.digest()
+    pairs = _pairs_csv("reversibility_pairs", samples, sigma)
+    star = sigma.delta_star
+    star_csv = _csv_text(["s", "x_star", "y_star", "T"],
+                         zip(star.grid, star.curve.points[:, 0],
+                             star.curve.points[:, 1], star.periods))
+    return report, [("reversibility_report.json", report.to_json()),
+                    ("delta_star.csv", star_csv),
+                    ("reversibility_pairs.csv", pairs)]
 
 
-def cmd_verify(config: RunConfig) -> int:
-    cfg = config.integrator()
-    try:
-        section = config.build_section()
-    except TransversalityError as exc:
-        print(f"transversality error: {exc}", file=sys.stderr)
-        return EXIT_TRANSVERSALITY
-    except SectionError as exc:
-        print(f"section error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    samples, times, degraded = _gather_samples(config, section, cfg)
-    for msg in degraded:
-        print(msg, file=sys.stderr)
-    try:
-        sym = verify_sigma_symmetry(config.field, samples, times, cfg)
-        sym.checks.extend(_uniqueness_checks(config, section, cfg))
-        rev = verify_reversibility(config.field, section, samples, times, cfg)
-    except TransversalityError as exc:
-        print(f"transversality error: {exc}", file=sys.stderr)
-        return EXIT_TRANSVERSALITY
-    except (CycleError, FlowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+def _verify_suite(config: RunConfig, section, samples, times, cfg):
+    sym = verify_sigma_symmetry(config.field, samples, times, cfg)
+    sym.checks.extend(_uniqueness_checks(config, section, cfg))
+    rev = verify_reversibility(config.field, section, samples, times, cfg)
     checks = []
     for c in sym.checks:
         c.name = f"symmetry/{c.name}"
@@ -454,15 +440,20 @@ def cmd_verify(config: RunConfig) -> int:
             "config_digest": config.digest(),
         },
     )
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_json(config.out_dir / "verify_report.json")
-    report.write_csv(config.out_dir / "verify_summary.csv")
-    for c in report.checks:
-        for err in c.errors:
-            print(f"{c.name}: {err}", file=sys.stderr)
-    line, code = _summary(report)
-    print(line)
-    return code
+    return report, [("verify_report.json", report.to_json()),
+                    ("verify_summary.csv", report.to_csv())]
+
+
+def cmd_symmetry(config: RunConfig) -> int:
+    return _run_suite(config, _symmetry_suite, seed_only=True)
+
+
+def cmd_reversibility(config: RunConfig) -> int:
+    return _run_suite(config, _reversibility_suite)
+
+
+def cmd_verify(config: RunConfig) -> int:
+    return _run_suite(config, _verify_suite)
 
 
 _COMMANDS = {

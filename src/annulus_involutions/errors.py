@@ -73,3 +73,8 @@ class NotASection(SectionError):
 
 class ConfigError(ValueError):
     pass
+
+
+# Known numerical failure modes of one sample evaluation.  Per-sample loops
+# record these and go on; any other exception is a bug and propagates.
+SAMPLE_FAILURES = (FlowError, CycleError, SectionError, DomainError)

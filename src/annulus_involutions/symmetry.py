@@ -14,9 +14,10 @@ import numpy as np
 
 from .expr import PlanarField
 from .flow import IntegratorConfig, flow
-from .period import Cycle, detect_cycle
+from .period import detect_cycle
 from .verify import (
     VerificationReport,
+    _run_samples,
     check_commutation,
     check_energy_invariance,
     check_field_condition,
@@ -35,7 +36,7 @@ def _energy_key(e: float) -> str:
 
 
 class SymmetryInvolution:
-    """Evaluatable half-period map with optional cycle caching.
+    """Evaluatable half-period map with cycle caching.
 
     For fields carrying a first integral, detected periods are cached per
     energy level (periods are constant along cycles); correctness does not
@@ -43,12 +44,11 @@ class SymmetryInvolution:
     is pure; the cache is a plain dict safe under CPython readers/writers.
     """
 
-    def __init__(self, field: PlanarField, cfg: IntegratorConfig | None = None,
-                 use_cache: bool = True):
+    def __init__(self, field: PlanarField, cfg: IntegratorConfig | None = None):
         self.field = field
         self.cfg = cfg or IntegratorConfig()
         self._cache: dict[str, float] | None = (
-            {} if use_cache and field.hamiltonian is not None else None
+            {} if field.hamiltonian is not None else None
         )
 
     def period_of(self, z) -> float:
@@ -60,9 +60,6 @@ class SymmetryInvolution:
                 self._cache[key] = t
             return t
         return detect_cycle(self.field, z, self.cfg).period
-
-    def cycle_of(self, z) -> Cycle:
-        return detect_cycle(self.field, z, self.cfg)
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -102,13 +99,12 @@ def verify_sigma_symmetry(
     field_tol: float = 1e-4,
     energy_tol: float = 1e-8,
     nontrivial_threshold: float = 0.1,
-    use_cache: bool = True,
     sigma: SymmetryInvolution | None = None,
 ) -> VerificationReport:
     """Run the symmetry identity suite over the samples and times."""
     cfg = cfg or IntegratorConfig()
     if sigma is None:
-        sigma = SymmetryInvolution(field, cfg, use_cache=use_cache)
+        sigma = SymmetryInvolution(field, cfg)
     checks = [
         check_involution(sigma, samples, tolerance=involution_tol),
         check_commutation(field, sigma, +1, samples, times, cfg, tolerance=commutation_tol),
@@ -117,21 +113,12 @@ def verify_sigma_symmetry(
     ]
     if field.hamiltonian is not None:
         checks.append(check_energy_invariance(field, sigma, samples, tolerance=energy_tol))
-    best = -math.inf
-    worst = None
-    move_errors = []
-    for z in samples:
-        z = np.asarray(z, dtype=float)
-        try:
-            m = float(np.linalg.norm(sigma(z) - z))
-        except Exception as exc:
-            move_errors.append(f"({z[0]:.6g}, {z[1]:.6g}): {exc}")
-            continue
-        if m > best:
-            best, worst = m, z
+    moves = _run_samples("non_triviality", nontrivial_threshold, samples,
+                         lambda z: [(float(np.linalg.norm(sigma(z) - z)), None)])
+    best = -math.inf if moves.worst_point is None else moves.max_residual
     nontrivial = check_lower_bound("non_triviality", best, nontrivial_threshold,
-                                   worst_point=worst)
-    nontrivial.errors.extend(move_errors)
+                                   worst_point=moves.worst_point)
+    nontrivial.errors.extend(moves.errors)
     checks.append(nontrivial)
     provenance = {
         "field": field.name,

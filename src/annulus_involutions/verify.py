@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .errors import SAMPLE_FAILURES
 from .expr import PlanarField
 from .flow import IntegratorConfig, flow, jacobian_fd
 from .period import detect_cycle, period
@@ -108,9 +109,6 @@ class VerificationReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
-    def write_json(self, path) -> None:
-        write_atomic(path, self.to_json())
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -119,9 +117,6 @@ class VerificationReport:
             w.writerow([c.name, repr(c.max_residual), repr(c.tolerance),
                         "true" if c.passed else "false"])
         return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        write_atomic(path, self.to_csv())
 
 
 def write_atomic(path, text: str) -> None:
@@ -188,7 +183,11 @@ def _scaled(diff, z) -> float:
 
 
 def _run_samples(name, tolerance, samples, fn):
-    """Shared max-residual loop: fn(z) -> (residual, time_tag) or list of them."""
+    """The max-residual loop of every check: fn(z) -> list of (residual, time tag).
+
+    A sample's first two coordinates name it in the worst point and in the
+    error lines; known numerical failures are recorded per sample.
+    """
     worst = -1.0
     worst_point = None
     worst_time = None
@@ -196,7 +195,7 @@ def _run_samples(name, tolerance, samples, fn):
     for z in samples:
         try:
             results = fn(np.asarray(z, dtype=float))
-        except Exception as exc:  # per-sample failures are data, not crashes
+        except SAMPLE_FAILURES as exc:  # per-sample failures are data, not crashes
             errors.append(f"({z[0]:.6g}, {z[1]:.6g}): {exc}")
             continue
         for res, t_tag in results:
@@ -311,41 +310,32 @@ def fixed_set_distance(sigma, samples, delta, move_tol: float = 1e-8,
     numerically do not move (|sigma(z) - z| <= fixed_threshold) must lie
     within dist_tol of the section.  The reported residual is the larger of
     the two maxima in units of its own gate, with the raw maxima in extras.
+    With no sample on the section and none fixed, nothing was checked and
+    the check fails like any check without evaluated samples.
     """
-    on_delta_move = 0.0
-    fixed_dist = 0.0
     n_on = n_fixed = 0
-    worst_point = None
-    worst_ratio = -1.0
-    errors = []
-    for z in samples:
-        z = np.asarray(z, dtype=float)
-        try:
-            move = float(np.linalg.norm(sigma(z) - z))
-            dist = float(delta.distance(z))
-        except Exception as exc:
-            errors.append(f"({z[0]:.6g}, {z[1]:.6g}): {exc}")
-            continue
-        memb_tol = 1e-9 * (1.0 + float(np.linalg.norm(z)))
-        ratio = -1.0
-        if dist <= memb_tol:
+    on_delta_move = fixed_dist = 0.0
+
+    def one(z):
+        nonlocal n_on, n_fixed, on_delta_move, fixed_dist
+        move = float(np.linalg.norm(sigma(z) - z))
+        dist = float(delta.distance(z))
+        out = []
+        if dist <= 1e-9 * (1.0 + float(np.linalg.norm(z))):
             n_on += 1
             on_delta_move = max(on_delta_move, move)
-            ratio = move / move_tol
+            out.append((move / move_tol, None))
         if move <= fixed_threshold:
             n_fixed += 1
             fixed_dist = max(fixed_dist, dist)
-            ratio = max(ratio, dist / dist_tol)
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_point = (float(z[0]), float(z[1]))
-    max_residual = max(on_delta_move / move_tol, fixed_dist / dist_tol)
-    return CheckResult(
-        name, max_residual, 1.0, max_residual <= 1.0, worst_point, None, errors,
-        extras={
-            "on_delta_move": on_delta_move,
-            "fixed_dist_to_delta": fixed_dist,
-            "n_on_delta": n_on,
-            "n_fixed": n_fixed,
-        },
-    )
+            out.append((dist / dist_tol, None))
+        return out
+
+    result = _run_samples(name, 1.0, samples, one)
+    result.extras = {
+        "on_delta_move": on_delta_move,
+        "fixed_dist_to_delta": fixed_dist,
+        "n_on_delta": n_on,
+        "n_fixed": n_fixed,
+    }
+    return result

@@ -10,10 +10,11 @@ from annulus_involutions.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_TRANSVERSALITY,
+    _pairs_csv,
     load_config,
     main,
 )
-from annulus_involutions.errors import ConfigError
+from annulus_involutions.errors import ConfigError, FlowError
 
 
 def write_config(path, text):
@@ -255,6 +256,21 @@ class TestVerifyCommand:
         summary = read_csv(tmp_path / "out" / "verify_summary.csv")
         assert summary[0] == ["check", "residual", "tolerance", "pass"]
         assert len(summary) == len(names) + 1
+
+
+class TestPairsCsv:
+    def test_dropped_sample_reported(self, capsys):
+        def sigma(z):
+            if z[0] < 0:
+                raise FlowError("left the domain")
+            return np.array([z[0], -z[1]])
+
+        samples = [np.array([1.0, 0.5]), np.array([-0.25, 2.0]), np.array([0.5, 0.0])]
+        text = _pairs_csv("symmetry_pairs", samples, sigma)
+        assert text.splitlines() == ["x,y,sigma_x,sigma_y", "1.0,0.5,1.0,-0.5",
+                                     "0.5,0.0,0.5,-0.0"]
+        assert capsys.readouterr().err.splitlines() == [
+            "symmetry_pairs: (-0.25, 2): left the domain"]
 
 
 class TestDeterminism:

@@ -49,31 +49,36 @@ def on_circle(theta, r=1.0):
     return np.array([r * math.cos(theta), r * math.sin(theta)])
 
 
+def star_rows(star):
+    """(s, x_star, y_star, T) per grid point of a conjugate section."""
+    return zip(star.grid, star.curve.points[:, 0], star.curve.points[:, 1], star.periods)
+
+
 class TestConjugateSection:
     def test_linear_center_x_axis(self, linear_center, lc_xaxis, lc_star):
         # the half turn sends (s, 0) to (-s, 0)
-        for s, x, y, T in lc_star.rows():
+        for s, x, y, T in star_rows(lc_star):
             assert x == pytest.approx(-s, abs=1e-9)
             assert abs(y) <= 1e-9
             assert T == pytest.approx(2 * math.pi, abs=1e-9)
 
     def test_linear_center_diagonal(self, linear_center, lc_diag, cfg):
         star = conjugate_section(linear_center, lc_diag, cfg)
-        for s, x, y, T in star.rows():
+        for s, x, y, T in star_rows(star):
             assert x == pytest.approx(-s, abs=1e-9)
             assert y == pytest.approx(-s, abs=1e-9)
 
     def test_pendulum_x_axis(self, pendulum, pend_xaxis, cfg):
         # energy symmetry puts the half-period point of (s, 0) at (-s, 0)
         star = conjugate_section(pendulum, pend_xaxis, cfg)
-        for s, x, y, T in star.rows():
+        for s, x, y, T in star_rows(star):
             assert x == pytest.approx(-s, abs=1e-6)
             assert abs(y) <= 1e-6
 
     def test_image_is_transversal(self, cubic_center, cfg):
         sec = make_section(cubic_center, "s", "s", (0.3, 1.5), name="diagonal")
         star = conjugate_section(cubic_center, sec, cfg)
-        assert star.section.min_transversality > 1e-6
+        assert star.min_transversality > 1e-6
 
 
 class TestTau:
@@ -275,10 +280,13 @@ class TestSigmaReversible:
 
     def test_cache_matches_uncached(self, duffing, cfg):
         sec = make_section(duffing, "s", "0", (0.3, 1.5), name="x-axis")
-        cached = ReversibilityInvolution(duffing, sec, cfg, use_cache=True)
-        plain = ReversibilityInvolution(duffing, sec, cfg, use_cache=False)
+        cached = ReversibilityInvolution(duffing, sec, cfg)
         z = np.array([0.8, 0.35])
-        assert np.linalg.norm(cached(z) - plain(z)) <= 1e-8
+        first = cached(z)
+        again = cached(z)  # served from the period cache
+        plain = sigma_reversible(duffing, sec, z, cfg, delta_star=cached.delta_star)
+        assert np.linalg.norm(first - plain) <= 1e-8
+        assert np.linalg.norm(again - plain) <= 1e-8
 
 
 class TestRectifiedChart:
@@ -340,5 +348,5 @@ class TestVerifySuite:
         samples = annulus_points(pendulum, pend_xaxis, 5, cfg, seed=2)
         wp = check_well_posedness(pendulum, pend_xaxis, star, samples, cfg)
         assert wp.passed and wp.max_residual <= 1e-6
-        rt = check_half_period_roundtrip(pendulum, star, cfg)
+        rt = check_half_period_roundtrip(pendulum, pend_xaxis, star, cfg)
         assert rt.passed and rt.max_residual <= 1e-6

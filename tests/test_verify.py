@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from annulus_involutions.errors import DomainError, FlowError
 from annulus_involutions.sections import make_section
 from annulus_involutions.symmetry import SymmetryInvolution
 from annulus_involutions.verify import (
@@ -60,12 +61,20 @@ class TestCheckInvolution:
     def test_evaluation_failure_recorded(self):
         def flaky(z):
             if z[0] < 0:
-                raise ValueError("boom")
+                raise DomainError("boom")
             return z.copy()
 
         r = check_involution(flaky, SAMPLES)
         assert r.passed  # surviving samples all pass
         assert len(r.errors) == 2
+
+    def test_bug_propagates(self):
+        # only known numerical failures are per-sample data; a bug crashes
+        def buggy(z):
+            raise TypeError("not a numerical failure")
+
+        with pytest.raises(TypeError):
+            check_involution(buggy, SAMPLES)
 
 
 class TestCheckCommutation:
@@ -259,7 +268,7 @@ class TestReport:
 
     def test_completeness_despite_errors(self, linear_center, cfg):
         def broken(z):
-            raise RuntimeError("always fails")
+            raise FlowError("always fails")
 
         checks = [
             check_involution(broken, SAMPLES),

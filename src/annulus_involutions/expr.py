@@ -312,14 +312,18 @@ def _emit(e: ExprAst) -> str:
     return f"({_emit(e.left)} {e.op} {_emit(e.right)})"
 
 
+# raised by compiled expressions outside their real domain (sqrt(-1), exp(1000))
+_MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
 @lru_cache(maxsize=None)
 def compile_fn(e: ExprAst, variables: tuple[str, ...] = ("x", "y")) -> Callable[..., float]:
     """Compile an AST into a plain positional-argument float function.
 
     The emitted code performs exactly the arithmetic of the tree (same
     operations in the same order), so results are bit-identical across
-    calls.  Domain failures surface as ValueError / ZeroDivisionError /
-    OverflowError, which :func:`evaluate` maps to DomainError.
+    calls.  Domain failures surface as one of ``_MATH_ERRORS``, which
+    :func:`evaluate` and :meth:`PlanarField.rhs` map to DomainError.
     """
     ns = {f"_fn_{name}": impl for name, impl in _FUNC_IMPL.items()}
     ns["_fn_pow"] = math.pow
@@ -333,7 +337,7 @@ def evaluate(e: ExprAst, x: float, y: float) -> float:
     fn = compile_fn(e, ("x", "y"))
     try:
         v = fn(float(x), float(y))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except _MATH_ERRORS as exc:
         raise DomainError(f"evaluation failed at ({x}, {y}): {exc}") from exc
     if not math.isfinite(v):
         raise DomainError(f"non-finite result {v} at ({x}, {y})")
@@ -508,8 +512,11 @@ class PlanarField:
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         """Right-hand side V(z) for the integrator."""
-        px = self._pf(y[0], y[1])
-        qy = self._qf(y[0], y[1])
+        try:
+            px = self._pf(y[0], y[1])
+            qy = self._qf(y[0], y[1])
+        except _MATH_ERRORS as exc:
+            raise DomainError(f"field evaluation failed at ({y[0]}, {y[1]}): {exc}") from exc
         if not (math.isfinite(px) and math.isfinite(qy)):
             raise DomainError(f"non-finite field value at ({y[0]}, {y[1]})")
         return np.array((px, qy))

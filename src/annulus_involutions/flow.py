@@ -27,6 +27,7 @@ __all__ = [
     "flow",
     "flow_trajectory",
     "flow_to_event",
+    "flow_to_event_trajectory",
     "jacobian_fd",
     "brent",
 ]
@@ -397,19 +398,13 @@ def flow(field: PlanarField, z0, t: float, cfg: IntegratorConfig | None = None) 
     return flow_trajectory(field, z0, t, cfg).z_final
 
 
-def flow_to_event(
-    field: PlanarField,
-    z0,
-    event: EventSpec,
-    t_direction: int,
-    t_max: float,
-    cfg: IntegratorConfig | None = None,
-) -> tuple[float, np.ndarray]:
-    """First strict crossing time of the event in the given time direction.
+def flow_to_event_trajectory(field: PlanarField, z0, event: EventSpec, t_direction: int,
+                             t_max: float, cfg: IntegratorConfig | None = None) -> Trajectory:
+    """Integrate up to the first strict crossing of the event in the given
+    time direction; that crossing is the trajectory's first event.
 
-    A crossing at t = 0 (starting on the zero set) is skipped.  Returns
-    (t_hit, z_hit) with t_hit signed; raises EventNotFound if no crossing
-    occurs before t_max.
+    A crossing at t = 0 (starting on the zero set) is skipped.  Raises
+    EventNotFound if no crossing occurs before t_max.
     """
     cfg = cfg or IntegratorConfig()
     if t_direction not in (1, -1):
@@ -423,7 +418,20 @@ def flow_to_event(
         raise EventNotFound(
             f"no event crossing within |t| <= {t_max:.6g} from ({z0[0]:.6g}, {z0[1]:.6g})"
         )
-    hit = traj.events[0]
+    return traj
+
+
+def flow_to_event(
+    field: PlanarField,
+    z0,
+    event: EventSpec,
+    t_direction: int,
+    t_max: float,
+    cfg: IntegratorConfig | None = None,
+) -> tuple[float, np.ndarray]:
+    """First strict crossing (t_hit, z_hit) of the event in the given time
+    direction, t_hit signed; see flow_to_event_trajectory."""
+    hit = flow_to_event_trajectory(field, z0, event, t_direction, t_max, cfg).events[0]
     return hit.t, hit.z
 
 

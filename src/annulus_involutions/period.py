@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriticalPointError, DomainEscape, EventNotFound, NotACycle
+from .errors import SAMPLE_FAILURES, CriticalPointError, DomainEscape, NotACycle
 from .expr import PlanarField
 from .flow import EventSpec, IntegratorConfig, Trajectory, integrate
 
@@ -124,7 +124,7 @@ def sample_annulus(field: PlanarField, seed, params, cfg: IntegratorConfig | Non
         z = seed.point(float(s))
         try:
             cycles.append(detect_cycle(field, z, cfg))
-        except (NotACycle, CriticalPointError, EventNotFound, DomainEscape) as exc:
+        except SAMPLE_FAILURES as exc:
             cycles.append(None)
             errors.append((float(s), str(exc)))
     return AnnulusSample(params=params, cycles=cycles, errors=errors)

@@ -15,9 +15,8 @@ is the mirror (x, -y), which also fixes the negative x-axis).
 
 The conjugate curve is a plain :class:`~.sections.Section` that also
 carries the period of each grid cycle.  ``sigma_reversible`` and
-``ReversibilityInvolution`` evaluate sigma through one body; they differ
-only in the tau they hand it (the class caches periods per energy level
-for fields with a first integral).
+``ReversibilityInvolution`` evaluate sigma through one body, which reads
+the image off the two crossing searches that find tau.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import CycleError, EventNotFound, NotASection
 from .expr import PlanarField
-from .flow import IntegratorConfig, flow, flow_to_event
+from .flow import IntegratorConfig, flow, flow_to_event, flow_to_event_trajectory
 from .period import detect_cycle
 from .sections import Section, section_from_points
 from .verify import (
@@ -97,28 +96,26 @@ def conjugate_section(field: PlanarField, delta: Section,
     return star
 
 
-def _nearest_crossing(field, section: Section, z, cfg,
-                      period: float | None = None) -> tuple[float, np.ndarray, float]:
+def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, np.ndarray, np.ndarray]:
     """Two-sided first crossing of the curve with the smaller |t|.
 
-    Unless the period of the cycle through z is given (cycle already
-    validated), also validates that the cycle meets the curve once per
-    period: the first backward and first forward hits must be the same
-    curve point.  With the period given, the forward crossing is the
-    backward one a period later and is not integrated.  Returns
-    (t, z_hit, t_forward) with t the signed nearest-crossing time.
+    Validates that the cycle through z meets the curve once per period:
+    the first backward and first forward hits must be the same curve
+    point.  Then t_f - t_b = T, so phi(t_b + t_f, z) = phi(2 tau, z)
+    whichever crossing is nearer, and t_b + t_f lies inside the span of
+    the farther search, whose dense output gives the image.  Returns
+    (t, z_hit, image) with t the signed nearest-crossing time.
     """
     ev = section.event()
     try:
-        t_b, z_b = flow_to_event(field, z, ev, -1, cfg.max_horizon, cfg)
-        if period is None:
-            t_f, z_f = flow_to_event(field, z, ev, +1, cfg.max_horizon, cfg)
-        else:
-            t_f, z_f = t_b + period, z_b
+        back = flow_to_event_trajectory(field, z, ev, -1, cfg.max_horizon, cfg)
+        fwd = flow_to_event_trajectory(field, z, ev, +1, cfg.max_horizon, cfg)
     except EventNotFound as exc:
         raise EventNotFound(
             f"orbit of ({z[0]:.6g}, {z[1]:.6g}) does not cross {section.label}: {exc}"
         ) from exc
+    hit_b, hit_f = back.events[0], fwd.events[0]
+    z_b, z_f = hit_b.z, hit_f.z
     scale = 1.0 + float(np.linalg.norm(z))
     if float(np.linalg.norm(z_b - z_f)) > 1e-6 * scale:
         raise NotASection(
@@ -126,9 +123,10 @@ def _nearest_crossing(field, section: Section, z, cfg,
             f"once per period (backward hit ({z_b[0]:.6g}, {z_b[1]:.6g}), forward hit "
             f"({z_f[0]:.6g}, {z_f[1]:.6g})); not a global section for this annulus"
         )
-    if -t_b <= t_f:
-        return t_b, z_b, t_f
-    return t_f, z_f, t_f
+    t_2tau = hit_b.t + hit_f.t
+    image = back.state(t_2tau) if t_2tau <= 0.0 else fwd.state(t_2tau)
+    hit = hit_b if -hit_b.t <= hit_f.t else hit_f
+    return hit.t, hit.z, image
 
 
 def tau_hit(field: PlanarField, delta: Section, z, cfg: IntegratorConfig | None = None
@@ -180,30 +178,6 @@ def classify(field: PlanarField, delta: Section, delta_star: Section, z,
     return tag, {"delta": t_d, "delta_star": t_s}
 
 
-def _reflect(field: PlanarField, delta: Section, delta_star: Section | None, z,
-             cfg: IntegratorConfig, tau_of) -> np.ndarray:
-    """phi(2 tau(z), z) with tau(z) = tau_of(z): the one evaluation body of
-    the section-fixing involution."""
-    z = np.asarray(z, dtype=float)
-    d_delta = delta.distance(z)
-    if d_delta <= _memb_tol(z):
-        return z.copy()
-    if delta_star is not None:
-        d_star = delta_star.distance(z)
-        if d_star <= _memb_tol(z):
-            return z.copy()
-    image = flow(field, z, 2.0 * tau_of(z), cfg)
-    if delta_star is not None and min(d_delta, d_star) <= _BAND_WIDTH:
-        alt = flow(field, z, 2.0 * tau_star(field, delta_star, z, cfg), cfg)
-        scale = 1.0 + float(np.linalg.norm(z))
-        if float(np.linalg.norm(alt - image)) > 1e-6 * scale:
-            raise NotASection(
-                f"section-time routes disagree near the curves at "
-                f"({z[0]:.6g}, {z[1]:.6g}); section data inconsistent"
-            )
-    return image
-
-
 def sigma_reversible(field: PlanarField, delta: Section, z,
                      cfg: IntegratorConfig | None = None,
                      delta_star: Section | None = None) -> np.ndarray:
@@ -216,18 +190,31 @@ def sigma_reversible(field: PlanarField, delta: Section, z,
     agreement is asserted before returning.
     """
     cfg = cfg or IntegratorConfig()
-    return _reflect(field, delta, delta_star, z, cfg,
-                    lambda w: tau(field, delta, w, cfg))
+    z = np.asarray(z, dtype=float)
+    d_delta = delta.distance(z)
+    if d_delta <= _memb_tol(z):
+        return z.copy()
+    if delta_star is not None:
+        d_star = delta_star.distance(z)
+        if d_star <= _memb_tol(z):
+            return z.copy()
+    image = _nearest_crossing(field, delta, z, cfg)[2]
+    if delta_star is not None and min(d_delta, d_star) <= _BAND_WIDTH:
+        alt = flow(field, z, 2.0 * tau_star(field, delta_star, z, cfg), cfg)
+        scale = 1.0 + float(np.linalg.norm(z))
+        if float(np.linalg.norm(alt - image)) > 1e-6 * scale:
+            raise NotASection(
+                f"section-time routes disagree near the curves at "
+                f"({z[0]:.6g}, {z[1]:.6g}); section data inconsistent"
+            )
+    return image
 
 
 class ReversibilityInvolution:
     """Evaluatable reversibility involution for a fixed section.
 
-    Construction tabulates the conjugate curve.  For fields carrying a first
-    integral, each newly met cycle is validated once (single crossing per
-    period, via the two-sided search) and its period cached; later
-    evaluations on that cycle resolve the branch from one backward crossing,
-    since the forward crossing sits exactly one period later.
+    Construction tabulates the conjugate curve; evaluation is
+    :func:`sigma_reversible` with that curve supplied.
     """
 
     def __init__(self, field: PlanarField, delta: Section,
@@ -236,26 +223,9 @@ class ReversibilityInvolution:
         self.delta = delta
         self.cfg = cfg or IntegratorConfig()
         self.delta_star = conjugate_section(field, delta, self.cfg)
-        self._cache: dict[str, float] | None = (
-            {} if field.hamiltonian is not None else None
-        )
 
     def tau(self, z) -> float:
-        z = np.asarray(z, dtype=float)
-        if self._cache is None:
-            return tau(self.field, self.delta, z, self.cfg)
-        if self.delta.distance(z) <= _memb_tol(z):
-            return 0.0
-        key = f"{self.field.energy(z):.12e}"
-        period_t = self._cache.get(key)
-        t, _, t_f = _nearest_crossing(self.field, self.delta, z, self.cfg, period_t)
-        if period_t is None:
-            # Known defect, kept so that outputs stay byte-identical: when the
-            # forward crossing is the nearer one, t_f - t is 0, not the period,
-            # and later points of this cycle resolve to their backward crossing
-            # (outside (-T/2, T/2], though phi(2 tau, z) is the same point).
-            self._cache[key] = t_f - t
-        return t
+        return tau(self.field, self.delta, z, self.cfg)
 
     def tau_star(self, z) -> float:
         return tau_star(self.field, self.delta_star, z, self.cfg)
@@ -264,7 +234,7 @@ class ReversibilityInvolution:
         return classify(self.field, self.delta, self.delta_star, z, self.cfg)
 
     def __call__(self, z) -> np.ndarray:
-        return _reflect(self.field, self.delta, self.delta_star, z, self.cfg, self.tau)
+        return sigma_reversible(self.field, self.delta, z, self.cfg, self.delta_star)
 
 
 def check_well_posedness(field: PlanarField, delta: Section, delta_star: Section, samples,

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import SectionError, TransversalityError
 from .expr import ExprAst, compile_fn, differentiate, parse, to_source
@@ -34,7 +33,7 @@ _HIT_DIST_TOL = 1e-7  # scaled by (1 + |z|): separates on-curve roots from exten
 
 
 class _PPoly1D:
-    """Scalar-fast piecewise cubic y(s) built from CubicSpline coefficients."""
+    """Scalar-fast piecewise cubic y(s): the not-a-knot interpolating spline."""
 
     def __init__(self, grid: np.ndarray, coeffs: np.ndarray):
         self.grid = grid
@@ -42,8 +41,30 @@ class _PPoly1D:
 
     @classmethod
     def fit(cls, grid, values):
-        sp = CubicSpline(grid, values)
-        return cls(np.asarray(grid, dtype=float), sp.c.copy())
+        """Not-a-knot cubic spline through n >= 4 points (the system and the
+        coefficient formulas of scipy.interpolate.CubicSpline)."""
+        x = np.asarray(grid, dtype=float)
+        y = np.asarray(values, dtype=float)
+        n = len(x)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # knot slopes m: second derivative continuous at interior knots,
+        # third derivative continuous at the second and second-last knots
+        a = np.zeros((n, n))
+        b = np.empty(n)
+        i = np.arange(1, n - 1)
+        a[i, i - 1] = dx[1:]
+        a[i, i] = 2.0 * (dx[:-1] + dx[1:])
+        a[i, i + 1] = dx[:-1]
+        b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        a[0, :2] = dx[1], d0
+        b[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+        a[-1, -2:] = d1, dx[-2]
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        m = np.linalg.solve(a, b)
+        t = (m[:-1] + m[1:] - 2.0 * slope) / dx
+        return cls(x, np.array([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]]))
 
     def _segment(self, s: float) -> int:
         idx = int(np.searchsorted(self.grid, s, side="right") - 1)

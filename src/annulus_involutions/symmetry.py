@@ -31,46 +31,32 @@ __all__ = ["SymmetryInvolution", "sigma_symmetric", "uniqueness_probe",
            "verify_sigma_symmetry"]
 
 
-def _energy_key(e: float) -> str:
-    return f"{e:.12e}"
-
-
 class SymmetryInvolution:
-    """Evaluatable half-period map with cycle caching.
+    """Evaluatable half-period map bound to a field and integrator settings.
 
-    For fields carrying a first integral, detected periods are cached per
-    energy level (periods are constant along cycles); correctness does not
-    depend on the cache, it only skips repeated cycle detection.  Evaluation
-    is pure; the cache is a plain dict safe under CPython readers/writers.
+    Each evaluation detects the cycle through its point and reads the image
+    off that one integration (see :func:`sigma_symmetric`).
     """
 
     def __init__(self, field: PlanarField, cfg: IntegratorConfig | None = None):
         self.field = field
         self.cfg = cfg or IntegratorConfig()
-        self._cache: dict[str, float] | None = (
-            {} if field.hamiltonian is not None else None
-        )
 
     def period_of(self, z) -> float:
-        if self._cache is not None:
-            key = _energy_key(self.field.energy(z))
-            t = self._cache.get(key)
-            if t is None:
-                t = detect_cycle(self.field, z, self.cfg).period
-                self._cache[key] = t
-            return t
         return detect_cycle(self.field, z, self.cfg).period
 
     def __call__(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return flow(self.field, z, 0.5 * self.period_of(z), self.cfg)
+        return sigma_symmetric(self.field, z, self.cfg)
 
 
 def sigma_symmetric(field: PlanarField, z, cfg: IntegratorConfig | None = None) -> np.ndarray:
-    """Advance z half a period along its cycle."""
-    cfg = cfg or IntegratorConfig()
-    cyc = detect_cycle(field, z, cfg)
-    return flow(field, np.asarray(z, dtype=float), 0.5 * cyc.period, cfg)
+    """Advance z half a period along its cycle.
+
+    The image is read from the dense output of the cycle-detection
+    integration, which already covers [0, T].
+    """
+    cyc = detect_cycle(field, z, cfg or IntegratorConfig())
+    return cyc.trajectory.state(0.5 * cyc.period)
 
 
 def uniqueness_probe(field: PlanarField, z, f: float, cfg: IntegratorConfig | None = None) -> float:

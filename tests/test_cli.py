@@ -167,6 +167,23 @@ out = {tmp_path / 'out'}
         rows = read_csv(tmp_path / "out" / "periods.csv")
         assert len(rows) == 2  # header + the surviving sample
 
+    def test_field_math_error_recorded(self, tmp_path, capsys):
+        # sqrt(x + 1) is real only for x >= -1: the r = 0.5 circle stays
+        # there, the r = 1.3 circle does not
+        cfg = write_config(tmp_path / "p.cfg", f"""
+P = -y
+Q = x + 0*sqrt(x + 1)
+section = x-axis [0.2, 1.4]
+params = [0.5, 1.3]
+out = {tmp_path / 'out'}
+""")
+        code = main(["period", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == EXIT_CHECK_FAILED
+        assert captured.out.strip() == "FAIL 1/2"
+        assert "sample s = 1.3 failed: field evaluation failed" in captured.err
+        assert len(read_csv(tmp_path / "out" / "periods.csv")) == 2
+
 
 class TestSymmetryCommand:
     def test_linear_center_all_pass(self, lc_config, tmp_path, capsys):

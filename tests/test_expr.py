@@ -266,6 +266,14 @@ class TestPlanarField:
         assert pendulum.contains([0.0, 0.0])
         assert not pendulum.contains([10.0, 0.0])
 
+    @pytest.mark.parametrize("q, x", [("sqrt(x)", -1.0), ("log(x)", -1.0),
+                                      ("exp(x)", 1000.0), ("x^-1", 0.0)])
+    def test_rhs_math_error_is_domain_error(self, q, x):
+        # the math functions raise ValueError or OverflowError here
+        field = PlanarField.from_strings("-y", q)
+        with pytest.raises(DomainError):
+            field.rhs(np.array([x, 0.0]))
+
     def test_domain_validation(self):
         with pytest.raises(ConfigError):
             PlanarField.from_strings("-y", "x", domain=(1.0, -1.0, 0.0, 1.0))

@@ -2,14 +2,17 @@
 the names the traced benchmark looks up still exist."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 import types
 from pathlib import Path
 
 import annulus_involutions
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR = ROOT / "bench"
 LAYERS = ("expr", "fields", "flow", "period", "sections", "symmetry",
           "reversibility", "verify", "cli")
 
@@ -43,3 +46,14 @@ def test_traced_benchmark_names_exist():
         tracer.uninstall()
     assert not hasattr(mods["flow"].flow, "__wrapped__")
     assert not hasattr(mods["expr"].PlanarField.rhs, "__wrapped__")
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; a fresh interpreter shows what the
+    # package itself imports
+    code = ("import sys; import annulus_involutions; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out.strip() == "[]"

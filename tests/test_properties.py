@@ -1,0 +1,85 @@
+"""Property tests: the defining identities at random inputs.
+
+Examples are derandomized, so every run draws the same inputs and the
+suite stays a deterministic gate.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from annulus_involutions.expr import Bin, Call, Const, Neg, Var, parse, to_source
+from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
+from annulus_involutions.flow import flow
+from annulus_involutions.period import detect_cycle
+from annulus_involutions.reversibility import ReversibilityInvolution, tau
+from annulus_involutions.sections import make_section
+from annulus_involutions.symmetry import SymmetryInvolution
+
+FAST = settings(max_examples=6, deadline=None, derandomize=True, database=None)
+
+_leaves = st.one_of(
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False).map(lambda v: Const(abs(v))),
+    st.sampled_from([Var("x"), Var("y")]),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(Bin, st.sampled_from("+-*/^"), children, children),
+        st.builds(Call, st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt",
+                                         "abs", "sign"]), children),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.recursive(_leaves, _extend, max_leaves=12))
+def test_print_reparse_round_trip(tree):
+    assert parse(to_source(tree)) == tree
+
+
+@pytest.fixture(scope="module", params=builtin_names())
+def annulus(request, cfg):
+    """A built-in field, its default x-axis section and both involutions."""
+    field = builtin_field(request.param)
+    section = make_section(field, "s", "0", default_section_range(request.param),
+                           name="x-axis")
+    return (field, section, SymmetryInvolution(field, cfg),
+            ReversibilityInvolution(field, section, cfg))
+
+
+def _annulus_point(field, section, u, frac, cfg):
+    """The point a fraction frac of a period along the cycle through the
+    section point at relative parameter u."""
+    cyc = detect_cycle(field, section.point(section.s_min + u * (section.s_max - section.s_min)),
+                       cfg)
+    return cyc.trajectory.state(frac * cyc.period), cyc.period
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@FAST
+@given(u=_unit, frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_both_involutions_square_to_identity(annulus, cfg, u, frac):
+    field, section, sym, rev = annulus
+    z, _ = _annulus_point(field, section, u, frac, cfg)
+    tol = 1e-7 * (1.0 + np.linalg.norm(z))
+    assert np.linalg.norm(sym(sym(z)) - z) <= tol
+    assert np.linalg.norm(rev(rev(z)) - z) <= tol
+
+
+@FAST
+@given(u=_unit, a=st.floats(min_value=-0.45, max_value=0.45),
+       b=st.floats(min_value=-0.45, max_value=0.45))
+def test_tau_shift_law(annulus, cfg, u, a, b):
+    # z = phi(-aT, section point) has tau(z) = aT; advancing by t = (a - b)T
+    # keeps tau(z) - t = bT inside (-T/2, T/2]
+    field, section, _, _ = annulus
+    z0, period_t = _annulus_point(field, section, u, 0.0, cfg)
+    z = flow(field, z0, -a * period_t, cfg)
+    t = (a - b) * period_t
+    assert tau(field, section, z, cfg) == pytest.approx(a * period_t, abs=1e-7)
+    assert tau(field, section, flow(field, z, t, cfg), cfg) == pytest.approx(
+        tau(field, section, z, cfg) - t, abs=1e-7)

@@ -278,15 +278,16 @@ class TestSigmaReversible:
         t = rev.tau(z)
         assert rev.tau(rev(z)) == pytest.approx(-t, abs=1e-7)
 
-    def test_cache_matches_uncached(self, duffing, cfg):
-        sec = make_section(duffing, "s", "0", (0.3, 1.5), name="x-axis")
-        cached = ReversibilityInvolution(duffing, sec, cfg)
-        z = np.array([0.8, 0.35])
-        first = cached(z)
-        again = cached(z)  # served from the period cache
-        plain = sigma_reversible(duffing, sec, z, cfg, delta_star=cached.delta_star)
-        assert np.linalg.norm(first - plain) <= 1e-8
-        assert np.linalg.norm(again - plain) <= 1e-8
+    def test_class_tau_stays_in_half_period_window(self, pendulum, pend_xaxis, cfg):
+        # (0, 1) reaches the section forward in time; tau must stay the
+        # nearest crossing, in (-T/2, T/2], however often the class was used
+        rev = ReversibilityInvolution(pendulum, pend_xaxis, cfg)
+        z = np.array([0.0, 1.0])
+        rev(z)
+        t = rev.tau(z)
+        assert t == tau(pendulum, pend_xaxis, z, cfg)
+        assert abs(t) <= 0.5 * period(pendulum, z, cfg)
+        assert np.linalg.norm(rev(z) - sigma_reversible(pendulum, pend_xaxis, z, cfg)) <= 1e-9
 
 
 class TestRectifiedChart:

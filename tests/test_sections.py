@@ -8,6 +8,7 @@ from annulus_involutions.flow import flow_to_event
 from annulus_involutions.sections import (
     ExpressionCurve,
     TabulatedCurve,
+    _PPoly1D,
     make_section,
     section_from_points,
 )
@@ -91,6 +92,19 @@ class TestGeometry:
         for s in (0.45, 1.0, 1.55):
             exact = np.array([s, 0.2 * math.sin(3 * s)])
             assert np.linalg.norm(tab.point(s) - exact) <= 1e-6
+
+    def test_spline_matches_scipy_not_a_knot(self):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(11)
+        for n in range(4, 34):
+            for grid in (np.linspace(0.2, 2.0, n), np.cumsum(rng.uniform(0.5, 1.5, n))):
+                values = np.sin(3.0 * grid) + 0.1 * rng.normal(size=n)
+                ours = _PPoly1D.fit(grid, values).c
+                ref = CubicSpline(grid, values).c
+                scale = np.abs(ref).max(axis=1, keepdims=True)
+                assert np.abs(ours - ref).max() <= 1e-13 * scale.max()
+                assert (np.abs(ours - ref) <= 1e-13 * scale).all()
 
     def test_self_intersection_rejected(self, linear_center):
         grid = np.linspace(0.0, 1.0, 9)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from annulus_involutions.expr import PlanarField
 from annulus_involutions.flow import flow
 from annulus_involutions.period import period
 from annulus_involutions.sections import make_section
@@ -35,13 +36,26 @@ class TestSigmaSymmetric:
         z = np.array([0.9, 0.3])
         assert np.linalg.norm(sigma(z) - sigma_symmetric(duffing, z, cfg)) <= 1e-9
 
-    def test_cache_consistency(self, pendulum, cfg):
-        cached = SymmetryInvolution(pendulum, cfg)
-        z = np.array([1.1, 0.4])
-        first = cached(z)
-        again = cached(z)
-        assert np.array_equal(first, again)
-        assert np.linalg.norm(first - sigma_symmetric(pendulum, z, cfg)) <= 1e-9
+    def test_two_wells_on_one_energy_level(self, cfg):
+        # the level H = E has one cycle in each well, with different periods
+        # (5.2396 right, 5.1310 left); evaluating the right well first must
+        # not change sigma on the left well
+        field = PlanarField.from_strings(
+            "y", "x - x^3 - 0.3*x^2 - 0.1*x^5", name="asymmetric-wells",
+            domain=(-3.0, 3.0, -3.0, 3.0),
+            hamiltonian="y^2/2 - x^2/2 + x^4/4 + 0.1*x^3 + x^6/60")
+        z_right = np.array([1.09291, 0.0])
+        energy = field.energy(z_right)
+        x_left = -1.2
+        z_left = np.array([x_left, math.sqrt(2.0 * (energy - field.energy([x_left, 0.0])))])
+        assert field.energy(z_left) == pytest.approx(energy, abs=1e-15)
+        assert period(field, z_right, cfg) - period(field, z_left, cfg) > 0.1
+        sigma = SymmetryInvolution(field, cfg)
+        sigma(z_right)
+        image = sigma(z_left)
+        assert np.array_equal(sigma(z_left), image)
+        assert np.linalg.norm(sigma(image) - z_left) <= 1e-7
+        assert np.linalg.norm(image - sigma_symmetric(field, z_left, cfg)) <= 1e-9
 
 
 class TestInvolutionProperties:

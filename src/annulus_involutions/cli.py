@@ -331,8 +331,7 @@ def cmd_period(config: RunConfig) -> int:
 def _uniqueness_checks(config: RunConfig, section, cfg) -> list[CheckResult]:
     z_probe = section.point(0.5 * (section.s_min + section.s_max))
     try:
-        residuals = {f: uniqueness_probe(config.field, z_probe, f, cfg)
-                     for f in _UNIQUENESS_GRID}
+        probe = uniqueness_probe(config.field, z_probe, _UNIQUENESS_GRID, cfg)
     except (CycleError, FlowError) as exc:
         failed = CheckResult("uniqueness_half_shift", float("inf"), 1e-8, False,
                              (float(z_probe[0]), float(z_probe[1])), None,
@@ -340,6 +339,7 @@ def _uniqueness_checks(config: RunConfig, section, cfg) -> list[CheckResult]:
         failed_off = CheckResult("uniqueness_off_half_shifts", float("inf"), 0.0,
                                  False, None, None, errors=[str(exc)])
         return [failed, failed_off]
+    residuals = dict(zip(_UNIQUENESS_GRID, probe))
     at_half = residuals[0.5]
     off_half = min(v for f, v in residuals.items() if f != 0.5)
     return [

@@ -510,19 +510,24 @@ class PlanarField:
     def __repr__(self):
         return f"PlanarField({self.name!r}: P={to_source(self.p)}, Q={to_source(self.q)})"
 
-    def rhs(self, y: np.ndarray) -> np.ndarray:
-        """Right-hand side V(z) for the integrator."""
+    def rhs(self, x: float, y: float) -> tuple[float, float]:
+        """Right-hand side V(x, y) = (P, Q) for the integrator, as two floats.
+
+        This is the integrator's hot path, so it takes and returns plain
+        floats; :meth:`velocity` is the ndarray form.  Math-domain failures
+        and non-finite values raise DomainError.
+        """
         try:
-            px = self._pf(y[0], y[1])
-            qy = self._qf(y[0], y[1])
+            px = self._pf(x, y)
+            qy = self._qf(x, y)
         except _MATH_ERRORS as exc:
-            raise DomainError(f"field evaluation failed at ({y[0]}, {y[1]}): {exc}") from exc
+            raise DomainError(f"field evaluation failed at ({x}, {y}): {exc}") from exc
         if not (math.isfinite(px) and math.isfinite(qy)):
-            raise DomainError(f"non-finite field value at ({y[0]}, {y[1]})")
-        return np.array((px, qy))
+            raise DomainError(f"non-finite field value at ({x}, {y})")
+        return px, qy
 
     def velocity(self, z) -> np.ndarray:
-        return self.rhs(np.asarray(z, dtype=float))
+        return np.array(self.rhs(float(z[0]), float(z[1])))
 
     def jacobian_exact(self, z) -> np.ndarray:
         x, y = float(z[0]), float(z[1])

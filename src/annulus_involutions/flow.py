@@ -5,6 +5,17 @@ quartic dense-output interpolant, so event roots are located on the
 continuous extension of accepted steps rather than by shrinking steps.
 Negative flow times integrate the reversed field over positive internal
 time; trajectories remember their direction.
+
+The kernel is scalar: the state is two floats, the seven stages are
+unrolled per component, and each step keeps its dense-output coefficients
+as floats.  Arrays are built only for callers (event functions, the
+trajectory's grid and states).  Every float equals what the same loop
+gives on 2-element ndarrays, because each expression keeps that loop's
+operation order: stage sums left to right, squares as ``v * v``, the
+two-component mean as ``(a*a + b*b) / 2``, the error scale from
+``max(abs(y), abs(y_new))`` per component, and reversed time as a
+negation.  Reordering any of them changes results in the last bits, and
+through step control, event times and reports.
 """
 
 from __future__ import annotations
@@ -106,24 +117,33 @@ class EventHit:
     z: np.ndarray
 
 
-@dataclass
 class _Step:
-    s0: float
-    h: float
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-    c4: np.ndarray
-    c5: np.ndarray
+    """One accepted step: start, length and the quartic dense-output
+    coefficients c1..c5, per component, as plain floats."""
+
+    __slots__ = ("s0", "h", "c1x", "c1y", "c2x", "c2y", "c3x", "c3y",
+                 "c4x", "c4y", "c5x", "c5y")
+
+    def __init__(self, s0, h, c1x, c1y, c2x, c2y, c3x, c3y, c4x, c4y, c5x, c5y):
+        self.s0 = s0
+        self.h = h
+        self.c1x, self.c1y = c1x, c1y
+        self.c2x, self.c2y = c2x, c2y
+        self.c3x, self.c3y = c3x, c3y
+        self.c4x, self.c4y = c4x, c4y
+        self.c5x, self.c5y = c5x, c5y
 
     def interp(self, s: float) -> np.ndarray:
         th = (s - self.s0) / self.h
         if th <= 0.0:
-            return self.c1.copy()
+            return np.array((self.c1x, self.c1y))
         if th >= 1.0:
-            return self.c1 + self.c2
+            return np.array((self.c1x + self.c2x, self.c1y + self.c2y))
         om = 1.0 - th
-        return self.c1 + th * (self.c2 + om * (self.c3 + th * (self.c4 + om * self.c5)))
+        return np.array((
+            self.c1x + th * (self.c2x + om * (self.c3x + th * (self.c4x + om * self.c5x))),
+            self.c1y + th * (self.c2y + om * (self.c3y + th * (self.c4y + om * self.c5y))),
+        ))
 
 
 @dataclass
@@ -167,15 +187,18 @@ class Trajectory:
         return self.steps[idx].interp(s)
 
 
-def _initial_step(rhs, y0, f0, rtol, atol, s_end):
-    scale = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+def _initial_step(rhs, x, y, fx, fy, rtol, atol, s_end):
+    sx = atol + rtol * abs(x)
+    sy = atol + rtol * abs(y)
+    ax, ay = x / sx, y / sy
+    d0 = math.sqrt((ax * ax + ay * ay) / 2)
+    ax, ay = fx / sx, fy / sy
+    d1 = math.sqrt((ax * ax + ay * ay) / 2)
     h0 = 1e-6 if d1 < 1e-12 or d0 < 1e-12 else 0.01 * d0 / d1
     h0 = min(h0, s_end)
-    y1 = y0 + h0 * f0
-    f1 = rhs(y1)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    f1x, f1y = rhs(x + h0 * fx, y + h0 * fy)
+    ax, ay = (f1x - fx) / sx, (f1y - fy) / sy
+    d2 = math.sqrt((ax * ax + ay * ay) / 2) / h0
     dm = max(d1, d2)
     h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h0 * 1e-3)
     return min(100 * h0, h1, s_end)
@@ -267,89 +290,97 @@ def _scan_step(step, events, g_prev, direction, zero_start):
 
 
 def integrate(
-    rhs: Callable[[np.ndarray], np.ndarray],
+    rhs: Callable[[float, float], tuple[float, float]],
     z0,
     t_final: float,
     cfg: IntegratorConfig,
     events: Sequence[EventSpec] = (),
-    bounds: Callable[[np.ndarray], bool] | None = None,
+    bounds: Callable[[tuple[float, float]], bool] | None = None,
 ) -> Trajectory:
-    """Integrate dz/dt = rhs(z) from z0 to t_final (either sign) with dense output.
+    """Integrate dz/dt = rhs(x, y) from z0 to t_final (either sign) with dense output.
 
-    Stops early at the first terminal event root.  Raises StepLimitExceeded,
-    DomainEscape, or lets field DomainError propagate.
+    ``rhs(x, y)`` returns the velocity as two floats; ``bounds`` receives
+    each accepted state as an (x, y) pair.  Stops early at the first
+    terminal event root.  Raises StepLimitExceeded, DomainEscape, or lets
+    field DomainError propagate.
     """
-    y = np.asarray(z0, dtype=float).copy()
+    x, y = float(z0[0]), float(z0[1])
     if t_final == 0.0:
-        grid = np.array([0.0])
-        return Trajectory(1, [], grid, y[None, :].copy(), 0, 0, 0)
+        return Trajectory(1, [], np.array([0.0]), np.array([[x, y]]), 0, 0, 0)
     direction = 1 if t_final > 0 else -1
     s_end = abs(t_final)
 
     if direction == 1:
         rhs_s = rhs
     else:
-        def rhs_s(state, _rhs=rhs):
-            return -_rhs(state)
+        def rhs_s(x, y, _rhs=rhs):
+            px, qy = _rhs(x, y)
+            return -px, -qy
 
-    f = rhs_s(y)
+    fx, fy = rhs_s(x, y)
     nfev = 1
-    h = _initial_step(rhs_s, y, f, cfg.rtol, cfg.atol, s_end)
+    rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
+    h = _initial_step(rhs_s, x, y, fx, fy, rtol, atol, s_end)
     nfev += 1
 
     events = list(events)
-    g_prev = [ev.g(y) for ev in events]
+    z = np.array((x, y))
+    g_prev = [ev.g(z) for ev in events]
     # a crossing at the start is ignored; scanning resumes once |g| clears
     # the threshold, so t_hit brackets sit strictly away from 0
-    g_floor = 1e-12 * (1.0 + float(np.linalg.norm(y)))
+    g_floor = 1e-12 * (1.0 + float(np.linalg.norm(z)))
     zero_start: list[float | None] = [g_floor if abs(g) < g_floor else None for g in g_prev]
 
     steps: list[_Step] = []
     boundaries = [0.0]
-    states = [y.copy()]
+    states = [(x, y)]
     hits: list[EventHit] = []
     naccepted = nrejected = 0
     s = 0.0
     terminal_hit = None
 
     while s < s_end:
-        if naccepted + nrejected >= cfg.max_steps:
+        if naccepted + nrejected >= max_steps:
             raise StepLimitExceeded(
-                f"step limit {cfg.max_steps} reached at t={direction * s:.6g}"
+                f"step limit {max_steps} reached at t={direction * s:.6g}"
             )
         h = min(h, s_end - s)
-        k1 = f
-        k2 = rhs_s(y + h * (_A21 * k1))
-        k3 = rhs_s(y + h * (_A31 * k1 + _A32 * k2))
-        k4 = rhs_s(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = rhs_s(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = rhs_s(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        y_new = y + h * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
-        k7 = rhs_s(y_new)
+        k2x, k2y = rhs_s(x + h * (_A21 * fx), y + h * (_A21 * fy))
+        k3x, k3y = rhs_s(x + h * (_A31 * fx + _A32 * k2x),
+                         y + h * (_A31 * fy + _A32 * k2y))
+        k4x, k4y = rhs_s(x + h * (_A41 * fx + _A42 * k2x + _A43 * k3x),
+                         y + h * (_A41 * fy + _A42 * k2y + _A43 * k3y))
+        k5x, k5y = rhs_s(x + h * (_A51 * fx + _A52 * k2x + _A53 * k3x + _A54 * k4x),
+                         y + h * (_A51 * fy + _A52 * k2y + _A53 * k3y + _A54 * k4y))
+        k6x, k6y = rhs_s(x + h * (_A61 * fx + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
+                         y + h * (_A61 * fy + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y))
+        xn = x + h * (_A71 * fx + _A73 * k3x + _A74 * k4x + _A75 * k5x + _A76 * k6x)
+        yn = y + h * (_A71 * fy + _A73 * k3y + _A74 * k4y + _A75 * k5y + _A76 * k6y)
+        k7x, k7y = rhs_s(xn, yn)
         nfev += 6
-        err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+        ex = h * (_E1 * fx + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
+        ey = h * (_E1 * fy + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
+        ex /= atol + rtol * max(abs(x), abs(xn))
+        ey /= atol + rtol * max(abs(y), abs(yn))
+        err = math.sqrt((ex * ex + ey * ey) / 2)
         if err > 1.0:
             nrejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             continue
 
-        ydiff = y_new - y
-        c3 = h * k1 - ydiff
+        dx, dy = xn - x, yn - y
+        c3x, c3y = h * fx - dx, h * fy - dy
         step = _Step(
-            s0=s,
-            h=h,
-            c1=y.copy(),
-            c2=ydiff,
-            c3=c3,
-            c4=ydiff - h * k7 - c3,
-            c5=h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7),
+            s, h, x, y, dx, dy, c3x, c3y,
+            dx - h * k7x - c3x,
+            dy - h * k7y - c3y,
+            h * (_D1 * fx + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x + _D7 * k7x),
+            h * (_D1 * fy + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y + _D7 * k7y),
         )
         steps.append(step)
         s += h
         boundaries.append(s)
-        states.append(y_new.copy())
+        states.append((xn, yn))
         naccepted += 1
 
         if events:
@@ -361,18 +392,18 @@ def integrate(
             if terminal_hit is not None:
                 break
 
-        if bounds is not None and not bounds(y_new):
+        if bounds is not None and not bounds((xn, yn)):
             raise DomainEscape(
-                f"state ({y_new[0]:.6g}, {y_new[1]:.6g}) left the working domain "
+                f"state ({xn:.6g}, {yn:.6g}) left the working domain "
                 f"at t={direction * s:.6g}"
             )
 
-        y = y_new
-        f = k7
+        x, y = xn, yn
+        fx, fy = k7x, k7y
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
         h *= factor
 
-    traj = Trajectory(
+    return Trajectory(
         direction=direction,
         steps=steps,
         s_grid=np.array(boundaries),
@@ -382,7 +413,6 @@ def integrate(
         nfev=nfev,
         events=hits,
     )
-    return traj
 
 
 def flow_trajectory(field: PlanarField, z0, t: float, cfg: IntegratorConfig | None = None) -> Trajectory:

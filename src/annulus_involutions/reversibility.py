@@ -200,7 +200,7 @@ def sigma_reversible(field: PlanarField, delta: Section, z,
             return z.copy()
     image = _nearest_crossing(field, delta, z, cfg)[2]
     if delta_star is not None and min(d_delta, d_star) <= _BAND_WIDTH:
-        alt = flow(field, z, 2.0 * tau_star(field, delta_star, z, cfg), cfg)
+        alt = _nearest_crossing(field, delta_star, z, cfg)[2]
         scale = 1.0 + float(np.linalg.norm(z))
         if float(np.linalg.norm(alt - image)) > 1e-6 * scale:
             raise NotASection(
@@ -241,12 +241,15 @@ def check_well_posedness(field: PlanarField, delta: Section, delta_star: Section
                          cfg: IntegratorConfig | None = None,
                          tolerance: float = 1e-6,
                          name: str = "well_posedness") -> CheckResult:
-    """Agreement of the two time routes: max |phi(2 tau*(z), z) - phi(2 tau(z), z)|."""
+    """Agreement of the two time routes: max |phi(2 tau*(z), z) - phi(2 tau(z), z)|.
+
+    Each image is read from the crossing searches that find its time.
+    """
     cfg = cfg or IntegratorConfig()
 
     def one(z):
-        a = flow(field, z, 2.0 * tau(field, delta, z, cfg), cfg)
-        b = flow(field, z, 2.0 * tau_star(field, delta_star, z, cfg), cfg)
+        a = sigma_reversible(field, delta, z, cfg)
+        b = sigma_reversible(field, delta_star, z, cfg)
         return [(_scaled(a - b, z), None)]
 
     return _run_samples(name, tolerance, samples, one)

@@ -59,18 +59,31 @@ def sigma_symmetric(field: PlanarField, z, cfg: IntegratorConfig | None = None) 
     return cyc.trajectory.state(0.5 * cyc.period)
 
 
-def uniqueness_probe(field: PlanarField, z, f: float, cfg: IntegratorConfig | None = None) -> float:
-    """Involution residual |sigma_f(sigma_f(z)) - z| of the fractional shift
-    sigma_f(w) = phi(f*T(w), w).
+def uniqueness_probe(field: PlanarField, z, fractions, cfg: IntegratorConfig | None = None
+                     ) -> list[float]:
+    """Involution residuals |sigma_f(sigma_f(z)) - z| of the fractional shifts
+    sigma_f(w) = phi(f*T(w), w), one per fraction f in (0, 1).
 
-    Only f = 0 and f = 1/2 (mod 1) give residuals at integration-error level;
-    every other fraction leaves the point displaced along its cycle.
+    Only f = 1/2 gives a residual at integration-error level; every other
+    fraction leaves the point displaced along its cycle.  The cycle through
+    z is detected once.  Off the half, both legs are read from the dense
+    output of the cycle detections of z and of its image; at f = 1/2 both
+    legs are fresh flows, whose endpoint error sets the residual.
     """
     cfg = cfg or IntegratorConfig()
     z = np.asarray(z, dtype=float)
-    z1 = flow(field, z, f * detect_cycle(field, z, cfg).period, cfg)
-    z2 = flow(field, z1, f * detect_cycle(field, z1, cfg).period, cfg)
-    return float(np.linalg.norm(z2 - z))
+    cyc = detect_cycle(field, z, cfg)
+    residuals = []
+    for f in fractions:
+        if f == 0.5:
+            z1 = flow(field, z, f * cyc.period, cfg)
+            z2 = flow(field, z1, f * detect_cycle(field, z1, cfg).period, cfg)
+        else:
+            z1 = cyc.state(f * cyc.period)
+            cyc1 = detect_cycle(field, z1, cfg)
+            z2 = cyc1.state(f * cyc1.period)
+        residuals.append(float(np.linalg.norm(z2 - z)))
+    return residuals
 
 
 def verify_sigma_symmetry(

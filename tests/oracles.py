@@ -6,12 +6,21 @@ flow-map Jacobians from a fixed-step classical RK4 run of the variational
 equations, and the linear center from closed forms.  Expected values frozen
 in the tests were computed with these routines (cross-checked against
 special-function identities where available).
+
+The one exception is ``integrate_reference``: the Dormand-Prince step loop
+written on 2-element ndarrays, kept as the reference that the package's
+scalar kernel must reproduce bit for bit.  It shares the tableau, the
+event scan and the Trajectory type with the package, and only the step
+loop is independent.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate
+
+from annulus_involutions import flow as F
+from annulus_involutions.errors import DomainEscape, StepLimitExceeded
 
 
 def elliptic_k_quad(k: float) -> float:
@@ -114,3 +123,120 @@ def variational_jacobian(field, z, t: float, n_steps: int = 4000) -> np.ndarray:
 T_PENDULUM_HALF_PI = 7.416298709205488
 T_DUFFING_AMP1 = 4.768022029102461
 T_CUBIC_AMP1 = 7.416298709205488
+
+
+# --- reference DP5(4) step loop on ndarrays ----------------------------------
+
+class _RefStep:
+    def __init__(self, s0, h, c1, c2, c3, c4, c5):
+        self.s0, self.h = s0, h
+        self.c1, self.c2, self.c3, self.c4, self.c5 = c1, c2, c3, c4, c5
+
+    def interp(self, s):
+        th = (s - self.s0) / self.h
+        if th <= 0.0:
+            return self.c1.copy()
+        if th >= 1.0:
+            return self.c1 + self.c2
+        om = 1.0 - th
+        return self.c1 + th * (self.c2 + om * (self.c3 + th * (self.c4 + om * self.c5)))
+
+
+def _ref_initial_step(rhs, y0, f0, rtol, atol, s_end):
+    scale = atol + rtol * np.abs(y0)
+    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
+    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+    h0 = 1e-6 if d1 < 1e-12 or d0 < 1e-12 else 0.01 * d0 / d1
+    h0 = min(h0, s_end)
+    y1 = y0 + h0 * f0
+    f1 = rhs(y1)
+    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    dm = max(d1, d2)
+    h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h0 * 1e-3)
+    return min(100 * h0, h1, s_end)
+
+
+def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
+    """flow.integrate for a PlanarField, with every stage on ndarrays.
+
+    The field is evaluated on the numpy scalars of the state vector.
+    """
+    def rhs(state):
+        return np.array(field.rhs(state[0], state[1]))
+
+    y = np.asarray(z0, dtype=float).copy()
+    if t_final == 0.0:
+        return F.Trajectory(1, [], np.array([0.0]), y[None, :].copy(), 0, 0, 0)
+    direction = 1 if t_final > 0 else -1
+    s_end = abs(t_final)
+    if direction == 1:
+        rhs_s = rhs
+    else:
+        def rhs_s(state):
+            return -rhs(state)
+
+    f = rhs_s(y)
+    nfev = 1
+    h = _ref_initial_step(rhs_s, y, f, cfg.rtol, cfg.atol, s_end)
+    nfev += 1
+    events = list(events)
+    g_prev = [ev.g(y) for ev in events]
+    g_floor = 1e-12 * (1.0 + float(np.linalg.norm(y)))
+    zero_start = [g_floor if abs(g) < g_floor else None for g in g_prev]
+    steps, boundaries, states, hits = [], [0.0], [y.copy()], []
+    naccepted = nrejected = 0
+    s = 0.0
+    terminal_hit = None
+    while s < s_end:
+        if naccepted + nrejected >= cfg.max_steps:
+            raise StepLimitExceeded(
+                f"step limit {cfg.max_steps} reached at t={direction * s:.6g}")
+        h = min(h, s_end - s)
+        k1 = f
+        k2 = rhs_s(y + h * (F._A21 * k1))
+        k3 = rhs_s(y + h * (F._A31 * k1 + F._A32 * k2))
+        k4 = rhs_s(y + h * (F._A41 * k1 + F._A42 * k2 + F._A43 * k3))
+        k5 = rhs_s(y + h * (F._A51 * k1 + F._A52 * k2 + F._A53 * k3 + F._A54 * k4))
+        k6 = rhs_s(y + h * (F._A61 * k1 + F._A62 * k2 + F._A63 * k3 + F._A64 * k4
+                            + F._A65 * k5))
+        y_new = y + h * (F._A71 * k1 + F._A73 * k3 + F._A74 * k4 + F._A75 * k5
+                         + F._A76 * k6)
+        k7 = rhs_s(y_new)
+        nfev += 6
+        err_vec = h * (F._E1 * k1 + F._E3 * k3 + F._E4 * k4 + F._E5 * k5 + F._E6 * k6
+                       + F._E7 * k7)
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+        if err > 1.0:
+            nrejected += 1
+            h *= max(F._MIN_FACTOR, F._SAFETY * err ** -0.2)
+            continue
+        ydiff = y_new - y
+        c3 = h * k1 - ydiff
+        step = _RefStep(s, h, y.copy(), ydiff, c3, ydiff - h * k7 - c3,
+                        h * (F._D1 * k1 + F._D3 * k3 + F._D4 * k4 + F._D5 * k5
+                             + F._D6 * k6 + F._D7 * k7))
+        steps.append(step)
+        s += h
+        boundaries.append(s)
+        states.append(y_new.copy())
+        naccepted += 1
+        if events:
+            for _, hit in F._scan_step(step, events, g_prev, direction, zero_start):
+                hits.append(hit)
+                if events[hit.index].terminal:
+                    terminal_hit = hit
+                    break
+            if terminal_hit is not None:
+                break
+        if bounds is not None and not bounds(y_new):
+            raise DomainEscape(
+                f"state ({y_new[0]:.6g}, {y_new[1]:.6g}) left the working domain "
+                f"at t={direction * s:.6g}")
+        y = y_new
+        f = k7
+        factor = (F._MAX_FACTOR if err == 0.0 else
+                  min(F._MAX_FACTOR, max(F._MIN_FACTOR, F._SAFETY * err ** -0.2)))
+        h *= factor
+    return F.Trajectory(direction, steps, np.array(boundaries), np.array(states),
+                        naccepted, nrejected, nfev, hits)

@@ -108,14 +108,10 @@ def test_04_half_period_symmetry_on_all_builtins():
 
 
 def test_05_uniqueness_probe_dichotomy(linear_center, cfg):
-    at_half = uniqueness_probe(linear_center, [1.0, 0.0], 0.5, cfg)
-    off = {}
-    for k in range(1, 20):
-        if k == 10:
-            continue
-        f = 0.05 * k
-        off[f] = uniqueness_probe(linear_center, [1.0, 0.0], f, cfg)
-    worst_off = min(off.values())
+    fractions = [0.05 * k for k in range(1, 20)]
+    residuals = uniqueness_probe(linear_center, [1.0, 0.0], fractions, cfg)
+    at_half = residuals[9]
+    worst_off = min(residuals[:9] + residuals[10:])
     report(5, "uniqueness probe: f = 0.5 residual <= 1e-8, others >= 1e-3",
            at_half <= 1e-8 and worst_off >= 1e-3,
            f"half {at_half:.2e}, min off-half {worst_off:.2e}")

@@ -272,7 +272,7 @@ class TestPlanarField:
         # the math functions raise ValueError or OverflowError here
         field = PlanarField.from_strings("-y", q)
         with pytest.raises(DomainError):
-            field.rhs(np.array([x, 0.0]))
+            field.rhs(x, 0.0)
 
     def test_domain_validation(self):
         with pytest.raises(ConfigError):

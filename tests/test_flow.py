@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from annulus_involutions.errors import DomainEscape, EventNotFound, StepLimitExceeded
+from annulus_involutions.errors import (
+    DomainError,
+    DomainEscape,
+    EventNotFound,
+    StepLimitExceeded,
+)
 from annulus_involutions.expr import PlanarField
+from annulus_involutions.fields import builtin_field
 from annulus_involutions.flow import (
     EventSpec,
     IntegratorConfig,
@@ -19,6 +25,7 @@ from annulus_involutions.flow import (
 from oracles import (
     T_DUFFING_AMP1,
     T_PENDULUM_HALF_PI,
+    integrate_reference,
     linear_center_flow,
     rotation_matrix,
     variational_jacobian,
@@ -73,6 +80,12 @@ class TestFlow:
         field = PlanarField.from_strings("1", "0", domain=(-1.0, 1.0, -1.0, 1.0))
         with pytest.raises(DomainEscape):
             flow(field, [0.0, 0.0], 10.0, cfg)
+
+    def test_sign_field(self, cfg):
+        # sign() subtracts two comparisons, which numpy scalars reject
+        field = PlanarField.from_strings("sign(x)", "0")
+        z = flow(field, [0.5, 0.2], 1.0, cfg)
+        assert np.abs(z - [1.5, 0.2]).max() <= 1e-12
 
     def test_step_limit(self, linear_center):
         tight = IntegratorConfig(max_steps=5)
@@ -239,3 +252,58 @@ class TestJacobianFD:
         J = jacobian_fd(lambda w: flow(pendulum, w, t, cfg), z)
         expected = variational_jacobian(pendulum, z, t)
         assert np.abs(J - expected).max() <= 1e-6
+
+
+# (field, z0, t_final, cfg, events) runs of the kernel against the ndarray
+# reference; the events are a non-terminal x-axis watch plus a terminal
+# crossing of the line y = 0.1 x
+_TILTED = [EventSpec(g=lambda p: p[1], direction=0, terminal=False),
+           EventSpec(g=lambda p: p[1] - 0.1 * p[0], direction=1)]
+_KERNEL_CASES = [
+    pytest.param(name, (1.0, 0.3), t, IntegratorConfig(), events,
+                 id=f"{name}-{'fwd' if t > 0 else 'bwd'}-{'event' if events else 'plain'}")
+    for name in ("linear-center", "pendulum", "duffing", "cubic-center")
+    for t in (9.0, -9.0)
+    for events in ((), _TILTED)
+] + [
+    pytest.param("cubic-center", (3.5, 0.0), -3.0, IntegratorConfig(rtol=1e-6, atol=1e-9),
+                 (), id="cubic-center-rejections"),
+]
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("name, z0, t, cfg, events", _KERNEL_CASES)
+    def test_bit_identical(self, name, z0, t, cfg, events):
+        field = builtin_field(name)
+        got = integrate(field.rhs, z0, t, cfg, events, field.contains)
+        ref = integrate_reference(field, z0, t, cfg, events, field.contains)
+        assert np.array_equal(got.s_grid, ref.s_grid)
+        assert np.array_equal(got.states, ref.states)
+        assert (got.naccepted, got.nrejected, got.nfev) == (
+            ref.naccepted, ref.nrejected, ref.nfev)
+        if name == "cubic-center" and cfg.rtol == 1e-6:
+            assert got.nrejected >= 50
+        for a, b in zip(got.s_grid[:-1], got.s_grid[1:]):
+            for w in (0.25, 0.5, 0.9):
+                t_in = got.direction * float(a + w * (b - a))
+                assert np.array_equal(got.state(t_in), ref.state(t_in))
+        assert len(got.events) == len(ref.events)
+        assert [e.index for e in got.events][-1:] == ([1] if events else [])
+        for e, r in zip(got.events, ref.events):
+            assert (e.index, e.t) == (r.index, r.t)
+            assert isinstance(e.z, np.ndarray) and np.array_equal(e.z, r.z)
+
+    @pytest.mark.parametrize("field, z0, t, cfg, exc", [
+        (builtin_field("linear-center"), (1.0, 0.0), 100.0, IntegratorConfig(max_steps=5),
+         StepLimitExceeded),
+        (PlanarField.from_strings("1", "0", domain=(-1.0, 1.0, -1.0, 1.0)), (0.0, 0.0),
+         -10.0, IntegratorConfig(), DomainEscape),
+        (PlanarField.from_strings("-1", "sqrt(x)"), (0.5, 0.0), 2.0, IntegratorConfig(),
+         DomainError),
+    ], ids=["step-limit", "domain-escape", "domain-error"])
+    def test_same_failures(self, field, z0, t, cfg, exc):
+        with pytest.raises(exc) as got:
+            integrate(field.rhs, z0, t, cfg, bounds=field.contains)
+        with pytest.raises(exc) as ref:
+            integrate_reference(field, z0, t, cfg, bounds=field.contains)
+        assert str(got.value) == str(ref.value)

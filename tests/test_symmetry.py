@@ -97,15 +97,15 @@ class TestInvolutionProperties:
 
 class TestUniquenessProbe:
     def test_half_shift_is_involution(self, linear_center, cfg):
-        assert uniqueness_probe(linear_center, [1.0, 0.0], 0.5, cfg) <= 1e-9
+        assert uniqueness_probe(linear_center, [1.0, 0.0], [0.5], cfg)[0] <= 1e-9
 
     def test_quarter_shift_is_half_turn(self, linear_center, cfg):
         # two quarter-period shifts compose to the half turn: residual 2|z|
-        res = uniqueness_probe(linear_center, [1.0, 0.0], 0.25, cfg)
+        [res] = uniqueness_probe(linear_center, [1.0, 0.0], [0.25], cfg)
         assert res == pytest.approx(2.0, abs=1e-9)
 
     def test_pendulum_generic_fraction(self, pendulum, cfg):
-        res = uniqueness_probe(pendulum, [math.pi / 2, 0.0], 0.3, cfg)
+        [res] = uniqueness_probe(pendulum, [math.pi / 2, 0.0], [0.3], cfg)
         # displaced along the cycle by 0.6 T
         expected = np.linalg.norm(
             flow(pendulum, [math.pi / 2, 0.0], 0.6 * T_PENDULUM_HALF_PI, cfg)
@@ -114,9 +114,9 @@ class TestUniquenessProbe:
         assert res > 0.1
 
     def test_grid_dichotomy(self, linear_center, cfg):
-        for k in range(1, 20):
-            f = 0.05 * k
-            res = uniqueness_probe(linear_center, [1.0, 0.0], f, cfg)
+        fractions = [0.05 * k for k in range(1, 20)]
+        residuals = uniqueness_probe(linear_center, [1.0, 0.0], fractions, cfg)
+        for k, res in enumerate(residuals, start=1):
             if k == 10:
                 assert res <= 1e-8
             else:

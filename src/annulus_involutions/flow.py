@@ -8,7 +8,9 @@ time; trajectories remember their direction.
 
 The kernel is scalar: the state is two floats, the seven stages are
 unrolled per component, and each step keeps its dense-output coefficients
-as floats.  Arrays are built only for callers (event functions, the
+as floats.  The event scan runs on floats too: event functions are called
+as ``g(x, y)`` on dense-output samples and Brent iterates, and arrays are
+built only for callers (a located root for ``accept`` and the hit, the
 trajectory's grid and states).  Every float equals what the same loop
 gives on 2-element ndarrays, because each expression keeps that loop's
 operation order: stage sums left to right, squares as ``v * v``, the
@@ -16,6 +18,9 @@ two-component mean as ``(a*a + b*b) / 2``, the error scale from
 ``max(abs(y), abs(y_new))`` per component, and reversed time as a
 negation.  Reordering any of them changes results in the last bits, and
 through step control, event times and reports.
+
+Because ``g`` receives Python floats, a division by zero inside a user
+event function raises ZeroDivisionError rather than returning inf.
 """
 
 from __future__ import annotations
@@ -72,8 +77,10 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
-# dense-output samples per accepted step used to bracket event crossings
+# dense-output samples per accepted step used to bracket event crossings,
+# at s0 + q * h for each fraction q
 _EVENT_SAMPLES = 3
+_SAMPLE_FRACTIONS = tuple(i / _EVENT_SAMPLES for i in range(1, _EVENT_SAMPLES + 1))
 
 
 @dataclass
@@ -96,15 +103,17 @@ class IntegratorConfig:
 
 @dataclass
 class EventSpec:
-    """A scalar crossing condition g(z) = 0 watched along a trajectory.
+    """A scalar crossing condition g(x, y) = 0 watched along a trajectory.
 
+    ``g`` is called with the two state components as Python floats.
     ``direction`` filters on the sign of dg/ds along integration progress
-    (+1 rising, -1 falling, 0 any).  ``accept`` may veto located roots
-    (e.g. crossings of a curve's extension outside its parameter range);
-    scanning then continues past the rejected root.
+    (+1 rising, -1 falling, 0 any).  ``accept`` receives each located root
+    as an ndarray and may veto it (e.g. a crossing of a curve's extension
+    outside its parameter range); scanning then continues past the
+    rejected root.
     """
 
-    g: Callable[[np.ndarray], float]
+    g: Callable[[float, float], float]
     direction: int = 0
     terminal: bool = True
     accept: Callable[[np.ndarray], bool] | None = None
@@ -133,17 +142,21 @@ class _Step:
         self.c4x, self.c4y = c4x, c4y
         self.c5x, self.c5y = c5x, c5y
 
-    def interp(self, s: float) -> np.ndarray:
+    def at(self, s: float) -> tuple[float, float]:
+        """Dense-output state at progress time s, as two floats."""
         th = (s - self.s0) / self.h
         if th <= 0.0:
-            return np.array((self.c1x, self.c1y))
+            return self.c1x, self.c1y
         if th >= 1.0:
-            return np.array((self.c1x + self.c2x, self.c1y + self.c2y))
+            return self.c1x + self.c2x, self.c1y + self.c2y
         om = 1.0 - th
-        return np.array((
+        return (
             self.c1x + th * (self.c2x + om * (self.c3x + th * (self.c4x + om * self.c5x))),
             self.c1y + th * (self.c2y + om * (self.c3y + th * (self.c4y + om * self.c5y))),
-        ))
+        )
+
+    def interp(self, s: float) -> np.ndarray:
+        return np.array(self.at(s))
 
 
 @dataclass
@@ -266,12 +279,14 @@ def _scan_step(step, events, g_prev, direction, zero_start):
     """
     hits = []
     s0, h = step.s0, step.h
-    svals = [s0 + (i / _EVENT_SAMPLES) * h for i in range(1, _EVENT_SAMPLES + 1)]
+    svals = [s0 + q * h for q in _SAMPLE_FRACTIONS]
+    samples = [step.at(s_b) for s_b in svals]
     for k, ev in enumerate(events):
+        g = ev.g
         ga = g_prev[k]
         sa = s0
-        for s_b in svals:
-            gb = ev.g(step.interp(s_b))
+        for s_b, (xb, yb) in zip(svals, samples):
+            gb = g(xb, yb)
             if zero_start[k] is not None:
                 if abs(gb) > zero_start[k]:
                     zero_start[k] = None
@@ -279,7 +294,7 @@ def _scan_step(step, events, g_prev, direction, zero_start):
                 continue
             crossed = (ga < 0.0 < gb) or (ga > 0.0 > gb) or (gb == 0.0 and ga != 0.0)
             if crossed and (ev.direction == 0 or math.copysign(1.0, gb - ga) == ev.direction):
-                s_root = float(brent(lambda s: ev.g(step.interp(s)), sa, s_b, ga, gb))
+                s_root = float(brent(lambda s: g(*step.at(s)), sa, s_b, ga, gb))
                 z_root = step.interp(s_root)
                 if ev.accept is None or ev.accept(z_root):
                     hits.append((s_root, EventHit(k, float(direction * s_root), z_root)))
@@ -324,11 +339,10 @@ def integrate(
     nfev += 1
 
     events = list(events)
-    z = np.array((x, y))
-    g_prev = [ev.g(z) for ev in events]
+    g_prev = [ev.g(x, y) for ev in events]
     # a crossing at the start is ignored; scanning resumes once |g| clears
     # the threshold, so t_hit brackets sit strictly away from 0
-    g_floor = 1e-12 * (1.0 + float(np.linalg.norm(z)))
+    g_floor = 1e-12 * (1.0 + float(np.linalg.norm((x, y))))
     zero_start: list[float | None] = [g_floor if abs(g) < g_floor else None for g in g_prev]
 
     steps: list[_Step] = []

@@ -52,7 +52,9 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig | None = None) -> 
             f"({z[0]:.6g}, {z[1]:.6g}) is a critical point (|V| = {speed:.3g})"
         )
     vhat = v / speed
-    event = EventSpec(g=lambda p: (p[0] - z[0]) * vhat[0] + (p[1] - z[1]) * vhat[1],
+    zx, zy = float(z[0]), float(z[1])
+    vx, vy = float(vhat[0]), float(vhat[1])
+    event = EventSpec(g=lambda px, py: (px - zx) * vx + (py - zy) * vy,
                       direction=1, terminal=True)
     try:
         traj = integrate(field.rhs, z, cfg.max_horizon, cfg, events=[event],

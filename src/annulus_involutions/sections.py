@@ -2,16 +2,17 @@
 
 A section is a regular curve s -> (x(s), y(s)) whose tangent is transversal
 to the field along the sampled grid.  Curves expose a signed side function
-(signed distance along the local normal) used as the event function for
-"trajectory meets the curve" crossings, plus nearest-point projection for
-membership tests.  Straight segments take an exact affine fast path;
-tabulated curves (conjugate sections have no closed form) are interpolated
-with a cubic spline.
+``side(x, y)`` (signed distance along the local normal, on two floats) used
+as the event function for "trajectory meets the curve" crossings, plus
+nearest-point projection for membership tests.  Straight segments take an
+exact affine fast path; tabulated curves (conjugate sections have no closed
+form) are interpolated with a cubic spline.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,19 @@ _HIT_DIST_TOL = 1e-7  # scaled by (1 + |z|): separates on-curve roots from exten
 
 
 class _PPoly1D:
-    """Scalar-fast piecewise cubic y(s): the not-a-knot interpolating spline."""
+    """Scalar-fast piecewise cubic y(s): the not-a-knot interpolating spline.
+
+    ``c`` holds the coefficients as a (4, n-1) array, highest degree first.
+    Evaluation reads the same numbers from Python lists and finds the
+    segment by bisection, so it gives the bits of the array evaluation
+    without per-call numpy indexing.
+    """
 
     def __init__(self, grid: np.ndarray, coeffs: np.ndarray):
-        self.grid = grid
-        self.c = coeffs  # (4, n-1), highest degree first
+        self.c = coeffs
+        self._knots = grid.tolist()
+        self._c0, self._c1, self._c2, self._c3 = coeffs.tolist()
+        self._last = len(self._knots) - 2
 
     @classmethod
     def fit(cls, grid, values):
@@ -67,51 +76,58 @@ class _PPoly1D:
         return cls(x, np.array([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]]))
 
     def _segment(self, s: float) -> int:
-        idx = int(np.searchsorted(self.grid, s, side="right") - 1)
-        return min(max(idx, 0), len(self.grid) - 2)
+        # the index searchsorted(grid, s, side="right") - 1 gives, clamped
+        return min(max(bisect_right(self._knots, s) - 1, 0), self._last)
 
     def __call__(self, s: float) -> float:
         i = self._segment(s)
-        u = s - self.grid[i]
-        c = self.c
-        return ((c[0, i] * u + c[1, i]) * u + c[2, i]) * u + c[3, i]
+        u = s - self._knots[i]
+        return ((self._c0[i] * u + self._c1[i]) * u + self._c2[i]) * u + self._c3[i]
 
     def deriv(self, s: float) -> float:
         i = self._segment(s)
-        u = s - self.grid[i]
-        c = self.c
-        return (3.0 * c[0, i] * u + 2.0 * c[1, i]) * u + c[2, i]
+        u = s - self._knots[i]
+        return (3.0 * self._c0[i] * u + 2.0 * self._c1[i]) * u + self._c2[i]
 
     def deriv2(self, s: float) -> float:
         i = self._segment(s)
-        u = s - self.grid[i]
-        c = self.c
-        return 6.0 * c[0, i] * u + 2.0 * c[1, i]
+        u = s - self._knots[i]
+        return 6.0 * self._c0[i] * u + 2.0 * self._c1[i]
 
 
 class _CurveBase:
-    """Shared geometry: projection, signed side, distance."""
+    """Shared geometry: projection, signed side.
+
+    Subclasses evaluate C(s), C'(s) and C''(s) as float pairs in
+    ``_point``, ``_tangent`` and ``_second``, and may override ``project``
+    and ``side``; ``point`` and ``tangent`` wrap the pairs in arrays.
+    """
 
     s_min: float
     s_max: float
     grid: np.ndarray
     points: np.ndarray
 
-    # subclasses provide point/tangent/curvature_vec and may override project
-    def point(self, s: float) -> np.ndarray:
+    def _point(self, s: float) -> tuple[float, float]:
         raise NotImplementedError
+
+    def _tangent(self, s: float) -> tuple[float, float]:
+        raise NotImplementedError
+
+    def _second(self, s: float) -> tuple[float, float]:
+        raise NotImplementedError
+
+    def point(self, s: float) -> np.ndarray:
+        return np.array(self._point(s))
 
     def tangent(self, s: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def _second(self, s: float) -> np.ndarray:
-        raise NotImplementedError
+        return np.array(self._tangent(s))
 
     def _fine_polyline(self):
         if getattr(self, "_fine", None) is None:
             n = max(8 * (len(self.grid) - 1) + 1, 65)
             ss = np.linspace(self.s_min, self.s_max, n)
-            pts = np.array([self.point(float(s)) for s in ss])
+            pts = np.array([self._point(float(s)) for s in ss])
             self._fine = (ss, pts[:, 0].copy(), pts[:, 1].copy())
         return self._fine
 
@@ -123,12 +139,12 @@ class _CurveBase:
         s = float(ss[i])
         span = self.s_max - self.s_min
         for _ in range(30):
-            c = self.point(s)
-            t = self.tangent(s)
-            rx, ry = zx - c[0], zy - c[1]
-            h = rx * t[0] + ry * t[1]
-            c2 = self._second(s)
-            hp = -(t[0] * t[0] + t[1] * t[1]) + rx * c2[0] + ry * c2[1]
+            cx, cy = self._point(s)
+            tx, ty = self._tangent(s)
+            rx, ry = zx - cx, zy - cy
+            h = rx * tx + ry * ty
+            c2x, c2y = self._second(s)
+            hp = -(tx * tx + ty * ty) + rx * c2x + ry * c2y
             if hp == 0.0:
                 break
             step = h / hp
@@ -137,50 +153,46 @@ class _CurveBase:
                 s = s_new
                 break
             s = s_new
-        c = self.point(s)
-        return s, math.hypot(zx - c[0], zy - c[1])
+        cx, cy = self._point(s)
+        return s, math.hypot(zx - cx, zy - cy)
 
-    def side(self, z) -> float:
-        """Signed offset of z along the local normal at the projected point."""
-        s, _ = self.project(z)
-        c = self.point(s)
-        t = self.tangent(s)
-        tn = math.hypot(t[0], t[1])
-        return (t[0] * (z[1] - c[1]) - t[1] * (z[0] - c[0])) / tn
-
-    def distance(self, z) -> float:
-        return self.project(z)[1]
+    def side(self, x: float, y: float) -> float:
+        """Signed offset of (x, y) along the local normal at the projected point."""
+        s, _ = self.project((x, y))
+        cx, cy = self._point(s)
+        tx, ty = self._tangent(s)
+        tn = math.hypot(tx, ty)
+        return (tx * (y - cy) - ty * (x - cx)) / tn
 
 
 class _AffineSegment(_CurveBase):
     """Exact geometry for straight segments C(s) = a + s*d."""
 
     def __init__(self, a, d, s_min, s_max, grid, points):
-        self.a = np.asarray(a, dtype=float)
-        self.d = np.asarray(d, dtype=float)
+        d = np.asarray(d, dtype=float)
+        self.ax, self.ay = float(a[0]), float(a[1])
+        self.dx, self.dy = float(d[0]), float(d[1])
         self.s_min, self.s_max = float(s_min), float(s_max)
         self.grid = grid
         self.points = points
-        self._dd = float(self.d @ self.d)
+        self._dd = float(d @ d)
         self._dn = math.sqrt(self._dd)
 
-    def point(self, s: float) -> np.ndarray:
-        return self.a + s * self.d
+    def _point(self, s: float) -> tuple[float, float]:
+        return self.ax + s * self.dx, self.ay + s * self.dy
 
-    def tangent(self, s: float) -> np.ndarray:
-        return self.d.copy()
-
-    def _second(self, s: float) -> np.ndarray:
-        return np.zeros(2)
+    def _tangent(self, s: float) -> tuple[float, float]:
+        return self.dx, self.dy
 
     def project(self, z) -> tuple[float, float]:
-        s = ((z[0] - self.a[0]) * self.d[0] + (z[1] - self.a[1]) * self.d[1]) / self._dd
+        zx, zy = z[0], z[1]
+        s = ((zx - self.ax) * self.dx + (zy - self.ay) * self.dy) / self._dd
         s = min(max(s, self.s_min), self.s_max)
-        c = self.a + s * self.d
-        return float(s), math.hypot(z[0] - c[0], z[1] - c[1])
+        cx, cy = self._point(s)
+        return float(s), math.hypot(zx - cx, zy - cy)
 
-    def side(self, z) -> float:
-        return (self.d[0] * (z[1] - self.a[1]) - self.d[1] * (z[0] - self.a[0])) / self._dn
+    def side(self, x: float, y: float) -> float:
+        return (self.dx * (y - self.ay) - self.dy * (x - self.ax)) / self._dn
 
 
 class ExpressionCurve(_CurveBase):
@@ -197,17 +209,17 @@ class ExpressionCurve(_CurveBase):
         self._dy = compile_fn(differentiate(sy, "s"), var)
         self._ddx = compile_fn(differentiate(differentiate(sx, "s"), "s"), var)
         self._ddy = compile_fn(differentiate(differentiate(sy, "s"), "s"), var)
-        self.points = np.array([(self._x(s), self._y(s)) for s in self.grid])
+        self.points = np.array([self._point(s) for s in self.grid])
         self._fine = None
 
-    def point(self, s: float) -> np.ndarray:
-        return np.array((self._x(s), self._y(s)))
+    def _point(self, s: float) -> tuple[float, float]:
+        return self._x(s), self._y(s)
 
-    def tangent(self, s: float) -> np.ndarray:
-        return np.array((self._dx(s), self._dy(s)))
+    def _tangent(self, s: float) -> tuple[float, float]:
+        return self._dx(s), self._dy(s)
 
-    def _second(self, s: float) -> np.ndarray:
-        return np.array((self._ddx(s), self._ddy(s)))
+    def _second(self, s: float) -> tuple[float, float]:
+        return self._ddx(s), self._ddy(s)
 
     def label(self) -> str:
         return f"({to_source(self.sx)}, {to_source(self.sy)})"
@@ -226,14 +238,14 @@ class TabulatedCurve(_CurveBase):
         self._py = _PPoly1D.fit(self.grid, self.points[:, 1])
         self._fine = None
 
-    def point(self, s: float) -> np.ndarray:
-        return np.array((self._px(s), self._py(s)))
+    def _point(self, s: float) -> tuple[float, float]:
+        return self._px(s), self._py(s)
 
-    def tangent(self, s: float) -> np.ndarray:
-        return np.array((self._px.deriv(s), self._py.deriv(s)))
+    def _tangent(self, s: float) -> tuple[float, float]:
+        return self._px.deriv(s), self._py.deriv(s)
 
-    def _second(self, s: float) -> np.ndarray:
-        return np.array((self._px.deriv2(s), self._py.deriv2(s)))
+    def _second(self, s: float) -> tuple[float, float]:
+        return self._px.deriv2(s), self._py.deriv2(s)
 
 
 def _as_affine(curve: _CurveBase) -> _AffineSegment | None:
@@ -290,10 +302,10 @@ class Section:
         return self.curve.project(z)
 
     def side(self, z) -> float:
-        return self.curve.side(z)
+        return self.curve.side(z[0], z[1])
 
     def distance(self, z) -> float:
-        return self.curve.distance(z)
+        return self.curve.project(z)[1]
 
     def contains(self, z, tol: float | None = None) -> bool:
         if tol is None:

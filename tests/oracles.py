@@ -8,10 +8,12 @@ in the tests were computed with these routines (cross-checked against
 special-function identities where available).
 
 The one exception is ``integrate_reference``: the Dormand-Prince step loop
-written on 2-element ndarrays, kept as the reference that the package's
-scalar kernel must reproduce bit for bit.  It shares the tableau, the
-event scan and the Trajectory type with the package, and only the step
-loop is independent.
+and the event scan written on 2-element ndarrays, kept as the reference
+that the package's scalar kernel must reproduce bit for bit.  It shares
+the tableau, Brent's method and the Trajectory type with the package; the
+step loop, dense output and event scan are its own.  Event functions take
+``g(x, y)``; the reference calls them on the numpy scalars of an ndarray
+state.
 """
 
 import math
@@ -142,6 +144,38 @@ class _RefStep:
         return self.c1 + th * (self.c2 + om * (self.c3 + th * (self.c4 + om * self.c5)))
 
 
+def _ref_g(ev):
+    """The event function on an ndarray state, as the scan used to call it."""
+    return lambda z: ev.g(z[0], z[1])
+
+
+def _ref_scan_step(step, events, g_prev, direction, zero_start):
+    hits = []
+    s0, h = step.s0, step.h
+    svals = [s0 + (i / F._EVENT_SAMPLES) * h for i in range(1, F._EVENT_SAMPLES + 1)]
+    for k, ev in enumerate(events):
+        g = _ref_g(ev)
+        ga = g_prev[k]
+        sa = s0
+        for s_b in svals:
+            gb = g(step.interp(s_b))
+            if zero_start[k] is not None:
+                if abs(gb) > zero_start[k]:
+                    zero_start[k] = None
+                ga, sa = gb, s_b
+                continue
+            crossed = (ga < 0.0 < gb) or (ga > 0.0 > gb) or (gb == 0.0 and ga != 0.0)
+            if crossed and (ev.direction == 0 or math.copysign(1.0, gb - ga) == ev.direction):
+                s_root = float(F.brent(lambda s: g(step.interp(s)), sa, s_b, ga, gb))
+                z_root = step.interp(s_root)
+                if ev.accept is None or ev.accept(z_root):
+                    hits.append((s_root, F.EventHit(k, float(direction * s_root), z_root)))
+            ga, sa = gb, s_b
+        g_prev[k] = ga
+    hits.sort(key=lambda item: item[0])
+    return hits
+
+
 def _ref_initial_step(rhs, y0, f0, rtol, atol, s_end):
     scale = atol + rtol * np.abs(y0)
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
@@ -180,7 +214,7 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
     h = _ref_initial_step(rhs_s, y, f, cfg.rtol, cfg.atol, s_end)
     nfev += 1
     events = list(events)
-    g_prev = [ev.g(y) for ev in events]
+    g_prev = [_ref_g(ev)(y) for ev in events]
     g_floor = 1e-12 * (1.0 + float(np.linalg.norm(y)))
     zero_start = [g_floor if abs(g) < g_floor else None for g in g_prev]
     steps, boundaries, states, hits = [], [0.0], [y.copy()], []
@@ -222,7 +256,7 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
         states.append(y_new.copy())
         naccepted += 1
         if events:
-            for _, hit in F._scan_step(step, events, g_prev, direction, zero_start):
+            for _, hit in _ref_scan_step(step, events, g_prev, direction, zero_start):
                 hits.append(hit)
                 if events[hit.index].terminal:
                     terminal_hit = hit

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from annulus_involutions.flow import (
     integrate,
     jacobian_fd,
 )
+from annulus_involutions.reversibility import conjugate_section
+from annulus_involutions.sections import make_section
 
 from oracles import (
     T_DUFFING_AMP1,
@@ -172,26 +175,26 @@ class TestEvents:
     def test_descending_crossing(self, linear_center, cfg):
         # from (0,1) the first y = 0 crossing forward in time is the
         # quarter-turn point (-1, 0), reached with g = y decreasing
-        ev = EventSpec(g=lambda p: p[1], direction=-1)
+        ev = EventSpec(g=lambda x, y: y, direction=-1)
         t_hit, z_hit = flow_to_event(linear_center, [0.0, 1.0], ev, 1, 10.0, cfg)
         assert t_hit == pytest.approx(math.pi / 2, abs=1e-9)
         assert np.abs(z_hit - [-1.0, 0.0]).max() <= 1e-9
 
     def test_start_on_zero_set_skipped(self, linear_center, cfg):
-        ev = EventSpec(g=lambda p: p[1], direction=0)
+        ev = EventSpec(g=lambda x, y: y, direction=0)
         t_hit, z_hit = flow_to_event(linear_center, [1.0, 0.0], ev, 1, 10.0, cfg)
         assert t_hit == pytest.approx(math.pi, abs=1e-9)
         assert np.abs(z_hit - [-1.0, 0.0]).max() <= 1e-9
 
     def test_duffing_half_period(self, duffing, cfg):
-        ev = EventSpec(g=lambda p: p[1], direction=0)
+        ev = EventSpec(g=lambda x, y: y, direction=0)
         t_hit, z_hit = flow_to_event(duffing, [1.0, 0.0], ev, 1, 10.0, cfg)
         assert t_hit == pytest.approx(0.5 * T_DUFFING_AMP1, abs=1e-8)
         assert np.abs(z_hit - [-1.0, 0.0]).max() <= 1e-8
 
     def test_event_consistency(self, pendulum, cfg):
         # g(z_hit) small and sign change in the requested direction
-        ev = EventSpec(g=lambda p: p[1] - 0.4, direction=1)
+        ev = EventSpec(g=lambda x, y: y - 0.4, direction=1)
         t_hit, z_hit = flow_to_event(pendulum, [1.0, 0.0], ev, 1, 20.0, cfg)
         scale = 1.0 + np.linalg.norm(z_hit)
         assert abs(z_hit[1] - 0.4) <= 1e-10 * scale
@@ -201,32 +204,47 @@ class TestEvents:
         assert before[1] - 0.4 < 0.0 < after[1] - 0.4
 
     def test_backward_event(self, linear_center, cfg):
-        ev = EventSpec(g=lambda p: p[1], direction=0)
+        ev = EventSpec(g=lambda x, y: y, direction=0)
         t_hit, z_hit = flow_to_event(linear_center, [0.0, 1.0], ev, -1, 10.0, cfg)
         assert t_hit == pytest.approx(-math.pi / 2, abs=1e-9)
         assert np.abs(z_hit - [1.0, 0.0]).max() <= 1e-9
 
     def test_no_event_before_horizon(self, linear_center, cfg):
-        ev = EventSpec(g=lambda p: p[0] - 5.0, direction=0)
+        ev = EventSpec(g=lambda x, y: x - 5.0, direction=0)
         with pytest.raises(EventNotFound):
             flow_to_event(linear_center, [1.0, 0.0], ev, 1, 50.0, cfg)
 
     def test_accept_hook_skips_vetoed_roots(self, linear_center, cfg):
         # reject the x < 0 half of the y = 0 line; the first accepted
         # crossing from (0,1) is then the full three-quarter turn at (1,0)
-        ev = EventSpec(g=lambda p: p[1], direction=0, accept=lambda p: p[0] > 0.0)
+        ev = EventSpec(g=lambda x, y: y, direction=0, accept=lambda p: p[0] > 0.0)
         t_hit, z_hit = flow_to_event(linear_center, [0.0, 1.0], ev, 1, 10.0, cfg)
         assert t_hit == pytest.approx(1.5 * math.pi, abs=1e-9)
         assert np.abs(z_hit - [1.0, 0.0]).max() <= 1e-9
 
     def test_nonterminal_events_recorded(self, linear_center, cfg):
-        ev = EventSpec(g=lambda p: p[1], direction=0, terminal=False)
+        ev = EventSpec(g=lambda x, y: y, direction=0, terminal=False)
         traj = integrate(linear_center.rhs, np.array([0.0, 1.0]), 4 * math.pi,
                          cfg, events=[ev])
         times = [h.t for h in traj.events]
         expected = [math.pi / 2 + k * math.pi for k in range(4)]
         assert len(times) == len(expected)
         assert np.abs(np.array(times) - expected).max() <= 1e-9
+
+
+    @pytest.mark.parametrize("t", [9.0, -9.0], ids=["fwd", "bwd"])
+    def test_event_functions_get_floats(self, linear_center, cfg, t):
+        # the scan, its Brent iterates and the start value all call g on
+        # Python floats; from (1, 0.3) either way round, y = 0 is crossed
+        # before y = -0.5 is crossed rising
+        def y_of(x, y):
+            assert type(x) is float and type(y) is float
+            return y
+
+        events = [EventSpec(g=y_of, direction=0, terminal=False),
+                  EventSpec(g=lambda x, y: y_of(x, y) + 0.5, direction=1)]
+        traj = integrate(linear_center.rhs, (1.0, 0.3), t, cfg, events=events)
+        assert [e.index for e in traj.events] == [0, 1]
 
 
 class TestJacobianFD:
@@ -257,8 +275,8 @@ class TestJacobianFD:
 # (field, z0, t_final, cfg, events) runs of the kernel against the ndarray
 # reference; the events are a non-terminal x-axis watch plus a terminal
 # crossing of the line y = 0.1 x
-_TILTED = [EventSpec(g=lambda p: p[1], direction=0, terminal=False),
-           EventSpec(g=lambda p: p[1] - 0.1 * p[0], direction=1)]
+_TILTED = [EventSpec(g=lambda x, y: y, direction=0, terminal=False),
+           EventSpec(g=lambda x, y: y - 0.1 * x, direction=1)]
 _KERNEL_CASES = [
     pytest.param(name, (1.0, 0.3), t, IntegratorConfig(), events,
                  id=f"{name}-{'fwd' if t > 0 else 'bwd'}-{'event' if events else 'plain'}")
@@ -269,6 +287,46 @@ _KERNEL_CASES = [
     pytest.param("cubic-center", (3.5, 0.0), -3.0, IntegratorConfig(rtol=1e-6, atol=1e-9),
                  (), id="cubic-center-rejections"),
 ]
+
+
+def _assert_same_hits(got, ref):
+    """Every event hit equal to the bit: index, time and state."""
+    assert len(got.events) == len(ref.events)
+    for e, r in zip(got.events, ref.events):
+        assert e.index == r.index
+        assert e.t.hex() == r.t.hex()
+        assert isinstance(e.z, np.ndarray) and e.z.tobytes() == r.z.tobytes()
+
+
+_CURVE_CLASS = {"affine": "_AffineSegment", "expression": "ExpressionCurve",
+                "tabulated": "TabulatedCurve"}
+
+
+@functools.lru_cache(maxsize=None)
+def _section_case(kind):
+    """(field, section, y0) for section events on one curve kind: the
+    x-axis segment [0.2, 2] of the linear center, the parabola (s, 0.3 s^2)
+    on [0.35, 1.75] in the pendulum, and that parabola's tabulated
+    conjugate section.  Forward runs start at (0, y0), backward runs at
+    (0, -y0)."""
+    if kind == "affine":
+        field = builtin_field("linear-center")
+        return field, make_section(field, "s", "0", (0.2, 2.0), name="x-axis"), 1.0
+    field = builtin_field("pendulum")
+    sec = make_section(field, "s", "0.3*s^2", (0.35, 1.75), name="parabola")
+    if kind == "tabulated":
+        return field, conjugate_section(field, sec, IntegratorConfig()), 1.0
+    return field, sec, -1.0
+
+
+def _recording_vetoes(ev, vetoed):
+    def accept(z):
+        ok = ev.accept(z)
+        if not ok:
+            vetoed.append(z)
+        return ok
+
+    return EventSpec(g=ev.g, direction=ev.direction, terminal=ev.terminal, accept=accept)
 
 
 class TestKernelMatchesReference:
@@ -287,11 +345,33 @@ class TestKernelMatchesReference:
             for w in (0.25, 0.5, 0.9):
                 t_in = got.direction * float(a + w * (b - a))
                 assert np.array_equal(got.state(t_in), ref.state(t_in))
-        assert len(got.events) == len(ref.events)
         assert [e.index for e in got.events][-1:] == ([1] if events else [])
-        for e, r in zip(got.events, ref.events):
-            assert (e.index, e.t) == (r.index, r.t)
-            assert isinstance(e.z, np.ndarray) and np.array_equal(e.z, r.z)
+        _assert_same_hits(got, ref)
+
+    @pytest.mark.parametrize("t", [9.0, -9.0], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("kind", ["affine", "expression", "tabulated"])
+    def test_section_events(self, kind, t, cfg):
+        # a non-terminal watch and a terminal event on one curve of each
+        # kind; each run meets the curve's extension, where accept vetoes
+        # the root, before it meets the curve
+        field, sec, y0 = _section_case(kind)
+        assert type(sec.curve).__name__ == _CURVE_CLASS[kind]
+        z0 = (0.0, y0 if t > 0 else -y0)
+        runs = []
+        for run in (integrate, integrate_reference):
+            vetoed = []
+            events = [_recording_vetoes(sec.event(terminal=False), vetoed),
+                      _recording_vetoes(sec.event(terminal=True), vetoed)]
+            rhs = field.rhs if run is integrate else field
+            runs.append((run(rhs, z0, t, cfg, events, field.contains), vetoed))
+        (got, got_vetoed), (ref, ref_vetoed) = runs
+        assert np.array_equal(got.s_grid, ref.s_grid)
+        assert (got.naccepted, got.nrejected, got.nfev) == (
+            ref.naccepted, ref.nrejected, ref.nfev)
+        _assert_same_hits(got, ref)
+        assert [e.index for e in got.events] == [0, 1]
+        assert len(got_vetoed) >= 2
+        assert [z.tobytes() for z in got_vetoed] == [z.tobytes() for z in ref_vetoed]
 
     @pytest.mark.parametrize("field, z0, t, cfg, exc", [
         (builtin_field("linear-center"), (1.0, 0.0), 100.0, IntegratorConfig(max_steps=5),

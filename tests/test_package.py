@@ -28,15 +28,23 @@ def test_submodules_and_exports():
         assert hasattr(annulus_involutions, name), name
 
 
+def _tracing():
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        return importlib.import_module("tracing")
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+
+
+def _layer_modules() -> dict:
+    return {n: importlib.import_module(f"annulus_involutions.{n}") for n in LAYERS}
+
+
 def test_traced_benchmark_names_exist():
     # bench/tracing.py finds its targets by name (getattr and cls.__dict__);
     # installing and removing the tracer performs every one of those lookups
-    sys.path.insert(0, str(BENCH_DIR))
-    try:
-        tracing = importlib.import_module("tracing")
-    finally:
-        sys.path.remove(str(BENCH_DIR))
-    mods = {n: importlib.import_module(f"annulus_involutions.{n}") for n in LAYERS}
+    tracing = _tracing()
+    mods = _layer_modules()
     for kind in tracing.CURVE_KINDS:
         assert isinstance(getattr(mods["sections"], kind), type), kind
     tracer = tracing.Tracer()
@@ -57,3 +65,34 @@ def test_import_loads_no_scipy():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
     assert out.strip() == "[]"
+
+
+def test_traced_event_counters():
+    # the benchmark counts event work through wrappers it puts around g,
+    # rhs and brent's function; one period and one curve-event search must
+    # show every call the scan makes
+    tracing = _tracing()
+    mods = _layer_modules()
+    field = mods["fields"].builtin_field("linear-center")
+    section = mods["sections"].make_section(field, "s", "0", (0.2, 2.0), name="x-axis")
+    tracer = tracing.Tracer()
+    tracer.install(mods)
+    try:
+        mods["period"].period(field, (1.0, 0.0))
+        mods["flow"].flow_to_event(field, (0.0, 1.0), section.event(), 1, 10.0)
+    finally:
+        tracer.uninstall()
+    spans = [(rec[0], rec[5] or {}) for rec in tracer.spans]
+
+    def total(key, name=None):
+        return sum(c.get(key, 0) for n, c in spans if name in (None, n))
+
+    assert total("g.transversal") > 0 and total("g.affine") > 0
+    assert total("rhs", "flow.integrate") == total("nfev") > 0
+    # each integration evaluates g once at the start, once per dense-output
+    # sample of each accepted step, and once per Brent iterate
+    integrations = sum(1 for n, _ in spans if n == "flow.integrate")
+    assert integrations == 2
+    assert total("g.transversal") + total("g.affine") == (
+        integrations + mods["flow"]._EVENT_SAMPLES * total("accepted")
+        + total("brent_iter"))

@@ -106,6 +106,28 @@ class TestGeometry:
                 assert np.abs(ours - ref).max() <= 1e-13 * scale.max()
                 assert (np.abs(ours - ref) <= 1e-13 * scale).all()
 
+    def test_spline_evaluation_matches_array_coefficients(self):
+        # value, deriv and deriv2 read the coefficients from lists; each
+        # must equal, to the bit, the polynomial evaluated on the (4, n-1)
+        # array at the segment searchsorted(side="right") selects, at
+        # knots, midpoints and beyond both ends
+        rng = np.random.default_rng(5)
+        for n in range(4, 34):
+            grid = np.cumsum(rng.uniform(0.5, 1.5, n))
+            pp = _PPoly1D.fit(grid, np.sin(3.0 * grid) + 0.1 * rng.normal(size=n))
+            c = pp.c
+            span = grid[-1] - grid[0]
+            outside = [grid[0] - span, grid[0] - 1e-9, grid[-1] + 1e-9, grid[-1] + span]
+            for s in np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:]), outside]).tolist():
+                i = min(max(int(np.searchsorted(grid, s, side="right")) - 1, 0), n - 2)
+                u = s - grid[i]
+                expected = (((c[0, i] * u + c[1, i]) * u + c[2, i]) * u + c[3, i],
+                            (3.0 * c[0, i] * u + 2.0 * c[1, i]) * u + c[2, i],
+                            6.0 * c[0, i] * u + 2.0 * c[1, i])
+                got = (pp(s), pp.deriv(s), pp.deriv2(s))
+                assert [type(v) for v in got] == [float] * 3
+                assert [v.hex() for v in got] == [float(v).hex() for v in expected]
+
     def test_self_intersection_rejected(self, linear_center):
         grid = np.linspace(0.0, 1.0, 9)
         pts = np.array([[math.sin(math.pi * g), 1.0 + 0.1 * g] for g in grid])

@@ -32,7 +32,7 @@ from .errors import (
     SectionError,
     TransversalityError,
 )
-from .expr import PlanarField, parse_field_text
+from .expr import PlanarField, parse_field_text, parse_key_values, parse_number_list
 from .fields import builtin_field, builtin_names, default_section_range
 from .flow import IntegratorConfig
 from .period import period, sample_annulus
@@ -92,33 +92,6 @@ class RunConfig:
         )
 
 
-def _parse_kv_file(path: Path) -> dict[str, str]:
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in entries:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        entries[key] = value
-    return entries
-
-
-def _parse_number_list(text: str, what: str) -> list[float]:
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ConfigError(f"{what}: expected a bracketed list, got {text!r}")
-    try:
-        return [float(p.strip()) for p in body[1:-1].split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{what}: bad number ({exc})") from exc
-
-
 def _parse_float(entries, key, default) -> float:
     if key not in entries:
         return default
@@ -164,11 +137,11 @@ def _resolve_field(entries: dict[str, str], config_dir: Path) -> PlanarField:
     if inline:
         if "P" not in entries or "Q" not in entries:
             raise ConfigError("inline field needs both P and Q")
-        lines = [f"P = {entries['P']}", f"Q = {entries['Q']}"]
+        kwargs = {"name": "custom"}
         if "domain" in entries:
-            lines.append(f"domain = {entries['domain']}")
+            kwargs["domain"] = parse_number_list(entries["domain"], "domain")
         try:
-            return parse_field_text("\n".join(lines), name="custom")
+            return PlanarField.from_strings(entries["P"], entries["Q"], **kwargs)
         except ExpressionError as exc:
             raise ConfigError(f"inline field: {exc}") from exc
     raise ConfigError("config must name a field (built-in or file) or define P and Q")
@@ -184,7 +157,7 @@ def _resolve_section(entries: dict[str, str], field: PlanarField):
         kind = parts[0].strip()
         if len(parts) != 2 or not parts[1].rstrip().endswith("]"):
             raise ConfigError(f"section shorthand needs a range: {shorthand!r}")
-        rng = _parse_number_list("[" + parts[1], "section range")
+        rng = parse_number_list("[" + parts[1], "section range")
         if len(rng) != 2:
             raise ConfigError("section range needs exactly [smin, smax]")
         if kind == "x-axis":
@@ -197,7 +170,7 @@ def _resolve_section(entries: dict[str, str], field: PlanarField):
             raise ConfigError("expression sections need both sx and sy")
         if "section_range" not in entries:
             raise ConfigError("expression sections need section_range = [smin, smax]")
-        rng = _parse_number_list(entries["section_range"], "section_range")
+        rng = parse_number_list(entries["section_range"], "section_range")
         if len(rng) != 2:
             raise ConfigError("section_range needs exactly [smin, smax]")
         label = f"({entries['sx']}, {entries['sy']})"
@@ -210,7 +183,9 @@ def _resolve_section(entries: dict[str, str], field: PlanarField):
 
 def load_config(path, *, out_override=None, rtol_override=None, seed_override=None) -> RunConfig:
     path = Path(path)
-    entries = _parse_kv_file(path)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    entries = parse_key_values(path.read_text(encoding="utf-8"), f"{path}:")
     unknown = set(entries) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -225,7 +200,7 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
         seed = seed_override
     params = None
     if "params" in entries:
-        params = _parse_number_list(entries["params"], "params")
+        params = parse_number_list(entries["params"], "params")
         if not params:
             raise ConfigError("params list is empty")
     out_dir = Path(out_override) if out_override is not None else Path(entries.get("out", "out"))
@@ -329,11 +304,14 @@ def cmd_period(config: RunConfig) -> int:
 
 
 def _uniqueness_checks(config: RunConfig, section, cfg) -> list[CheckResult]:
+    """The half shift must square to the identity; every other shift on
+    the grid must miss the identity by a margin."""
+    half_tol = 1e-8
     z_probe = section.point(0.5 * (section.s_min + section.s_max))
     try:
         probe = uniqueness_probe(config.field, z_probe, _UNIQUENESS_GRID, cfg)
     except (CycleError, FlowError) as exc:
-        failed = CheckResult("uniqueness_half_shift", float("inf"), 1e-8, False,
+        failed = CheckResult("uniqueness_half_shift", float("inf"), half_tol, False,
                              (float(z_probe[0]), float(z_probe[1])), None,
                              errors=[str(exc)])
         failed_off = CheckResult("uniqueness_off_half_shifts", float("inf"), 0.0,
@@ -343,7 +321,7 @@ def _uniqueness_checks(config: RunConfig, section, cfg) -> list[CheckResult]:
     at_half = residuals[0.5]
     off_half = min(v for f, v in residuals.items() if f != 0.5)
     return [
-        CheckResult("uniqueness_half_shift", at_half, 1e-8, at_half <= 1e-8,
+        CheckResult("uniqueness_half_shift", at_half, half_tol, at_half <= half_tol,
                     (float(z_probe[0]), float(z_probe[1])), None,
                     extras={"fraction": 0.5}),
         check_lower_bound("uniqueness_off_half_shifts", off_half, 1e-3,

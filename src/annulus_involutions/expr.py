@@ -50,6 +50,8 @@ __all__ = [
     "compile_fn",
     "PlanarField",
     "parse_field_text",
+    "parse_key_values",
+    "parse_number_list",
 ]
 
 
@@ -459,12 +461,12 @@ _DEFAULT_DOMAIN = (-100.0, 100.0, -100.0, 100.0)
 
 
 class PlanarField:
-    """An autonomous planar vector field (P(x,y), Q(x,y)) with exact partials.
+    """An autonomous planar vector field (P(x,y), Q(x,y)).
 
     Immutable after construction; evaluation is reentrant.  ``domain`` is the
     working box (xmin, xmax, ymin, ymax) that integration must stay inside.
-    ``hamiltonian`` is an optional first integral used for cycle caching and
-    energy-invariance checks of the built-in examples.
+    ``hamiltonian`` is an optional first integral, used by the
+    energy-invariance check of the built-in examples.
     """
 
     def __init__(
@@ -480,18 +482,13 @@ class PlanarField:
         self.p = p
         self.q = q
         self.domain = tuple(float(v) for v in domain)
+        if len(self.domain) != 4:
+            raise ConfigError(f"domain needs 4 numbers, got {len(self.domain)}")
         if not (self.domain[0] < self.domain[1] and self.domain[2] < self.domain[3]):
             raise ConfigError(f"degenerate domain box {self.domain}")
         self.hamiltonian = hamiltonian
-        self.dp_dx = differentiate(p, "x")
-        self.dp_dy = differentiate(p, "y")
-        self.dq_dx = differentiate(q, "x")
-        self.dq_dy = differentiate(q, "y")
         self._pf = compile_fn(p)
         self._qf = compile_fn(q)
-        self._partials = tuple(
-            compile_fn(d) for d in (self.dp_dx, self.dp_dy, self.dq_dx, self.dq_dy)
-        )
         self._hf = compile_fn(hamiltonian) if hamiltonian is not None else None
 
     @classmethod
@@ -529,11 +526,6 @@ class PlanarField:
     def velocity(self, z) -> np.ndarray:
         return np.array(self.rhs(float(z[0]), float(z[1])))
 
-    def jacobian_exact(self, z) -> np.ndarray:
-        x, y = float(z[0]), float(z[1])
-        px, py, qx, qy = (f(x, y) for f in self._partials)
-        return np.array(((px, py), (qx, qy)))
-
     def energy(self, z) -> float | None:
         if self._hf is None:
             return None
@@ -544,21 +536,44 @@ class PlanarField:
         return xmin <= z[0] <= xmax and ymin <= z[1] <= ymax
 
 
-def parse_field_text(text: str, name: str = "field") -> PlanarField:
-    """Parse the field definition format: ``P = <expr>``, ``Q = <expr>``,
-    optional ``domain = [xmin, xmax, ymin, ymax]``, one entry per line.
-    ``#`` starts a comment."""
+def parse_key_values(text: str, prefix: str) -> dict[str, str]:
+    """The ``key = value`` lines of a config or field text.
+
+    ``#`` starts a comment and blank lines are skipped.  A line without
+    ``=`` or a repeated key raises ConfigError, located as ``prefix``
+    followed by the line number (``"line "`` or ``"<path>:"``).
+    """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{prefix}{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in entries:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{prefix}{lineno}: duplicate key {key!r}")
         entries[key] = value
+    return entries
+
+
+def parse_number_list(text: str, what: str) -> list[float]:
+    """A bracketed, comma-separated number list; empty entries are skipped,
+    so a trailing comma is allowed."""
+    body = text.strip()
+    if not (body.startswith("[") and body.endswith("]")):
+        raise ConfigError(f"{what}: expected a bracketed list, got {text!r}")
+    try:
+        return [float(p.strip()) for p in body[1:-1].split(",") if p.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{what}: bad number ({exc})") from exc
+
+
+def parse_field_text(text: str, name: str = "field") -> PlanarField:
+    """Parse the field definition format: ``P = <expr>``, ``Q = <expr>``,
+    optional ``domain = [xmin, xmax, ymin, ymax]``, one entry per line.
+    ``#`` starts a comment."""
+    entries = parse_key_values(text, "line ")
     unknown = set(entries) - {"P", "Q", "domain"}
     if unknown:
         raise ConfigError(f"unknown field keys: {sorted(unknown)}")
@@ -567,19 +582,5 @@ def parse_field_text(text: str, name: str = "field") -> PlanarField:
             raise ConfigError(f"missing required key {required!r}")
     domain = _DEFAULT_DOMAIN
     if "domain" in entries:
-        domain = _parse_box(entries["domain"])
+        domain = parse_number_list(entries["domain"], "domain")
     return PlanarField.from_strings(entries["P"], entries["Q"], name=name, domain=domain)
-
-
-def _parse_box(text: str) -> tuple[float, float, float, float]:
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ConfigError(f"expected '[xmin, xmax, ymin, ymax]', got {text!r}")
-    parts = [p.strip() for p in body[1:-1].split(",")]
-    if len(parts) != 4:
-        raise ConfigError(f"domain needs 4 numbers, got {len(parts)}")
-    try:
-        vals = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad domain entry: {exc}") from exc
-    return vals

@@ -41,7 +41,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "flow",
-    "flow_trajectory",
     "flow_to_event",
     "flow_to_event_trajectory",
     "jacobian_fd",
@@ -76,6 +75,10 @@ _D7 = 69997945 / 29380423
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+
+# Brent's method: absolute parameter tolerance and iteration cap
+_BRENT_XTOL = 1e-13
+_BRENT_MAXITER = 200
 
 # dense-output samples per accepted step used to bracket event crossings,
 # at s0 + q * h for each fraction q
@@ -217,7 +220,7 @@ def _initial_step(rhs, x, y, fx, fy, rtol, atol, s_end):
     return min(100 * h0, h1, s_end)
 
 
-def brent(f, a, b, fa=None, fb=None, xtol=1e-13, maxiter=200):
+def brent(f, a, b, fa=None, fb=None):
     """Root of f on a sign-change bracket [a, b] by Brent's method."""
     if fa is None:
         fa = f(a)
@@ -231,11 +234,11 @@ def brent(f, a, b, fa=None, fb=None, xtol=1e-13, maxiter=200):
         raise ValueError("brent: not a sign-change bracket")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * 2.220446049250313e-16 * abs(b) + 0.5 * xtol
+        tol = 2.0 * 2.220446049250313e-16 * abs(b) + 0.5 * _BRENT_XTOL
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
@@ -429,17 +432,13 @@ def integrate(
     )
 
 
-def flow_trajectory(field: PlanarField, z0, t: float, cfg: IntegratorConfig | None = None) -> Trajectory:
-    cfg = cfg or IntegratorConfig()
-    return integrate(field.rhs, z0, t, cfg, bounds=field.contains)
-
-
 def flow(field: PlanarField, z0, t: float, cfg: IntegratorConfig | None = None) -> np.ndarray:
     """The flow map: z0 advanced by time t (t = 0 returns z0 unchanged)."""
     z0 = np.asarray(z0, dtype=float)
     if t == 0.0:
         return z0.copy()
-    return flow_trajectory(field, z0, t, cfg).z_final
+    return integrate(field.rhs, z0, t, cfg or IntegratorConfig(),
+                     bounds=field.contains).z_final
 
 
 def flow_to_event_trajectory(field: PlanarField, z0, event: EventSpec, t_direction: int,
@@ -479,19 +478,14 @@ def flow_to_event(
     return hit.t, hit.z
 
 
-def jacobian_fd(
-    map_fn: Callable[[np.ndarray], np.ndarray], z, h: float | None = None
-) -> np.ndarray:
+def jacobian_fd(map_fn: Callable[[np.ndarray], np.ndarray], z) -> np.ndarray:
     """2x2 Jacobian of a planar map by central differences, column-wise.
 
-    The default step 1e-5 * (1 + |z|) is snapped to a power of two so the
-    stencil offsets carry no representation error; an explicit h is used
-    as given.
+    The step 1e-5 * (1 + |z|) is snapped to a power of two so the stencil
+    offsets carry no representation error.
     """
     z = np.asarray(z, dtype=float)
-    if h is None:
-        h = 1e-5 * (1.0 + float(np.linalg.norm(z)))
-        h = 2.0 ** round(math.log2(h))
+    h = 2.0 ** round(math.log2(1e-5 * (1.0 + float(np.linalg.norm(z)))))
     cols = []
     for j in range(2):
         dz = np.zeros_like(z)

@@ -8,7 +8,6 @@ rejected and the minimal period comes back.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +29,6 @@ class Cycle:
     period: float
     trajectory: Trajectory
     closure_residual: float
-
-    def state(self, t: float) -> np.ndarray:
-        """Point on the cycle at time t (mod nothing; t must lie in [0, T])."""
-        return self.trajectory.state(t)
 
 
 def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig | None = None) -> Cycle:
@@ -96,9 +91,6 @@ class AnnulusSample:
     @property
     def ok(self) -> bool:
         return not self.errors
-
-    def periods(self) -> np.ndarray:
-        return np.array([c.period if c is not None else math.nan for c in self.cycles])
 
     def rows(self) -> list[tuple[float, float, float, float, float]]:
         out = []

@@ -129,15 +129,20 @@ def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, np.ndarra
     return hit.t, hit.z, image
 
 
-def tau_hit(field: PlanarField, delta: Section, z, cfg: IntegratorConfig | None = None
-            ) -> tuple[float, float, np.ndarray]:
-    """Signed section time plus the crossing itself: (tau, s parameter, point)."""
+def _signed_crossing(field, delta: Section, z, cfg) -> tuple[float, np.ndarray]:
+    """(tau, crossing point); a point on the section is its own crossing."""
     cfg = cfg or IntegratorConfig()
     z = np.asarray(z, dtype=float)
     if delta.distance(z) <= _memb_tol(z):
-        s, _ = delta.project(z)
-        return 0.0, s, z.copy()
+        return 0.0, z.copy()
     t, z_hit, _ = _nearest_crossing(field, delta, z, cfg)
+    return t, z_hit
+
+
+def tau_hit(field: PlanarField, delta: Section, z, cfg: IntegratorConfig | None = None
+            ) -> tuple[float, float, np.ndarray]:
+    """Signed section time plus the crossing itself: (tau, s parameter, point)."""
+    t, z_hit = _signed_crossing(field, delta, z, cfg)
     s, _ = delta.project(z_hit)
     return t, s, z_hit
 
@@ -149,13 +154,13 @@ def tau(field: PlanarField, delta: Section, z, cfg: IntegratorConfig | None = No
     negative when the section is behind z (forward arc), positive when it
     is ahead (backward arc).
     """
-    return tau_hit(field, delta, z, cfg)[0]
+    return _signed_crossing(field, delta, z, cfg)[0]
 
 
 def tau_star(field: PlanarField, delta_star: Section, z,
              cfg: IntegratorConfig | None = None) -> float:
     """Signed time to the conjugate section; differs from tau by half a period."""
-    return tau_hit(field, delta_star, z, cfg)[0]
+    return _signed_crossing(field, delta_star, z, cfg)[0]
 
 
 def classify(field: PlanarField, delta: Section, delta_star: Section, z,
@@ -238,9 +243,7 @@ class ReversibilityInvolution:
 
 
 def check_well_posedness(field: PlanarField, delta: Section, delta_star: Section, samples,
-                         cfg: IntegratorConfig | None = None,
-                         tolerance: float = 1e-6,
-                         name: str = "well_posedness") -> CheckResult:
+                         cfg: IntegratorConfig | None = None) -> CheckResult:
     """Agreement of the two time routes: max |phi(2 tau*(z), z) - phi(2 tau(z), z)|.
 
     Each image is read from the crossing searches that find its time.
@@ -252,13 +255,11 @@ def check_well_posedness(field: PlanarField, delta: Section, delta_star: Section
         b = sigma_reversible(field, delta_star, z, cfg)
         return [(_scaled(a - b, z), None)]
 
-    return _run_samples(name, tolerance, samples, one)
+    return _run_samples("well_posedness", 1e-6, samples, one)
 
 
 def check_half_period_roundtrip(field: PlanarField, delta: Section, delta_star: Section,
-                                cfg: IntegratorConfig | None = None,
-                                tolerance: float = 1e-6,
-                                name: str = "half_period_roundtrip") -> CheckResult:
+                                cfg: IntegratorConfig | None = None) -> CheckResult:
     """Advancing the conjugate curve another half period returns the section
     pointwise: phi(T/2, delta_star(s)) = delta(s), at 9 grid points."""
     cfg = cfg or IntegratorConfig()
@@ -273,7 +274,7 @@ def check_half_period_roundtrip(field: PlanarField, delta: Section, delta_star: 
         w = delta.point(float(row[2]))
         return [(_scaled(back - w, w), None)]
 
-    return _run_samples(name, tolerance, rows, one)
+    return _run_samples("half_period_roundtrip", 1e-6, rows, one)
 
 
 def verify_reversibility(
@@ -283,13 +284,6 @@ def verify_reversibility(
     times,
     cfg: IntegratorConfig | None = None,
     *,
-    anticommutation_tol: float = 1e-6,
-    involution_tol: float = 1e-7,
-    wellposed_tol: float = 1e-6,
-    field_tol: float = 1e-4,
-    fixed_move_tol: float = 1e-8,
-    fixed_dist_tol: float = 1e-6,
-    roundtrip_tol: float = 1e-6,
     sigma: ReversibilityInvolution | None = None,
 ) -> VerificationReport:
     """Run the reversibility identity suite for one section."""
@@ -300,16 +294,12 @@ def verify_reversibility(
                 for s in sample_parameters(5, delta.s_min, delta.s_max, seed=1)]
     fixed_samples = list(np.asarray(samples, dtype=float)) + on_delta
     checks = [
-        check_commutation(field, sigma, -1, samples, times, cfg,
-                          tolerance=anticommutation_tol),
-        check_involution(sigma, samples, tolerance=involution_tol),
-        fixed_set_distance(sigma, fixed_samples, delta,
-                           move_tol=fixed_move_tol, dist_tol=fixed_dist_tol),
-        check_well_posedness(field, delta, sigma.delta_star, samples, cfg,
-                             tolerance=wellposed_tol),
-        check_field_condition(field, sigma, -1, samples, tolerance=field_tol),
-        check_half_period_roundtrip(field, delta, sigma.delta_star, cfg,
-                                    tolerance=roundtrip_tol),
+        check_commutation(field, sigma, -1, samples, times, cfg),
+        check_involution(sigma, samples),
+        fixed_set_distance(sigma, fixed_samples, delta),
+        check_well_posedness(field, delta, sigma.delta_star, samples, cfg),
+        check_field_condition(field, sigma, -1, samples),
+        check_half_period_roundtrip(field, delta, sigma.delta_star, cfg),
     ]
     provenance = {
         "field": field.name,

@@ -79,9 +79,9 @@ def uniqueness_probe(field: PlanarField, z, fractions, cfg: IntegratorConfig | N
             z1 = flow(field, z, f * cyc.period, cfg)
             z2 = flow(field, z1, f * detect_cycle(field, z1, cfg).period, cfg)
         else:
-            z1 = cyc.state(f * cyc.period)
+            z1 = cyc.trajectory.state(f * cyc.period)
             cyc1 = detect_cycle(field, z1, cfg)
-            z2 = cyc1.state(f * cyc1.period)
+            z2 = cyc1.trajectory.state(f * cyc1.period)
         residuals.append(float(np.linalg.norm(z2 - z)))
     return residuals
 
@@ -92,12 +92,6 @@ def verify_sigma_symmetry(
     times,
     cfg: IntegratorConfig | None = None,
     *,
-    involution_tol: float = 1e-7,
-    commutation_tol: float = 1e-6,
-    period_tol: float = 1e-7,
-    field_tol: float = 1e-4,
-    energy_tol: float = 1e-8,
-    nontrivial_threshold: float = 0.1,
     sigma: SymmetryInvolution | None = None,
 ) -> VerificationReport:
     """Run the symmetry identity suite over the samples and times."""
@@ -105,17 +99,18 @@ def verify_sigma_symmetry(
     if sigma is None:
         sigma = SymmetryInvolution(field, cfg)
     checks = [
-        check_involution(sigma, samples, tolerance=involution_tol),
-        check_commutation(field, sigma, +1, samples, times, cfg, tolerance=commutation_tol),
-        check_period_invariance(field, sigma, samples, cfg, tolerance=period_tol),
-        check_field_condition(field, sigma, +1, samples, tolerance=field_tol),
+        check_involution(sigma, samples),
+        check_commutation(field, sigma, +1, samples, times, cfg),
+        check_period_invariance(field, sigma, samples, cfg),
+        check_field_condition(field, sigma, +1, samples),
     ]
     if field.hamiltonian is not None:
-        checks.append(check_energy_invariance(field, sigma, samples, tolerance=energy_tol))
-    moves = _run_samples("non_triviality", nontrivial_threshold, samples,
+        checks.append(check_energy_invariance(field, sigma, samples))
+    threshold = 0.1  # non-triviality: the largest |sigma(z) - z| must exceed it
+    moves = _run_samples("non_triviality", threshold, samples,
                          lambda z: [(float(np.linalg.norm(sigma(z) - z)), None)])
     best = -math.inf if moves.worst_point is None else moves.max_residual
-    nontrivial = check_lower_bound("non_triviality", best, nontrivial_threshold,
+    nontrivial = check_lower_bound("non_triviality", best, threshold,
                                    worst_point=moves.worst_point)
     nontrivial.errors.extend(moves.errors)
     checks.append(nontrivial)

@@ -1,10 +1,11 @@
 """Residual checking engine: named, tolerance-gated checks over sample sets.
 
 Residuals are Euclidean norms scaled by 1/(1 + |z|) so annuli of different
-sizes are gated uniformly.  Every check is deterministic given its inputs;
-per-sample evaluation failures are recorded on the result instead of
-aborting the check, so a report always contains exactly the requested
-checks.  Sample generation uses golden-ratio low-discrepancy sequences
+sizes are gated uniformly.  Each check's tolerance is a constant written
+in its body (the README tabulates them).  Every check is deterministic
+given its inputs; per-sample evaluation failures are recorded on the
+result instead of aborting the check, so a report always contains exactly
+the requested checks.  Sample generation uses golden-ratio low-discrepancy sequences
 shifted by an integer seed.
 """
 
@@ -211,25 +212,22 @@ def _run_samples(name, tolerance, samples, fn):
                        worst_point, worst_time, errors)
 
 
-def check_involution(sigma, samples, tolerance: float = 1e-7,
-                     name: str = "involution") -> CheckResult:
+def check_involution(sigma, samples) -> CheckResult:
     """max |sigma(sigma(z)) - z| / (1 + |z|) over the samples."""
 
     def one(z):
         zz = sigma(sigma(z))
         return [(_scaled(zz - z, z), None)]
 
-    return _run_samples(name, tolerance, samples, one)
+    return _run_samples("involution", 1e-7, samples, one)
 
 
 def check_commutation(field: PlanarField, sigma, sign: int, samples, times,
-                      cfg: IntegratorConfig | None = None,
-                      tolerance: float = 1e-6, name: str | None = None) -> CheckResult:
+                      cfg: IntegratorConfig | None = None) -> CheckResult:
     """Flow commutation (sign +1) or anti-commutation (sign -1):
     max |sigma(phi(t,z)) - phi(sign*t, sigma(z))|."""
     cfg = cfg or IntegratorConfig()
-    if name is None:
-        name = "flow_commutation" if sign > 0 else "flow_anticommutation"
+    name = "flow_commutation" if sign > 0 else "flow_anticommutation"
 
     def one(z):
         sz = sigma(z)
@@ -240,30 +238,25 @@ def check_commutation(field: PlanarField, sigma, sign: int, samples, times,
             out.append((_scaled(a - b, z), float(t)))
         return out
 
-    return _run_samples(name, tolerance, samples, one)
+    return _run_samples(name, 1e-6, samples, one)
 
 
-def check_field_condition(field: PlanarField, sigma, sign: int, samples,
-                          h: float | None = None, tolerance: float = 1e-4,
-                          name: str | None = None) -> CheckResult:
+def check_field_condition(field: PlanarField, sigma, sign: int, samples) -> CheckResult:
     """Pointwise field criterion max |V(sigma(z)) - sign * J_sigma(z) V(z)|
-    with the Jacobian by central differences (default h = 1e-5 (1 + |z|))."""
-    if name is None:
-        name = "field_condition_symmetry" if sign > 0 else "field_condition_reversibility"
+    with the Jacobian by central differences (see :func:`~.flow.jacobian_fd`)."""
+    name = "field_condition_symmetry" if sign > 0 else "field_condition_reversibility"
 
     def one(z):
-        jac = jacobian_fd(sigma, z, h)
+        jac = jacobian_fd(sigma, z)
         lhs = field.velocity(sigma(z))
         rhs = sign * (jac @ field.velocity(z))
         return [(_scaled(lhs - rhs, z), None)]
 
-    return _run_samples(name, tolerance, samples, one)
+    return _run_samples(name, 1e-4, samples, one)
 
 
 def check_period_invariance(field: PlanarField, sigma, samples,
-                            cfg: IntegratorConfig | None = None,
-                            tolerance: float = 1e-7,
-                            name: str = "period_invariance") -> CheckResult:
+                            cfg: IntegratorConfig | None = None) -> CheckResult:
     """max |T(sigma(z)) - T(z)| / T(z); both periods detected independently."""
     cfg = cfg or IntegratorConfig()
 
@@ -272,12 +265,10 @@ def check_period_invariance(field: PlanarField, sigma, samples,
         tsz = period(field, sigma(z), cfg)
         return [(abs(tsz - tz) / tz, None)]
 
-    return _run_samples(name, tolerance, samples, one)
+    return _run_samples("period_invariance", 1e-7, samples, one)
 
 
-def check_energy_invariance(field: PlanarField, sigma, samples,
-                            tolerance: float = 1e-8,
-                            name: str = "energy_invariance") -> CheckResult:
+def check_energy_invariance(field: PlanarField, sigma, samples) -> CheckResult:
     """max |H(sigma(z)) - H(z)| for fields carrying a first integral."""
     if field.hamiltonian is None:
         raise ValueError(f"field {field.name!r} has no first integral attached")
@@ -285,7 +276,7 @@ def check_energy_invariance(field: PlanarField, sigma, samples,
     def one(z):
         return [(abs(field.energy(sigma(z)) - field.energy(z)), None)]
 
-    return _run_samples(name, tolerance, samples, one)
+    return _run_samples("energy_invariance", 1e-8, samples, one)
 
 
 def check_lower_bound(name: str, value: float, threshold: float,
@@ -301,15 +292,13 @@ def check_lower_bound(name: str, value: float, threshold: float,
                        extras={"value": value, "threshold": threshold})
 
 
-def fixed_set_distance(sigma, samples, delta, move_tol: float = 1e-8,
-                       dist_tol: float = 1e-6, fixed_threshold: float = 1e-8,
-                       name: str = "fixed_curve") -> CheckResult:
+def fixed_set_distance(sigma, samples, delta) -> CheckResult:
     """Fixed-set check against a section.
 
-    Samples lying on the section must not move (gate move_tol); samples that
-    numerically do not move (|sigma(z) - z| <= fixed_threshold) must lie
-    within dist_tol of the section.  The reported residual is the larger of
-    the two maxima in units of its own gate, with the raw maxima in extras.
+    Samples lying on the section must not move; samples that numerically do
+    not move must lie on the section.  The reported residual is the larger
+    of the two maxima in units of its own gate, so the check's tolerance is
+    1; the raw maxima are in extras.
     With no sample on the section and none fixed, nothing was checked and
     the check fails like any check without evaluated samples.
     """
@@ -324,14 +313,14 @@ def fixed_set_distance(sigma, samples, delta, move_tol: float = 1e-8,
         if dist <= 1e-9 * (1.0 + float(np.linalg.norm(z))):
             n_on += 1
             on_delta_move = max(on_delta_move, move)
-            out.append((move / move_tol, None))
-        if move <= fixed_threshold:
+            out.append((move / 1e-8, None))
+        if move <= 1e-8:
             n_fixed += 1
             fixed_dist = max(fixed_dist, dist)
-            out.append((dist / dist_tol, None))
+            out.append((dist / 1e-6, None))
         return out
 
-    result = _run_samples(name, 1.0, samples, one)
+    result = _run_samples("fixed_curve", 1.0, samples, one)
     result.extras = {
         "on_delta_move": on_delta_move,
         "fixed_dist_to_delta": fixed_dist,

@@ -3,17 +3,20 @@
 Everything here deliberately avoids the package's adaptive integrator and
 event machinery: periods come from adaptive quadrature of energy integrals,
 flow-map Jacobians from a fixed-step classical RK4 run of the variational
-equations, and the linear center from closed forms.  Expected values frozen
+equations (with the field's partials differentiated symbolically here),
+and the linear center from closed forms.  Expected values frozen
 in the tests were computed with these routines (cross-checked against
 special-function identities where available).
 
-The one exception is ``integrate_reference``: the Dormand-Prince step loop
-and the event scan written on 2-element ndarrays, kept as the reference
-that the package's scalar kernel must reproduce bit for bit.  It shares
+The exceptions are the ndarray references that the package's scalar code
+must reproduce bit for bit.  ``integrate_reference`` is the Dormand-Prince
+step loop and the event scan written on 2-element ndarrays.  It shares
 the tableau, Brent's method and the Trajectory type with the package; the
 step loop, dense output and event scan are its own.  Event functions take
 ``g(x, y)``; the reference calls them on the numpy scalars of an ndarray
-state.
+state.  ``side_reference`` is the signed side function of each curve kind
+on ndarrays, with its own nearest-point Newton iteration; it shares only
+the curve's evaluation of C(s), C'(s) and C''(s).
 """
 
 import math
@@ -23,6 +26,8 @@ from scipy import integrate
 
 from annulus_involutions import flow as F
 from annulus_involutions.errors import DomainEscape, StepLimitExceeded
+from annulus_involutions.expr import compile_fn, differentiate
+from annulus_involutions.sections import _AffineSegment
 
 
 def elliptic_k_quad(k: float) -> float:
@@ -97,16 +102,31 @@ def linear_center_flow(z, t: float) -> np.ndarray:
     return rotation_matrix(t) @ np.asarray(z, dtype=float)
 
 
+def field_jacobian(field):
+    """The exact 2x2 Jacobian of V = (P, Q), as a function of z, from the
+    symbolic partials dP/dx, dP/dy, dQ/dx, dQ/dy."""
+    partials = [compile_fn(differentiate(e, v)) for e in (field.p, field.q)
+                for v in ("x", "y")]
+
+    def jac(z):
+        x, y = float(z[0]), float(z[1])
+        px, py, qx, qy = (f(x, y) for f in partials)
+        return np.array(((px, py), (qx, qy)))
+
+    return jac
+
+
 def variational_jacobian(field, z, t: float, n_steps: int = 4000) -> np.ndarray:
     """d phi(t, .) / dz at z by integrating the variational equations with a
     fixed-step classical RK4 on the augmented (state, matrix) system."""
     z = np.asarray(z, dtype=float)
+    jac = field_jacobian(field)
 
     def rhs(state):
         pos = state[:2]
         mat = state[2:].reshape(2, 2)
         dpos = field.velocity(pos)
-        dmat = field.jacobian_exact(pos) @ mat
+        dmat = jac(pos) @ mat
         return np.concatenate([dpos, dmat.ravel()])
 
     state = np.concatenate([z, np.eye(2).ravel()])
@@ -274,3 +294,41 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
         h *= factor
     return F.Trajectory(direction, steps, np.array(boundaries), np.array(states),
                         naccepted, nrejected, nfev, hits)
+
+
+# --- reference section side functions on ndarrays ------------------------------
+
+def _project_reference(curve, z) -> float:
+    """Nearest-point parameter of a curved section: argmin over the fine
+    polyline, then Newton on |z - C(s)|^2 clamped to the range."""
+    ss = np.linspace(curve.s_min, curve.s_max, max(8 * (len(curve.grid) - 1) + 1, 65))
+    pts = np.array([curve.point(float(s)) for s in ss])
+    i = int(np.argmin((pts[:, 0] - z[0]) ** 2 + (pts[:, 1] - z[1]) ** 2))
+    s = float(ss[i])
+    span = curve.s_max - curve.s_min
+    for _ in range(30):
+        c, t, c2 = curve.point(s), curve.tangent(s), np.array(curve._second(s))
+        r = z - c
+        h = r[0] * t[0] + r[1] * t[1]
+        hp = -(t[0] * t[0] + t[1] * t[1]) + r[0] * c2[0] + r[1] * c2[1]
+        if hp == 0.0:
+            break
+        s_new = min(max(s - h / hp, curve.s_min), curve.s_max)
+        if abs(s_new - s) < 1e-14 * span:
+            s = s_new
+            break
+        s = s_new
+    return s
+
+
+def side_reference(curve, z) -> float:
+    """Signed offset of z along the section's unit normal: exact for a
+    straight segment a + s d (divided by |d|), and at the projected point
+    of a curved (expression or tabulated) section."""
+    z = np.asarray(z, dtype=float)
+    if isinstance(curve, _AffineSegment):
+        a, d = np.array([curve.ax, curve.ay]), np.array([curve.dx, curve.dy])
+        return (d[0] * (z[1] - a[1]) - d[1] * (z[0] - a[0])) / math.sqrt(float(d @ d))
+    s = _project_reference(curve, z)
+    c, t = curve.point(s), curve.tangent(s)
+    return (t[0] * (z[1] - c[1]) - t[1] * (z[0] - c[0])) / math.hypot(t[0], t[1])

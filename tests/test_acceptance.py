@@ -136,11 +136,11 @@ def test_06_section_reversibility_linear_center():
         t_ref = 2 * math.pi
         rep = verify_reversibility(
             lc, sec, samples[:10], [0.17 * t_ref, 0.43 * t_ref, 0.71 * t_ref],
-            cfg, anticommutation_tol=1e-8, involution_tol=1e-8,
-            wellposed_tol=1e-8, field_tol=1e-6, sigma=sigma)
-        for check in ("flow_anticommutation", "involution", "well_posedness",
-                      "field_condition_reversibility"):
-            if not rep[check].passed:
+            cfg, sigma=sigma)
+        for check, gate in [("flow_anticommutation", 1e-8), ("involution", 1e-8),
+                            ("well_posedness", 1e-8),
+                            ("field_condition_reversibility", 1e-6)]:
+            if not rep[check].max_residual <= gate:
                 failures.append(
                     f"{label}/{check} residual {rep[check].max_residual:.2e}")
     report(6, "section reversibility on linear center (mirror and swap, 1e-8/1e-6 gates)",
@@ -155,8 +155,7 @@ def test_07_fixed_curve_identity(cfg):
         sigma = ReversibilityInvolution(field, sec, cfg)
         on_delta = [sec.point(s) for s in np.linspace(lo + 0.05, hi - 0.05, 5)]
         generic = annulus_points(field, sec, 10, cfg, seed=4)
-        res = fixed_set_distance(sigma, list(generic) + on_delta, sec,
-                                 move_tol=1e-8, dist_tol=1e-6)
+        res = fixed_set_distance(sigma, list(generic) + on_delta, sec)
         if not res.passed:
             failures.append(
                 f"{name}: move {res.extras['on_delta_move']:.2e}, "

@@ -1,6 +1,9 @@
 import csv
+import itertools
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +84,24 @@ section = x-axis [0.2, 2.0]
 """)
         config = load_config(path)
         assert config.field.name == "custom"
+
+    def test_domain_trailing_comma(self, tmp_path):
+        # field files and inline fields read domain with the run config's
+        # number-list reader, which skips empty entries
+        write_config(tmp_path / "f.txt", "P = -y\nQ = x\ndomain = [-3, 3, -3, 3,]\n")
+        for text in ("field = f.txt\n", "P = -y\nQ = x\ndomain = [-3, 3, -3, 3,]\n"):
+            path = write_config(tmp_path / "run.cfg", text + "section = x-axis [0.2, 2]\n")
+            assert load_config(path).field.domain == (-3.0, 3.0, -3.0, 3.0)
+
+    def test_line_errors_located(self, tmp_path):
+        # one key = value reader, located by config path or field-file line
+        path = write_config(tmp_path / "run.cfg", "field = pendulum\nfield = duffing\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}:2: duplicate key 'field'$"):
+            load_config(path)
+        write_config(tmp_path / "f.txt", "P = -y\nQ x\n")
+        path = write_config(tmp_path / "run.cfg", "field = f.txt\n")
+        with pytest.raises(ConfigError, match="^line 2: expected 'key = value', got 'Q x'$"):
+            load_config(path)
 
     def test_inline_needs_section(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", "P = -y\nQ = x\n")
@@ -273,6 +294,24 @@ class TestVerifyCommand:
         summary = read_csv(tmp_path / "out" / "verify_summary.csv")
         assert summary[0] == ["check", "residual", "tolerance", "pass"]
         assert len(summary) == len(names) + 1
+
+    def test_tolerances_match_readme_table(self, tmp_path):
+        # the README lists every check with its gate; both suites on the
+        # linear center must report exactly those checks and tolerances
+        lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8").splitlines()
+        start = lines.index("| check | suite | tolerance | passes when |") + 2
+        documented = {}
+        for row in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+            name, suite, tolerance = (c.strip(" `") for c in row.strip("| ").split(" | ")[:3])
+            for s in (("symmetry", "reversibility") if suite == "both" else (suite,)):
+                documented[f"{s}/{name}"] = float(tolerance)
+        assert len(documented) == 14
+        cfg = write_config(tmp_path / "lc.cfg", "field = linear-center\nsamples = 2\n"
+                           f"times = 1\nout = {tmp_path / 'out'}\n")
+        assert main(["verify", "--config", cfg]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        assert {c["check_name"]: c["tolerance"] for c in report["checks"]} == documented
 
 
 class TestPairsCsv:

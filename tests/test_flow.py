@@ -18,7 +18,6 @@ from annulus_involutions.flow import (
     brent,
     flow,
     flow_to_event,
-    flow_trajectory,
     integrate,
     jacobian_fd,
 )
@@ -31,6 +30,7 @@ from oracles import (
     integrate_reference,
     linear_center_flow,
     rotation_matrix,
+    side_reference,
     variational_jacobian,
 )
 
@@ -136,13 +136,13 @@ class TestFlow:
 
 class TestTrajectory:
     def test_boundary_states_exact(self, pendulum, cfg):
-        traj = flow_trajectory(pendulum, [1.0, 0.0], 5.0, cfg)
+        traj = integrate(pendulum.rhs, [1.0, 0.0], 5.0, cfg, bounds=pendulum.contains)
         for i in (0, len(traj.steps) // 2, len(traj.steps)):
             t = float(traj.s_grid[i])
             assert np.array_equal(traj.state(t), traj.states[i])
 
     def test_spans_tile_interval(self, pendulum, cfg):
-        traj = flow_trajectory(pendulum, [1.0, 0.0], 5.0, cfg)
+        traj = integrate(pendulum.rhs, [1.0, 0.0], 5.0, cfg, bounds=pendulum.contains)
         grid = traj.s_grid
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(5.0, abs=1e-12)
@@ -152,19 +152,21 @@ class TestTrajectory:
             assert step.s0 == s0
 
     def test_interpolation_accuracy(self, linear_center, cfg):
-        traj = flow_trajectory(linear_center, [1.0, 0.0], 2 * math.pi, cfg)
+        traj = integrate(linear_center.rhs, [1.0, 0.0], 2 * math.pi, cfg,
+                         bounds=linear_center.contains)
         for t in np.linspace(0.1, 6.1, 23):
             exact = linear_center_flow([1.0, 0.0], t)
             assert np.linalg.norm(traj.state(float(t)) - exact) <= 1e-9
 
     def test_stats_counted(self, pendulum, cfg):
-        traj = flow_trajectory(pendulum, [1.0, 0.0], 5.0, cfg)
+        traj = integrate(pendulum.rhs, [1.0, 0.0], 5.0, cfg, bounds=pendulum.contains)
         assert traj.naccepted == len(traj.steps)
         assert traj.nfev >= 6 * traj.naccepted
         assert traj.nrejected >= 0
 
     def test_out_of_span_query(self, linear_center, cfg):
-        traj = flow_trajectory(linear_center, [1.0, 0.0], 1.0, cfg)
+        traj = integrate(linear_center.rhs, [1.0, 0.0], 1.0, cfg,
+                         bounds=linear_center.contains)
         with pytest.raises(ValueError):
             traj.state(2.0)
         with pytest.raises(ValueError):
@@ -298,20 +300,21 @@ def _assert_same_hits(got, ref):
         assert isinstance(e.z, np.ndarray) and e.z.tobytes() == r.z.tobytes()
 
 
-_CURVE_CLASS = {"affine": "_AffineSegment", "expression": "ExpressionCurve",
-                "tabulated": "TabulatedCurve"}
+_CURVE_CLASS = {"affine": "_AffineSegment", "diagonal": "_AffineSegment",
+                "expression": "ExpressionCurve", "tabulated": "TabulatedCurve"}
 
 
 @functools.lru_cache(maxsize=None)
 def _section_case(kind):
     """(field, section, y0) for section events on one curve kind: the
-    x-axis segment [0.2, 2] of the linear center, the parabola (s, 0.3 s^2)
-    on [0.35, 1.75] in the pendulum, and that parabola's tabulated
-    conjugate section.  Forward runs start at (0, y0), backward runs at
-    (0, -y0)."""
-    if kind == "affine":
+    x-axis segment [0.2, 2] of the linear center (and its diagonal
+    (s, s), a segment with |d| != 1), the parabola (s, 0.3 s^2) on
+    [0.35, 1.75] in the pendulum, and that parabola's tabulated conjugate
+    section.  Forward runs start at (0, y0), backward runs at (0, -y0)."""
+    if kind in ("affine", "diagonal"):
         field = builtin_field("linear-center")
-        return field, make_section(field, "s", "0", (0.2, 2.0), name="x-axis"), 1.0
+        sy = "0" if kind == "affine" else "s"
+        return field, make_section(field, "s", sy, (0.2, 2.0), name=kind), 1.0
     field = builtin_field("pendulum")
     sec = make_section(field, "s", "0.3*s^2", (0.35, 1.75), name="parabola")
     if kind == "tabulated":
@@ -372,6 +375,26 @@ class TestKernelMatchesReference:
         assert [e.index for e in got.events] == [0, 1]
         assert len(got_vetoed) >= 2
         assert [z.tobytes() for z in got_vetoed] == [z.tobytes() for z in ref_vetoed]
+
+    @pytest.mark.parametrize("kind", ["affine", "diagonal", "expression", "tabulated"])
+    def test_side_matches_reference(self, kind, cfg):
+        # every side value a scan asks for -- start, dense-output samples,
+        # Brent iterates -- equals the ndarray body's to the bit
+        field, sec, y0 = _section_case(kind)
+        curve = sec.curve
+        assert type(curve).__name__ == _CURVE_CLASS[kind]
+        seen = []
+
+        def g(x, y):
+            seen.append((x, y))
+            return curve.side(x, y)
+
+        traj = integrate(field.rhs, (0.0, y0), 9.0, cfg,
+                         [EventSpec(g=g, terminal=False, accept=sec.event().accept)],
+                         field.contains)
+        assert traj.events and len(seen) > 100
+        for x, y in seen:
+            assert curve.side(x, y).hex() == float(side_reference(curve, (x, y))).hex()
 
     @pytest.mark.parametrize("field, z0, t, cfg, exc", [
         (builtin_field("linear-center"), (1.0, 0.0), 100.0, IntegratorConfig(max_steps=5),

@@ -121,14 +121,15 @@ class TestSampleAnnulus:
         sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
         samp = sample_annulus(linear_center, sec, [0.5, 1.0, 1.5], cfg)
         assert samp.ok
-        assert np.abs(samp.periods() - 2 * math.pi).max() <= 1e-9
+        periods = np.array([c.period for c in samp.cycles])
+        assert np.abs(periods - 2 * math.pi).max() <= 1e-9
 
     def test_cubic_scaling(self, cubic_center, cfg):
         sec = make_section(cubic_center, "s", "0", (0.25, 2.5), name="x-axis")
         params = np.array([0.5, 1.0, 2.0])
         samp = sample_annulus(cubic_center, sec, params, cfg)
         assert samp.ok
-        scaled = samp.periods() * params ** 2
+        scaled = np.array([c.period for c in samp.cycles]) * params ** 2
         assert np.abs(scaled - scaled[1]).max() <= 1e-5 * scaled[1]
 
     def test_pendulum_monotone(self, pendulum, cfg):
@@ -136,7 +137,7 @@ class TestSampleAnnulus:
         params = np.arange(0.5, 3.01, 0.5)
         samp = sample_annulus(pendulum, sec, params, cfg)
         assert samp.ok
-        periods = samp.periods()
+        periods = np.array([c.period for c in samp.cycles])
         assert np.all(np.diff(periods) > 0.0)
         # anchor against the quadrature oracle
         for s, T in zip(params, periods):

@@ -83,3 +83,25 @@ def test_tau_shift_law(annulus, cfg, u, a, b):
     assert tau(field, section, z, cfg) == pytest.approx(a * period_t, abs=1e-7)
     assert tau(field, section, flow(field, z, t, cfg), cfg) == pytest.approx(
         tau(field, section, z, cfg) - t, abs=1e-7)
+
+
+# Every built-in is odd, V(-z) = -V(z), with an even first integral, and
+# reversible under the mirror (x, -y).  So -z commutes with the flow and
+# keeps each cycle, and by the uniqueness of the half shift the symmetry is
+# exactly -z; the reversibility fixing the positive x-axis is the mirror,
+# whose other fixed half-line, the negative x-axis, is the conjugate section.
+
+@FAST
+@given(u=_unit, frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_involutions_match_closed_forms(annulus, cfg, u, frac):
+    field, section, sym, rev = annulus
+    z, _ = _annulus_point(field, section, u, frac, cfg)
+    scale = 1.0 + np.linalg.norm(z)
+    assert np.linalg.norm(sym(z) + z) / scale <= 1e-8
+    assert np.linalg.norm(rev(z) - np.array([z[0], -z[1]])) / scale <= 1e-8
+
+
+def test_conjugate_section_is_negative_x_axis(annulus):
+    points = annulus[3].delta_star.curve.points
+    assert np.all(points[:, 0] < 0.0)
+    assert np.abs(points[:, 1]).max() <= 1e-9

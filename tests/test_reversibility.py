@@ -122,6 +122,20 @@ class TestTau:
         assert np.linalg.norm(z_hit - sec.point(s_hit)) <= 1e-8
         assert np.linalg.norm(flow(cubic_center, z, t, cfg) - z_hit) <= 1e-8
 
+    @pytest.mark.parametrize("start", [(0.4, 0.9), (0.8, 0.192)], ids=["off", "on"])
+    def test_tau_projects_no_crossing(self, pendulum, cfg, start):
+        # tau equals tau_hit's time but skips the projection of the crossing
+        # that only tau_hit reports; (0.8, 0.3 * 0.8^2) lies on the section
+        sec = make_section(pendulum, "s", "0.3*s^2", (0.35, 1.75), name="parabola")
+        calls = []
+        project = sec.curve.project
+        sec.curve.project = lambda z: calls.append(1) or project(z)
+        t = tau(pendulum, sec, start, cfg)
+        n_tau = len(calls)
+        t_hit = tau_hit(pendulum, sec, start, cfg)[0]
+        assert t.hex() == t_hit.hex()
+        assert len(calls) - n_tau == n_tau + 1
+
     def test_orbit_missing_section(self, linear_center):
         from annulus_involutions.flow import IntegratorConfig
 

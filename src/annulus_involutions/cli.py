@@ -9,7 +9,9 @@ reversibility and verify commands).
 The three suite commands (symmetry, reversibility, verify) share one
 driver, ``_run_suite``; each supplies only the suite it runs and the files
 it writes.  A sample whose sigma fails is left out of the pairs CSV with
-one stderr line.
+one stderr line.  One suite run is one memo scope (see :mod:`.memo`), so
+the checks and the pairs CSV share each point's cycle detection and
+section crossings.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import (
 from .expr import PlanarField, parse_field_text, parse_key_values, parse_number_list
 from .fields import builtin_field, builtin_names, default_section_range
 from .flow import IntegratorConfig
+from .memo import suite_scope
 from .period import period, sample_annulus
 from .reversibility import ReversibilityInvolution, verify_reversibility
 from .sections import Section, make_section
@@ -348,17 +351,18 @@ def _run_suite(config: RunConfig, suite, *, seed_only: bool = False) -> int:
             return EXIT_TRANSVERSALITY
         print(f"section error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    samples, times, degraded = _gather_samples(config, section, cfg)
-    for msg in degraded:
-        print(msg, file=sys.stderr)
-    try:
-        report, files = suite(config, section, samples, times, cfg)
-    except TransversalityError as exc:
-        print(f"transversality error: {exc}", file=sys.stderr)
-        return EXIT_TRANSVERSALITY
-    except (CycleError, FlowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    with suite_scope():
+        samples, times, degraded = _gather_samples(config, section, cfg)
+        for msg in degraded:
+            print(msg, file=sys.stderr)
+        try:
+            report, files = suite(config, section, samples, times, cfg)
+        except TransversalityError as exc:
+            print(f"transversality error: {exc}", file=sys.stderr)
+            return EXIT_TRANSVERSALITY
+        except (CycleError, FlowError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
     config.out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files:
         write_atomic(config.out_dir / name, text)

@@ -86,9 +86,10 @@ _EVENT_SAMPLES = 3
 _SAMPLE_FRACTIONS = tuple(i / _EVENT_SAMPLES for i in range(1, _EVENT_SAMPLES + 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorConfig:
-    """Step-control settings for the adaptive integrator."""
+    """Step-control settings for the adaptive integrator (frozen, so equal
+    settings hash equal)."""
 
     rtol: float = 1e-10
     atol: float = 1e-12

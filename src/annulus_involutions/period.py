@@ -15,6 +15,7 @@ import numpy as np
 from .errors import SAMPLE_FAILURES, CriticalPointError, DomainEscape, NotACycle
 from .expr import PlanarField
 from .flow import EventSpec, IntegratorConfig, Trajectory, integrate
+from .memo import memoized
 
 __all__ = ["Cycle", "AnnulusSample", "detect_cycle", "period", "sample_annulus"]
 
@@ -75,9 +76,21 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig | None = None) -> 
                  closure_residual=closure)
 
 
+def _half_period(field: PlanarField, z, cfg: IntegratorConfig) -> tuple[float, np.ndarray]:
+    """(T(z), phi(T/2, z)), both read from one cycle detection; memoized
+    inside a suite scope (see :mod:`.memo`)."""
+    z = np.asarray(z, dtype=float)
+
+    def detect():
+        cyc = detect_cycle(field, z, cfg)
+        return cyc.period, cyc.trajectory.state(0.5 * cyc.period)
+
+    return memoized(("half_period", field, cfg, z.tobytes()), detect)
+
+
 def period(field: PlanarField, z, cfg: IntegratorConfig | None = None) -> float:
     """Minimal positive period T(z) of the cycle through z."""
-    return detect_cycle(field, z, cfg).period
+    return _half_period(field, z, cfg or IntegratorConfig())[0]
 
 
 @dataclass

@@ -22,15 +22,15 @@ the image off the two crossing searches that find tau.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
 from .errors import CycleError, EventNotFound, NotASection
 from .expr import PlanarField
 from .flow import IntegratorConfig, flow, flow_to_event, flow_to_event_trajectory
-from .period import detect_cycle
-from .sections import Section, section_from_points
+from .memo import memoized, suite_scope
+from .period import _half_period
+from .sections import Section, membership_tol, section_from_points
 from .verify import (
     CheckResult,
     VerificationReport,
@@ -69,10 +69,6 @@ class BranchTag(enum.Enum):
     A_MINUS = "a_minus"
 
 
-def _memb_tol(z) -> float:
-    return 1e-9 * (1.0 + math.hypot(float(z[0]), float(z[1])))
-
-
 def conjugate_section(field: PlanarField, delta: Section,
                       cfg: IntegratorConfig | None = None) -> Section:
     """Tabulate phi(T/2, delta(s)) over the section grid and certify it.
@@ -85,11 +81,11 @@ def conjugate_section(field: PlanarField, delta: Section,
     for s in delta.grid:
         z = delta.point(float(s))
         try:
-            cyc = detect_cycle(field, z, cfg)
+            t_period, image = _half_period(field, z, cfg)
         except CycleError as exc:
             raise CycleError(f"conjugate section failed at s = {s:.6g}: {exc}") from exc
-        periods.append(cyc.period)
-        points.append(cyc.trajectory.state(0.5 * cyc.period))
+        periods.append(t_period)
+        points.append(image)
     star = section_from_points(field, delta.grid, np.array(points),
                                name=f"{delta.label}_star")
     star.periods = np.array(periods)
@@ -104,8 +100,15 @@ def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, np.ndarra
     point.  Then t_f - t_b = T, so phi(t_b + t_f, z) = phi(2 tau, z)
     whichever crossing is nearer, and t_b + t_f lies inside the span of
     the farther search, whose dense output gives the image.  Returns
-    (t, z_hit, image) with t the signed nearest-crossing time.
+    (t, z_hit, image) with t the signed nearest-crossing time.  The event
+    depends only on the curve, so inside a suite scope the result is
+    memoized on (field, curve, cfg, z bits).
     """
+    return memoized(("crossing", field, section.curve, cfg, z.tobytes()),
+                    lambda: _crossing_pair(field, section, z, cfg))
+
+
+def _crossing_pair(field, section: Section, z, cfg) -> tuple[float, np.ndarray, np.ndarray]:
     ev = section.event()
     try:
         back = flow_to_event_trajectory(field, z, ev, -1, cfg.max_horizon, cfg)
@@ -133,7 +136,7 @@ def _signed_crossing(field, delta: Section, z, cfg) -> tuple[float, np.ndarray]:
     """(tau, crossing point); a point on the section is its own crossing."""
     cfg = cfg or IntegratorConfig()
     z = np.asarray(z, dtype=float)
-    if delta.distance(z) <= _memb_tol(z):
+    if delta.contains(z):
         return 0.0, z.copy()
     t, z_hit, _ = _nearest_crossing(field, delta, z, cfg)
     return t, z_hit
@@ -173,9 +176,9 @@ def classify(field: PlanarField, delta: Section, delta_star: Section, z,
     """
     cfg = cfg or IntegratorConfig()
     z = np.asarray(z, dtype=float)
-    if delta.distance(z) <= _memb_tol(z):
+    if delta.contains(z):
         return BranchTag.ON_DELTA, {}
-    if delta_star.distance(z) <= _memb_tol(z):
+    if delta_star.contains(z):
         return BranchTag.ON_DELTA_STAR, {}
     t_d, _ = flow_to_event(field, z, delta.event(), -1, cfg.max_horizon, cfg)
     t_s, _ = flow_to_event(field, z, delta_star.event(), -1, cfg.max_horizon, cfg)
@@ -196,12 +199,13 @@ def sigma_reversible(field: PlanarField, delta: Section, z,
     """
     cfg = cfg or IntegratorConfig()
     z = np.asarray(z, dtype=float)
+    tol = membership_tol(z)
     d_delta = delta.distance(z)
-    if d_delta <= _memb_tol(z):
+    if d_delta <= tol:
         return z.copy()
     if delta_star is not None:
         d_star = delta_star.distance(z)
-        if d_star <= _memb_tol(z):
+        if d_star <= tol:
             return z.copy()
     image = _nearest_crossing(field, delta, z, cfg)[2]
     if delta_star is not None and min(d_delta, d_star) <= _BAND_WIDTH:
@@ -293,14 +297,15 @@ def verify_reversibility(
     on_delta = [delta.point(float(s))
                 for s in sample_parameters(5, delta.s_min, delta.s_max, seed=1)]
     fixed_samples = list(np.asarray(samples, dtype=float)) + on_delta
-    checks = [
-        check_commutation(field, sigma, -1, samples, times, cfg),
-        check_involution(sigma, samples),
-        fixed_set_distance(sigma, fixed_samples, delta),
-        check_well_posedness(field, delta, sigma.delta_star, samples, cfg),
-        check_field_condition(field, sigma, -1, samples),
-        check_half_period_roundtrip(field, delta, sigma.delta_star, cfg),
-    ]
+    with suite_scope():
+        checks = [
+            check_commutation(field, sigma, -1, samples, times, cfg),
+            check_involution(sigma, samples),
+            fixed_set_distance(sigma, fixed_samples, delta),
+            check_well_posedness(field, delta, sigma.delta_star, samples, cfg),
+            check_field_condition(field, sigma, -1, samples),
+            check_half_period_roundtrip(field, delta, sigma.delta_star, cfg),
+        ]
     provenance = {
         "field": field.name,
         "section": delta.label,

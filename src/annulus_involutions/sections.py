@@ -28,9 +28,15 @@ __all__ = [
     "make_section",
     "section_from_points",
     "curve_event",
+    "membership_tol",
 ]
 
 _HIT_DIST_TOL = 1e-7  # scaled by (1 + |z|): separates on-curve roots from extension hits
+
+
+def membership_tol(z) -> float:
+    """Distance from a section within which z counts as on it: 1e-9 * (1 + |z|)."""
+    return 1e-9 * (1.0 + math.hypot(float(z[0]), float(z[1])))
 
 
 class _PPoly1D:
@@ -307,10 +313,8 @@ class Section:
     def distance(self, z) -> float:
         return self.curve.project(z)[1]
 
-    def contains(self, z, tol: float | None = None) -> bool:
-        if tol is None:
-            tol = 1e-9 * (1.0 + math.hypot(float(z[0]), float(z[1])))
-        return self.distance(z) <= tol
+    def contains(self, z) -> bool:
+        return self.distance(z) <= membership_tol(z)
 
     def event(self, direction: int = 0, terminal: bool = True) -> EventSpec:
         return curve_event(self.curve, direction=direction, terminal=terminal)

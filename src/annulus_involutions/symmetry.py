@@ -14,7 +14,8 @@ import numpy as np
 
 from .expr import PlanarField
 from .flow import IntegratorConfig, flow
-from .period import detect_cycle
+from .memo import suite_scope
+from .period import _half_period, detect_cycle, period
 from .verify import (
     VerificationReport,
     _run_samples,
@@ -35,7 +36,8 @@ class SymmetryInvolution:
     """Evaluatable half-period map bound to a field and integrator settings.
 
     Each evaluation detects the cycle through its point and reads the image
-    off that one integration (see :func:`sigma_symmetric`).
+    off that one integration (see :func:`sigma_symmetric`).  Inside a suite
+    scope the period and the image of a point are detected once.
     """
 
     def __init__(self, field: PlanarField, cfg: IntegratorConfig | None = None):
@@ -43,7 +45,7 @@ class SymmetryInvolution:
         self.cfg = cfg or IntegratorConfig()
 
     def period_of(self, z) -> float:
-        return detect_cycle(self.field, z, self.cfg).period
+        return period(self.field, z, self.cfg)
 
     def __call__(self, z) -> np.ndarray:
         return sigma_symmetric(self.field, z, self.cfg)
@@ -55,8 +57,7 @@ def sigma_symmetric(field: PlanarField, z, cfg: IntegratorConfig | None = None) 
     The image is read from the dense output of the cycle-detection
     integration, which already covers [0, T].
     """
-    cyc = detect_cycle(field, z, cfg or IntegratorConfig())
-    return cyc.trajectory.state(0.5 * cyc.period)
+    return _half_period(field, z, cfg or IntegratorConfig())[1]
 
 
 def uniqueness_probe(field: PlanarField, z, fractions, cfg: IntegratorConfig | None = None
@@ -77,7 +78,7 @@ def uniqueness_probe(field: PlanarField, z, fractions, cfg: IntegratorConfig | N
     for f in fractions:
         if f == 0.5:
             z1 = flow(field, z, f * cyc.period, cfg)
-            z2 = flow(field, z1, f * detect_cycle(field, z1, cfg).period, cfg)
+            z2 = flow(field, z1, f * period(field, z1, cfg), cfg)
         else:
             z1 = cyc.trajectory.state(f * cyc.period)
             cyc1 = detect_cycle(field, z1, cfg)
@@ -98,17 +99,18 @@ def verify_sigma_symmetry(
     cfg = cfg or IntegratorConfig()
     if sigma is None:
         sigma = SymmetryInvolution(field, cfg)
-    checks = [
-        check_involution(sigma, samples),
-        check_commutation(field, sigma, +1, samples, times, cfg),
-        check_period_invariance(field, sigma, samples, cfg),
-        check_field_condition(field, sigma, +1, samples),
-    ]
-    if field.hamiltonian is not None:
-        checks.append(check_energy_invariance(field, sigma, samples))
     threshold = 0.1  # non-triviality: the largest |sigma(z) - z| must exceed it
-    moves = _run_samples("non_triviality", threshold, samples,
-                         lambda z: [(float(np.linalg.norm(sigma(z) - z)), None)])
+    with suite_scope():
+        checks = [
+            check_involution(sigma, samples),
+            check_commutation(field, sigma, +1, samples, times, cfg),
+            check_period_invariance(field, sigma, samples, cfg),
+            check_field_condition(field, sigma, +1, samples),
+        ]
+        if field.hamiltonian is not None:
+            checks.append(check_energy_invariance(field, sigma, samples))
+        moves = _run_samples("non_triviality", threshold, samples,
+                             lambda z: [(float(np.linalg.norm(sigma(z) - z)), None)])
     best = -math.inf if moves.worst_point is None else moves.max_residual
     nontrivial = check_lower_bound("non_triviality", best, threshold,
                                    worst_point=moves.worst_point)

@@ -25,6 +25,7 @@ from .errors import SAMPLE_FAILURES
 from .expr import PlanarField
 from .flow import IntegratorConfig, flow, jacobian_fd
 from .period import detect_cycle, period
+from .sections import membership_tol
 
 __all__ = [
     "CheckResult",
@@ -257,7 +258,11 @@ def check_field_condition(field: PlanarField, sigma, sign: int, samples) -> Chec
 
 def check_period_invariance(field: PlanarField, sigma, samples,
                             cfg: IntegratorConfig | None = None) -> CheckResult:
-    """max |T(sigma(z)) - T(z)| / T(z); both periods detected independently."""
+    """max |T(sigma(z)) - T(z)| / T(z).
+
+    Inside a suite scope, T(z) and T(sigma(z)) come from the cycle
+    detections that sigma already ran for those points, with the same bits.
+    """
     cfg = cfg or IntegratorConfig()
 
     def one(z):
@@ -310,7 +315,7 @@ def fixed_set_distance(sigma, samples, delta) -> CheckResult:
         move = float(np.linalg.norm(sigma(z) - z))
         dist = float(delta.distance(z))
         out = []
-        if dist <= 1e-9 * (1.0 + float(np.linalg.norm(z))):
+        if dist <= membership_tol(z):
             n_on += 1
             on_delta_move = max(on_delta_move, move)
             out.append((move / 1e-8, None))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -46,6 +47,13 @@ class TestConfig:
             IntegratorConfig(rtol=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(max_steps=0)
+
+    def test_frozen(self):
+        # settings are hashed by value into memo keys, so they cannot change
+        c = IntegratorConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.rtol = 1e-8
+        assert c == IntegratorConfig() and hash(c) == hash(IntegratorConfig())
 
 
 class TestBrent:

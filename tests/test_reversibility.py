@@ -5,6 +5,7 @@ import pytest
 
 from annulus_involutions.errors import EventNotFound, NotASection
 from annulus_involutions.flow import flow
+from annulus_involutions.memo import suite_scope
 from annulus_involutions.period import period
 from annulus_involutions.reversibility import (
     BranchTag,
@@ -302,6 +303,11 @@ class TestSigmaReversible:
         assert t == tau(pendulum, pend_xaxis, z, cfg)
         assert abs(t) <= 0.5 * period(pendulum, z, cfg)
         assert np.linalg.norm(rev(z) - sigma_reversible(pendulum, pend_xaxis, z, cfg)) <= 1e-9
+
+    def test_class_tau_stays_in_half_period_window_in_suite_scope(self, pendulum,
+                                                                  pend_xaxis, cfg):
+        with suite_scope():
+            self.test_class_tau_stays_in_half_period_window(pendulum, pend_xaxis, cfg)
 
 
 class TestRectifiedChart:

@@ -5,6 +5,7 @@ import pytest
 
 from annulus_involutions.expr import PlanarField
 from annulus_involutions.flow import flow
+from annulus_involutions.memo import suite_scope
 from annulus_involutions.period import period
 from annulus_involutions.sections import make_section
 from annulus_involutions.symmetry import (
@@ -56,6 +57,11 @@ class TestSigmaSymmetric:
         assert np.array_equal(sigma(z_left), image)
         assert np.linalg.norm(sigma(image) - z_left) <= 1e-7
         assert np.linalg.norm(image - sigma_symmetric(field, z_left, cfg)) <= 1e-9
+
+    def test_two_wells_on_one_energy_level_in_suite_scope(self, cfg):
+        # the memo keys on the exact point, so the wells stay apart there too
+        with suite_scope():
+            self.test_two_wells_on_one_energy_level(cfg)
 
 
 class TestInvolutionProperties:

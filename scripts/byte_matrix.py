@@ -1,4 +1,5 @@
-"""Run every CLI command on five configs and keep everything they leave.
+"""Run every CLI command on five configs, and the period function on a
+grid, and keep everything they leave.
 
     python3 scripts/byte_matrix.py --src <source tree> --out <dir>
 
@@ -9,13 +10,17 @@ seed 7.  Each of period, symmetry, reversibility and verify runs in a fresh
 interpreter with the package imported from ``<src>/src``.  Under
 ``<out>/<config>/`` it writes ``run.cfg``, and for each command the output
 directory ``<command>/`` plus ``<command>.stdout``, ``<command>.stderr`` and
-``<command>.exit``.  Runs are made from inside ``<out>/<config>`` with
-relative paths, so two trees give the same files exactly when their outputs
-agree, and
+``<command>.exit``.  A sixth case, ``<out>/period-grid/``, holds
+``grid.stdout`` (with ``.stderr`` and ``.exit``): the repr of ``period()``
+at 24 points (x, 0) spread over each built-in's default section range,
+with the pendulum's range stretched to x = 3.1 so that near-separatrix
+orbits are covered.  Runs are made from inside their case directory with
+relative paths, so two trees give the same files exactly when their
+outputs agree, and
 
     diff -r <out of tree A> <out of tree B>
 
-is empty.  The exit code is 0 when all 20 runs completed, whatever they
+is empty.  The exit code is 0 when all 21 runs completed, whatever they
 printed.
 """
 
@@ -37,6 +42,18 @@ CONFIGS = {
                         "section_range = [0.35, 1.75]\n"),
 }
 COMMANDS = ("period", "symmetry", "reversibility", "verify")
+PERIOD_GRID = """
+from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
+from annulus_involutions.period import period
+for name in builtin_names():
+    field = builtin_field(name)
+    lo, hi = default_section_range(name)
+    if name == "pendulum":
+        hi = 3.1
+    for i in range(24):
+        x = lo + i * (hi - lo) / 23
+        print(name, repr(x), repr(period(field, (x, 0.0))))
+"""
 
 
 def _env(src: Path) -> dict:
@@ -52,6 +69,12 @@ def _check_origin(src: Path, env: dict) -> None:
     ).stdout.strip()
     if (src / "src").resolve() not in Path(out).resolve().parents:
         raise SystemExit(f"byte_matrix: imported the package from {out}, not from {src}/src")
+
+
+def _keep(case: Path, stem: str, run: subprocess.CompletedProcess) -> None:
+    (case / f"{stem}.stdout").write_text(run.stdout, encoding="utf-8")
+    (case / f"{stem}.stderr").write_text(run.stderr, encoding="utf-8")
+    (case / f"{stem}.exit").write_text(f"{run.returncode}\n", encoding="utf-8")
 
 
 def main(argv=None) -> int:
@@ -74,10 +97,14 @@ def main(argv=None) -> int:
                  "--config", "run.cfg", "--out", command],
                 env=env, cwd=case, capture_output=True, text=True,
             )
-            (case / f"{command}.stdout").write_text(run.stdout, encoding="utf-8")
-            (case / f"{command}.stderr").write_text(run.stderr, encoding="utf-8")
-            (case / f"{command}.exit").write_text(f"{run.returncode}\n", encoding="utf-8")
+            _keep(case, command, run)
             print(f"{name} {command}: exit {run.returncode}")
+    case = args.out / "period-grid"
+    case.mkdir(parents=True, exist_ok=True)
+    run = subprocess.run([sys.executable, "-c", PERIOD_GRID],
+                         env=env, cwd=case, capture_output=True, text=True)
+    _keep(case, "grid", run)
+    print(f"period-grid: exit {run.returncode}")
     return 0
 
 

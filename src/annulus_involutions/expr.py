@@ -318,6 +318,16 @@ def _emit(e: ExprAst) -> str:
 _MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
+def _exec(src: str, name: str) -> Callable:
+    """Define ``name`` by executing generated source, with the function
+    implementations the emitted code calls in its namespace."""
+    ns = {f"_fn_{fn}": impl for fn, impl in _FUNC_IMPL.items()}
+    ns["_fn_pow"] = math.pow
+    ns.update(_MATH_ERRORS=_MATH_ERRORS, DomainError=DomainError, _isfinite=math.isfinite)
+    exec(compile(src, "<field-expr>", "exec"), ns)
+    return ns[name]
+
+
 @lru_cache(maxsize=None)
 def compile_fn(e: ExprAst, variables: tuple[str, ...] = ("x", "y")) -> Callable[..., float]:
     """Compile an AST into a plain positional-argument float function.
@@ -325,13 +335,27 @@ def compile_fn(e: ExprAst, variables: tuple[str, ...] = ("x", "y")) -> Callable[
     The emitted code performs exactly the arithmetic of the tree (same
     operations in the same order), so results are bit-identical across
     calls.  Domain failures surface as one of ``_MATH_ERRORS``, which
-    :func:`evaluate` and :meth:`PlanarField.rhs` map to DomainError.
+    :func:`evaluate` maps to DomainError.
     """
-    ns = {f"_fn_{name}": impl for name, impl in _FUNC_IMPL.items()}
-    ns["_fn_pow"] = math.pow
-    src = f"def _compiled({', '.join(variables)}):\n    return {_emit(e)}\n"
-    exec(compile(src, "<field-expr>", "exec"), ns)
-    return ns["_compiled"]
+    return _exec(f"def _compiled({', '.join(variables)}):\n    return {_emit(e)}\n",
+                 "_compiled")
+
+
+def _compile_rhs(p: ExprAst, q: ExprAst) -> Callable[[float, float], tuple[float, float]]:
+    """One function (x, y) -> (P, Q): the arithmetic of ``compile_fn`` for
+    each component, with math-domain failures and non-finite values raised
+    as DomainError."""
+    return _exec(
+        "def _rhs(x, y):\n"
+        "    try:\n"
+        f"        px = {_emit(p)}\n"
+        f"        qy = {_emit(q)}\n"
+        "    except _MATH_ERRORS as exc:\n"
+        "        raise DomainError(f'field evaluation failed at ({x}, {y}): {exc}') from exc\n"
+        "    if not (_isfinite(px) and _isfinite(qy)):\n"
+        "        raise DomainError(f'non-finite field value at ({x}, {y})')\n"
+        "    return px, qy\n",
+        "_rhs")
 
 
 def evaluate(e: ExprAst, x: float, y: float) -> float:
@@ -487,8 +511,7 @@ class PlanarField:
         if not (self.domain[0] < self.domain[1] and self.domain[2] < self.domain[3]):
             raise ConfigError(f"degenerate domain box {self.domain}")
         self.hamiltonian = hamiltonian
-        self._pf = compile_fn(p)
-        self._qf = compile_fn(q)
+        self._rhs = _compile_rhs(p, q)
         self._hf = compile_fn(hamiltonian) if hamiltonian is not None else None
 
     @classmethod
@@ -511,17 +534,11 @@ class PlanarField:
         """Right-hand side V(x, y) = (P, Q) for the integrator, as two floats.
 
         This is the integrator's hot path, so it takes and returns plain
-        floats; :meth:`velocity` is the ndarray form.  Math-domain failures
-        and non-finite values raise DomainError.
+        floats, through one generated function that evaluates P and Q;
+        :meth:`velocity` is the ndarray form.  Math-domain failures and
+        non-finite values raise DomainError.
         """
-        try:
-            px = self._pf(x, y)
-            qy = self._qf(x, y)
-        except _MATH_ERRORS as exc:
-            raise DomainError(f"field evaluation failed at ({x}, {y}): {exc}") from exc
-        if not (math.isfinite(px) and math.isfinite(qy)):
-            raise DomainError(f"non-finite field value at ({x}, {y})")
-        return px, qy
+        return self._rhs(x, y)
 
     def velocity(self, z) -> np.ndarray:
         return np.array(self.rhs(float(z[0]), float(z[1])))

@@ -21,12 +21,23 @@ through step control, event times and reports.
 
 Because ``g`` receives Python floats, a division by zero inside a user
 event function raises ZeroDivisionError rather than returning inf.
+
+An event may declare a Lipschitz bound L on |grad g|.  Within one step
+the dense output stays within B of the step's start, where B sums the
+absolute Horner coefficients c2..c5 of both components, so g moves by at
+most L * B.  A step whose start value has |g| > 2 * L * B plus a rounding
+floor cannot change the sign of g at any sample, and its scan is skipped:
+only the last sample is evaluated, so the value carried into the next
+step keeps its bits.  The factor 2 and the floor absorb rounding in g, in
+B and in the carried start value, which is g at the previous step's last
+sample rather than at c1 exactly.  The skip is exact only if L is a true
+bound; a value that is too small can drop crossings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,12 +126,17 @@ class EventSpec:
     as an ndarray and may veto it (e.g. a crossing of a curve's extension
     outside its parameter range); scanning then continues past the
     rejected root.
+
+    ``lipschitz``, if given, must bound |grad g| everywhere along the
+    trajectory; the scan then skips steps that cannot reach the zero set
+    (see the module docstring).  A wrong bound can drop crossings.
     """
 
     g: Callable[[float, float], float]
     direction: int = 0
     terminal: bool = True
     accept: Callable[[np.ndarray], bool] | None = None
+    lipschitz: float | None = None
 
 
 @dataclass(frozen=True)
@@ -161,6 +177,12 @@ class _Step:
 
     def interp(self, s: float) -> np.ndarray:
         return np.array(self.at(s))
+
+    def reach(self) -> float:
+        """Bound on the distance of any dense-output point from the start:
+        the absolute Horner coefficients c2..c5 of both components summed."""
+        return (abs(self.c2x) + abs(self.c3x) + abs(self.c4x) + abs(self.c5x)
+                + abs(self.c2y) + abs(self.c3y) + abs(self.c4y) + abs(self.c5y))
 
 
 @dataclass
@@ -279,15 +301,26 @@ def _scan_step(step, events, g_prev, direction, zero_start):
     g_prev holds event values at the step start and is updated to the step
     end; accepted hits come back ordered by progress time.  zero_start[k]
     is None for a normal event, or a threshold while the event started at
-    g ~ 0 and crossings are still being suppressed.
+    g ~ 0 and crossings are still being suppressed.  An event with a
+    Lipschitz bound whose start value clears 2 * L * reach plus the floor
+    is not scanned; only its value at the step end is taken.
     """
     hits = []
     s0, h = step.s0, step.h
-    svals = [s0 + q * h for q in _SAMPLE_FRACTIONS]
-    samples = [step.at(s_b) for s_b in svals]
+    svals = samples = reach = None
     for k, ev in enumerate(events):
         g = ev.g
         ga = g_prev[k]
+        if ev.lipschitz is not None and zero_start[k] is None:
+            if reach is None:
+                reach = step.reach()
+                floor = 1e-12 * (1.0 + abs(step.c1x) + abs(step.c1y))
+            if abs(ga) > 2.0 * ev.lipschitz * reach + floor:
+                g_prev[k] = g(*step.at(s0 + _SAMPLE_FRACTIONS[-1] * h))
+                continue
+        if samples is None:
+            svals = [s0 + q * h for q in _SAMPLE_FRACTIONS]
+            samples = [step.at(s_b) for s_b in svals]
         sa = s0
         for s_b, (xb, yb) in zip(svals, samples):
             gb = g(xb, yb)
@@ -456,8 +489,8 @@ def flow_to_event_trajectory(field: PlanarField, z0, event: EventSpec, t_directi
     t_max = abs(t_max)
     if t_max > cfg.max_horizon:
         t_max = cfg.max_horizon
-    spec = EventSpec(g=event.g, direction=event.direction, terminal=True, accept=event.accept)
-    traj = integrate(field.rhs, z0, t_direction * t_max, cfg, events=[spec], bounds=field.contains)
+    traj = integrate(field.rhs, z0, t_direction * t_max, cfg,
+                     events=[replace(event, terminal=True)], bounds=field.contains)
     if not traj.events:
         raise EventNotFound(
             f"no event crossing within |t| <= {t_max:.6g} from ({z0[0]:.6g}, {z0[1]:.6g})"

@@ -50,8 +50,9 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig | None = None) -> 
     vhat = v / speed
     zx, zy = float(z[0]), float(z[1])
     vx, vy = float(vhat[0]), float(vhat[1])
+    # g is the offset along the unit vector vhat, so |grad g| = 1
     event = EventSpec(g=lambda px, py: (px - zx) * vx + (py - zy) * vy,
-                      direction=1, terminal=True)
+                      direction=1, terminal=True, lipschitz=1.0)
     try:
         traj = integrate(field.rhs, z, cfg.max_horizon, cfg, events=[event],
                          bounds=field.contains)

@@ -107,8 +107,11 @@ class _CurveBase:
     Subclasses evaluate C(s), C'(s) and C''(s) as float pairs in
     ``_point``, ``_tangent`` and ``_second``, and may override ``project``
     and ``side``; ``point`` and ``tangent`` wrap the pairs in arrays.
+    ``side_lipschitz`` bounds |grad side| for the event scan; the generic
+    side (offset at a Newton projection) has no proven bound.
     """
 
+    side_lipschitz: float | None = None
     s_min: float
     s_max: float
     grid: np.ndarray
@@ -173,6 +176,9 @@ class _CurveBase:
 
 class _AffineSegment(_CurveBase):
     """Exact geometry for straight segments C(s) = a + s*d."""
+
+    # side is the offset along the unit normal (divided by |d|)
+    side_lipschitz = 1.0
 
     def __init__(self, a, d, s_min, s_max, grid, points):
         d = np.asarray(d, dtype=float)
@@ -408,4 +414,5 @@ def curve_event(curve: _CurveBase, direction: int = 0, terminal: bool = True) ->
         _, dist = curve.project(z)
         return dist <= _HIT_DIST_TOL * (1.0 + math.hypot(float(z[0]), float(z[1])))
 
-    return EventSpec(g=curve.side, direction=direction, terminal=terminal, accept=accept)
+    return EventSpec(g=curve.side, direction=direction, terminal=terminal, accept=accept,
+                     lipschitz=curve.side_lipschitz)

@@ -14,6 +14,7 @@ from annulus_involutions.errors import (
 from annulus_involutions.expr import (
     Bin,
     Const,
+    compile_fn,
     Neg,
     PlanarField,
     Var,
@@ -24,6 +25,7 @@ from annulus_involutions.expr import (
     to_source,
     tokenize,
 )
+from annulus_involutions.fields import builtin_field, builtin_names
 
 from oracles import field_jacobian
 
@@ -277,6 +279,29 @@ class TestPlanarField:
         field = PlanarField.from_strings("-y", q)
         with pytest.raises(DomainError):
             field.rhs(x, 0.0)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_rhs_matches_compiled_components(self, name):
+        # rhs is generated as one function; each component equals its
+        # expression compiled on its own, to the bit
+        field = builtin_field(name)
+        pf, qf = compile_fn(field.p), compile_fn(field.q)
+        for x, y in np.random.default_rng(3).uniform(-3.0, 3.0, size=(200, 2)).tolist():
+            px, qy = field.rhs(x, y)
+            assert (px.hex(), qy.hex()) == (pf(x, y).hex(), qf(x, y).hex())
+
+    @pytest.mark.parametrize("p, q, z, cause, message", [
+        ("-y", "sqrt(x)", (-1.0, 0.0), ValueError,
+         "field evaluation failed at (-1.0, 0.0): math domain error"),
+        ("x*1e308", "x", (10.0, 0.0), None, "non-finite field value at (10.0, 0.0)"),
+        ("x*1e308", "sqrt(y)", (10.0, -1.0), ValueError,
+         "field evaluation failed at (10.0, -1.0): math domain error"),
+    ], ids=["math-error", "non-finite-p", "non-finite-p-q-raises"])
+    def test_rhs_error_messages(self, p, q, z, cause, message):
+        with pytest.raises(DomainError) as info:
+            PlanarField.from_strings(p, q).rhs(*z)
+        assert str(info.value) == message
+        assert type(info.value.__cause__) is (cause or type(None))
 
     def test_domain_validation(self):
         with pytest.raises(ConfigError):

@@ -11,17 +11,20 @@ from annulus_involutions.errors import (
     EventNotFound,
     StepLimitExceeded,
 )
+from annulus_involutions import flow as flow_mod, period as period_mod
 from annulus_involutions.expr import PlanarField
-from annulus_involutions.fields import builtin_field
+from annulus_involutions.fields import builtin_field, builtin_names
 from annulus_involutions.flow import (
     EventSpec,
     IntegratorConfig,
     brent,
     flow,
     flow_to_event,
+    flow_to_event_trajectory,
     integrate,
     jacobian_fd,
 )
+from annulus_involutions.period import detect_cycle
 from annulus_involutions.reversibility import conjugate_section
 from annulus_involutions.sections import make_section
 
@@ -308,6 +311,15 @@ def _assert_same_hits(got, ref):
         assert isinstance(e.z, np.ndarray) and e.z.tobytes() == r.z.tobytes()
 
 
+def _assert_same_run(got, ref):
+    """Step grid, states, work counts and every hit equal to the bit."""
+    assert np.array_equal(got.s_grid, ref.s_grid)
+    assert np.array_equal(got.states, ref.states)
+    assert (got.naccepted, got.nrejected, got.nfev) == (
+        ref.naccepted, ref.nrejected, ref.nfev)
+    _assert_same_hits(got, ref)
+
+
 _CURVE_CLASS = {"affine": "_AffineSegment", "diagonal": "_AffineSegment",
                 "expression": "ExpressionCurve", "tabulated": "TabulatedCurve"}
 
@@ -346,10 +358,7 @@ class TestKernelMatchesReference:
         field = builtin_field(name)
         got = integrate(field.rhs, z0, t, cfg, events, field.contains)
         ref = integrate_reference(field, z0, t, cfg, events, field.contains)
-        assert np.array_equal(got.s_grid, ref.s_grid)
-        assert np.array_equal(got.states, ref.states)
-        assert (got.naccepted, got.nrejected, got.nfev) == (
-            ref.naccepted, ref.nrejected, ref.nfev)
+        _assert_same_run(got, ref)
         if name == "cubic-center" and cfg.rtol == 1e-6:
             assert got.nrejected >= 50
         for a, b in zip(got.s_grid[:-1], got.s_grid[1:]):
@@ -357,15 +366,16 @@ class TestKernelMatchesReference:
                 t_in = got.direction * float(a + w * (b - a))
                 assert np.array_equal(got.state(t_in), ref.state(t_in))
         assert [e.index for e in got.events][-1:] == ([1] if events else [])
-        _assert_same_hits(got, ref)
 
     @pytest.mark.parametrize("t", [9.0, -9.0], ids=["fwd", "bwd"])
-    @pytest.mark.parametrize("kind", ["affine", "expression", "tabulated"])
+    @pytest.mark.parametrize("kind", ["affine", "diagonal", "expression", "tabulated"])
     def test_section_events(self, kind, t, cfg):
         # a non-terminal watch and a terminal event on one curve of each
         # kind; each run meets the curve's extension, where accept vetoes
-        # the root, before it meets the curve
+        # the root, before it meets the curve.  The straight segments carry
+        # a Lipschitz bound, so the kernel skips scans the reference makes.
         field, sec, y0 = _section_case(kind)
+        assert sec.event().lipschitz == (1.0 if kind in ("affine", "diagonal") else None)
         assert type(sec.curve).__name__ == _CURVE_CLASS[kind]
         z0 = (0.0, y0 if t > 0 else -y0)
         runs = []
@@ -376,13 +386,28 @@ class TestKernelMatchesReference:
             rhs = field.rhs if run is integrate else field
             runs.append((run(rhs, z0, t, cfg, events, field.contains), vetoed))
         (got, got_vetoed), (ref, ref_vetoed) = runs
-        assert np.array_equal(got.s_grid, ref.s_grid)
-        assert (got.naccepted, got.nrejected, got.nfev) == (
-            ref.naccepted, ref.nrejected, ref.nfev)
-        _assert_same_hits(got, ref)
+        _assert_same_run(got, ref)
         assert [e.index for e in got.events] == [0, 1]
         assert len(got_vetoed) >= 2
         assert [z.tobytes() for z in got_vetoed] == [z.tobytes() for z in ref_vetoed]
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_cycle_transversal(self, name, cfg, monkeypatch):
+        # the event detect_cycle builds, bound included, against the
+        # reference scan, which ignores the bound
+        field = builtin_field(name)
+        runs = []
+
+        def recording(rhs, z0, t, cfg, events=(), bounds=None):
+            got = integrate(rhs, z0, t, cfg, events, bounds)
+            runs.append((got, integrate_reference(field, z0, t, cfg, events, bounds)))
+            return got
+
+        monkeypatch.setattr(period_mod, "integrate", recording)
+        cyc = detect_cycle(field, (0.8, 0.0), cfg)
+        [(got, ref)] = runs
+        assert got.events[0].index == 0 and got.events[0].t == cyc.period
+        _assert_same_run(got, ref)
 
     @pytest.mark.parametrize("kind", ["affine", "diagonal", "expression", "tabulated"])
     def test_side_matches_reference(self, kind, cfg):
@@ -418,3 +443,97 @@ class TestKernelMatchesReference:
         with pytest.raises(exc) as ref:
             integrate_reference(field, z0, t, cfg, bounds=field.contains)
         assert str(got.value) == str(ref.value)
+
+
+def _counting(ev, calls):
+    """ev with its g counting calls into calls[0]; every other field kept."""
+    def g(x, y):
+        calls[0] += 1
+        return ev.g(x, y)
+
+    return dataclasses.replace(ev, g=g)
+
+
+class TestEventSkip:
+    """The scan skips a step whose start value clears 2 L B + floor, where L
+    is the event's Lipschitz bound and B the step's ``reach``."""
+
+    def test_flow_to_event_keeps_the_bound(self, linear_center, cfg):
+        # a full scan costs at least 1 + 3 g calls per accepted step
+        section = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
+        calls = [0]
+        traj = flow_to_event_trajectory(linear_center, (0.0, 1.0),
+                                        _counting(section.event(), calls), 1, 10.0, cfg)
+        assert traj.events
+        assert calls[0] < 1 + flow_mod._EVENT_SAMPLES * traj.naccepted
+
+    @pytest.mark.parametrize("offset", [1e-12, -1e-12], ids=["outside", "inside"])
+    def test_tight_margin(self, linear_center, cfg, offset):
+        # the level line y = c puts g at the start of one step a relative
+        # 1e-12 outside or inside that step's margin: only outside is the
+        # step skipped, and the hits of the whole run equal the full scan's
+        # either way.  The step is one whose end sample s0 + h is not its
+        # end state c1 + c2, so the carried value must come from the sample.
+        z0 = (1.0, 0.0)
+        steps = integrate(linear_center.rhs, z0, 9.0, cfg).steps
+        step = next(st for st in steps[1:] if st.at(st.s0 + st.h)[1] != st.c1y + st.c2y)
+        margin = 2.0 * 1.0 * step.reach() + 1e-12 * (1.0 + abs(step.c1x) + abs(step.c1y))
+        c = step.c1y - margin * (1.0 + offset)
+        event = EventSpec(g=lambda x, y: y - c, direction=0, terminal=False, lipschitz=1.0)
+        g_prev = [event.g(step.c1x, step.c1y)]
+        assert (abs(g_prev[0]) > margin) == (offset > 0)
+
+        calls = [0]
+        assert flow_mod._scan_step(step, [_counting(event, calls)], g_prev, 1, [None]) == []
+        assert calls[0] == (1 if offset > 0 else flow_mod._EVENT_SAMPLES)
+        assert g_prev[0].hex() == event.g(*step.at(step.s0 + step.h)).hex()
+
+        got = integrate(linear_center.rhs, z0, 9.0, cfg, [event])
+        full = integrate(linear_center.rhs, z0, 9.0, cfg,
+                         [dataclasses.replace(event, lipschitz=None)])
+        assert len(full.events) >= 2
+        _assert_same_hits(got, full)
+
+    @pytest.mark.parametrize("bound", [1.0, None], ids=["bound", "no-bound"])
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_g_call_identity(self, name, bound, cfg, monkeypatch):
+        # detect_cycle's transversal: one g call at the start, one per
+        # skipped step, three per scanned step and one per Brent iterate.  A
+        # step counts as scanned when g saw its first dense-output sample.
+        field = builtin_field(name)
+        seen, iterates, runs = [], [0], []
+
+        def counting_brent(f, *args):
+            def counted(s):
+                iterates[0] += 1
+                return f(s)
+
+            return brent(counted, *args)
+
+        def recording(rhs, z0, t, cfg, events=(), bounds=None):
+            [ev] = events
+            assert ev.lipschitz == 1.0
+
+            def g(x, y):
+                seen.append((x, y))
+                return ev.g(x, y)
+
+            traj = integrate(rhs, z0, t, cfg,
+                             [dataclasses.replace(ev, g=g, lipschitz=bound)], bounds)
+            runs.append(traj)
+            return traj
+
+        monkeypatch.setattr(flow_mod, "brent", counting_brent)
+        monkeypatch.setattr(period_mod, "integrate", recording)
+        detect_cycle(field, (0.8, 0.0), cfg)
+        [traj] = runs
+        points = set(seen)
+        q = flow_mod._SAMPLE_FRACTIONS[0]
+        scanned = sum(step.at(step.s0 + q * step.h) in points for step in traj.steps)
+        assert iterates[0] > 0
+        if bound is None:
+            assert scanned == traj.naccepted
+            assert len(seen) == 1 + 3 * traj.naccepted + iterates[0]
+        else:
+            assert 0 < scanned < traj.naccepted / 2
+            assert len(seen) == 1 + traj.naccepted + 2 * scanned + iterates[0]

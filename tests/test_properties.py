@@ -4,16 +4,19 @@ Examples are derandomized, so every run draws the same inputs and the
 suite stays a deterministic gate.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from annulus_involutions.expr import Bin, Call, Const, Neg, Var, parse, to_source
 from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
-from annulus_involutions.flow import flow
+from annulus_involutions.flow import EventSpec, flow, integrate
 from annulus_involutions.period import detect_cycle
 from annulus_involutions.reversibility import ReversibilityInvolution, tau
-from annulus_involutions.sections import make_section
+from annulus_involutions.sections import _AffineSegment, make_section
 from annulus_involutions.symmetry import SymmetryInvolution
 
 FAST = settings(max_examples=6, deadline=None, derandomize=True, database=None)
@@ -105,3 +108,25 @@ def test_conjugate_section_is_negative_x_axis(annulus):
     points = annulus[3].delta_star.curve.points
     assert np.all(points[:, 0] < 0.0)
     assert np.abs(points[:, 1]).max() <= 1e-9
+
+
+_coord = st.floats(min_value=-1.2, max_value=1.2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(builtin_names()), x0=_coord, y0=_coord, ax=_coord, ay=_coord,
+       angle=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+       length=st.floats(min_value=0.1, max_value=3.0),
+       direction=st.sampled_from([-1, 0, 1]), t=st.sampled_from([7.0, -7.0]))
+def test_event_bound_keeps_hits(cfg, name, x0, y0, ax, ay, angle, length, direction, t):
+    # the side of a straight line a + s d carries the bound 1 for any |d|;
+    # skipping the steps it rules out leaves every hit of the full scan
+    field = builtin_field(name)
+    d = (length * math.cos(angle), length * math.sin(angle))
+    line = _AffineSegment((ax, ay), d, 0.0, 1.0, None, None)
+    event = EventSpec(g=line.side, direction=direction, terminal=False,
+                      lipschitz=line.side_lipschitz)
+    hits = [[(e.index, e.t.hex(), e.z.tobytes()) for e in
+             integrate(field.rhs, (x0, y0), t, cfg, [ev], field.contains).events]
+            for ev in (event, dataclasses.replace(event, lipschitz=None))]
+    assert hits[0] == hits[1]

@@ -1,16 +1,28 @@
-"""Run every CLI command on five configs, and the period function on a
+"""Run every CLI command on ten configs, and the period function on a
 grid, and keep everything they leave.
 
     python3 scripts/byte_matrix.py --src <source tree> --out <dir>
 
-The configs are the four built-ins with their default x-axis sections and
-the inline field P = y, Q = -sin(x) with the section (s, 0.3*s^2) on
-[0.35, 1.75]; each has params = [0.5, 1.0, 1.5], samples 4, times 2 and
-seed 7.  Each of period, symmetry, reversibility and verify runs in a fresh
+Each config has samples 4, times 2 and seed 7, and params = [0.5, 1.0,
+1.5] unless it names its own.  Five cover the constructions: the four
+built-ins with their default x-axis sections, and the inline field
+P = y, Q = -sin(x) with the section (s, 0.3*s^2) on [0.35, 1.75].  Five
+reach the driver's other paths:
+
+- ``shorthand-x``: linear-center with ``section = x-axis [0.2, 2.0]``;
+- ``shorthand-diag``: duffing with ``section = diagonal [0.2, 1.1]``;
+- ``tangent``: linear-center with the arc (cos(s), sin(s)) on [0.1, 1.0],
+  tangent to the flow (a section error or a transversality error);
+- ``escape``: P = -y, Q = x in the box [-1, 2] x [-2, 2] on
+  ``x-axis [0.2, 1.4]`` with params [0.5, 1.3], whose outer cycles leave
+  the box (degraded samples and the ``error:`` line);
+- ``loose``: the pendulum with rtol = 1e-3 (failing gates).
+
+Each of period, symmetry, reversibility and verify runs in a fresh
 interpreter with the package imported from ``<src>/src``.  Under
 ``<out>/<config>/`` it writes ``run.cfg``, and for each command the output
 directory ``<command>/`` plus ``<command>.stdout``, ``<command>.stderr`` and
-``<command>.exit``.  A sixth case, ``<out>/period-grid/``, holds
+``<command>.exit``.  An eleventh case, ``<out>/period-grid/``, holds
 ``grid.stdout`` (with ``.stderr`` and ``.exit``): the repr of ``period()``
 at 24 points (x, 0) spread over each built-in's default section range,
 with the pendulum's range stretched to x = 3.1 so that near-separatrix
@@ -20,7 +32,7 @@ outputs agree, and
 
     diff -r <out of tree A> <out of tree B>
 
-is empty.  The exit code is 0 when all 21 runs completed, whatever they
+is empty.  The exit code is 0 when all 41 runs completed, whatever they
 printed.
 """
 
@@ -32,7 +44,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-COMMON = "params = [0.5, 1.0, 1.5]\nsamples = 4\ntimes = 2\nseed = 7\n"
+PARAMS = "params = [0.5, 1.0, 1.5]\n"
+COMMON = "samples = 4\ntimes = 2\nseed = 7\n"
 CONFIGS = {
     "linear-center": "field = linear-center\n",
     "pendulum": "field = pendulum\n",
@@ -40,6 +53,13 @@ CONFIGS = {
     "cubic-center": "field = cubic-center\n",
     "inline-pendulum": ("P = y\nQ = -sin(x)\nsx = s\nsy = 0.3*s^2\n"
                         "section_range = [0.35, 1.75]\n"),
+    "shorthand-x": "field = linear-center\nsection = x-axis [0.2, 2.0]\n",
+    "shorthand-diag": "field = duffing\nsection = diagonal [0.2, 1.1]\n",
+    "tangent": ("field = linear-center\nsx = cos(s)\nsy = sin(s)\n"
+                "section_range = [0.1, 1.0]\n"),
+    "escape": ("P = -y\nQ = x\ndomain = [-1, 2, -2, 2]\n"
+               "section = x-axis [0.2, 1.4]\nparams = [0.5, 1.3]\n"),
+    "loose": "field = pendulum\nrtol = 1e-3\n",
 }
 COMMANDS = ("period", "symmetry", "reversibility", "verify")
 PERIOD_GRID = """
@@ -90,7 +110,8 @@ def main(argv=None) -> int:
     for name, text in CONFIGS.items():
         case = args.out / name
         case.mkdir(parents=True, exist_ok=True)
-        (case / "run.cfg").write_text(text + COMMON, encoding="utf-8")
+        params = "" if "params" in text else PARAMS
+        (case / "run.cfg").write_text(text + params + COMMON, encoding="utf-8")
         for command in COMMANDS:
             run = subprocess.run(
                 [sys.executable, "-m", "annulus_involutions.cli", command,

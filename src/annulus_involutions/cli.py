@@ -3,15 +3,17 @@ verification suites, emit plot-ready CSV and JSON reports.
 
 Config files are flat ``key = value`` text; see README for the full key
 list.  Exit codes: 0 all checks/samples passed, 1 some check or sample
-failed, 2 config error, 3 section failed transversality validation (for the
-reversibility and verify commands).
+failed, 2 config error or a section that cannot be built, 3 section failed
+transversality validation (for the reversibility and verify commands).
 
-The three suite commands (symmetry, reversibility, verify) share one
-driver, ``_run_suite``; each supplies only the suite it runs and the files
-it writes.  A sample whose sigma fails is left out of the pairs CSV with
-one stderr line.  One suite run is one memo scope (see :mod:`.memo`), so
-the checks and the pairs CSV share each point's cycle detection and
-section crossings.
+All four commands (period, symmetry, reversibility, verify) run through
+one driver, ``_run``; each supplies only a body that returns its counts,
+the files it writes and its stderr lines.  The driver catches exactly the
+known failure modes: section parse and validation failures, and the
+numerical failures in ``errors.SAMPLE_FAILURES``.  A sample whose sigma
+fails is left out of the pairs CSV with one stderr line.  One command run
+is one memo scope (see :mod:`.memo`), so the checks and the pairs CSV
+share each point's cycle detection and section crossings.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ import numpy as np
 from .errors import (
     SAMPLE_FAILURES,
     ConfigError,
-    CycleError,
     ExpressionError,
-    FlowError,
     SectionError,
     TransversalityError,
 )
@@ -77,9 +77,6 @@ class RunConfig:
     seed: int
     out_dir: Path
     raw: dict
-
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(rtol=self.rtol, atol=self.atol)
 
     def digest(self) -> str:
         return config_digest(self.raw)
@@ -253,57 +250,32 @@ def _pairs_csv(name: str, samples, sigma) -> str:
     return _csv_text(["x", "y", "sigma_x", "sigma_y"], rows)
 
 
-def _gather_samples(config: RunConfig, section, cfg) -> tuple[list, list[float], list[str]]:
+def _gather_samples(config: RunConfig, section, cfg) -> tuple[list, list[float]]:
     """Annulus samples and flow times for the verification suites.
 
     If cycle detection cannot certify closures (e.g. deliberately loose
     tolerances), falls back to raw section points and a unit-scale time
-    ladder so the suites still run and the report records the failures.
+    ladder so the suites still run and the report records the failures;
+    each fallback prints one stderr line.
     """
-    degraded: list[str] = []
     try:
         samples = list(annulus_points(config.field, section, config.samples, cfg,
                                       config.seed))
-    except (CycleError, FlowError) as exc:
-        degraded.append(f"sample generation degraded to section points: {exc}")
+    except SAMPLE_FAILURES as exc:
+        print(f"sample generation degraded to section points: {exc}", file=sys.stderr)
         params = sample_parameters(config.samples, section.s_min, section.s_max,
                                    config.seed)
         samples = [section.point(float(s)) for s in params]
     try:
         mid = 0.5 * (section.s_min + section.s_max)
         t_ref = period(config.field, section.point(mid), cfg)
-    except (CycleError, FlowError) as exc:
-        degraded.append(f"reference period unavailable, using unit-scale times: {exc}")
+    except SAMPLE_FAILURES as exc:
+        print(f"reference period unavailable, using unit-scale times: {exc}",
+              file=sys.stderr)
         t_ref = 2.0 * 3.141592653589793
     fracs = sample_time_fractions(config.times, config.seed + 1)
     times = [float(0.2 + 0.8 * f) * t_ref for f in fracs]
-    return samples, times, degraded
-
-
-def cmd_period(config: RunConfig) -> int:
-    cfg = config.integrator()
-    try:
-        section = config.build_section()
-    except SectionError as exc:
-        print(f"section error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if config.params is not None:
-        params = np.asarray(config.params, dtype=float)
-    else:
-        params = np.sort(sample_parameters(config.samples, section.s_min,
-                                           section.s_max, config.seed))
-    result = sample_annulus(config.field, section, params, cfg)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(config.out_dir / "periods.csv", result.to_csv())
-    for s, msg in result.errors:
-        print(f"sample s = {s:.6g} failed: {msg}", file=sys.stderr)
-    n_ok = sum(1 for c in result.cycles if c is not None)
-    total = len(result.cycles)
-    if result.ok:
-        print(f"PASS {n_ok}/{total}")
-        return EXIT_OK
-    print(f"FAIL {n_ok}/{total}")
-    return EXIT_CHECK_FAILED
+    return samples, times
 
 
 def _uniqueness_checks(config: RunConfig, section, cfg) -> list[CheckResult]:
@@ -313,7 +285,7 @@ def _uniqueness_checks(config: RunConfig, section, cfg) -> list[CheckResult]:
     z_probe = section.point(0.5 * (section.s_min + section.s_max))
     try:
         probe = uniqueness_probe(config.field, z_probe, _UNIQUENESS_GRID, cfg)
-    except (CycleError, FlowError) as exc:
+    except SAMPLE_FAILURES as exc:
         failed = CheckResult("uniqueness_half_shift", float("inf"), half_tol, False,
                              (float(z_probe[0]), float(z_probe[1])), None,
                              errors=[str(exc)])
@@ -332,63 +304,40 @@ def _uniqueness_checks(config: RunConfig, section, cfg) -> list[CheckResult]:
     ]
 
 
-def _run_suite(config: RunConfig, suite, *, seed_only: bool = False) -> int:
-    """Shared driver of the suite commands.
-
-    Builds the section, gathers samples and times, runs
-    ``suite(config, section, samples, times, cfg)`` -- which returns the
-    report and the (file name, text) outputs in write order -- writes the
-    files, prints every check error to stderr and the summary line to
-    stdout.  A section that fails transversality is a config error when it
-    only seeds the samples (``seed_only``); otherwise it exits with code 3.
-    """
-    cfg = config.integrator()
-    try:
-        section = config.build_section()
-    except SectionError as exc:
-        if isinstance(exc, TransversalityError) and not seed_only:
-            print(f"transversality error: {exc}", file=sys.stderr)
-            return EXIT_TRANSVERSALITY
-        print(f"section error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    with suite_scope():
-        samples, times, degraded = _gather_samples(config, section, cfg)
-        for msg in degraded:
-            print(msg, file=sys.stderr)
-        try:
-            report, files = suite(config, section, samples, times, cfg)
-        except TransversalityError as exc:
-            print(f"transversality error: {exc}", file=sys.stderr)
-            return EXIT_TRANSVERSALITY
-        except (CycleError, FlowError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files:
-        write_atomic(config.out_dir / name, text)
-    for c in report.checks:
-        for err in c.errors:
-            print(f"{c.name}: {err}", file=sys.stderr)
-    npass, total = report.counts()
-    if npass == total:
-        print(f"PASS {npass}/{total}")
-        return EXIT_OK
-    print(f"FAIL {npass}/{total}")
-    return EXIT_CHECK_FAILED
+def _outcome(report: VerificationReport, files):
+    """A suite's outcome: its check counts, its files and one stderr line
+    per check error."""
+    errors = [f"{c.name}: {err}" for c in report.checks for err in c.errors]
+    return report.counts(), files, errors
 
 
-def _symmetry_suite(config: RunConfig, section, samples, times, cfg):
+def _period_command(config: RunConfig, section, cfg):
+    if config.params is not None:
+        params = np.asarray(config.params, dtype=float)
+    else:
+        params = np.sort(sample_parameters(config.samples, section.s_min,
+                                           section.s_max, config.seed))
+    result = sample_annulus(config.field, section, params, cfg)
+    periods = _csv_text(["s", "x0", "y0", "T", "closure_residual"], result.rows())
+    n_ok = sum(1 for c in result.cycles if c is not None)
+    errors = [f"sample s = {s:.6g} failed: {msg}" for s, msg in result.errors]
+    return (n_ok, len(result.cycles)), [("periods.csv", periods)], errors
+
+
+def _symmetry_command(config: RunConfig, section, cfg):
+    samples, times = _gather_samples(config, section, cfg)
     sigma = SymmetryInvolution(config.field, cfg)
     report = verify_sigma_symmetry(config.field, samples, times, cfg, sigma=sigma)
     report.checks.extend(_uniqueness_checks(config, section, cfg))
     report.provenance["section"] = section.label
     report.provenance["config_digest"] = config.digest()
     pairs = _pairs_csv("symmetry_pairs", samples, sigma)
-    return report, [("symmetry_report.json", report.to_json()),
-                    ("symmetry_pairs.csv", pairs)]
+    return _outcome(report, [("symmetry_report.json", report.to_json()),
+                             ("symmetry_pairs.csv", pairs)])
 
 
-def _reversibility_suite(config: RunConfig, section, samples, times, cfg):
+def _reversibility_command(config: RunConfig, section, cfg):
+    samples, times = _gather_samples(config, section, cfg)
     sigma = ReversibilityInvolution(config.field, section, cfg)
     report = verify_reversibility(config.field, section, samples, times, cfg,
                                   sigma=sigma)
@@ -398,52 +347,80 @@ def _reversibility_suite(config: RunConfig, section, samples, times, cfg):
     star_csv = _csv_text(["s", "x_star", "y_star", "T"],
                          zip(star.grid, star.curve.points[:, 0],
                              star.curve.points[:, 1], star.periods))
-    return report, [("reversibility_report.json", report.to_json()),
-                    ("delta_star.csv", star_csv),
-                    ("reversibility_pairs.csv", pairs)]
+    return _outcome(report, [("reversibility_report.json", report.to_json()),
+                             ("delta_star.csv", star_csv),
+                             ("reversibility_pairs.csv", pairs)])
 
 
-def _verify_suite(config: RunConfig, section, samples, times, cfg):
+def _verify_command(config: RunConfig, section, cfg):
+    samples, times = _gather_samples(config, section, cfg)
     sym = verify_sigma_symmetry(config.field, samples, times, cfg)
     sym.checks.extend(_uniqueness_checks(config, section, cfg))
     rev = verify_reversibility(config.field, section, samples, times, cfg)
-    checks = []
-    for c in sym.checks:
-        c.name = f"symmetry/{c.name}"
-        checks.append(c)
-    for c in rev.checks:
-        c.name = f"reversibility/{c.name}"
-        checks.append(c)
+    for prefix, suite in (("symmetry", sym), ("reversibility", rev)):
+        for c in suite.checks:
+            c.name = f"{prefix}/{c.name}"
     report = VerificationReport(
-        checks=checks,
+        checks=sym.checks + rev.checks,
         provenance={
             "field": config.field.name,
             "section": section.label,
             "config_digest": config.digest(),
         },
     )
-    return report, [("verify_report.json", report.to_json()),
-                    ("verify_summary.csv", report.to_csv())]
+    return _outcome(report, [("verify_report.json", report.to_json()),
+                             ("verify_summary.csv", report.to_csv())])
 
 
-def cmd_symmetry(config: RunConfig) -> int:
-    return _run_suite(config, _symmetry_suite, seed_only=True)
-
-
-def cmd_reversibility(config: RunConfig) -> int:
-    return _run_suite(config, _reversibility_suite)
-
-
-def cmd_verify(config: RunConfig) -> int:
-    return _run_suite(config, _verify_suite)
-
-
+# command -> (body, seed_only).  A body returns ((passed, total), files in
+# write order, stderr lines); seed_only marks a command whose section only
+# seeds the samples, so that a transversality failure is a config error.
 _COMMANDS = {
-    "period": cmd_period,
-    "symmetry": cmd_symmetry,
-    "reversibility": cmd_reversibility,
-    "verify": cmd_verify,
+    "period": (_period_command, True),
+    "symmetry": (_symmetry_command, True),
+    "reversibility": (_reversibility_command, False),
+    "verify": (_verify_command, False),
 }
+
+
+def _fail(code: int, message: str) -> int:
+    print(message, file=sys.stderr)
+    return code
+
+
+def _run(config: RunConfig, command: str) -> int:
+    """The driver of every command.
+
+    Builds the section, runs the command's body in one memo scope, writes
+    its files, prints its stderr lines and the summary line.  A section
+    that cannot be built exits 2, or 3 for a transversality failure of a
+    section that is more than a seed.  A known numerical failure that
+    escapes the body exits 3 for transversality and 1 otherwise, with no
+    files written.
+    """
+    body, seed_only = _COMMANDS[command]
+    cfg = IntegratorConfig(rtol=config.rtol, atol=config.atol)
+    try:
+        section = config.build_section()
+    except (ExpressionError, SectionError) as exc:
+        if isinstance(exc, TransversalityError) and not seed_only:
+            return _fail(EXIT_TRANSVERSALITY, f"transversality error: {exc}")
+        return _fail(EXIT_CONFIG, f"section error: {exc}")
+    with suite_scope():
+        try:
+            (npass, total), files, errors = body(config, section, cfg)
+        except TransversalityError as exc:
+            return _fail(EXIT_TRANSVERSALITY, f"transversality error: {exc}")
+        except SAMPLE_FAILURES as exc:
+            return _fail(EXIT_CHECK_FAILED, f"error: {exc}")
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files:
+        write_atomic(config.out_dir / name, text)
+    for line in errors:
+        print(line, file=sys.stderr)
+    passed = npass == total
+    print(f"{'PASS' if passed else 'FAIL'} {npass}/{total}")
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:
@@ -467,11 +444,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    return _run(config, args.command)
 
 
 if __name__ == "__main__":

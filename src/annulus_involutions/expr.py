@@ -512,7 +512,6 @@ class PlanarField:
             raise ConfigError(f"degenerate domain box {self.domain}")
         self.hamiltonian = hamiltonian
         self._rhs = _compile_rhs(p, q)
-        self._hf = compile_fn(hamiltonian) if hamiltonian is not None else None
 
     @classmethod
     def from_strings(
@@ -544,9 +543,11 @@ class PlanarField:
         return np.array(self.rhs(float(z[0]), float(z[1])))
 
     def energy(self, z) -> float | None:
-        if self._hf is None:
+        """H(z) through :func:`evaluate`, or None without a first integral;
+        math-domain failures and non-finite values raise DomainError."""
+        if self.hamiltonian is None:
             return None
-        return self._hf(float(z[0]), float(z[1]))
+        return evaluate(self.hamiltonian, float(z[0]), float(z[1]))
 
     def contains(self, z) -> bool:
         xmin, xmax, ymin, ymax = self.domain

@@ -466,24 +466,24 @@ def integrate(
     )
 
 
-def flow(field: PlanarField, z0, t: float, cfg: IntegratorConfig | None = None) -> np.ndarray:
+def flow(field: PlanarField, z0, t: float,
+         cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """The flow map: z0 advanced by time t (t = 0 returns z0 unchanged)."""
     z0 = np.asarray(z0, dtype=float)
     if t == 0.0:
         return z0.copy()
-    return integrate(field.rhs, z0, t, cfg or IntegratorConfig(),
-                     bounds=field.contains).z_final
+    return integrate(field.rhs, z0, t, cfg, bounds=field.contains).z_final
 
 
 def flow_to_event_trajectory(field: PlanarField, z0, event: EventSpec, t_direction: int,
-                             t_max: float, cfg: IntegratorConfig | None = None) -> Trajectory:
+                             t_max: float,
+                             cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate up to the first strict crossing of the event in the given
     time direction; that crossing is the trajectory's first event.
 
     A crossing at t = 0 (starting on the zero set) is skipped.  Raises
     EventNotFound if no crossing occurs before t_max.
     """
-    cfg = cfg or IntegratorConfig()
     if t_direction not in (1, -1):
         raise ValueError("t_direction must be +1 or -1")
     t_max = abs(t_max)
@@ -504,7 +504,7 @@ def flow_to_event(
     event: EventSpec,
     t_direction: int,
     t_max: float,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = IntegratorConfig(),
 ) -> tuple[float, np.ndarray]:
     """First strict crossing (t_hit, z_hit) of the event in the given time
     direction, t_hit signed; see flow_to_event_trajectory."""

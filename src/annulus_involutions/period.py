@@ -32,14 +32,13 @@ class Cycle:
     closure_residual: float
 
 
-def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig | None = None) -> Cycle:
+def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig()) -> Cycle:
     """Detect the cycle through z and return it with its minimal period.
 
     Raises CriticalPointError if V(z) ~ 0, NotACycle if the orbit does not
     return to the transversal (within the horizon and domain) or the
     closure residual exceeds 1e-8 * (1 + |z|).
     """
-    cfg = cfg or IntegratorConfig()
     z = np.asarray(z, dtype=float)
     v = field.velocity(z)
     speed = float(np.linalg.norm(v))
@@ -89,9 +88,9 @@ def _half_period(field: PlanarField, z, cfg: IntegratorConfig) -> tuple[float, n
     return memoized(("half_period", field, cfg, z.tobytes()), detect)
 
 
-def period(field: PlanarField, z, cfg: IntegratorConfig | None = None) -> float:
+def period(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig()) -> float:
     """Minimal positive period T(z) of the cycle through z."""
-    return _half_period(field, z, cfg or IntegratorConfig())[0]
+    return _half_period(field, z, cfg)[0]
 
 
 @dataclass
@@ -114,17 +113,11 @@ class AnnulusSample:
                             c.period, c.closure_residual))
         return out
 
-    def to_csv(self) -> str:
-        lines = ["s,x0,y0,T,closure_residual"]
-        for row in self.rows():
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
 
-
-def sample_annulus(field: PlanarField, seed, params, cfg: IntegratorConfig | None = None) -> AnnulusSample:
+def sample_annulus(field: PlanarField, seed, params,
+                   cfg: IntegratorConfig = IntegratorConfig()) -> AnnulusSample:
     """Detect one cycle per seed parameter; per-point failures are recorded,
     not raised."""
-    cfg = cfg or IntegratorConfig()
     params = np.asarray(params, dtype=float)
     cycles: list[Cycle | None] = []
     errors: list[tuple[float, str]] = []

@@ -70,12 +70,11 @@ class BranchTag(enum.Enum):
 
 
 def conjugate_section(field: PlanarField, delta: Section,
-                      cfg: IntegratorConfig | None = None) -> Section:
+                      cfg: IntegratorConfig = IntegratorConfig()) -> Section:
     """Tabulate phi(T/2, delta(s)) over the section grid and certify it.
 
     The result carries the period of each grid cycle in ``periods``.
     """
-    cfg = cfg or IntegratorConfig()
     points = []
     periods = []
     for s in delta.grid:
@@ -134,7 +133,6 @@ def _crossing_pair(field, section: Section, z, cfg) -> tuple[float, np.ndarray, 
 
 def _signed_crossing(field, delta: Section, z, cfg) -> tuple[float, np.ndarray]:
     """(tau, crossing point); a point on the section is its own crossing."""
-    cfg = cfg or IntegratorConfig()
     z = np.asarray(z, dtype=float)
     if delta.contains(z):
         return 0.0, z.copy()
@@ -142,15 +140,16 @@ def _signed_crossing(field, delta: Section, z, cfg) -> tuple[float, np.ndarray]:
     return t, z_hit
 
 
-def tau_hit(field: PlanarField, delta: Section, z, cfg: IntegratorConfig | None = None
-            ) -> tuple[float, float, np.ndarray]:
+def tau_hit(field: PlanarField, delta: Section, z,
+            cfg: IntegratorConfig = IntegratorConfig()) -> tuple[float, float, np.ndarray]:
     """Signed section time plus the crossing itself: (tau, s parameter, point)."""
     t, z_hit = _signed_crossing(field, delta, z, cfg)
     s, _ = delta.project(z_hit)
     return t, s, z_hit
 
 
-def tau(field: PlanarField, delta: Section, z, cfg: IntegratorConfig | None = None) -> float:
+def tau(field: PlanarField, delta: Section, z,
+        cfg: IntegratorConfig = IntegratorConfig()) -> float:
     """Signed time to the section along the orbit, in (-T(z)/2, T(z)/2].
 
     Zero iff z lies on the section (within the membership tolerance);
@@ -161,20 +160,19 @@ def tau(field: PlanarField, delta: Section, z, cfg: IntegratorConfig | None = No
 
 
 def tau_star(field: PlanarField, delta_star: Section, z,
-             cfg: IntegratorConfig | None = None) -> float:
+             cfg: IntegratorConfig = IntegratorConfig()) -> float:
     """Signed time to the conjugate section; differs from tau by half a period."""
     return _signed_crossing(field, delta_star, z, cfg)[0]
 
 
 def classify(field: PlanarField, delta: Section, delta_star: Section, z,
-             cfg: IntegratorConfig | None = None) -> tuple[BranchTag, dict]:
+             cfg: IntegratorConfig = IntegratorConfig()) -> tuple[BranchTag, dict]:
     """Locate z among {delta, delta_star, forward arc A+, backward arc A-}.
 
     Membership is a distance test; otherwise the backward orbit decides:
     whichever of the two curves it crosses first names the branch.  The
     raw backward crossing times of both curves come back for inspection.
     """
-    cfg = cfg or IntegratorConfig()
     z = np.asarray(z, dtype=float)
     if delta.contains(z):
         return BranchTag.ON_DELTA, {}
@@ -187,7 +185,7 @@ def classify(field: PlanarField, delta: Section, delta_star: Section, z,
 
 
 def sigma_reversible(field: PlanarField, delta: Section, z,
-                     cfg: IntegratorConfig | None = None,
+                     cfg: IntegratorConfig = IntegratorConfig(),
                      delta_star: Section | None = None) -> np.ndarray:
     """The section-fixing involution phi(2 tau(z), z).
 
@@ -197,7 +195,6 @@ def sigma_reversible(field: PlanarField, delta: Section, z,
     band of either curve, both time routes are computed and their
     agreement is asserted before returning.
     """
-    cfg = cfg or IntegratorConfig()
     z = np.asarray(z, dtype=float)
     tol = membership_tol(z)
     d_delta = delta.distance(z)
@@ -227,10 +224,10 @@ class ReversibilityInvolution:
     """
 
     def __init__(self, field: PlanarField, delta: Section,
-                 cfg: IntegratorConfig | None = None):
+                 cfg: IntegratorConfig = IntegratorConfig()):
         self.field = field
         self.delta = delta
-        self.cfg = cfg or IntegratorConfig()
+        self.cfg = cfg
         self.delta_star = conjugate_section(field, delta, self.cfg)
 
     def tau(self, z) -> float:
@@ -247,12 +244,11 @@ class ReversibilityInvolution:
 
 
 def check_well_posedness(field: PlanarField, delta: Section, delta_star: Section, samples,
-                         cfg: IntegratorConfig | None = None) -> CheckResult:
+                         cfg: IntegratorConfig = IntegratorConfig()) -> CheckResult:
     """Agreement of the two time routes: max |phi(2 tau*(z), z) - phi(2 tau(z), z)|.
 
     Each image is read from the crossing searches that find its time.
     """
-    cfg = cfg or IntegratorConfig()
 
     def one(z):
         a = sigma_reversible(field, delta, z, cfg)
@@ -263,10 +259,9 @@ def check_well_posedness(field: PlanarField, delta: Section, delta_star: Section
 
 
 def check_half_period_roundtrip(field: PlanarField, delta: Section, delta_star: Section,
-                                cfg: IntegratorConfig | None = None) -> CheckResult:
+                                cfg: IntegratorConfig = IntegratorConfig()) -> CheckResult:
     """Advancing the conjugate curve another half period returns the section
     pointwise: phi(T/2, delta_star(s)) = delta(s), at 9 grid points."""
-    cfg = cfg or IntegratorConfig()
     idx = np.unique(np.linspace(0, len(delta_star.grid) - 1, 9).astype(int))
     # one row (x_star, y_star, s, T) per grid point: the conjugate point
     # leads, so it is the sample that worst point and errors name
@@ -286,12 +281,11 @@ def verify_reversibility(
     delta: Section,
     samples,
     times,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = IntegratorConfig(),
     *,
     sigma: ReversibilityInvolution | None = None,
 ) -> VerificationReport:
     """Run the reversibility identity suite for one section."""
-    cfg = cfg or IntegratorConfig()
     if sigma is None:
         sigma = ReversibilityInvolution(field, delta, cfg)
     on_delta = [delta.point(float(s))

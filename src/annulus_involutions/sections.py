@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SectionError, TransversalityError
-from .expr import ExprAst, compile_fn, differentiate, parse, to_source
+from .errors import DomainError, SectionError, TransversalityError
+from .expr import _MATH_ERRORS, ExprAst, compile_fn, differentiate, parse, to_source
 from .flow import EventSpec
 
 __all__ = [
@@ -208,7 +208,11 @@ class _AffineSegment(_CurveBase):
 
 
 class ExpressionCurve(_CurveBase):
-    """Curve defined by expressions x(s), y(s) with exact derivatives."""
+    """Curve defined by expressions x(s), y(s) with exact derivatives.
+
+    The point and the tangent must be defined and finite at every grid
+    point; otherwise construction raises SectionError naming s.
+    """
 
     def __init__(self, sx: ExprAst, sy: ExprAst, s_min: float, s_max: float, grid: np.ndarray):
         self.sx, self.sy = sx, sy
@@ -221,7 +225,18 @@ class ExpressionCurve(_CurveBase):
         self._dy = compile_fn(differentiate(sy, "s"), var)
         self._ddx = compile_fn(differentiate(differentiate(sx, "s"), "s"), var)
         self._ddy = compile_fn(differentiate(differentiate(sy, "s"), "s"), var)
-        self.points = np.array([self._point(s) for s in self.grid])
+        points = []
+        for s in self.grid.tolist():
+            try:
+                p, t = self._point(s), self._tangent(s)
+            except _MATH_ERRORS as exc:
+                raise SectionError(
+                    f"section {self.label()}: curve undefined at s = {s:.6g}: {exc}"
+                ) from exc
+            if not all(map(math.isfinite, p + t)):
+                raise SectionError(f"section {self.label()}: curve not finite at s = {s:.6g}")
+            points.append(p)
+        self.points = np.array(points)
         self._fine = None
 
     def _point(self, s: float) -> tuple[float, float]:
@@ -336,7 +351,10 @@ def _validate(curve: _CurveBase, field, label: str) -> tuple[int, float]:
         tn = math.hypot(t[0], t[1])
         if tn < 1e-12:
             raise TransversalityError(f"section {label}: degenerate tangent at s = {s:.6g}")
-        v = field.velocity(p)
+        try:
+            v = field.velocity(p)
+        except DomainError as exc:
+            raise SectionError(f"section {label}: field undefined at s = {s:.6g}: {exc}") from exc
         vn = math.hypot(v[0], v[1])
         if vn < 1e-12:
             raise TransversalityError(f"section {label}: field vanishes at s = {s:.6g}")

@@ -40,9 +40,9 @@ class SymmetryInvolution:
     scope the period and the image of a point are detected once.
     """
 
-    def __init__(self, field: PlanarField, cfg: IntegratorConfig | None = None):
+    def __init__(self, field: PlanarField, cfg: IntegratorConfig = IntegratorConfig()):
         self.field = field
-        self.cfg = cfg or IntegratorConfig()
+        self.cfg = cfg
 
     def period_of(self, z) -> float:
         return period(self.field, z, self.cfg)
@@ -51,17 +51,18 @@ class SymmetryInvolution:
         return sigma_symmetric(self.field, z, self.cfg)
 
 
-def sigma_symmetric(field: PlanarField, z, cfg: IntegratorConfig | None = None) -> np.ndarray:
+def sigma_symmetric(field: PlanarField, z,
+                    cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Advance z half a period along its cycle.
 
     The image is read from the dense output of the cycle-detection
     integration, which already covers [0, T].
     """
-    return _half_period(field, z, cfg or IntegratorConfig())[1]
+    return _half_period(field, z, cfg)[1]
 
 
-def uniqueness_probe(field: PlanarField, z, fractions, cfg: IntegratorConfig | None = None
-                     ) -> list[float]:
+def uniqueness_probe(field: PlanarField, z, fractions,
+                     cfg: IntegratorConfig = IntegratorConfig()) -> list[float]:
     """Involution residuals |sigma_f(sigma_f(z)) - z| of the fractional shifts
     sigma_f(w) = phi(f*T(w), w), one per fraction f in (0, 1).
 
@@ -71,7 +72,6 @@ def uniqueness_probe(field: PlanarField, z, fractions, cfg: IntegratorConfig | N
     output of the cycle detections of z and of its image; at f = 1/2 both
     legs are fresh flows, whose endpoint error sets the residual.
     """
-    cfg = cfg or IntegratorConfig()
     z = np.asarray(z, dtype=float)
     cyc = detect_cycle(field, z, cfg)
     residuals = []
@@ -91,12 +91,11 @@ def verify_sigma_symmetry(
     field: PlanarField,
     samples,
     times,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = IntegratorConfig(),
     *,
     sigma: SymmetryInvolution | None = None,
 ) -> VerificationReport:
     """Run the symmetry identity suite over the samples and times."""
-    cfg = cfg or IntegratorConfig()
     if sigma is None:
         sigma = SymmetryInvolution(field, cfg)
     threshold = 0.1  # non-triviality: the largest |sigma(z) - z| must exceed it

@@ -162,13 +162,12 @@ def annulus_points(
     field: PlanarField,
     section,
     n: int,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = IntegratorConfig(),
     seed: int = 0,
 ) -> np.ndarray:
     """Deterministic well-spread points of the annulus covered by the section:
     seed points are advanced along their cycles by low-discrepancy period
     fractions."""
-    cfg = cfg or IntegratorConfig()
     params = sample_parameters(n, section.s_min, section.s_max, seed)
     fracs = sample_time_fractions(n, seed)
     pts = []
@@ -188,7 +187,8 @@ def _run_samples(name, tolerance, samples, fn):
     """The max-residual loop of every check: fn(z) -> list of (residual, time tag).
 
     A sample's first two coordinates name it in the worst point and in the
-    error lines; known numerical failures are recorded per sample.
+    error lines; known numerical failures and NaN residuals are recorded
+    per sample.
     """
     worst = -1.0
     worst_point = None
@@ -202,7 +202,10 @@ def _run_samples(name, tolerance, samples, fn):
             continue
         for res, t_tag in results:
             res = float(res)
-            if res > worst:
+            if math.isnan(res):
+                at = "" if t_tag is None else f" at t = {t_tag:.6g}"
+                errors.append(f"({z[0]:.6g}, {z[1]:.6g}): residual is NaN{at}")
+            elif res > worst:
                 worst = res
                 worst_point = (float(z[0]), float(z[1]))
                 worst_time = t_tag
@@ -224,10 +227,9 @@ def check_involution(sigma, samples) -> CheckResult:
 
 
 def check_commutation(field: PlanarField, sigma, sign: int, samples, times,
-                      cfg: IntegratorConfig | None = None) -> CheckResult:
+                      cfg: IntegratorConfig = IntegratorConfig()) -> CheckResult:
     """Flow commutation (sign +1) or anti-commutation (sign -1):
     max |sigma(phi(t,z)) - phi(sign*t, sigma(z))|."""
-    cfg = cfg or IntegratorConfig()
     name = "flow_commutation" if sign > 0 else "flow_anticommutation"
 
     def one(z):
@@ -257,13 +259,12 @@ def check_field_condition(field: PlanarField, sigma, sign: int, samples) -> Chec
 
 
 def check_period_invariance(field: PlanarField, sigma, samples,
-                            cfg: IntegratorConfig | None = None) -> CheckResult:
+                            cfg: IntegratorConfig = IntegratorConfig()) -> CheckResult:
     """max |T(sigma(z)) - T(z)| / T(z).
 
     Inside a suite scope, T(z) and T(sigma(z)) come from the cycle
     detections that sigma already ran for those points, with the same bits.
     """
-    cfg = cfg or IntegratorConfig()
 
     def one(z):
         tz = period(field, z, cfg)

@@ -149,6 +149,7 @@ class TestPeriodCommand:
         rows = read_csv(tmp_path / "out" / "periods.csv")
         assert rows[0] == ["s", "x0", "y0", "T", "closure_residual"]
         assert len(rows) == 4
+        assert [row[0] for row in rows[1:]] == ["0.5", "1.0", "1.5"]  # repr of each float
         for row in rows[1:]:
             assert float(row[3]) == pytest.approx(2 * math.pi, abs=1e-9)
 
@@ -312,6 +313,73 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg]) == EXIT_OK
         report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
         assert {c["check_name"]: c["tolerance"] for c in report["checks"]} == documented
+
+
+COMMANDS = ["period", "symmetry", "reversibility", "verify"]
+
+# sections that cannot be built: a parse error, a curve undefined at a
+# grid point, a field undefined at a section point
+UNBUILDABLE_SECTIONS = {
+    "parse-error": "field = linear-center\nsx = s +\nsy = 0\nsection_range = [0.2, 1.0]\n",
+    "curve-undefined": ("field = linear-center\nsx = s\nsy = log(s)\n"
+                        "section_range = [-0.5, 1.0]\n"),
+    "field-undefined": "P = -y\nQ = x + 0*sqrt(x - 0.5)\nsection = x-axis [0.2, 1.0]\n",
+}
+
+
+class TestOneDriver:
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("case", list(UNBUILDABLE_SECTIONS))
+    def test_unbuildable_section_exit2(self, tmp_path, capsys, case, command):
+        cfg = write_config(tmp_path / "s.cfg",
+                           UNBUILDABLE_SECTIONS[case] + f"out = {tmp_path / 'out'}\n")
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("section error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, code", zip(COMMANDS, [
+        EXIT_CONFIG, EXIT_CONFIG, EXIT_TRANSVERSALITY, EXIT_TRANSVERSALITY]))
+    def test_tangent_section(self, tmp_path, capsys, command, code):
+        # a seed section that fails transversality is a config error
+        cfg = write_config(tmp_path / "t.cfg", f"""
+field = linear-center
+sx = cos(s)
+sy = sin(s)
+section_range = [0.1, 1.0]
+out = {tmp_path / 'out'}
+""")
+        assert main([command, "--config", cfg]) == code
+        prefix = "section error: " if code == EXIT_CONFIG else "transversality error: "
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS[1:])
+    def test_undefined_field_exits_like_domain_escape(self, tmp_path, capsys, command):
+        # outer cycles leave the working box in one config and reach
+        # x < -1, where sqrt(x + 1) is undefined, in the other: the
+        # DomainError takes the path of the FlowError
+        codes, last = {}, {}
+        for name, field in (("box", "Q = x\ndomain = [-1.0, 2.0, -2.0, 2.0]\n"),
+                            ("sqrt", "Q = x + 0*sqrt(x + 1)\n")):
+            cfg = write_config(tmp_path / f"{name}.cfg", f"""
+P = -y
+{field}section = x-axis [0.2, 1.4]
+samples = 4
+times = 2
+out = {tmp_path / name}
+""")
+            codes[name] = main([command, "--config", cfg])
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith("sample generation degraded to section points: ")
+            last[name] = err[-1].split(":")[0]
+        assert codes["sqrt"] == codes["box"]
+        assert last["sqrt"] == last["box"]
+        if command != "symmetry":
+            assert codes["sqrt"] == EXIT_CHECK_FAILED and last["sqrt"] == "error"
+            assert not (tmp_path / "sqrt").exists()
 
 
 class TestPairsCsv:

@@ -268,6 +268,24 @@ class TestPlanarField:
         assert pendulum.energy([0.0, 0.0]) == 0.0
         assert pendulum.energy([math.pi / 2, 0.0]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_energy_matches_compiled_hamiltonian(self, name):
+        # energy goes through evaluate; finite values keep their bits
+        field = builtin_field(name)
+        hf = compile_fn(field.hamiltonian)
+        for x, y in np.random.default_rng(5).uniform(-3.0, 3.0, size=(50, 2)).tolist():
+            assert field.energy((x, y)).hex() == hf(x, y).hex()
+
+    @pytest.mark.parametrize("h, z, message", [
+        ("log(x)", (-1.0, 0.0), "evaluation failed at (-1.0, 0.0): math domain error"),
+        ("x*1e308", (10.0, 0.0), "non-finite result inf at (10.0, 0.0)"),
+    ], ids=["math-error", "overflow"])
+    def test_energy_domain_error(self, h, z, message):
+        field = PlanarField.from_strings("-y", "x", hamiltonian=h)
+        with pytest.raises(DomainError) as exc:
+            field.energy(z)
+        assert str(exc.value) == message
+
     def test_contains(self, pendulum):
         assert pendulum.contains([0.0, 0.0])
         assert not pendulum.contains([10.0, 0.0])

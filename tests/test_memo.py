@@ -53,6 +53,15 @@ def test_nothing_stored_outside_a_scope(linear_center, cfg, integrations):
     assert integrations[0] == 4
 
 
+def test_default_settings_share_the_entry(linear_center, integrations):
+    # the default IntegratorConfig() equals a fresh one, so both reach one entry
+    z = np.array([0.6, 0.8])
+    with suite_scope():
+        period(linear_center, z)
+        sigma_symmetric(linear_center, z, IntegratorConfig())
+        assert integrations[0] == 1
+
+
 def test_hit_has_the_bits_of_a_fresh_call(pendulum, cfg):
     z = np.array([0.9, 0.4])
     fresh = sigma_symmetric(pendulum, z, cfg), period(pendulum, z, cfg)

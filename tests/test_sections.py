@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from annulus_involutions.errors import SectionError, TransversalityError
+from annulus_involutions.errors import ExpressionError, SectionError, TransversalityError
+from annulus_involutions.expr import PlanarField
 from annulus_involutions.flow import flow_to_event
 from annulus_involutions.sections import (
     ExpressionCurve,
@@ -50,6 +51,32 @@ class TestMakeSection:
         # orientation relative to the rotation
         with pytest.raises(TransversalityError):
             make_section(linear_center, "s", "1 - s^2", (-1.5, 1.5))
+
+    def test_parse_error_is_expression_error(self, linear_center):
+        with pytest.raises(ExpressionError):
+            make_section(linear_center, "s +", "0", (0.2, 1.0))
+
+    @pytest.mark.parametrize("sx, sy, message", [
+        ("s", "log(s)", "section (s, log(s)): curve undefined at s = -0.5: math domain error"),
+        ("s", "1e308*(s + 10)", "section (s, 1e+308*(s + 10.0)): curve not finite at s = -0.5"),
+    ], ids=["math-error", "non-finite"])
+    def test_undefined_curve_names_s(self, linear_center, sx, sy, message):
+        with pytest.raises(SectionError) as exc:
+            make_section(linear_center, sx, sy, (-0.5, 1.0))
+        assert not isinstance(exc.value, TransversalityError)
+        assert str(exc.value) == message
+
+    def test_undefined_tangent_names_s(self, linear_center):
+        # sqrt(s) is defined at s = 0, its derivative is not
+        with pytest.raises(SectionError, match="curve undefined at s = 0: "):
+            make_section(linear_center, "s", "sqrt(s)", (0.0, 1.0))
+
+    def test_undefined_field_names_s(self):
+        field = PlanarField.from_strings("-y", "x + 0*sqrt(x - 0.5)")
+        with pytest.raises(SectionError) as exc:
+            make_section(field, "s", "0", (0.2, 1.0), name="x-axis")
+        assert not isinstance(exc.value, TransversalityError)
+        assert str(exc.value).startswith("section x-axis: field undefined at s = 0.2: ")
 
 
 class TestGeometry:

@@ -68,6 +68,30 @@ class TestCheckInvolution:
         assert r.passed  # surviving samples all pass
         assert len(r.errors) == 2
 
+    def test_nan_residual_recorded(self):
+        # NaN compares false with everything; it is an error line, never
+        # the worst sample, and the other samples still decide the check
+        def nan_at_origin_left(z):
+            return np.full(2, np.nan) if z[0] < 0 else z.copy()
+
+        r = check_involution(nan_at_origin_left, SAMPLES)
+        assert r.passed and r.max_residual == 0.0
+        assert r.errors == ["(-0.5, 1.1): residual is NaN", "(-0.9, -0.9): residual is NaN"]
+
+    def test_all_nan_fails(self):
+        r = check_involution(lambda z: np.full(2, np.nan), SAMPLES[:2])
+        assert not r.passed and r.max_residual == math.inf
+        assert r.worst_point is None
+        assert r.errors == ["(1, 0): residual is NaN", "(0.3, 0.8): residual is NaN"]
+
+    def test_nan_residual_names_its_time(self, linear_center, cfg):
+        def nan_after_flow(z):
+            return np.full(2, np.nan) if abs(z[1]) > 1e-12 else z.copy()
+
+        r = check_commutation(linear_center, nan_after_flow, +1, SAMPLES[:1], [0.5], cfg)
+        assert not r.passed
+        assert r.errors == ["(1, 0): residual is NaN at t = 0.5"]
+
     def test_bug_propagates(self):
         # only known numerical failures are per-sample data; a bug crashes
         def buggy(z):
@@ -134,6 +158,18 @@ class TestEnergyInvariance:
     def test_shrink_fails(self, pendulum):
         r = check_energy_invariance(pendulum, lambda z: 0.5 * z, SAMPLES)
         assert not r.passed
+
+    @pytest.mark.parametrize("h, z", [("log(x)", (-1.0, 0.5)), ("x*1e308", (10.0, 0.0))],
+                             ids=["math-error", "overflow"])
+    def test_undefined_energy_recorded(self, h, z):
+        # H undefined at one sample: that sample is an error line, the
+        # other is checked
+        from annulus_involutions.expr import PlanarField
+        field = PlanarField.from_strings("-y", "x", hamiltonian=h)
+        r = check_energy_invariance(field, lambda w: w.copy(),
+                                    [np.array([1.0, 0.5]), np.array(z)])
+        assert r.passed and r.max_residual == 0.0
+        assert len(r.errors) == 1 and r.errors[0].startswith(f"({z[0]:.6g}, {z[1]:.6g}): ")
 
     def test_requires_first_integral(self):
         from annulus_involutions.expr import PlanarField

@@ -34,12 +34,30 @@ outputs agree, and
 
 is empty.  The exit code is 0 when all 41 runs completed, whatever they
 printed.
+
+A change that may move numbers but nothing else is checked with
+
+    python3 scripts/byte_matrix.py --compare <out of tree A> <out of tree B>
+
+which requires, of every file the two trees hold:
+
+- the same set of files, and identical ``*.exit`` files (exit codes);
+- identical ``PASS k/k`` / ``FAIL j/k`` summary lines;
+- identical text once every number is masked, which covers the JSON
+  ``pass`` and ``all_pass`` flags, the CSV ``pass`` column and each
+  stderr line.
+
+It prints one line per file that differs: a failed requirement, or the
+largest relative change of any of its numbers, |a - b| / max(|a|, |b|),
+and where it is.  It exits 1 when a requirement fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,13 +115,80 @@ def _keep(case: Path, stem: str, run: subprocess.CompletedProcess) -> None:
     (case / f"{stem}.exit").write_text(f"{run.returncode}\n", encoding="utf-8")
 
 
+# a number not glued to a name (x0, sigma_x) or a file name; repr and JSON
+# spellings of non-finite values count as numbers
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"|inf|nan|Infinity|NaN)(?![\w.])")
+SUMMARY = re.compile(r"^(?:PASS|FAIL) \d+/\d+$", re.MULTILINE)
+
+
+def _relative_change(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _compare_file(rel: str, text_a: str, text_b: str) -> tuple[str | None, str]:
+    """(failed requirement or None, report of the numbers) for one file."""
+    if rel.endswith(".exit") and text_a != text_b:
+        return f"exit code {text_a.strip()} -> {text_b.strip()}", ""
+    if SUMMARY.findall(text_a) != SUMMARY.findall(text_b):
+        return f"summary {SUMMARY.findall(text_a)} -> {SUMMARY.findall(text_b)}", ""
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return f"{len(lines_a)} lines -> {len(lines_b)}", ""
+    worst, where, count = 0.0, "", 0
+    for lineno, (la, lb) in enumerate(zip(lines_a, lines_b), start=1):
+        if NUMBER.sub("#", la) != NUMBER.sub("#", lb):
+            return f"line {lineno} differs beyond its numbers: {la!r} -> {lb!r}", ""
+        for ma, mb in zip(NUMBER.finditer(la), NUMBER.finditer(lb)):
+            count += 1
+            change = _relative_change(float(ma.group()), float(mb.group()))
+            if change > worst:
+                worst, where = change, f" (line {lineno}: {ma.group()} -> {mb.group()})"
+    return None, f"{worst:.3g} over {count} numbers{where}"
+
+
+def compare(tree_a: Path, tree_b: Path) -> int:
+    """Check two output trees against each other; 1 if a requirement fails."""
+    files_a = {p.relative_to(tree_a).as_posix() for p in tree_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(tree_b).as_posix() for p in tree_b.rglob("*") if p.is_file()}
+    failed = moved = 0
+    for rel in sorted(files_a ^ files_b):
+        print(f"FAIL {rel}: only in {tree_a if rel in files_a else tree_b}")
+        failed += 1
+    for rel in sorted(files_a & files_b):
+        text_a = (tree_a / rel).read_text(encoding="utf-8")
+        text_b = (tree_b / rel).read_text(encoding="utf-8")
+        problem, numbers = _compare_file(rel, text_a, text_b)
+        if problem is not None:
+            print(f"FAIL {rel}: {problem}")
+            failed += 1
+        elif text_a != text_b:
+            print(f"moved {rel}: largest relative change {numbers}")
+            moved += 1
+    print(f"compare: {len(files_a | files_b)} files, {moved} with moved numbers only, "
+          f"{failed} failing a requirement")
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, type=Path,
+    parser.add_argument("--src", type=Path,
                         help="source tree whose src/ holds the package")
-    parser.add_argument("--out", required=True, type=Path,
+    parser.add_argument("--out", type=Path,
                         help="directory for the configs and everything the runs leave")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="compare two output trees instead of running")
     args = parser.parse_args(argv)
+    if args.compare is not None:
+        if args.src is not None or args.out is not None:
+            parser.error("--compare takes no --src or --out")
+        return compare(*args.compare)
+    if args.src is None or args.out is None:
+        parser.error("--src and --out are required unless --compare is given")
     src = args.src.resolve()
     env = _env(src)
     _check_origin(src, env)

@@ -21,11 +21,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import (
     SAMPLE_FAILURES,
@@ -207,8 +206,8 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
     raw = dict(entries)
     raw["rtol"] = repr(rtol)
     raw["seed"] = repr(seed)
-    if rtol <= 0 or atol <= 0:
-        raise ConfigError("tolerances must be positive")
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):  # NaN fails too
+        raise ConfigError(f"tolerances must be positive and finite (rtol {rtol!r}, atol {atol!r})")
     return RunConfig(
         field=field,
         section_sx=sx,
@@ -246,7 +245,7 @@ def _pairs_csv(name: str, samples, sigma) -> str:
         except SAMPLE_FAILURES as exc:
             print(f"{name}: ({z[0]:.6g}, {z[1]:.6g}): {exc}", file=sys.stderr)
             continue
-        rows.append((float(z[0]), float(z[1]), float(image[0]), float(image[1])))
+        rows.append((*z, *image))
     return _csv_text(["x", "y", "sigma_x", "sigma_y"], rows)
 
 
@@ -265,7 +264,7 @@ def _gather_samples(config: RunConfig, section, cfg) -> tuple[list, list[float]]
         print(f"sample generation degraded to section points: {exc}", file=sys.stderr)
         params = sample_parameters(config.samples, section.s_min, section.s_max,
                                    config.seed)
-        samples = [section.point(float(s)) for s in params]
+        samples = [section.point(s) for s in params]
     try:
         mid = 0.5 * (section.s_min + section.s_max)
         t_ref = period(config.field, section.point(mid), cfg)
@@ -287,8 +286,7 @@ def _uniqueness_checks(config: RunConfig, section, cfg) -> list[CheckResult]:
         probe = uniqueness_probe(config.field, z_probe, _UNIQUENESS_GRID, cfg)
     except SAMPLE_FAILURES as exc:
         failed = CheckResult("uniqueness_half_shift", float("inf"), half_tol, False,
-                             (float(z_probe[0]), float(z_probe[1])), None,
-                             errors=[str(exc)])
+                             z_probe, None, errors=[str(exc)])
         failed_off = CheckResult("uniqueness_off_half_shifts", float("inf"), 0.0,
                                  False, None, None, errors=[str(exc)])
         return [failed, failed_off]
@@ -297,8 +295,7 @@ def _uniqueness_checks(config: RunConfig, section, cfg) -> list[CheckResult]:
     off_half = min(v for f, v in residuals.items() if f != 0.5)
     return [
         CheckResult("uniqueness_half_shift", at_half, half_tol, at_half <= half_tol,
-                    (float(z_probe[0]), float(z_probe[1])), None,
-                    extras={"fraction": 0.5}),
+                    z_probe, None, extras={"fraction": 0.5}),
         check_lower_bound("uniqueness_off_half_shifts", off_half, 1e-3,
                           worst_point=z_probe),
     ]
@@ -313,10 +310,10 @@ def _outcome(report: VerificationReport, files):
 
 def _period_command(config: RunConfig, section, cfg):
     if config.params is not None:
-        params = np.asarray(config.params, dtype=float)
+        params = config.params
     else:
-        params = np.sort(sample_parameters(config.samples, section.s_min,
-                                           section.s_max, config.seed))
+        params = sorted(sample_parameters(config.samples, section.s_min,
+                                          section.s_max, config.seed))
     result = sample_annulus(config.field, section, params, cfg)
     periods = _csv_text(["s", "x0", "y0", "T", "closure_residual"], result.rows())
     n_ok = sum(1 for c in result.cycles if c is not None)
@@ -345,8 +342,8 @@ def _reversibility_command(config: RunConfig, section, cfg):
     pairs = _pairs_csv("reversibility_pairs", samples, sigma)
     star = sigma.delta_star
     star_csv = _csv_text(["s", "x_star", "y_star", "T"],
-                         zip(star.grid, star.curve.points[:, 0],
-                             star.curve.points[:, 1], star.periods))
+                         ((s, *p, t) for s, p, t in zip(star.grid, star.curve.points,
+                                                        star.periods)))
     return _outcome(report, [("reversibility_report.json", report.to_json()),
                              ("delta_star.csv", star_csv),
                              ("reversibility_pairs.csv", pairs)])

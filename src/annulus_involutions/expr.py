@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
 
-import numpy as np
-
 from .errors import (
     ConfigError,
     DomainError,
@@ -225,7 +223,10 @@ class _Parser:
     def atom(self) -> ExprAst:
         tok = self.advance()
         if tok.kind == "num":
-            return Const(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {tok.text!r} is not finite", tok.offset)
+            return Const(value)
         if tok.kind == "lparen":
             node = self.expr()
             self.expect("rparen")
@@ -376,24 +377,30 @@ def _is_const(e: ExprAst, v: float | None = None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
+def _fold(op: str, a: ExprAst, b: ExprAst, value: Callable[[float, float], float]) -> ExprAst:
+    """Const(value) of two constants when finite; otherwise the operation
+    stays, so that no non-finite constant reaches generated code."""
+    if isinstance(a, Const) and isinstance(b, Const):
+        v = value(a.value, b.value)
+        if math.isfinite(v):
+            return Const(v)
+    return Bin(op, a, b)
+
+
 def _add(a: ExprAst, b: ExprAst) -> ExprAst:
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    return Bin("+", a, b)
+    return _fold("+", a, b, lambda u, v: u + v)
 
 
 def _sub(a: ExprAst, b: ExprAst) -> ExprAst:
     if _is_const(b, 0.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if _is_const(a, 0.0):
+    if _is_const(a, 0.0) and not isinstance(b, Const):
         return Neg(b)
-    return Bin("-", a, b)
+    return _fold("-", a, b, lambda u, v: u - v)
 
 
 def _mul(a: ExprAst, b: ExprAst) -> ExprAst:
@@ -403,9 +410,7 @@ def _mul(a: ExprAst, b: ExprAst) -> ExprAst:
         return b
     if _is_const(b, 1.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    return Bin("*", a, b)
+    return _fold("*", a, b, lambda u, v: u * v)
 
 
 def _div(a: ExprAst, b: ExprAst) -> ExprAst:
@@ -533,14 +538,10 @@ class PlanarField:
         """Right-hand side V(x, y) = (P, Q) for the integrator, as two floats.
 
         This is the integrator's hot path, so it takes and returns plain
-        floats, through one generated function that evaluates P and Q;
-        :meth:`velocity` is the ndarray form.  Math-domain failures and
-        non-finite values raise DomainError.
+        floats, through one generated function that evaluates P and Q.
+        Math-domain failures and non-finite values raise DomainError.
         """
         return self._rhs(x, y)
-
-    def velocity(self, z) -> np.ndarray:
-        return np.array(self.rhs(float(z[0]), float(z[1])))
 
     def energy(self, z) -> float | None:
         """H(z) through :func:`evaluate`, or None without a first integral;

@@ -9,15 +9,16 @@ time; trajectories remember their direction.
 The kernel is scalar: the state is two floats, the seven stages are
 unrolled per component, and each step keeps its dense-output coefficients
 as floats.  The event scan runs on floats too: event functions are called
-as ``g(x, y)`` on dense-output samples and Brent iterates, and arrays are
-built only for callers (a located root for ``accept`` and the hit, the
-trajectory's grid and states).  Every float equals what the same loop
-gives on 2-element ndarrays, because each expression keeps that loop's
-operation order: stage sums left to right, squares as ``v * v``, the
-two-component mean as ``(a*a + b*b) / 2``, the error scale from
-``max(abs(y), abs(y_new))`` per component, and reversed time as a
-negation.  Reordering any of them changes results in the last bits, and
-through step control, event times and reports.
+as ``g(x, y)`` on dense-output samples and Brent iterates.  A point is an
+``(x, y)`` tuple of floats wherever one is handed out (a located root for
+``accept`` and the hit, the trajectory's states), and the grid is a list.
+Every float equals what the same loop gives on 2-element ndarrays, because
+each expression keeps that loop's operation order: stage sums left to
+right, squares as ``v * v``, the two-component mean as
+``(a*a + b*b) / 2``, the error scale from ``max(abs(y), abs(y_new))`` per
+component, and reversed time as a negation.  Reordering any of them
+changes results in the last bits, and through step control, event times
+and reports.
 
 Because ``g`` receives Python floats, a division by zero inside a user
 event function raises ZeroDivisionError rather than returning inf.
@@ -37,10 +38,9 @@ bound; a value that is too small can drop crossings.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import DomainEscape, EventNotFound, StepLimitExceeded
 from .expr import PlanarField
@@ -56,6 +56,8 @@ __all__ = [
     "flow_to_event_trajectory",
     "jacobian_fd",
     "brent",
+    "Point",
+    "as_point",
 ]
 
 
@@ -97,6 +99,14 @@ _EVENT_SAMPLES = 3
 _SAMPLE_FRACTIONS = tuple(i / _EVENT_SAMPLES for i in range(1, _EVENT_SAMPLES + 1))
 
 
+Point = tuple[float, float]  # the package's point type: (x, y) as floats
+
+
+def as_point(z) -> Point:
+    """Any 2-sequence as a Point."""
+    return float(z[0]), float(z[1])
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step-control settings for the adaptive integrator (frozen, so equal
@@ -108,12 +118,13 @@ class IntegratorConfig:
     max_horizon: float = 1e4
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        # written so that NaN fails each test
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.max_horizon <= 0:
-            raise ValueError("max_horizon must be positive")
+        if not 0.0 < self.max_horizon < math.inf:
+            raise ValueError("max_horizon must be positive and finite")
 
 
 @dataclass
@@ -123,7 +134,7 @@ class EventSpec:
     ``g`` is called with the two state components as Python floats.
     ``direction`` filters on the sign of dg/ds along integration progress
     (+1 rising, -1 falling, 0 any).  ``accept`` receives each located root
-    as an ndarray and may veto it (e.g. a crossing of a curve's extension
+    as an (x, y) tuple and may veto it (e.g. a crossing of a curve's extension
     outside its parameter range); scanning then continues past the
     rejected root.
 
@@ -135,7 +146,7 @@ class EventSpec:
     g: Callable[[float, float], float]
     direction: int = 0
     terminal: bool = True
-    accept: Callable[[np.ndarray], bool] | None = None
+    accept: Callable[[Point], bool] | None = None
     lipschitz: float | None = None
 
 
@@ -143,7 +154,7 @@ class EventSpec:
 class EventHit:
     index: int  # which EventSpec fired
     t: float  # signed requested time
-    z: np.ndarray
+    z: Point
 
 
 class _Step:
@@ -162,7 +173,7 @@ class _Step:
         self.c4x, self.c4y = c4x, c4y
         self.c5x, self.c5y = c5x, c5y
 
-    def at(self, s: float) -> tuple[float, float]:
+    def at(self, s: float) -> Point:
         """Dense-output state at progress time s, as two floats."""
         th = (s - self.s0) / self.h
         if th <= 0.0:
@@ -174,9 +185,6 @@ class _Step:
             self.c1x + th * (self.c2x + om * (self.c3x + th * (self.c4x + om * self.c5x))),
             self.c1y + th * (self.c2y + om * (self.c3y + th * (self.c4y + om * self.c5y))),
         )
-
-    def interp(self, s: float) -> np.ndarray:
-        return np.array(self.at(s))
 
     def reach(self) -> float:
         """Bound on the distance of any dense-output point from the start:
@@ -196,8 +204,8 @@ class Trajectory:
 
     direction: int
     steps: list[_Step]
-    s_grid: np.ndarray  # accepted step boundaries, len(steps) + 1
-    states: np.ndarray  # states at boundaries, (len(steps) + 1, n)
+    s_grid: list[float]  # accepted step boundaries, len(steps) + 1
+    states: list[Point]  # states at the boundaries
     naccepted: int
     nrejected: int
     nfev: int
@@ -208,22 +216,21 @@ class Trajectory:
         return self.direction * self.s_grid[-1]
 
     @property
-    def z_final(self) -> np.ndarray:
-        return self.states[-1].copy()
+    def z_final(self) -> Point:
+        return self.states[-1]
 
-    def state(self, t: float) -> np.ndarray:
+    def state(self, t: float) -> Point:
         """State at requested time t inside the integrated span."""
         s = self.direction * t
         if s < -1e-12 or s > self.s_grid[-1] + 1e-12:
             raise ValueError(f"time {t} outside integrated span")
         s = min(max(s, 0.0), self.s_grid[-1])
-        idx = int(np.searchsorted(self.s_grid, s, side="right") - 1)
-        idx = min(max(idx, 0), len(self.steps) - 1)
+        idx = min(max(bisect_right(self.s_grid, s) - 1, 0), len(self.steps) - 1)
         if s == self.s_grid[idx]:
-            return self.states[idx].copy()
+            return self.states[idx]
         if s == self.s_grid[idx + 1]:
-            return self.states[idx + 1].copy()
-        return self.steps[idx].interp(s)
+            return self.states[idx + 1]
+        return self.steps[idx].at(s)
 
 
 def _initial_step(rhs, x, y, fx, fy, rtol, atol, s_end):
@@ -332,7 +339,7 @@ def _scan_step(step, events, g_prev, direction, zero_start):
             crossed = (ga < 0.0 < gb) or (ga > 0.0 > gb) or (gb == 0.0 and ga != 0.0)
             if crossed and (ev.direction == 0 or math.copysign(1.0, gb - ga) == ev.direction):
                 s_root = float(brent(lambda s: g(*step.at(s)), sa, s_b, ga, gb))
-                z_root = step.interp(s_root)
+                z_root = step.at(s_root)
                 if ev.accept is None or ev.accept(z_root):
                     hits.append((s_root, EventHit(k, float(direction * s_root), z_root)))
             ga, sa = gb, s_b
@@ -347,7 +354,7 @@ def integrate(
     t_final: float,
     cfg: IntegratorConfig,
     events: Sequence[EventSpec] = (),
-    bounds: Callable[[tuple[float, float]], bool] | None = None,
+    bounds: Callable[[Point], bool] | None = None,
 ) -> Trajectory:
     """Integrate dz/dt = rhs(x, y) from z0 to t_final (either sign) with dense output.
 
@@ -356,9 +363,9 @@ def integrate(
     terminal event root.  Raises StepLimitExceeded, DomainEscape, or lets
     field DomainError propagate.
     """
-    x, y = float(z0[0]), float(z0[1])
+    x, y = as_point(z0)
     if t_final == 0.0:
-        return Trajectory(1, [], np.array([0.0]), np.array([[x, y]]), 0, 0, 0)
+        return Trajectory(1, [], [0.0], [(x, y)], 0, 0, 0)
     direction = 1 if t_final > 0 else -1
     s_end = abs(t_final)
 
@@ -379,7 +386,7 @@ def integrate(
     g_prev = [ev.g(x, y) for ev in events]
     # a crossing at the start is ignored; scanning resumes once |g| clears
     # the threshold, so t_hit brackets sit strictly away from 0
-    g_floor = 1e-12 * (1.0 + float(np.linalg.norm((x, y))))
+    g_floor = 1e-12 * (1.0 + math.hypot(x, y))
     zero_start: list[float | None] = [g_floor if abs(g) < g_floor else None for g in g_prev]
 
     steps: list[_Step] = []
@@ -457,8 +464,8 @@ def integrate(
     return Trajectory(
         direction=direction,
         steps=steps,
-        s_grid=np.array(boundaries),
-        states=np.array(states),
+        s_grid=boundaries,
+        states=states,
         naccepted=naccepted,
         nrejected=nrejected,
         nfev=nfev,
@@ -466,12 +473,10 @@ def integrate(
     )
 
 
-def flow(field: PlanarField, z0, t: float,
-         cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
+def flow(field: PlanarField, z0, t: float, cfg: IntegratorConfig = IntegratorConfig()) -> Point:
     """The flow map: z0 advanced by time t (t = 0 returns z0 unchanged)."""
-    z0 = np.asarray(z0, dtype=float)
     if t == 0.0:
-        return z0.copy()
+        return as_point(z0)
     return integrate(field.rhs, z0, t, cfg, bounds=field.contains).z_final
 
 
@@ -505,26 +510,23 @@ def flow_to_event(
     t_direction: int,
     t_max: float,
     cfg: IntegratorConfig = IntegratorConfig(),
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, Point]:
     """First strict crossing (t_hit, z_hit) of the event in the given time
     direction, t_hit signed; see flow_to_event_trajectory."""
     hit = flow_to_event_trajectory(field, z0, event, t_direction, t_max, cfg).events[0]
     return hit.t, hit.z
 
 
-def jacobian_fd(map_fn: Callable[[np.ndarray], np.ndarray], z) -> np.ndarray:
-    """2x2 Jacobian of a planar map by central differences, column-wise.
+def jacobian_fd(map_fn: Callable[[Point], Sequence[float]], z) -> tuple[Point, Point]:
+    """2x2 Jacobian of a planar map by central differences, as rows
+    ((d f0/dx, d f0/dy), (d f1/dx, d f1/dy)).
 
     The step 1e-5 * (1 + |z|) is snapped to a power of two so the stencil
     offsets carry no representation error.
     """
-    z = np.asarray(z, dtype=float)
-    h = 2.0 ** round(math.log2(1e-5 * (1.0 + float(np.linalg.norm(z)))))
-    cols = []
-    for j in range(2):
-        dz = np.zeros_like(z)
-        dz[j] = h
-        plus = np.asarray(map_fn(z + dz), dtype=float)
-        minus = np.asarray(map_fn(z - dz), dtype=float)
-        cols.append((plus - minus) / (2.0 * h))
-    return np.column_stack(cols)
+    x, y = as_point(z)
+    h = 2.0 ** round(math.log2(1e-5 * (1.0 + math.hypot(x, y))))
+    px, mx = map_fn((x + h, y)), map_fn((x - h, y))
+    py, my = map_fn((x, y + h)), map_fn((x, y - h))
+    return (((px[0] - mx[0]) / (2.0 * h), (py[0] - my[0]) / (2.0 * h)),
+            ((px[1] - mx[1]) / (2.0 * h), (py[1] - my[1]) / (2.0 * h)))

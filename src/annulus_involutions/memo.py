@@ -3,10 +3,11 @@
 The half-period image and the section crossings are functions of the exact
 bits of their inputs, so a value stored under a key that holds the kind of
 value, the field, the integrator settings, the curve for a crossing, and
-``z.tobytes()`` is the value a fresh call returns.  Values are small tuples
-of floats and shape-(2,) arrays, never a cycle or a trajectory; arrays are
-copied on the way out, so a caller cannot change an entry.  Exceptions are
-not stored.
+the point's bits ``struct.pack("<2d", x, y)`` is the value a fresh call
+returns.  The key holds bits rather than floats because 0.0 == -0.0.
+Values are small tuples of floats and points, never a cycle or a
+trajectory; they are immutable, so the stored value itself is returned.
+Exceptions are not stored.
 
 Nothing is stored outside ``suite_scope()``.  A scope opened inside another
 reuses the outer one, and the memo is dropped when the outermost closes.
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-
-import numpy as np
 
 __all__ = ["suite_scope", "memoized"]
 
@@ -45,4 +44,4 @@ def memoized(key, compute) -> tuple:
     value = memo.get(key)
     if value is None:
         value = memo[key] = compute()
-    return tuple(v.copy() if isinstance(v, np.ndarray) else v for v in value)
+    return value

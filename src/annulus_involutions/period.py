@@ -8,13 +8,13 @@ rejected and the minimal period comes back.
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import SAMPLE_FAILURES, CriticalPointError, DomainEscape, NotACycle
 from .expr import PlanarField
-from .flow import EventSpec, IntegratorConfig, Trajectory, integrate
+from .flow import EventSpec, IntegratorConfig, Point, Trajectory, as_point, integrate
 from .memo import memoized
 
 __all__ = ["Cycle", "AnnulusSample", "detect_cycle", "period", "sample_annulus"]
@@ -26,7 +26,7 @@ _CRITICAL_SPEED = 1e-12
 class Cycle:
     """A closed orbit: base point, minimal period, dense trajectory over it."""
 
-    base_point: np.ndarray
+    base_point: Point
     period: float
     trajectory: Trajectory
     closure_residual: float
@@ -39,16 +39,14 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig
     return to the transversal (within the horizon and domain) or the
     closure residual exceeds 1e-8 * (1 + |z|).
     """
-    z = np.asarray(z, dtype=float)
-    v = field.velocity(z)
-    speed = float(np.linalg.norm(v))
+    z = zx, zy = as_point(z)
+    vx, vy = field.rhs(zx, zy)
+    speed = math.hypot(vx, vy)
     if speed <= _CRITICAL_SPEED:
         raise CriticalPointError(
-            f"({z[0]:.6g}, {z[1]:.6g}) is a critical point (|V| = {speed:.3g})"
+            f"({zx:.6g}, {zy:.6g}) is a critical point (|V| = {speed:.3g})"
         )
-    vhat = v / speed
-    zx, zy = float(z[0]), float(z[1])
-    vx, vy = float(vhat[0]), float(vhat[1])
+    vx, vy = vx / speed, vy / speed
     # g is the offset along the unit vector vhat, so |grad g| = 1
     event = EventSpec(g=lambda px, py: (px - zx) * vx + (py - zy) * vy,
                       direction=1, terminal=True, lipschitz=1.0)
@@ -63,8 +61,8 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig
             f"(not a cycle, or annulus boundary)"
         )
     hit = traj.events[0]
-    closure = float(np.linalg.norm(hit.z - z))
-    tol = 1e-8 * (1.0 + float(np.linalg.norm(z)))
+    closure = math.dist(hit.z, z)
+    tol = 1e-8 * (1.0 + math.hypot(zx, zy))
     if closure > tol:
         raise NotACycle(
             f"first return misses the base point by {closure:.3g} (> {tol:.3g}); "
@@ -72,20 +70,20 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig
         )
     if hit.t <= 0.0:
         raise NotACycle("non-positive return time")
-    return Cycle(base_point=z.copy(), period=hit.t, trajectory=traj,
+    return Cycle(base_point=z, period=hit.t, trajectory=traj,
                  closure_residual=closure)
 
 
-def _half_period(field: PlanarField, z, cfg: IntegratorConfig) -> tuple[float, np.ndarray]:
+def _half_period(field: PlanarField, z, cfg: IntegratorConfig) -> tuple[float, Point]:
     """(T(z), phi(T/2, z)), both read from one cycle detection; memoized
     inside a suite scope (see :mod:`.memo`)."""
-    z = np.asarray(z, dtype=float)
+    z = as_point(z)
 
     def detect():
         cyc = detect_cycle(field, z, cfg)
         return cyc.period, cyc.trajectory.state(0.5 * cyc.period)
 
-    return memoized(("half_period", field, cfg, z.tobytes()), detect)
+    return memoized(("half_period", field, cfg, struct.pack("<2d", *z)), detect)
 
 
 def period(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig()) -> float:
@@ -97,7 +95,7 @@ def period(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig()) ->
 class AnnulusSample:
     """Cycles detected along a seed curve, one per parameter value."""
 
-    params: np.ndarray
+    params: list[float]
     cycles: list[Cycle | None]
     errors: list[tuple[float, str]]
 
@@ -106,26 +104,21 @@ class AnnulusSample:
         return not self.errors
 
     def rows(self) -> list[tuple[float, float, float, float, float]]:
-        out = []
-        for s, c in zip(self.params, self.cycles):
-            if c is not None:
-                out.append((float(s), float(c.base_point[0]), float(c.base_point[1]),
-                            c.period, c.closure_residual))
-        return out
+        return [(s, *c.base_point, c.period, c.closure_residual)
+                for s, c in zip(self.params, self.cycles) if c is not None]
 
 
 def sample_annulus(field: PlanarField, seed, params,
                    cfg: IntegratorConfig = IntegratorConfig()) -> AnnulusSample:
     """Detect one cycle per seed parameter; per-point failures are recorded,
     not raised."""
-    params = np.asarray(params, dtype=float)
+    params = [float(s) for s in params]
     cycles: list[Cycle | None] = []
     errors: list[tuple[float, str]] = []
     for s in params:
-        z = seed.point(float(s))
         try:
-            cycles.append(detect_cycle(field, z, cfg))
+            cycles.append(detect_cycle(field, seed.point(s), cfg))
         except SAMPLE_FAILURES as exc:
             cycles.append(None)
-            errors.append((float(s), str(exc)))
+            errors.append((s, str(exc)))
     return AnnulusSample(params=params, cycles=cycles, errors=errors)

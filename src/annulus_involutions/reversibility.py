@@ -22,15 +22,15 @@ the image off the two crossing searches that find tau.
 from __future__ import annotations
 
 import enum
-
-import numpy as np
+import math
+import struct
 
 from .errors import CycleError, EventNotFound, NotASection
 from .expr import PlanarField
-from .flow import IntegratorConfig, flow, flow_to_event, flow_to_event_trajectory
+from .flow import IntegratorConfig, Point, as_point, flow, flow_to_event, flow_to_event_trajectory
 from .memo import memoized, suite_scope
 from .period import _half_period
-from .sections import Section, membership_tol, section_from_points
+from .sections import Section, linspace, membership_tol, section_from_points
 from .verify import (
     CheckResult,
     VerificationReport,
@@ -78,20 +78,18 @@ def conjugate_section(field: PlanarField, delta: Section,
     points = []
     periods = []
     for s in delta.grid:
-        z = delta.point(float(s))
         try:
-            t_period, image = _half_period(field, z, cfg)
+            t_period, image = _half_period(field, delta.point(s), cfg)
         except CycleError as exc:
             raise CycleError(f"conjugate section failed at s = {s:.6g}: {exc}") from exc
         periods.append(t_period)
         points.append(image)
-    star = section_from_points(field, delta.grid, np.array(points),
-                               name=f"{delta.label}_star")
-    star.periods = np.array(periods)
+    star = section_from_points(field, delta.grid, points, name=f"{delta.label}_star")
+    star.periods = periods
     return star
 
 
-def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, np.ndarray, np.ndarray]:
+def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, Point, Point]:
     """Two-sided first crossing of the curve with the smaller |t|.
 
     Validates that the cycle through z meets the curve once per period:
@@ -101,13 +99,13 @@ def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, np.ndarra
     the farther search, whose dense output gives the image.  Returns
     (t, z_hit, image) with t the signed nearest-crossing time.  The event
     depends only on the curve, so inside a suite scope the result is
-    memoized on (field, curve, cfg, z bits).
+    memoized on (field, curve, cfg, z bits); z is an (x, y) tuple.
     """
-    return memoized(("crossing", field, section.curve, cfg, z.tobytes()),
+    return memoized(("crossing", field, section.curve, cfg, struct.pack("<2d", *z)),
                     lambda: _crossing_pair(field, section, z, cfg))
 
 
-def _crossing_pair(field, section: Section, z, cfg) -> tuple[float, np.ndarray, np.ndarray]:
+def _crossing_pair(field, section: Section, z, cfg) -> tuple[float, Point, Point]:
     ev = section.event()
     try:
         back = flow_to_event_trajectory(field, z, ev, -1, cfg.max_horizon, cfg)
@@ -118,8 +116,7 @@ def _crossing_pair(field, section: Section, z, cfg) -> tuple[float, np.ndarray, 
         ) from exc
     hit_b, hit_f = back.events[0], fwd.events[0]
     z_b, z_f = hit_b.z, hit_f.z
-    scale = 1.0 + float(np.linalg.norm(z))
-    if float(np.linalg.norm(z_b - z_f)) > 1e-6 * scale:
+    if math.dist(z_b, z_f) > 1e-6 * (1.0 + math.hypot(*z)):
         raise NotASection(
             f"{section.label} meets the cycle through ({z[0]:.6g}, {z[1]:.6g}) more than "
             f"once per period (backward hit ({z_b[0]:.6g}, {z_b[1]:.6g}), forward hit "
@@ -131,17 +128,17 @@ def _crossing_pair(field, section: Section, z, cfg) -> tuple[float, np.ndarray, 
     return hit.t, hit.z, image
 
 
-def _signed_crossing(field, delta: Section, z, cfg) -> tuple[float, np.ndarray]:
+def _signed_crossing(field, delta: Section, z, cfg) -> tuple[float, Point]:
     """(tau, crossing point); a point on the section is its own crossing."""
-    z = np.asarray(z, dtype=float)
+    z = as_point(z)
     if delta.contains(z):
-        return 0.0, z.copy()
+        return 0.0, z
     t, z_hit, _ = _nearest_crossing(field, delta, z, cfg)
     return t, z_hit
 
 
 def tau_hit(field: PlanarField, delta: Section, z,
-            cfg: IntegratorConfig = IntegratorConfig()) -> tuple[float, float, np.ndarray]:
+            cfg: IntegratorConfig = IntegratorConfig()) -> tuple[float, float, Point]:
     """Signed section time plus the crossing itself: (tau, s parameter, point)."""
     t, z_hit = _signed_crossing(field, delta, z, cfg)
     s, _ = delta.project(z_hit)
@@ -173,7 +170,6 @@ def classify(field: PlanarField, delta: Section, delta_star: Section, z,
     whichever of the two curves it crosses first names the branch.  The
     raw backward crossing times of both curves come back for inspection.
     """
-    z = np.asarray(z, dtype=float)
     if delta.contains(z):
         return BranchTag.ON_DELTA, {}
     if delta_star.contains(z):
@@ -186,7 +182,7 @@ def classify(field: PlanarField, delta: Section, delta_star: Section, z,
 
 def sigma_reversible(field: PlanarField, delta: Section, z,
                      cfg: IntegratorConfig = IntegratorConfig(),
-                     delta_star: Section | None = None) -> np.ndarray:
+                     delta_star: Section | None = None) -> Point:
     """The section-fixing involution phi(2 tau(z), z).
 
     Points on the section (and on the conjugate curve, whose nearest
@@ -195,20 +191,19 @@ def sigma_reversible(field: PlanarField, delta: Section, z,
     band of either curve, both time routes are computed and their
     agreement is asserted before returning.
     """
-    z = np.asarray(z, dtype=float)
+    z = as_point(z)
     tol = membership_tol(z)
     d_delta = delta.distance(z)
     if d_delta <= tol:
-        return z.copy()
+        return z
     if delta_star is not None:
         d_star = delta_star.distance(z)
         if d_star <= tol:
-            return z.copy()
+            return z
     image = _nearest_crossing(field, delta, z, cfg)[2]
     if delta_star is not None and min(d_delta, d_star) <= _BAND_WIDTH:
         alt = _nearest_crossing(field, delta_star, z, cfg)[2]
-        scale = 1.0 + float(np.linalg.norm(z))
-        if float(np.linalg.norm(alt - image)) > 1e-6 * scale:
+        if math.dist(alt, image) > 1e-6 * (1.0 + math.hypot(*z)):
             raise NotASection(
                 f"section-time routes disagree near the curves at "
                 f"({z[0]:.6g}, {z[1]:.6g}); section data inconsistent"
@@ -239,7 +234,7 @@ class ReversibilityInvolution:
     def classify(self, z) -> tuple[BranchTag, dict]:
         return classify(self.field, self.delta, self.delta_star, z, self.cfg)
 
-    def __call__(self, z) -> np.ndarray:
+    def __call__(self, z) -> Point:
         return sigma_reversible(self.field, self.delta, z, self.cfg, self.delta_star)
 
 
@@ -253,7 +248,7 @@ def check_well_posedness(field: PlanarField, delta: Section, delta_star: Section
     def one(z):
         a = sigma_reversible(field, delta, z, cfg)
         b = sigma_reversible(field, delta_star, z, cfg)
-        return [(_scaled(a - b, z), None)]
+        return [(_scaled(a, b, z), None)]
 
     return _run_samples("well_posedness", 1e-6, samples, one)
 
@@ -262,18 +257,18 @@ def check_half_period_roundtrip(field: PlanarField, delta: Section, delta_star: 
                                 cfg: IntegratorConfig = IntegratorConfig()) -> CheckResult:
     """Advancing the conjugate curve another half period returns the section
     pointwise: phi(T/2, delta_star(s)) = delta(s), at 9 grid points."""
-    idx = np.unique(np.linspace(0, len(delta_star.grid) - 1, 9).astype(int))
     # one row (x_star, y_star, s, T) per grid point: the conjugate point
     # leads, so it is the sample that worst point and errors name
-    rows = np.column_stack([delta_star.curve.points, delta_star.grid,
-                            delta_star.periods])[idx]
+    rows = [(*p, s, t) for p, s, t in zip(delta_star.curve.points, delta_star.grid,
+                                          delta_star.periods)]
+    idx = sorted({int(v) for v in linspace(0.0, len(rows) - 1.0, 9)})
 
     def one(row):
-        back = flow(field, row[:2], 0.5 * float(row[3]), cfg)
-        w = delta.point(float(row[2]))
-        return [(_scaled(back - w, w), None)]
+        back = flow(field, row[:2], 0.5 * row[3], cfg)
+        w = delta.point(row[2])
+        return [(_scaled(back, w, w), None)]
 
-    return _run_samples("half_period_roundtrip", 1e-6, rows, one)
+    return _run_samples("half_period_roundtrip", 1e-6, [rows[i] for i in idx], one)
 
 
 def verify_reversibility(
@@ -288,9 +283,8 @@ def verify_reversibility(
     """Run the reversibility identity suite for one section."""
     if sigma is None:
         sigma = ReversibilityInvolution(field, delta, cfg)
-    on_delta = [delta.point(float(s))
-                for s in sample_parameters(5, delta.s_min, delta.s_max, seed=1)]
-    fixed_samples = list(np.asarray(samples, dtype=float)) + on_delta
+    on_delta = [delta.point(s) for s in sample_parameters(5, delta.s_min, delta.s_max, seed=1)]
+    fixed_samples = [as_point(z) for z in samples] + on_delta
     with suite_scope():
         checks = [
             check_commutation(field, sigma, -1, samples, times, cfg),

@@ -6,7 +6,8 @@ to the field along the sampled grid.  Curves expose a signed side function
 as the event function for "trajectory meets the curve" crossings, plus
 nearest-point projection for membership tests.  Straight segments take an
 exact affine fast path; tabulated curves (conjugate sections have no closed
-form) are interpolated with a cubic spline.
+form) are interpolated with a cubic spline.  Points are (x, y) tuples of
+floats and parameter grids are lists.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, SectionError, TransversalityError
 from .expr import _MATH_ERRORS, ExprAst, compile_fn, differentiate, parse, to_source
-from .flow import EventSpec
+from .flow import EventSpec, Point, as_point
 
 __all__ = [
     "Section",
@@ -29,9 +28,17 @@ __all__ = [
     "section_from_points",
     "curve_event",
     "membership_tol",
+    "linspace",
 ]
 
 _HIT_DIST_TOL = 1e-7  # scaled by (1 + |z|): separates on-curve roots from extension hits
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """num >= 2 evenly spaced floats: start + i * step with
+    step = (stop - start) / (num - 1), the last value pinned to stop."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
 
 
 def membership_tol(z) -> float:
@@ -40,46 +47,51 @@ def membership_tol(z) -> float:
 
 
 class _PPoly1D:
-    """Scalar-fast piecewise cubic y(s): the not-a-knot interpolating spline.
+    """Scalar piecewise cubic y(s): the not-a-knot interpolating spline.
 
-    ``c`` holds the coefficients as a (4, n-1) array, highest degree first.
-    Evaluation reads the same numbers from Python lists and finds the
-    segment by bisection, so it gives the bits of the array evaluation
-    without per-call numpy indexing.
+    ``c`` holds the coefficients as four lists over the n-1 segments,
+    highest degree first, in the layout of scipy's ``PPoly.c``.  The
+    segment is found by bisection.
     """
 
-    def __init__(self, grid: np.ndarray, coeffs: np.ndarray):
+    def __init__(self, knots: list[float], coeffs: tuple[list[float], ...]):
         self.c = coeffs
-        self._knots = grid.tolist()
-        self._c0, self._c1, self._c2, self._c3 = coeffs.tolist()
-        self._last = len(self._knots) - 2
+        self._knots = knots
+        self._c0, self._c1, self._c2, self._c3 = coeffs
+        self._last = len(knots) - 2
 
     @classmethod
     def fit(cls, grid, values):
         """Not-a-knot cubic spline through n >= 4 points (the system and the
-        coefficient formulas of scipy.interpolate.CubicSpline)."""
-        x = np.asarray(grid, dtype=float)
-        y = np.asarray(values, dtype=float)
+        coefficient formulas of scipy.interpolate.CubicSpline).
+
+        The knot slopes m make C'' continuous at interior knots and C''' at
+        the second and second-last; that system is tridiagonal, and is
+        solved by elimination without pivoting.
+        """
+        x = [float(v) for v in grid]
+        y = [float(v) for v in values]
         n = len(x)
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        # knot slopes m: second derivative continuous at interior knots,
-        # third derivative continuous at the second and second-last knots
-        a = np.zeros((n, n))
-        b = np.empty(n)
-        i = np.arange(1, n - 1)
-        a[i, i - 1] = dx[1:]
-        a[i, i] = 2.0 * (dx[:-1] + dx[1:])
-        a[i, i + 1] = dx[:-1]
-        b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        dx = [b - a for a, b in zip(x, x[1:])]
+        slope = [(b - a) / h for a, b, h in zip(y, y[1:], dx)]
+        # row i: lower[i-1] * m[i-1] + diag[i] * m[i] + upper[i] * m[i+1] = rhs[i]
         d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        a[0, :2] = dx[1], d0
-        b[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-        a[-1, -2:] = d1, dx[-2]
-        b[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-        m = np.linalg.solve(a, b)
-        t = (m[:-1] + m[1:] - 2.0 * slope) / dx
-        return cls(x, np.array([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]]))
+        lower, upper = dx[1:] + [d1], [d0] + dx[:-1]
+        diag = [dx[1]] + [2.0 * (a + b) for a, b in zip(dx, dx[1:])] + [dx[-2]]
+        rhs = ([((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0]
+               + [3.0 * (dx[i] * slope[i - 1] + dx[i - 1] * slope[i]) for i in range(1, n - 1)]
+               + [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1])
+        for i in range(1, n):
+            w = lower[i - 1] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            rhs[i] -= w * rhs[i - 1]
+        m = [rhs[-1] / diag[-1]] * n
+        for i in range(n - 2, -1, -1):
+            m[i] = (rhs[i] - upper[i] * m[i + 1]) / diag[i]
+        t = [(a + b - 2.0 * k) / h for a, b, k, h in zip(m, m[1:], slope, dx)]
+        return cls(x, ([ti / h for ti, h in zip(t, dx)],
+                       [(k - a) / h - ti for k, a, h, ti in zip(slope, m, dx, t)],
+                       m[:-1], y[:-1]))
 
     def _segment(self, s: float) -> int:
         # the index searchsorted(grid, s, side="right") - 1 gives, clamped
@@ -104,52 +116,65 @@ class _PPoly1D:
 class _CurveBase:
     """Shared geometry: projection, signed side.
 
-    Subclasses evaluate C(s), C'(s) and C''(s) as float pairs in
-    ``_point``, ``_tangent`` and ``_second``, and may override ``project``
-    and ``side``; ``point`` and ``tangent`` wrap the pairs in arrays.
-    ``side_lipschitz`` bounds |grad side| for the event scan; the generic
-    side (offset at a Newton projection) has no proven bound.
+    Subclasses define ``point``, ``tangent`` and ``_second``, which give
+    C(s), C'(s) and C''(s) as float pairs, and may override ``project``
+    and ``side``.  ``side_lipschitz`` bounds |grad side| for the event
+    scan; the generic side (offset at a Newton projection) has no proven
+    bound.
     """
 
     side_lipschitz: float | None = None
     s_min: float
     s_max: float
-    grid: np.ndarray
-    points: np.ndarray
-
-    def _point(self, s: float) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def _tangent(self, s: float) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def _second(self, s: float) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def point(self, s: float) -> np.ndarray:
-        return np.array(self._point(s))
-
-    def tangent(self, s: float) -> np.ndarray:
-        return np.array(self._tangent(s))
+    grid: list[float]
+    points: list[Point]
 
     def _fine_polyline(self):
+        """(parameters, xs, ys, blocks) of the fine polyline.  Block k covers
+        the vertices within 4 places of vertex 8k, its anchor, as (first
+        index, end index, anchor x, anchor y, bound on their distance)."""
         if getattr(self, "_fine", None) is None:
-            n = max(8 * (len(self.grid) - 1) + 1, 65)
-            ss = np.linspace(self.s_min, self.s_max, n)
-            pts = np.array([self._point(float(s)) for s in ss])
-            self._fine = (ss, pts[:, 0].copy(), pts[:, 1].copy())
+            ss = linspace(self.s_min, self.s_max, max(8 * (len(self.grid) - 1) + 1, 65))
+            pts = [self.point(s) for s in ss]
+            xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+            blocks = []
+            for a in range(0, len(ss), 8):
+                lo, hi = max(a - 4, 0), min(a + 4, len(ss))
+                r = max(math.hypot(xs[i] - xs[a], ys[i] - ys[a]) for i in range(lo, hi))
+                blocks.append((lo, hi, xs[a], ys[a], r * (1.0 + 1e-12)))
+            self._fine = (ss, xs, ys, blocks)
         return self._fine
+
+    def _nearest_vertex(self, zx: float, zy: float) -> int:
+        """Index of the fine-polyline vertex nearest to (zx, zy): the first
+        minimum of the squared distances, so a tie goes to the lower index.
+
+        A block is skipped only when the triangle inequality, with a margin
+        of 1e-12 that covers rounding, puts all its vertices strictly
+        farther than the nearest anchor; the rest are scanned in order.
+        """
+        _, xs, ys, blocks = self._fine_polyline()
+        d2a = [(ax - zx) * (ax - zx) + (ay - zy) * (ay - zy) for _, _, ax, ay, _ in blocks]
+        cut = min(d2a) * (1.0 + 1e-12)
+        best, i_best = math.inf, 0
+        for (lo, hi, _, _, r), d2 in zip(blocks, d2a):
+            lb = math.sqrt(d2) * (1.0 - 1e-12) - r
+            if lb > 0.0 and lb * lb > cut:
+                continue
+            for i in range(lo, hi):
+                d = (xs[i] - zx) * (xs[i] - zx) + (ys[i] - zy) * (ys[i] - zy)
+                if d < best:
+                    best, i_best = d, i
+        return i_best
 
     def project(self, z) -> tuple[float, float]:
         """Nearest-point parameter (clamped to the range) and true distance."""
-        zx, zy = float(z[0]), float(z[1])
-        ss, xs, ys = self._fine_polyline()
-        i = int(np.argmin((xs - zx) ** 2 + (ys - zy) ** 2))
-        s = float(ss[i])
+        zx, zy = as_point(z)
+        s = self._fine_polyline()[0][self._nearest_vertex(zx, zy)]
         span = self.s_max - self.s_min
         for _ in range(30):
-            cx, cy = self._point(s)
-            tx, ty = self._tangent(s)
+            cx, cy = self.point(s)
+            tx, ty = self.tangent(s)
             rx, ry = zx - cx, zy - cy
             h = rx * tx + ry * ty
             c2x, c2y = self._second(s)
@@ -162,14 +187,14 @@ class _CurveBase:
                 s = s_new
                 break
             s = s_new
-        cx, cy = self._point(s)
+        cx, cy = self.point(s)
         return s, math.hypot(zx - cx, zy - cy)
 
     def side(self, x: float, y: float) -> float:
         """Signed offset of (x, y) along the local normal at the projected point."""
         s, _ = self.project((x, y))
-        cx, cy = self._point(s)
-        tx, ty = self._tangent(s)
+        cx, cy = self.point(s)
+        tx, ty = self.tangent(s)
         tn = math.hypot(tx, ty)
         return (tx * (y - cy) - ty * (x - cx)) / tn
 
@@ -181,27 +206,26 @@ class _AffineSegment(_CurveBase):
     side_lipschitz = 1.0
 
     def __init__(self, a, d, s_min, s_max, grid, points):
-        d = np.asarray(d, dtype=float)
-        self.ax, self.ay = float(a[0]), float(a[1])
-        self.dx, self.dy = float(d[0]), float(d[1])
-        self.s_min, self.s_max = float(s_min), float(s_max)
+        self.ax, self.ay = a
+        self.dx, self.dy = d
+        self.s_min, self.s_max = s_min, s_max
         self.grid = grid
         self.points = points
-        self._dd = float(d @ d)
+        self._dd = self.dx * self.dx + self.dy * self.dy
         self._dn = math.sqrt(self._dd)
 
-    def _point(self, s: float) -> tuple[float, float]:
+    def point(self, s: float) -> Point:
         return self.ax + s * self.dx, self.ay + s * self.dy
 
-    def _tangent(self, s: float) -> tuple[float, float]:
+    def tangent(self, s: float) -> tuple[float, float]:
         return self.dx, self.dy
 
     def project(self, z) -> tuple[float, float]:
-        zx, zy = z[0], z[1]
+        zx, zy = as_point(z)
         s = ((zx - self.ax) * self.dx + (zy - self.ay) * self.dy) / self._dd
         s = min(max(s, self.s_min), self.s_max)
-        cx, cy = self._point(s)
-        return float(s), math.hypot(zx - cx, zy - cy)
+        cx, cy = self.point(s)
+        return s, math.hypot(zx - cx, zy - cy)
 
     def side(self, x: float, y: float) -> float:
         return (self.dx * (y - self.ay) - self.dy * (x - self.ax)) / self._dn
@@ -214,10 +238,10 @@ class ExpressionCurve(_CurveBase):
     point; otherwise construction raises SectionError naming s.
     """
 
-    def __init__(self, sx: ExprAst, sy: ExprAst, s_min: float, s_max: float, grid: np.ndarray):
+    def __init__(self, sx: ExprAst, sy: ExprAst, s_min: float, s_max: float, grid):
         self.sx, self.sy = sx, sy
         self.s_min, self.s_max = float(s_min), float(s_max)
-        self.grid = np.asarray(grid, dtype=float)
+        self.grid = [float(s) for s in grid]
         var = ("s",)
         self._x = compile_fn(sx, var)
         self._y = compile_fn(sy, var)
@@ -225,24 +249,22 @@ class ExpressionCurve(_CurveBase):
         self._dy = compile_fn(differentiate(sy, "s"), var)
         self._ddx = compile_fn(differentiate(differentiate(sx, "s"), "s"), var)
         self._ddy = compile_fn(differentiate(differentiate(sy, "s"), "s"), var)
-        points = []
-        for s in self.grid.tolist():
+        self.points = []
+        for s in self.grid:
             try:
-                p, t = self._point(s), self._tangent(s)
+                p, t = self.point(s), self.tangent(s)
             except _MATH_ERRORS as exc:
                 raise SectionError(
                     f"section {self.label()}: curve undefined at s = {s:.6g}: {exc}"
                 ) from exc
             if not all(map(math.isfinite, p + t)):
                 raise SectionError(f"section {self.label()}: curve not finite at s = {s:.6g}")
-            points.append(p)
-        self.points = np.array(points)
-        self._fine = None
+            self.points.append(p)
 
-    def _point(self, s: float) -> tuple[float, float]:
+    def point(self, s: float) -> Point:
         return self._x(s), self._y(s)
 
-    def _tangent(self, s: float) -> tuple[float, float]:
+    def tangent(self, s: float) -> tuple[float, float]:
         return self._dx(s), self._dy(s)
 
     def _second(self, s: float) -> tuple[float, float]:
@@ -256,39 +278,40 @@ class TabulatedCurve(_CurveBase):
     """Curve known only at grid points, interpolated with a cubic spline."""
 
     def __init__(self, grid, points):
-        self.grid = np.asarray(grid, dtype=float)
-        self.points = np.asarray(points, dtype=float)
+        self.grid = [float(s) for s in grid]
+        self.points = [as_point(p) for p in points]
         if len(self.grid) < 4:
             raise SectionError("tabulated curve needs at least 4 grid points")
-        self.s_min, self.s_max = float(self.grid[0]), float(self.grid[-1])
-        self._px = _PPoly1D.fit(self.grid, self.points[:, 0])
-        self._py = _PPoly1D.fit(self.grid, self.points[:, 1])
-        self._fine = None
+        self.s_min, self.s_max = self.grid[0], self.grid[-1]
+        self._px = _PPoly1D.fit(self.grid, [p[0] for p in self.points])
+        self._py = _PPoly1D.fit(self.grid, [p[1] for p in self.points])
 
-    def _point(self, s: float) -> tuple[float, float]:
+    def point(self, s: float) -> Point:
         return self._px(s), self._py(s)
 
-    def _tangent(self, s: float) -> tuple[float, float]:
+    def tangent(self, s: float) -> tuple[float, float]:
         return self._px.deriv(s), self._py.deriv(s)
 
     def _second(self, s: float) -> tuple[float, float]:
         return self._px.deriv2(s), self._py.deriv2(s)
 
 
-def _as_affine(curve: _CurveBase) -> _AffineSegment | None:
-    """Replace a curve by the exact segment through its grid points when the
-    parametrization is affine to round-off."""
+def _as_affine(curve: _CurveBase) -> _CurveBase:
+    """The exact segment through the curve's grid points when its
+    parametrization is affine to round-off, else the curve itself."""
     grid, pts = curve.grid, curve.points
+    (x0, y0), (x1, y1) = pts[0], pts[-1]
     span = grid[-1] - grid[0]
-    d = (pts[-1] - pts[0]) / span
-    pred = pts[0][None, :] + (grid - grid[0])[:, None] * d[None, :]
-    scale = 1.0 + float(np.abs(pts).max())
-    if float(np.abs(pts - pred).max()) > 1e-12 * scale:
-        return None
-    if float(d @ d) < 1e-24:
-        return None
-    a = pts[0] - grid[0] * d
-    return _AffineSegment(a, d, grid[0], grid[-1], grid, pts)
+    dx, dy = (x1 - x0) / span, (y1 - y0) / span
+    tol = 1e-12 * (1.0 + max(abs(v) for p in pts for v in p))
+    for s, (x, y) in zip(grid, pts):
+        u = s - grid[0]
+        if abs(x - (x0 + u * dx)) > tol or abs(y - (y0 + u * dy)) > tol:
+            return curve
+    if dx * dx + dy * dy < 1e-24:
+        return curve
+    return _AffineSegment((x0 - grid[0] * dx, y0 - grid[0] * dy), (dx, dy),
+                          grid[0], grid[-1], grid, pts)
 
 
 @dataclass
@@ -305,7 +328,7 @@ class Section:
     label: str
     orientation: int
     min_transversality: float
-    periods: np.ndarray | None = None
+    periods: list[float] | None = None
 
     @property
     def s_min(self) -> float:
@@ -316,13 +339,13 @@ class Section:
         return self.curve.s_max
 
     @property
-    def grid(self) -> np.ndarray:
+    def grid(self) -> list[float]:
         return self.curve.grid
 
-    def point(self, s: float) -> np.ndarray:
+    def point(self, s: float) -> Point:
         return self.curve.point(s)
 
-    def tangent(self, s: float) -> np.ndarray:
+    def tangent(self, s: float) -> tuple[float, float]:
         return self.curve.tangent(s)
 
     def project(self, z) -> tuple[float, float]:
@@ -342,23 +365,21 @@ class Section:
 
 
 def _validate(curve: _CurveBase, field, label: str) -> tuple[int, float]:
-    pts = curve.points
-    n = len(pts)
     orientation = 0
     min_t = math.inf
-    for s, p in zip(curve.grid, pts):
-        t = curve.tangent(float(s))
-        tn = math.hypot(t[0], t[1])
+    for s, (px, py) in zip(curve.grid, curve.points):
+        tx, ty = curve.tangent(s)
+        tn = math.hypot(tx, ty)
         if tn < 1e-12:
             raise TransversalityError(f"section {label}: degenerate tangent at s = {s:.6g}")
         try:
-            v = field.velocity(p)
+            vx, vy = field.rhs(px, py)
         except DomainError as exc:
             raise SectionError(f"section {label}: field undefined at s = {s:.6g}: {exc}") from exc
-        vn = math.hypot(v[0], v[1])
+        vn = math.hypot(vx, vy)
         if vn < 1e-12:
             raise TransversalityError(f"section {label}: field vanishes at s = {s:.6g}")
-        det = t[0] * v[1] - t[1] * v[0]
+        det = tx * vy - ty * vx
         ratio = abs(det) / (tn * vn)
         if ratio < 1e-6:
             raise TransversalityError(
@@ -374,10 +395,9 @@ def _validate(curve: _CurveBase, field, label: str) -> tuple[int, float]:
             )
         min_t = min(min_t, ratio)
     # injectivity over the sampled grid
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist2 = (diff ** 2).sum(axis=2) + np.eye(n)
-    scale = 1.0 + float(np.abs(pts).max())
-    if float(dist2.min()) < (1e-9 * scale) ** 2:
+    pts = curve.points
+    gap = 1e-9 * (1.0 + max(abs(v) for p in pts for v in p))
+    if any(math.dist(p, q) < gap for i, p in enumerate(pts) for q in pts[:i]):
         raise SectionError(f"section {label} self-intersects on the grid")
     return orientation, min_t
 
@@ -398,12 +418,9 @@ def make_section(field, sx, sy, s_range, n_grid: int = 33, name: str | None = No
         raise SectionError(f"empty parameter range [{s_lo}, {s_hi}]")
     if n_grid < 4:
         raise SectionError("section grid needs at least 4 points")
-    grid = np.linspace(s_lo, s_hi, n_grid)
-    curve: _CurveBase = ExpressionCurve(sx, sy, s_lo, s_hi, grid)
+    curve = ExpressionCurve(sx, sy, s_lo, s_hi, linspace(s_lo, s_hi, n_grid))
     label = name or curve.label()
-    affine = _as_affine(curve)
-    if affine is not None:
-        curve = affine
+    curve = _as_affine(curve)
     orientation, min_t = _validate(curve, field, label)
     return Section(curve=curve, label=label, orientation=orientation,
                    min_transversality=min_t)
@@ -411,10 +428,7 @@ def make_section(field, sx, sy, s_range, n_grid: int = 33, name: str | None = No
 
 def section_from_points(field, grid, points, name: str) -> Section:
     """Certify a tabulated curve (used for conjugate sections)."""
-    curve: _CurveBase = TabulatedCurve(grid, points)
-    affine = _as_affine(curve)
-    if affine is not None:
-        curve = affine
+    curve = _as_affine(TabulatedCurve(grid, points))
     orientation, min_t = _validate(curve, field, name)
     return Section(curve=curve, label=name, orientation=orientation,
                    min_transversality=min_t)
@@ -430,7 +444,7 @@ def curve_event(curve: _CurveBase, direction: int = 0, terminal: bool = True) ->
 
     def accept(z) -> bool:
         _, dist = curve.project(z)
-        return dist <= _HIT_DIST_TOL * (1.0 + math.hypot(float(z[0]), float(z[1])))
+        return dist <= _HIT_DIST_TOL * (1.0 + math.hypot(z[0], z[1]))
 
     return EventSpec(g=curve.side, direction=direction, terminal=terminal, accept=accept,
                      lipschitz=curve.side_lipschitz)

@@ -19,11 +19,9 @@ import math
 import os
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .errors import SAMPLE_FAILURES
 from .expr import PlanarField
-from .flow import IntegratorConfig, flow, jacobian_fd
+from .flow import IntegratorConfig, Point, as_point, flow, jacobian_fd
 from .period import detect_cycle, period
 from .sections import membership_tol
 
@@ -50,13 +48,14 @@ _SQRT2_FRAC = 0.41421356237309515
 
 @dataclass
 class CheckResult:
-    """Outcome of one named residual check: pass iff max_residual <= tolerance."""
+    """Outcome of one named residual check: pass iff max_residual <= tolerance
+    and no sample failed to evaluate."""
 
     name: str
     max_residual: float
     tolerance: float
     passed: bool
-    worst_point: tuple[float, float] | None = None
+    worst_point: Point | None = None
     worst_time: float | None = None
     errors: list[str] = dc_field(default_factory=list)
     extras: dict = dc_field(default_factory=dict)
@@ -137,14 +136,14 @@ def config_digest(mapping: dict) -> str:
 
 # --- sample generation -------------------------------------------------------
 
-def sample_parameters(n: int, lo: float, hi: float, seed: int = 0) -> np.ndarray:
+def sample_parameters(n: int, lo: float, hi: float, seed: int = 0) -> list[float]:
     """n low-discrepancy parameters in (lo, hi)."""
     base = (seed * _SQRT2_FRAC) % 1.0
-    u = np.fromiter((((base + (i + 1) * _GOLDEN) % 1.0) for i in range(n)), dtype=float)
-    return lo + (0.02 + 0.96 * u) * (hi - lo)
+    return [lo + (0.02 + 0.96 * ((base + (i + 1) * _GOLDEN) % 1.0)) * (hi - lo)
+            for i in range(n)]
 
 
-def sample_time_fractions(n: int, seed: int = 0) -> np.ndarray:
+def sample_time_fractions(n: int, seed: int = 0) -> list[float]:
     """n period fractions, nudged away from 0, 1/2 and 1 so that generated
     points stay clear of the seed section and its half-period image."""
     base = (0.37 + seed * _GOLDEN) % 1.0
@@ -155,7 +154,7 @@ def sample_time_fractions(n: int, seed: int = 0) -> np.ndarray:
             if abs(f - special) < 0.02:
                 f = (f + 0.037) % 1.0
         out.append(f)
-    return np.array(out)
+    return out
 
 
 def annulus_points(
@@ -164,7 +163,7 @@ def annulus_points(
     n: int,
     cfg: IntegratorConfig = IntegratorConfig(),
     seed: int = 0,
-) -> np.ndarray:
+) -> list[Point]:
     """Deterministic well-spread points of the annulus covered by the section:
     seed points are advanced along their cycles by low-discrepancy period
     fractions."""
@@ -172,15 +171,16 @@ def annulus_points(
     fracs = sample_time_fractions(n, seed)
     pts = []
     for s, f in zip(params, fracs):
-        cyc = detect_cycle(field, section.point(float(s)), cfg)
+        cyc = detect_cycle(field, section.point(s), cfg)
         pts.append(cyc.trajectory.state(f * cyc.period))
-    return np.array(pts)
+    return pts
 
 
 # --- core checks -------------------------------------------------------------
 
-def _scaled(diff, z) -> float:
-    return float(np.linalg.norm(diff)) / (1.0 + float(np.linalg.norm(z)))
+def _scaled(a, b, z) -> float:
+    """|a - b| / (1 + |z|) for points a, b and z."""
+    return math.dist(a, b) / (1.0 + math.hypot(z[0], z[1]))
 
 
 def _run_samples(name, tolerance, samples, fn):
@@ -188,7 +188,7 @@ def _run_samples(name, tolerance, samples, fn):
 
     A sample's first two coordinates name it in the worst point and in the
     error lines; known numerical failures and NaN residuals are recorded
-    per sample.
+    per sample, and a check with any recorded error fails.
     """
     worst = -1.0
     worst_point = None
@@ -196,7 +196,7 @@ def _run_samples(name, tolerance, samples, fn):
     errors = []
     for z in samples:
         try:
-            results = fn(np.asarray(z, dtype=float))
+            results = fn(z)
         except SAMPLE_FAILURES as exc:  # per-sample failures are data, not crashes
             errors.append(f"({z[0]:.6g}, {z[1]:.6g}): {exc}")
             continue
@@ -207,12 +207,12 @@ def _run_samples(name, tolerance, samples, fn):
                 errors.append(f"({z[0]:.6g}, {z[1]:.6g}): residual is NaN{at}")
             elif res > worst:
                 worst = res
-                worst_point = (float(z[0]), float(z[1]))
+                worst_point = as_point(z)
                 worst_time = t_tag
     if worst < 0.0:
         return CheckResult(name, math.inf, tolerance, False, None, None,
                            errors or ["no samples evaluated"])
-    return CheckResult(name, worst, tolerance, worst <= tolerance,
+    return CheckResult(name, worst, tolerance, worst <= tolerance and not errors,
                        worst_point, worst_time, errors)
 
 
@@ -220,8 +220,7 @@ def check_involution(sigma, samples) -> CheckResult:
     """max |sigma(sigma(z)) - z| / (1 + |z|) over the samples."""
 
     def one(z):
-        zz = sigma(sigma(z))
-        return [(_scaled(zz - z, z), None)]
+        return [(_scaled(sigma(sigma(z)), z, z), None)]
 
     return _run_samples("involution", 1e-7, samples, one)
 
@@ -238,7 +237,7 @@ def check_commutation(field: PlanarField, sigma, sign: int, samples, times,
         for t in times:
             a = sigma(flow(field, z, float(t), cfg))
             b = flow(field, sz, sign * float(t), cfg)
-            out.append((_scaled(a - b, z), float(t)))
+            out.append((_scaled(a, b, z), float(t)))
         return out
 
     return _run_samples(name, 1e-6, samples, one)
@@ -250,10 +249,11 @@ def check_field_condition(field: PlanarField, sigma, sign: int, samples) -> Chec
     name = "field_condition_symmetry" if sign > 0 else "field_condition_reversibility"
 
     def one(z):
-        jac = jacobian_fd(sigma, z)
-        lhs = field.velocity(sigma(z))
-        rhs = sign * (jac @ field.velocity(z))
-        return [(_scaled(lhs - rhs, z), None)]
+        (j00, j01), (j10, j11) = jacobian_fd(sigma, z)
+        lhs = field.rhs(*sigma(z))
+        vx, vy = field.rhs(*as_point(z))
+        rhs = sign * (j00 * vx + j01 * vy), sign * (j10 * vx + j11 * vy)
+        return [(_scaled(lhs, rhs, z), None)]
 
     return _run_samples(name, 1e-4, samples, one)
 
@@ -293,8 +293,7 @@ def check_lower_bound(name: str, value: float, threshold: float,
     report invariant pass <=> max_residual <= tolerance still holds.
     """
     residual = threshold - value
-    wp = None if worst_point is None else (float(worst_point[0]), float(worst_point[1]))
-    return CheckResult(name, residual, 0.0, residual <= 0.0, wp, None,
+    return CheckResult(name, residual, 0.0, residual <= 0.0, worst_point, None,
                        extras={"value": value, "threshold": threshold})
 
 
@@ -313,7 +312,7 @@ def fixed_set_distance(sigma, samples, delta) -> CheckResult:
 
     def one(z):
         nonlocal n_on, n_fixed, on_delta_move, fixed_dist
-        move = float(np.linalg.norm(sigma(z) - z))
+        move = math.dist(sigma(z), z)
         dist = float(delta.distance(z))
         out = []
         if dist <= membership_tol(z):

@@ -125,7 +125,7 @@ def variational_jacobian(field, z, t: float, n_steps: int = 4000) -> np.ndarray:
     def rhs(state):
         pos = state[:2]
         mat = state[2:].reshape(2, 2)
-        dpos = field.velocity(pos)
+        dpos = np.array(field.rhs(pos[0], pos[1]))
         dmat = jac(pos) @ mat
         return np.concatenate([dpos, dmat.ravel()])
 
@@ -154,7 +154,7 @@ class _RefStep:
         self.s0, self.h = s0, h
         self.c1, self.c2, self.c3, self.c4, self.c5 = c1, c2, c3, c4, c5
 
-    def interp(self, s):
+    def at(self, s):
         th = (s - self.s0) / self.h
         if th <= 0.0:
             return self.c1.copy()
@@ -178,7 +178,7 @@ def _ref_scan_step(step, events, g_prev, direction, zero_start):
         ga = g_prev[k]
         sa = s0
         for s_b in svals:
-            gb = g(step.interp(s_b))
+            gb = g(step.at(s_b))
             if zero_start[k] is not None:
                 if abs(gb) > zero_start[k]:
                     zero_start[k] = None
@@ -186,8 +186,8 @@ def _ref_scan_step(step, events, g_prev, direction, zero_start):
                 continue
             crossed = (ga < 0.0 < gb) or (ga > 0.0 > gb) or (gb == 0.0 and ga != 0.0)
             if crossed and (ev.direction == 0 or math.copysign(1.0, gb - ga) == ev.direction):
-                s_root = float(F.brent(lambda s: g(step.interp(s)), sa, s_b, ga, gb))
-                z_root = step.interp(s_root)
+                s_root = float(F.brent(lambda s: g(step.at(s)), sa, s_b, ga, gb))
+                z_root = step.at(s_root)
                 if ev.accept is None or ev.accept(z_root):
                     hits.append((s_root, F.EventHit(k, float(direction * s_root), z_root)))
             ga, sa = gb, s_b
@@ -328,7 +328,8 @@ def side_reference(curve, z) -> float:
     z = np.asarray(z, dtype=float)
     if isinstance(curve, _AffineSegment):
         a, d = np.array([curve.ax, curve.ay]), np.array([curve.dx, curve.dy])
-        return (d[0] * (z[1] - a[1]) - d[1] * (z[0] - a[0])) / math.sqrt(float(d @ d))
+        dd = d[0] * d[0] + d[1] * d[1]
+        return (d[0] * (z[1] - a[1]) - d[1] * (z[0] - a[0])) / math.sqrt(dd)
     s = _project_reference(curve, z)
     c, t = curve.point(s), curve.tangent(s)
     return (t[0] * (z[1] - c[1]) - t[1] * (z[0] - c[0])) / math.hypot(t[0], t[1])

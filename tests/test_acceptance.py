@@ -100,7 +100,7 @@ def test_04_half_period_symmetry_on_all_builtins():
     sigma = SymmetryInvolution(lc, cfg)
     sec = make_section(lc, "s", "0", FIELDS["linear-center"], name="x-axis")
     for z in annulus_points(lc, sec, 10, cfg, seed=2):
-        if np.linalg.norm(sigma(z) + z) > 1e-8:
+        if np.linalg.norm(np.add(sigma(z), z)) > 1e-8:
             failures.append(f"sigma({z}) != -z")
             break
     report(4, "half-period symmetry gates on all built-ins; sigma = -z on linear center",
@@ -172,7 +172,7 @@ def test_08_distinct_reversibilities(linear_center, cfg):
     gaps = []
     for theta, r in [(0.4, 0.6), (1.2, 1.0), (2.2, 1.5), (3.6, 0.9), (5.1, 1.8)]:
         z = np.array([r * math.cos(theta), r * math.sin(theta)])
-        gaps.append(float(np.linalg.norm(rev1(z) - rev2(z))))
+        gaps.append(float(np.linalg.norm(np.subtract(rev1(z), rev2(z)))))
     report(8, "involutions from different sections differ (> 0.1 somewhere)",
            max(gaps) > 0.1, f"max gap {max(gaps):.3f}")
 

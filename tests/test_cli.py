@@ -73,7 +73,7 @@ class TestLoadConfig:
                             "field = my_field.txt\nsection = x-axis [0.2, 2.0]\n")
         config = load_config(path)
         assert config.field.name == "my_field"
-        assert np.allclose(config.field.velocity([1.0, 0.0]), [0.0, 1.0])
+        assert np.allclose(config.field.rhs(1.0, 0.0), [0.0, 1.0])
 
     def test_inline_field(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", """
@@ -133,6 +133,20 @@ section_grid = 17
         assert config.rtol == 1e-8
         assert config.seed == 7
         assert config.out_dir == tmp_path / "elsewhere"
+
+    @pytest.mark.parametrize("text, args", [
+        ("", ["--rtol", "nan"]), ("", ["--rtol", "inf"]), ("atol = nan\n", []),
+    ], ids=["rtol-nan", "rtol-inf", "atol-nan"])
+    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, text, args):
+        cfg = write_config(tmp_path / "run.cfg", "field = linear-center\nsamples = 2\n"
+                           f"times = 1\n{text}out = {tmp_path / 'out'}\n")
+        assert main(["period", "--config", cfg, *args]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: tolerances must be positive and finite")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_expression_reported(self, tmp_path):
         path = write_config(tmp_path / "run.cfg",
@@ -326,6 +340,19 @@ UNBUILDABLE_SECTIONS = {
     "field-undefined": "P = -y\nQ = x + 0*sqrt(x - 0.5)\nsection = x-axis [0.2, 1.0]\n",
 }
 
+# a literal that parses to inf, and a section whose derivative folds to inf:
+# (config, the stderr line's start)
+NON_FINITE_CONSTANTS = {
+    "literal": ("P = -y\nQ = x + 0*1e400\nsection = x-axis [0.2, 1.0]\n",
+                "config error: inline field: number '1e400' is not finite"),
+    "folded": ("field = linear-center\nsx = s\nsy = s*1e308*10\nsection_range = [0.3, 1.0]\n",
+               "section error: section (s, s*1e+308*10.0): curve not finite at s = 0.3"),
+}
+
+# cycles through the outer section points leave the working box
+ESCAPE = ("P = -y\nQ = x\ndomain = [-1, 2, -2, 2]\nsection = x-axis [0.2, 1.4]\n"
+          "params = [0.5, 1.3]\nsamples = 4\ntimes = 2\nseed = 7\n")
+
 
 class TestOneDriver:
     @pytest.mark.parametrize("command", COMMANDS)
@@ -339,6 +366,28 @@ class TestOneDriver:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("section error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("case", list(NON_FINITE_CONSTANTS))
+    def test_non_finite_constant_exit2(self, tmp_path, capsys, case, command):
+        text, start = NON_FINITE_CONSTANTS[case]
+        cfg = write_config(tmp_path / "n.cfg", text + f"out = {tmp_path / 'out'}\n")
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(start)
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_samples_fail_their_checks(self, tmp_path, capsys):
+        # the suite degrades to section points and some samples fail: each
+        # check that recorded an error fails, so the run prints FAIL, exit 1
+        cfg = write_config(tmp_path / "e.cfg", ESCAPE + f"out = {tmp_path / 'out'}\n")
+        assert main(["symmetry", "--config", cfg]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().out.startswith("FAIL ")
+        report = json.loads((tmp_path / "out" / "symmetry_report.json").read_text())
+        with_errors = [c for c in report["checks"] if c.get("errors")]
+        assert with_errors and not any(c["pass"] for c in with_errors)
 
     @pytest.mark.parametrize("command, code", zip(COMMANDS, [
         EXIT_CONFIG, EXIT_CONFIG, EXIT_TRANSVERSALITY, EXIT_TRANSVERSALITY]))

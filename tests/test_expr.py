@@ -100,6 +100,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x y")
 
+    @pytest.mark.parametrize("literal", ["1e400", "2.5e308"])
+    def test_non_finite_literal_rejected(self, literal):
+        # float() rounds these to inf, which generated code cannot spell
+        with pytest.raises(ParseError) as exc:
+            parse(f"x + 0*{literal}")
+        assert str(exc.value) == f"number {literal!r} is not finite (offset 6)"
+
 
 class TestEvaluate:
     def test_cube(self):
@@ -218,6 +225,17 @@ class TestDifferentiate:
         d = differentiate(parse("x^y"), "x")
         assert evaluate(d, 2.0, 3.0) == pytest.approx(12.0, rel=1e-12)
 
+    def test_non_finite_product_not_folded(self):
+        # 1e308*10 overflows: it stays an operation, so the derivative
+        # compiles and evaluation reports the overflow
+        d = differentiate(parse("x*1e308*10"), "x")
+        assert d == Bin("*", Const(1e308), Const(10.0))
+        assert parse(to_source(d)) == d
+        assert compile_fn(d)(0.5, 0.0) == math.inf
+        with pytest.raises(DomainError):
+            evaluate(d, 0.5, 0.0)
+        assert differentiate(parse("x*1e308*0.5"), "x") == Const(5e307)
+
     @pytest.mark.parametrize("src", [
         "x^3", "sin(x)*y", "exp(x*y)", "log(1 + x^2)", "sqrt(1 + y^2)",
         "tan(x/2)*y", "cos(x)^2 - sin(y)^2", "x/y", "x^2*y^3 - 2*x*y",
@@ -248,7 +266,7 @@ class TestDifferentiate:
 
 class TestPlanarField:
     def test_velocity(self, linear_center):
-        assert np.allclose(linear_center.velocity([1.0, 2.0]), [-2.0, 1.0])
+        assert np.allclose(linear_center.rhs(1.0, 2.0), [-2.0, 1.0])
 
     def test_exact_partials_match_finite_differences(self, pendulum):
         # the variational-equation oracle differentiates the field itself
@@ -259,8 +277,8 @@ class TestPlanarField:
             x, y = rng.uniform(-2.0, 2.0, size=2)
             jac = jacobian([x, y])
             for j, (dx, dy) in enumerate([(h, 0.0), (0.0, h)]):
-                plus = pendulum.velocity([x + dx, y + dy])
-                minus = pendulum.velocity([x - dx, y - dy])
+                plus = np.array(pendulum.rhs(x + dx, y + dy))
+                minus = np.array(pendulum.rhs(x - dx, y - dy))
                 fd = (plus - minus) / (2 * h)
                 assert np.abs(jac[:, j] - fd).max() <= 1e-6 * (1.0 + np.abs(fd).max())
 
@@ -331,12 +349,12 @@ class TestPlanarField:
 class TestFieldText:
     def test_basic(self):
         field = parse_field_text("P = -y\nQ = x\ndomain = [-2, 2, -2, 2]\n")
-        assert np.allclose(field.velocity([0.5, 0.25]), [-0.25, 0.5])
+        assert np.allclose(field.rhs(0.5, 0.25), [-0.25, 0.5])
         assert field.domain == (-2.0, 2.0, -2.0, 2.0)
 
     def test_comments_and_blanks(self):
         field = parse_field_text("# a field\nP = y\n\nQ = -sin(x)  # rhs\n")
-        assert np.allclose(field.velocity([0.0, 1.0]), [1.0, 0.0])
+        assert np.allclose(field.rhs(0.0, 1.0), [1.0, 0.0])
 
     def test_missing_q(self):
         with pytest.raises(ConfigError):

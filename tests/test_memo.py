@@ -68,7 +68,7 @@ def test_hit_has_the_bits_of_a_fresh_call(pendulum, cfg):
     with suite_scope():
         sigma_symmetric(pendulum, z, cfg)
         hit = sigma_symmetric(pendulum, z, cfg), period(pendulum, z, cfg)
-    assert hit[0].tobytes() == fresh[0].tobytes()
+    assert np.array(hit[0]).tobytes() == np.array(fresh[0]).tobytes()
     assert hit[1].hex() == fresh[1].hex()
 
 
@@ -77,14 +77,14 @@ def test_mutating_a_result_leaves_the_entry(linear_center, lc_xaxis, cfg, integr
     w = np.array([0.3, -0.9])
     with suite_scope():
         image = sigma_symmetric(linear_center, z, cfg)
-        kept = image.copy()
-        image[:] = 99.0
+        kept = np.array(image)
         _, _, z_hit = tau_hit(linear_center, lc_xaxis, w, cfg)
-        kept_hit = z_hit.copy()
-        z_hit[:] = 99.0
+        kept_hit = np.array(z_hit)
         rev_image = sigma_reversible(linear_center, lc_xaxis, w, cfg)
-        kept_rev = rev_image.copy()
-        rev_image[:] = 99.0
+        kept_rev = np.array(rev_image)
+        for result in (image, z_hit, rev_image):
+            with pytest.raises(TypeError):  # points are tuples
+                result[0] = 99.0
         done = integrations[0]
         assert np.array_equal(sigma_symmetric(linear_center, z, cfg), kept)
         assert np.array_equal(tau_hit(linear_center, lc_xaxis, w, cfg)[2], kept_hit)
@@ -136,8 +136,8 @@ def test_stored_values_are_floats_and_points(pendulum, cfg):
         for value in entries.values():
             assert type(value) is tuple
             for v in value:
-                assert type(v) is float or (type(v) is np.ndarray and v.shape == (2,)
-                                            and v.dtype == np.float64)
+                assert type(v) is float or (type(v) is tuple and len(v) == 2
+                                            and all(type(c) is float for c in v))
 
 
 def _verify_outputs(tmp_path, name, memo_on, monkeypatch, integrations):

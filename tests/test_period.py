@@ -62,7 +62,7 @@ class TestDetectCycle:
 
     def test_cached_trajectory_covers_period(self, duffing, cfg):
         c = detect_cycle(duffing, [1.0, 0.0], cfg)
-        mid = c.trajectory.state(0.5 * c.period)
+        mid = np.asarray(c.trajectory.state(0.5 * c.period))
         assert np.abs(mid - [-1.0, 0.0]).max() <= 1e-8
 
     def test_minimality_duffing(self, duffing, cfg):

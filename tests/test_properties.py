@@ -16,7 +16,13 @@ from annulus_involutions.fields import builtin_field, builtin_names, default_sec
 from annulus_involutions.flow import EventSpec, flow, integrate
 from annulus_involutions.period import detect_cycle
 from annulus_involutions.reversibility import ReversibilityInvolution, tau
-from annulus_involutions.sections import _AffineSegment, make_section
+from annulus_involutions.sections import (
+    ExpressionCurve,
+    TabulatedCurve,
+    _AffineSegment,
+    linspace,
+    make_section,
+)
 from annulus_involutions.symmetry import SymmetryInvolution
 
 FAST = settings(max_examples=6, deadline=None, derandomize=True, database=None)
@@ -69,8 +75,8 @@ def test_both_involutions_square_to_identity(annulus, cfg, u, frac):
     field, section, sym, rev = annulus
     z, _ = _annulus_point(field, section, u, frac, cfg)
     tol = 1e-7 * (1.0 + np.linalg.norm(z))
-    assert np.linalg.norm(sym(sym(z)) - z) <= tol
-    assert np.linalg.norm(rev(rev(z)) - z) <= tol
+    assert np.linalg.norm(np.subtract(sym(sym(z)), z)) <= tol
+    assert np.linalg.norm(np.subtract(rev(rev(z)), z)) <= tol
 
 
 @FAST
@@ -100,12 +106,12 @@ def test_involutions_match_closed_forms(annulus, cfg, u, frac):
     field, section, sym, rev = annulus
     z, _ = _annulus_point(field, section, u, frac, cfg)
     scale = 1.0 + np.linalg.norm(z)
-    assert np.linalg.norm(sym(z) + z) / scale <= 1e-8
+    assert np.linalg.norm(np.add(sym(z), z)) / scale <= 1e-8
     assert np.linalg.norm(rev(z) - np.array([z[0], -z[1]])) / scale <= 1e-8
 
 
 def test_conjugate_section_is_negative_x_axis(annulus):
-    points = annulus[3].delta_star.curve.points
+    points = np.array(annulus[3].delta_star.curve.points)
     assert np.all(points[:, 0] < 0.0)
     assert np.abs(points[:, 1]).max() <= 1e-9
 
@@ -126,7 +132,39 @@ def test_event_bound_keeps_hits(cfg, name, x0, y0, ax, ay, angle, length, direct
     line = _AffineSegment((ax, ay), d, 0.0, 1.0, None, None)
     event = EventSpec(g=line.side, direction=direction, terminal=False,
                       lipschitz=line.side_lipschitz)
-    hits = [[(e.index, e.t.hex(), e.z.tobytes()) for e in
+    hits = [[(e.index, e.t.hex(), np.array(e.z).tobytes()) for e in
              integrate(field.rhs, (x0, y0), t, cfg, [ev], field.contains).events]
             for ev in (event, dataclasses.replace(event, lipschitz=None))]
     assert hits[0] == hits[1]
+
+
+# curves for the nearest-vertex search: the parabola (s, s^2) on [-1, 1] has
+# a fine polyline symmetric about x = 0 to the bit, so every point (0, y)
+# lies exactly as far from the vertex at s as from the one at -s; the
+# tabulated arc is a spline, as conjugate sections are
+_S = ("s",)
+_GRID_ARC = linspace(0.3, 2.8, 17)
+_CURVES = {
+    "parabola": ExpressionCurve(parse("s", _S), parse("s^2", _S), -1.0, 1.0,
+                                linspace(-1.0, 1.0, 33)),
+    "arc": TabulatedCurve(_GRID_ARC, [(math.cos(t), math.sin(t)) for t in _GRID_ARC]),
+}
+_far = st.floats(min_value=-2.5, max_value=2.5)
+_nudge = st.floats(min_value=-0.01, max_value=0.01)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_CURVES)), x=st.one_of(st.just(0.0), _far), y=_far,
+       vertex=st.one_of(st.none(), st.integers(min_value=0, max_value=256)),
+       dx=_nudge, dy=_nudge)
+def test_nearest_vertex_is_the_first_argmin(name, x, y, vertex, dx, dy):
+    # the blocked search in project picks what an argmin over every vertex
+    # picks, ties included: the first of the nearest vertices.  Points
+    # within a chord of a vertex probe the blocks' edges
+    curve = _CURVES[name]
+    _, xs, ys, _ = curve._fine_polyline()
+    if vertex is not None:
+        vertex %= len(xs)
+        x, y = xs[vertex] + dx, ys[vertex] + dy
+    d2 = (np.array(xs) - x) ** 2 + (np.array(ys) - y) ** 2
+    assert curve._nearest_vertex(x, y) == int(np.argmin(d2))

@@ -52,7 +52,7 @@ def on_circle(theta, r=1.0):
 
 def star_rows(star):
     """(s, x_star, y_star, T) per grid point of a conjugate section."""
-    return zip(star.grid, star.curve.points[:, 0], star.curve.points[:, 1], star.periods)
+    return ((s, x, y, T) for s, (x, y), T in zip(star.grid, star.curve.points, star.periods))
 
 
 class TestConjugateSection:
@@ -120,8 +120,8 @@ class TestTau:
         sec = make_section(cubic_center, "s", "s", (0.3, 1.5), name="diagonal")
         z = flow(cubic_center, [1.0, 1.0], 1.1, cfg)
         t, s_hit, z_hit = tau_hit(cubic_center, sec, z, cfg)
-        assert np.linalg.norm(z_hit - sec.point(s_hit)) <= 1e-8
-        assert np.linalg.norm(flow(cubic_center, z, t, cfg) - z_hit) <= 1e-8
+        assert np.linalg.norm(np.subtract(z_hit, sec.point(s_hit))) <= 1e-8
+        assert np.linalg.norm(np.subtract(flow(cubic_center, z, t, cfg), z_hit)) <= 1e-8
 
     @pytest.mark.parametrize("start", [(0.4, 0.9), (0.8, 0.192)], ids=["off", "on"])
     def test_tau_projects_no_crossing(self, pendulum, cfg, start):
@@ -221,11 +221,11 @@ class TestClassify:
 
 class TestSigmaReversible:
     def test_mirror_on_x_axis(self, linear_center, lc_xaxis, cfg):
-        img = sigma_reversible(linear_center, lc_xaxis, [0.0, 1.0], cfg)
+        img = np.asarray(sigma_reversible(linear_center, lc_xaxis, [0.0, 1.0], cfg))
         assert np.abs(img - [0.0, -1.0]).max() <= 1e-9
 
     def test_swap_on_diagonal(self, linear_center, lc_diag, cfg):
-        img = sigma_reversible(linear_center, lc_diag, [1.0, 0.0], cfg)
+        img = np.asarray(sigma_reversible(linear_center, lc_diag, [1.0, 0.0], cfg))
         assert np.abs(img - [0.0, 1.0]).max() <= 1e-9
 
     def test_mirror_everywhere(self, linear_center, lc_xaxis, cfg):
@@ -235,7 +235,7 @@ class TestSigmaReversible:
             theta = rng.uniform(0.05, 2 * math.pi - 0.05)
             r = rng.uniform(0.3, 1.9)
             z = on_circle(theta, r)
-            assert np.abs(rev(z) - [z[0], -z[1]]).max() <= 1e-8
+            assert np.abs(np.asarray(rev(z)) - [z[0], -z[1]]).max() <= 1e-8
 
     def test_pendulum_reversal_identity(self, pendulum, pend_xaxis, cfg):
         # sigma(phi(t, z0)) = phi(-t, z0) for z0 on the section
@@ -243,7 +243,7 @@ class TestSigmaReversible:
         z0 = np.array([1.0, 0.0])
         z = flow(pendulum, z0, 0.7, cfg)
         expected = flow(pendulum, z0, -0.7, cfg)
-        assert np.linalg.norm(rev(z) - expected) <= 1e-6
+        assert np.linalg.norm(np.subtract(rev(z), expected)) <= 1e-6
 
     def test_fixed_on_section(self, pendulum, pend_xaxis, cfg):
         rev = ReversibilityInvolution(pendulum, pend_xaxis, cfg)
@@ -263,7 +263,7 @@ class TestSigmaReversible:
         rev = ReversibilityInvolution(duffing, sec, cfg)
         samples = annulus_points(duffing, sec, 6, cfg, seed=3)
         for z in samples:
-            assert np.linalg.norm(rev(rev(z)) - z) <= 1e-7 * (1 + np.linalg.norm(z))
+            assert np.linalg.norm(np.subtract(rev(rev(z)), z)) <= 1e-7 * (1 + np.linalg.norm(z))
 
     def test_anticommutation(self, cubic_center, cfg):
         sec = make_section(cubic_center, "s", "s", (0.3, 1.5), name="diagonal")
@@ -273,7 +273,7 @@ class TestSigmaReversible:
             for t in (0.4, 1.2):
                 a = rev(flow(cubic_center, z, t, cfg))
                 b = flow(cubic_center, rev(z), -t, cfg)
-                assert np.linalg.norm(a - b) <= 1e-6
+                assert np.linalg.norm(np.subtract(a, b)) <= 1e-6
 
     def test_well_posedness_identity(self, pendulum, pend_xaxis, cfg):
         # phi(2 tau*(z), z) = phi(2 tau(z), z) off both curves
@@ -284,7 +284,7 @@ class TestSigmaReversible:
             z = flow(pendulum, z0, frac * T, cfg)
             a = flow(pendulum, z, 2 * tau(pendulum, pend_xaxis, z, cfg), cfg)
             b = flow(pendulum, z, 2 * tau_star(pendulum, star, z, cfg), cfg)
-            assert np.linalg.norm(a - b) <= 1e-6
+            assert np.linalg.norm(np.subtract(a, b)) <= 1e-6
 
     def test_involution_via_shift_law(self, pendulum, pend_xaxis, cfg):
         # tau(sigma(z)) = -tau(z)
@@ -302,7 +302,7 @@ class TestSigmaReversible:
         t = rev.tau(z)
         assert t == tau(pendulum, pend_xaxis, z, cfg)
         assert abs(t) <= 0.5 * period(pendulum, z, cfg)
-        assert np.linalg.norm(rev(z) - sigma_reversible(pendulum, pend_xaxis, z, cfg)) <= 1e-9
+        assert np.linalg.norm(np.subtract(rev(z), sigma_reversible(pendulum, pend_xaxis, z, cfg))) <= 1e-9
 
     def test_class_tau_stays_in_half_period_window_in_suite_scope(self, pendulum,
                                                                   pend_xaxis, cfg):
@@ -340,7 +340,7 @@ class TestDistinctness:
         # segment spans [0.28, 2.83]
         samples = [on_circle(th, r) for th, r in
                    [(0.4, 0.5), (1.7, 1.0), (2.9, 1.5), (4.1, 0.8), (5.3, 1.9)]]
-        gaps = [np.linalg.norm(rev1(z) - rev2(z)) for z in samples]
+        gaps = [np.linalg.norm(np.subtract(rev1(z), rev2(z))) for z in samples]
         assert max(gaps) > 0.1
 
 

@@ -10,6 +10,7 @@ from annulus_involutions.sections import (
     ExpressionCurve,
     TabulatedCurve,
     _PPoly1D,
+    linspace,
     make_section,
     section_from_points,
 )
@@ -127,7 +128,7 @@ class TestGeometry:
         for n in range(4, 34):
             for grid in (np.linspace(0.2, 2.0, n), np.cumsum(rng.uniform(0.5, 1.5, n))):
                 values = np.sin(3.0 * grid) + 0.1 * rng.normal(size=n)
-                ours = _PPoly1D.fit(grid, values).c
+                ours = np.array(_PPoly1D.fit(grid, values).c)
                 ref = CubicSpline(grid, values).c
                 scale = np.abs(ref).max(axis=1, keepdims=True)
                 assert np.abs(ours - ref).max() <= 1e-13 * scale.max()
@@ -142,7 +143,7 @@ class TestGeometry:
         for n in range(4, 34):
             grid = np.cumsum(rng.uniform(0.5, 1.5, n))
             pp = _PPoly1D.fit(grid, np.sin(3.0 * grid) + 0.1 * rng.normal(size=n))
-            c = pp.c
+            c = np.array(pp.c)
             span = grid[-1] - grid[0]
             outside = [grid[0] - span, grid[0] - 1e-9, grid[-1] + 1e-9, grid[-1] + span]
             for s in np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:]), outside]).tolist():
@@ -154,6 +155,16 @@ class TestGeometry:
                 got = (pp(s), pp.deriv(s), pp.deriv2(s))
                 assert [type(v) for v in got] == [float] * 3
                 assert [v.hex() for v in got] == [float(v).hex() for v in expected]
+
+    def test_linspace_has_the_bits_of_numpy(self):
+        # section grids and the fine polylines keep the bits they had as arrays
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            lo = rng.uniform(-3.0, 3.0)
+            hi = lo + rng.uniform(1e-3, 5.0)
+            n = int(rng.integers(2, 300))
+            assert [v.hex() for v in linspace(lo, hi, n)] == [
+                float(v).hex() for v in np.linspace(lo, hi, n)]
 
     def test_self_intersection_rejected(self, linear_center):
         grid = np.linspace(0.0, 1.0, 9)
@@ -167,7 +178,7 @@ class TestCurveEvents:
         sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
         t, z = flow_to_event(linear_center, [0.0, 1.0], sec.event(), -1, 10.0, cfg)
         assert t == pytest.approx(-math.pi / 2, abs=1e-9)
-        assert np.abs(z - [1.0, 0.0]).max() <= 1e-9
+        assert np.abs(np.asarray(z) - [1.0, 0.0]).max() <= 1e-9
 
     def test_extension_crossing_vetoed(self, linear_center, cfg):
         # going forward from (0,1) the orbit meets the x-axis line at
@@ -176,7 +187,7 @@ class TestCurveEvents:
         sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
         t, z = flow_to_event(linear_center, [0.0, 1.0], sec.event(), 1, 10.0, cfg)
         assert t == pytest.approx(1.5 * math.pi, abs=1e-9)
-        assert np.abs(z - [1.0, 0.0]).max() <= 1e-9
+        assert np.abs(np.asarray(z) - [1.0, 0.0]).max() <= 1e-9
 
     def test_curved_section_event(self, linear_center, cfg):
         sec = make_section(linear_center, "s", "0.2*sin(3*s)", (0.3, 1.8), name="wavy")

@@ -21,21 +21,21 @@ from oracles import T_PENDULUM_HALF_PI
 
 class TestSigmaSymmetric:
     def test_linear_center_is_point_reflection(self, linear_center, cfg):
-        assert np.abs(sigma_symmetric(linear_center, [1.0, 0.0], cfg)
+        assert np.abs(np.asarray(sigma_symmetric(linear_center, [1.0, 0.0], cfg))
                       - [-1.0, 0.0]).max() <= 1e-9
-        assert np.abs(sigma_symmetric(linear_center, [0.6, 0.8], cfg)
+        assert np.abs(np.asarray(sigma_symmetric(linear_center, [0.6, 0.8], cfg))
                       - [-0.6, -0.8]).max() <= 1e-9
 
     def test_pendulum_amplitude_reflection(self, pendulum, cfg):
         # the orbit through (a, 0) has even energy U(x) = U(-x), so the
         # half-period point is (-a, 0)
-        z = sigma_symmetric(pendulum, [math.pi / 2, 0.0], cfg)
+        z = np.asarray(sigma_symmetric(pendulum, [math.pi / 2, 0.0], cfg))
         assert np.abs(z - [-math.pi / 2, 0.0]).max() <= 1e-7
 
     def test_involution_class_matches_function(self, duffing, cfg):
         sigma = SymmetryInvolution(duffing, cfg)
         z = np.array([0.9, 0.3])
-        assert np.linalg.norm(sigma(z) - sigma_symmetric(duffing, z, cfg)) <= 1e-9
+        assert np.linalg.norm(np.subtract(sigma(z), sigma_symmetric(duffing, z, cfg))) <= 1e-9
 
     def test_two_wells_on_one_energy_level(self, cfg):
         # the level H = E has one cycle in each well, with different periods
@@ -56,7 +56,7 @@ class TestSigmaSymmetric:
         image = sigma(z_left)
         assert np.array_equal(sigma(z_left), image)
         assert np.linalg.norm(sigma(image) - z_left) <= 1e-7
-        assert np.linalg.norm(image - sigma_symmetric(field, z_left, cfg)) <= 1e-9
+        assert np.linalg.norm(np.subtract(image, sigma_symmetric(field, z_left, cfg))) <= 1e-9
 
     def test_two_wells_on_one_energy_level_in_suite_scope(self, cfg):
         # the memo keys on the exact point, so the wells stay apart there too
@@ -69,7 +69,7 @@ class TestInvolutionProperties:
         sigma = SymmetryInvolution(pendulum, cfg)
         sec = make_section(pendulum, "s", "0", (0.3, 2.5), name="x-axis")
         for z in annulus_points(pendulum, sec, 6, cfg, seed=2):
-            err = np.linalg.norm(sigma(sigma(z)) - z)
+            err = np.linalg.norm(np.subtract(sigma(sigma(z)), z))
             assert err <= 1e-7 * (1.0 + np.linalg.norm(z))
 
     def test_flow_commutation(self, cubic_center, cfg):
@@ -80,7 +80,7 @@ class TestInvolutionProperties:
             for t in (0.3, 1.0, 2.5):
                 a = sigma(flow(cubic_center, z, t, cfg))
                 b = flow(cubic_center, sigma(z), t, cfg)
-                assert np.linalg.norm(a - b) <= 1e-6
+                assert np.linalg.norm(np.subtract(a, b)) <= 1e-6
 
     def test_cycle_invariance(self, pendulum, cfg):
         sigma = SymmetryInvolution(pendulum, cfg)
@@ -96,7 +96,7 @@ class TestInvolutionProperties:
                            (duffing, (0.3, 1.5)), (cubic_center, (0.25, 2.0))]:
             sec = make_section(field, "s", "0", rng, name="x-axis")
             sigma = SymmetryInvolution(field, cfg)
-            moves = [np.linalg.norm(sigma(z) - z)
+            moves = [np.linalg.norm(np.subtract(sigma(z), z))
                      for z in annulus_points(field, sec, 4, cfg, seed=5)]
             assert max(moves) > 0.1
 
@@ -114,7 +114,7 @@ class TestUniquenessProbe:
         [res] = uniqueness_probe(pendulum, [math.pi / 2, 0.0], [0.3], cfg)
         # displaced along the cycle by 0.6 T
         expected = np.linalg.norm(
-            flow(pendulum, [math.pi / 2, 0.0], 0.6 * T_PENDULUM_HALF_PI, cfg)
+            np.asarray(flow(pendulum, [math.pi / 2, 0.0], 0.6 * T_PENDULUM_HALF_PI, cfg))
             - [math.pi / 2, 0.0])
         assert res == pytest.approx(expected, abs=1e-8)
         assert res > 0.1

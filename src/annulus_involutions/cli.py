@@ -342,7 +342,7 @@ def _reversibility_command(config: RunConfig, section, cfg):
     pairs = _pairs_csv("reversibility_pairs", samples, sigma)
     star = sigma.delta_star
     star_csv = _csv_text(["s", "x_star", "y_star", "T"],
-                         ((s, *p, t) for s, p, t in zip(star.grid, star.curve.points,
+                         ((s, *p, t) for s, p, t in zip(star.grid, star.points,
                                                         star.periods)))
     return _outcome(report, [("reversibility_report.json", report.to_json()),
                              ("delta_star.csv", star_csv),

@@ -2,9 +2,10 @@
 
 The half-period image and the section crossings are functions of the exact
 bits of their inputs, so a value stored under a key that holds the kind of
-value, the field, the integrator settings, the curve for a crossing, and
+value, the field, the integrator settings, the section for a crossing, and
 the point's bits ``struct.pack("<2d", x, y)`` is the value a fresh call
-returns.  The key holds bits rather than floats because 0.0 == -0.0.
+returns.  Only this module forms the bits.  The key holds bits rather than
+floats because 0.0 == -0.0.
 Values are small tuples of floats and points, never a cycle or a
 trajectory; they are immutable, so the stored value itself is returned.
 Exceptions are not stored.
@@ -15,6 +16,7 @@ reuses the outer one, and the memo is dropped when the outermost closes.
 
 from __future__ import annotations
 
+import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -36,11 +38,13 @@ def suite_scope():
         _MEMO.reset(token)
 
 
-def memoized(key, compute) -> tuple:
-    """``compute()``, stored under ``key`` while a scope is open."""
+def memoized(parts: tuple, z, compute) -> tuple:
+    """``compute()``, stored under ``parts`` and the bits of the point z
+    while a scope is open."""
     memo = _MEMO.get()
     if memo is None:
         return compute()
+    key = (*parts, struct.pack("<2d", *z))
     value = memo.get(key)
     if value is None:
         value = memo[key] = compute()

@@ -9,7 +9,6 @@ rejected and the minimal period comes back.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 from .errors import SAMPLE_FAILURES, CriticalPointError, DomainEscape, NotACycle
@@ -83,7 +82,7 @@ def _half_period(field: PlanarField, z, cfg: IntegratorConfig) -> tuple[float, P
         cyc = detect_cycle(field, z, cfg)
         return cyc.period, cyc.trajectory.state(0.5 * cyc.period)
 
-    return memoized(("half_period", field, cfg, struct.pack("<2d", *z)), detect)
+    return memoized(("half_period", field, cfg), z, detect)
 
 
 def period(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig()) -> float:

@@ -13,8 +13,8 @@ cycle it has exactly two fixed points per cycle, the delta point and its
 conjugate (on the linear center with the positive x-axis as section, sigma
 is the mirror (x, -y), which also fixes the negative x-axis).
 
-The conjugate curve is a plain :class:`~.sections.Section` that also
-carries the period of each grid cycle.  ``sigma_reversible`` and
+The conjugate curve is a certified tabulated :class:`~.sections.Section`
+that also carries the period of each grid cycle.  ``sigma_reversible`` and
 ``ReversibilityInvolution`` evaluate sigma through one body, which reads
 the image off the two crossing searches that find tau.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 
 from .errors import CycleError, EventNotFound, NotASection
 from .expr import PlanarField
@@ -98,10 +97,10 @@ def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, Point, Po
     whichever crossing is nearer, and t_b + t_f lies inside the span of
     the farther search, whose dense output gives the image.  Returns
     (t, z_hit, image) with t the signed nearest-crossing time.  The event
-    depends only on the curve, so inside a suite scope the result is
-    memoized on (field, curve, cfg, z bits); z is an (x, y) tuple.
+    depends only on the section, so inside a suite scope the result is
+    memoized on (field, section, cfg, z bits); z is an (x, y) tuple.
     """
-    return memoized(("crossing", field, section.curve, cfg, struct.pack("<2d", *z)),
+    return memoized(("crossing", field, section, cfg), z,
                     lambda: _crossing_pair(field, section, z, cfg))
 
 
@@ -259,7 +258,7 @@ def check_half_period_roundtrip(field: PlanarField, delta: Section, delta_star: 
     pointwise: phi(T/2, delta_star(s)) = delta(s), at 9 grid points."""
     # one row (x_star, y_star, s, T) per grid point: the conjugate point
     # leads, so it is the sample that worst point and errors name
-    rows = [(*p, s, t) for p, s, t in zip(delta_star.curve.points, delta_star.grid,
+    rows = [(*p, s, t) for p, s, t in zip(delta_star.points, delta_star.grid,
                                           delta_star.periods)]
     idx = sorted({int(v) for v in linspace(0.0, len(rows) - 1.0, 9)})
 

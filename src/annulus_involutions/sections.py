@@ -1,20 +1,20 @@
 """Transversal sections: parametrized curves with certificates and geometry.
 
 A section is a regular curve s -> (x(s), y(s)) whose tangent is transversal
-to the field along the sampled grid.  Curves expose a signed side function
-``side(x, y)`` (signed distance along the local normal, on two floats) used
-as the event function for "trajectory meets the curve" crossings, plus
-nearest-point projection for membership tests.  Straight segments take an
-exact affine fast path; tabulated curves (conjugate sections have no closed
-form) are interpolated with a cubic spline.  Points are (x, y) tuples of
-floats and parameter grids are lists.
+to the field along the sampled grid; ``Section``, the base class of the
+curve kinds, also holds the certificate.  Curves expose a signed side
+function ``side(x, y)`` (signed distance along the local normal, on two
+floats) used as the event function for "trajectory meets the curve"
+crossings, plus nearest-point projection for membership tests.  Straight
+segments take an exact affine fast path; tabulated curves (conjugate
+sections have no closed form) are interpolated with a cubic spline.  Points
+are (x, y) tuples of floats and parameter grids are lists.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .errors import DomainError, SectionError, TransversalityError
 from .expr import _MATH_ERRORS, ExprAst, compile_fn, differentiate, parse, to_source
@@ -113,21 +113,38 @@ class _PPoly1D:
         return 6.0 * self._c0[i] * u + 2.0 * self._c1[i]
 
 
-class _CurveBase:
-    """Shared geometry: projection, signed side.
+class Section:
+    """A curve s -> C(s) on [s_min, s_max]; once certified, a transversal
+    section that carries its certificate.
 
-    Subclasses define ``point``, ``tangent`` and ``_second``, which give
-    C(s), C'(s) and C''(s) as float pairs, and may override ``project``
-    and ``side``.  ``side_lipschitz`` bounds |grad side| for the event
-    scan; the generic side (offset at a Newton projection) has no proven
-    bound.
+    Subclasses define ``point``, ``tangent`` and ``_second`` (C, C' and C''
+    as float pairs) and may override ``project`` and ``side``.
+    ``side_lipschitz`` bounds |grad side| for the event scan; the generic
+    side (offset at a Newton projection) has no proven bound.
+    Certification sets ``label``, ``orientation`` (the common sign of
+    det[tangent, V] on the grid) and ``min_transversality`` (the smallest
+    |det| / (|tangent| |V|)); a conjugate section also sets ``periods``,
+    the period of the cycle through each grid point.
     """
 
     side_lipschitz: float | None = None
+    periods: list[float] | None = None
+    label: str
+    orientation: int
+    min_transversality: float
     s_min: float
     s_max: float
     grid: list[float]
     points: list[Point]
+
+    def _defined(self, f, s: float):
+        """f(s), with a math error raised as SectionError naming s."""
+        try:
+            return f(s)
+        except _MATH_ERRORS as exc:
+            raise SectionError(
+                f"section {self.label}: curve undefined at s = {s:.6g}: {exc}"
+            ) from exc
 
     def _fine_polyline(self):
         """(parameters, xs, ys, blocks) of the fine polyline.  Block k covers
@@ -135,7 +152,7 @@ class _CurveBase:
         index, end index, anchor x, anchor y, bound on their distance)."""
         if getattr(self, "_fine", None) is None:
             ss = linspace(self.s_min, self.s_max, max(8 * (len(self.grid) - 1) + 1, 65))
-            pts = [self.point(s) for s in ss]
+            pts = [self._defined(self.point, s) for s in ss]
             xs, ys = [p[0] for p in pts], [p[1] for p in pts]
             blocks = []
             for a in range(0, len(ss), 8):
@@ -198,8 +215,21 @@ class _CurveBase:
         tn = math.hypot(tx, ty)
         return (tx * (y - cy) - ty * (x - cx)) / tn
 
+    def distance(self, z) -> float:
+        return self.project(z)[1]
 
-class _AffineSegment(_CurveBase):
+    def contains(self, z) -> bool:
+        return self.distance(z) <= membership_tol(z)
+
+    def event(self, direction: int = 0, terminal: bool = True) -> EventSpec:
+        return curve_event(self, direction=direction, terminal=terminal)
+
+
+# bench/tracing.py looks the base class up by this name
+_CurveBase = Section
+
+
+class _AffineSegment(Section):
     """Exact geometry for straight segments C(s) = a + s*d."""
 
     # side is the offset along the unit normal (divided by |d|)
@@ -231,7 +261,7 @@ class _AffineSegment(_CurveBase):
         return (self.dx * (y - self.ay) - self.dy * (x - self.ax)) / self._dn
 
 
-class ExpressionCurve(_CurveBase):
+class ExpressionCurve(Section):
     """Curve defined by expressions x(s), y(s) with exact derivatives.
 
     The point and the tangent must be defined and finite at every grid
@@ -239,7 +269,7 @@ class ExpressionCurve(_CurveBase):
     """
 
     def __init__(self, sx: ExprAst, sy: ExprAst, s_min: float, s_max: float, grid):
-        self.sx, self.sy = sx, sy
+        self.label = f"({to_source(sx)}, {to_source(sy)})"
         self.s_min, self.s_max = float(s_min), float(s_max)
         self.grid = [float(s) for s in grid]
         var = ("s",)
@@ -251,14 +281,9 @@ class ExpressionCurve(_CurveBase):
         self._ddy = compile_fn(differentiate(differentiate(sy, "s"), "s"), var)
         self.points = []
         for s in self.grid:
-            try:
-                p, t = self.point(s), self.tangent(s)
-            except _MATH_ERRORS as exc:
-                raise SectionError(
-                    f"section {self.label()}: curve undefined at s = {s:.6g}: {exc}"
-                ) from exc
+            p, t = self._defined(self.point, s), self._defined(self.tangent, s)
             if not all(map(math.isfinite, p + t)):
-                raise SectionError(f"section {self.label()}: curve not finite at s = {s:.6g}")
+                raise SectionError(f"section {self.label}: curve not finite at s = {s:.6g}")
             self.points.append(p)
 
     def point(self, s: float) -> Point:
@@ -270,11 +295,8 @@ class ExpressionCurve(_CurveBase):
     def _second(self, s: float) -> tuple[float, float]:
         return self._ddx(s), self._ddy(s)
 
-    def label(self) -> str:
-        return f"({to_source(self.sx)}, {to_source(self.sy)})"
 
-
-class TabulatedCurve(_CurveBase):
+class TabulatedCurve(Section):
     """Curve known only at grid points, interpolated with a cubic spline."""
 
     def __init__(self, grid, points):
@@ -296,7 +318,7 @@ class TabulatedCurve(_CurveBase):
         return self._px.deriv2(s), self._py.deriv2(s)
 
 
-def _as_affine(curve: _CurveBase) -> _CurveBase:
+def _as_affine(curve: Section) -> Section:
     """The exact segment through the curve's grid points when its
     parametrization is affine to round-off, else the curve itself."""
     grid, pts = curve.grid, curve.points
@@ -314,57 +336,11 @@ def _as_affine(curve: _CurveBase) -> _CurveBase:
                           grid[0], grid[-1], grid, pts)
 
 
-@dataclass
-class Section:
-    """A validated transversal curve with its certificate.
-
-    ``orientation`` is the common sign of det[tangent, V] along the grid and
-    ``min_transversality`` the smallest |det| / (|tangent| |V|) encountered.
-    A conjugate section also carries ``periods``, the period of the cycle
-    through each grid point.
-    """
-
-    curve: _CurveBase
-    label: str
-    orientation: int
-    min_transversality: float
-    periods: list[float] | None = None
-
-    @property
-    def s_min(self) -> float:
-        return self.curve.s_min
-
-    @property
-    def s_max(self) -> float:
-        return self.curve.s_max
-
-    @property
-    def grid(self) -> list[float]:
-        return self.curve.grid
-
-    def point(self, s: float) -> Point:
-        return self.curve.point(s)
-
-    def tangent(self, s: float) -> tuple[float, float]:
-        return self.curve.tangent(s)
-
-    def project(self, z) -> tuple[float, float]:
-        return self.curve.project(z)
-
-    def side(self, z) -> float:
-        return self.curve.side(z[0], z[1])
-
-    def distance(self, z) -> float:
-        return self.curve.project(z)[1]
-
-    def contains(self, z) -> bool:
-        return self.distance(z) <= membership_tol(z)
-
-    def event(self, direction: int = 0, terminal: bool = True) -> EventSpec:
-        return curve_event(self.curve, direction=direction, terminal=terminal)
-
-
-def _validate(curve: _CurveBase, field, label: str) -> tuple[int, float]:
+def _certify(curve: Section, field, label: str) -> Section:
+    """Check transversality and injectivity on the grid, build the fine
+    polyline that ``project`` searches (straight segments need none), and
+    set the certificate on the curve, which is returned."""
+    curve.label = label
     orientation = 0
     min_t = math.inf
     for s, (px, py) in zip(curve.grid, curve.points):
@@ -399,42 +375,35 @@ def _validate(curve: _CurveBase, field, label: str) -> tuple[int, float]:
     gap = 1e-9 * (1.0 + max(abs(v) for p in pts for v in p))
     if any(math.dist(p, q) < gap for i, p in enumerate(pts) for q in pts[:i]):
         raise SectionError(f"section {label} self-intersects on the grid")
-    return orientation, min_t
+    if not isinstance(curve, _AffineSegment):
+        curve._fine_polyline()
+    curve.orientation, curve.min_transversality = orientation, min_t
+    return curve
 
 
 def make_section(field, sx, sy, s_range, n_grid: int = 33, name: str | None = None) -> Section:
     """Build and certify a section from curve expressions over s.
 
-    ``sx``/``sy`` are expression text (or parsed ASTs) in the variable s;
-    transversality and injectivity are checked at n_grid points across
-    s_range and failures raise with the offending parameter value.
+    ``sx``/``sy`` are expression text in the variable s; transversality
+    and injectivity are checked at n_grid points across s_range and
+    failures raise with the offending parameter value.
     """
-    if isinstance(sx, str):
-        sx = parse(sx, variables=("s",))
-    if isinstance(sy, str):
-        sy = parse(sy, variables=("s",))
+    sx, sy = parse(sx, variables=("s",)), parse(sy, variables=("s",))
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not (s_hi > s_lo):
         raise SectionError(f"empty parameter range [{s_lo}, {s_hi}]")
     if n_grid < 4:
         raise SectionError("section grid needs at least 4 points")
     curve = ExpressionCurve(sx, sy, s_lo, s_hi, linspace(s_lo, s_hi, n_grid))
-    label = name or curve.label()
-    curve = _as_affine(curve)
-    orientation, min_t = _validate(curve, field, label)
-    return Section(curve=curve, label=label, orientation=orientation,
-                   min_transversality=min_t)
+    return _certify(_as_affine(curve), field, name or curve.label)
 
 
 def section_from_points(field, grid, points, name: str) -> Section:
     """Certify a tabulated curve (used for conjugate sections)."""
-    curve = _as_affine(TabulatedCurve(grid, points))
-    orientation, min_t = _validate(curve, field, name)
-    return Section(curve=curve, label=name, orientation=orientation,
-                   min_transversality=min_t)
+    return _certify(_as_affine(TabulatedCurve(grid, points)), field, name)
 
 
-def curve_event(curve: _CurveBase, direction: int = 0, terminal: bool = True) -> EventSpec:
+def curve_event(curve: Section, direction: int = 0, terminal: bool = True) -> EventSpec:
     """Crossing event for a curve segment.
 
     Roots of the side function on the curve's extension (projection clamped

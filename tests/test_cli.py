@@ -332,12 +332,14 @@ class TestVerifyCommand:
 COMMANDS = ["period", "symmetry", "reversibility", "verify"]
 
 # sections that cannot be built: a parse error, a curve undefined at a
-# grid point, a field undefined at a section point
+# grid point or between two, a field undefined at a section point
 UNBUILDABLE_SECTIONS = {
     "parse-error": "field = linear-center\nsx = s +\nsy = 0\nsection_range = [0.2, 1.0]\n",
     "curve-undefined": ("field = linear-center\nsx = s\nsy = log(s)\n"
                         "section_range = [-0.5, 1.0]\n"),
     "field-undefined": "P = -y\nQ = x + 0*sqrt(x - 0.5)\nsection = x-axis [0.2, 1.0]\n",
+    "curve-gap": ("field = linear-center\nsx = s\nsy = 0.1*s^2 + 0*sqrt((s-0.32)^2 - 0.0001)\n"
+                  "section_range = [0.3, 1.5]\n"),
 }
 
 # a literal that parses to inf, and a section whose derivative folds to inf:

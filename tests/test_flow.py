@@ -389,7 +389,7 @@ class TestKernelMatchesReference:
         # a Lipschitz bound, so the kernel skips scans the reference makes.
         field, sec, y0 = _section_case(kind)
         assert sec.event().lipschitz == (1.0 if kind in ("affine", "diagonal") else None)
-        assert type(sec.curve).__name__ == _CURVE_CLASS[kind]
+        assert type(sec).__name__ == _CURVE_CLASS[kind]
         z0 = (0.0, y0 if t > 0 else -y0)
         runs = []
         for run in (integrate, integrate_reference):
@@ -427,20 +427,19 @@ class TestKernelMatchesReference:
         # every side value a scan asks for -- start, dense-output samples,
         # Brent iterates -- equals the ndarray body's to the bit
         field, sec, y0 = _section_case(kind)
-        curve = sec.curve
-        assert type(curve).__name__ == _CURVE_CLASS[kind]
+        assert type(sec).__name__ == _CURVE_CLASS[kind]
         seen = []
 
         def g(x, y):
             seen.append((x, y))
-            return curve.side(x, y)
+            return sec.side(x, y)
 
         traj = integrate(field.rhs, (0.0, y0), 9.0, cfg,
                          [EventSpec(g=g, terminal=False, accept=sec.event().accept)],
                          field.contains)
         assert traj.events and len(seen) > 100
         for x, y in seen:
-            assert curve.side(x, y).hex() == float(side_reference(curve, (x, y))).hex()
+            assert sec.side(x, y).hex() == float(side_reference(sec, (x, y))).hex()
 
     @pytest.mark.parametrize("field, z0, t, cfg, exc", [
         (builtin_field("linear-center"), (1.0, 0.0), 100.0, IntegratorConfig(max_steps=5),

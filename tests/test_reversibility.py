@@ -52,7 +52,7 @@ def on_circle(theta, r=1.0):
 
 def star_rows(star):
     """(s, x_star, y_star, T) per grid point of a conjugate section."""
-    return ((s, x, y, T) for s, (x, y), T in zip(star.grid, star.curve.points, star.periods))
+    return ((s, x, y, T) for s, (x, y), T in zip(star.grid, star.points, star.periods))
 
 
 class TestConjugateSection:
@@ -129,8 +129,8 @@ class TestTau:
         # that only tau_hit reports; (0.8, 0.3 * 0.8^2) lies on the section
         sec = make_section(pendulum, "s", "0.3*s^2", (0.35, 1.75), name="parabola")
         calls = []
-        project = sec.curve.project
-        sec.curve.project = lambda z: calls.append(1) or project(z)
+        project = sec.project
+        sec.project = lambda z: calls.append(1) or project(z)
         t = tau(pendulum, sec, start, cfg)
         n_tau = len(calls)
         t_hit = tau_hit(pendulum, sec, start, cfg)[0]
@@ -147,16 +147,15 @@ class TestTau:
 
     def test_double_crossing_detected(self, linear_center, cfg):
         # a horizontal chord meets the r = 1.8 cycle twice; grid validation
-        # would refuse it (tangency at x = 0), so build the wrapper directly
-        # and check the per-sample guard in tau
+        # would refuse it (tangency at x = 0), so build the curve directly,
+        # set its certificate, and check the per-sample guard in tau
         from annulus_involutions.expr import parse
-        from annulus_involutions.sections import ExpressionCurve, Section
+        from annulus_involutions.sections import ExpressionCurve
 
         grid = np.linspace(-1.9, 1.9, 33)
-        curve = ExpressionCurve(parse("s", ("s",)), parse("1.2", ("s",)),
+        chord = ExpressionCurve(parse("s", ("s",)), parse("1.2", ("s",)),
                                 -1.9, 1.9, grid)
-        chord = Section(curve=curve, label="chord", orientation=1,
-                        min_transversality=1.0)
+        chord.label, chord.orientation, chord.min_transversality = "chord", 1, 1.0
         with pytest.raises(NotASection):
             tau(linear_center, chord, on_circle(0.3, r=1.8), cfg)
 

@@ -85,8 +85,8 @@ class TestGeometry:
         sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
         s, dist = sec.project([1.1, 0.5])
         assert s == pytest.approx(1.1) and dist == pytest.approx(0.5)
-        assert sec.side([1.1, 0.5]) == pytest.approx(0.5)
-        assert sec.side([1.1, -0.5]) == pytest.approx(-0.5)
+        assert sec.side(1.1, 0.5) == pytest.approx(0.5)
+        assert sec.side(1.1, -0.5) == pytest.approx(-0.5)
 
     def test_projection_clamps_to_segment(self, linear_center):
         sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
@@ -101,7 +101,7 @@ class TestGeometry:
 
     def test_expression_curve_geometry(self, linear_center):
         sec = make_section(linear_center, "s", "0.2*sin(3*s)", (0.3, 1.8), name="wavy")
-        assert isinstance(sec.curve, ExpressionCurve)
+        assert isinstance(sec, ExpressionCurve)
         for s_true in (0.5, 0.9, 1.4):
             p = sec.point(s_true)
             n = np.array([-sec.tangent(s_true)[1], sec.tangent(s_true)[0]])
@@ -110,13 +110,13 @@ class TestGeometry:
             s_proj, dist = sec.project(q)
             assert s_proj == pytest.approx(s_true, abs=1e-8)
             assert dist == pytest.approx(0.05, abs=1e-10)
-            assert sec.side(q) == pytest.approx(0.05, abs=1e-10)
+            assert sec.side(q[0], q[1]) == pytest.approx(0.05, abs=1e-10)
 
     def test_tabulated_curve_matches_expression(self, linear_center):
         grid = np.linspace(0.3, 1.8, 41)
         pts = np.array([[s, 0.2 * math.sin(3 * s)] for s in grid])
         tab = section_from_points(linear_center, grid, pts, name="wavy-tab")
-        assert isinstance(tab.curve, TabulatedCurve)
+        assert isinstance(tab, TabulatedCurve)
         for s in (0.45, 1.0, 1.55):
             exact = np.array([s, 0.2 * math.sin(3 * s)])
             assert np.linalg.norm(tab.point(s) - exact) <= 1e-6

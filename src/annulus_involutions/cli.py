@@ -323,12 +323,11 @@ def _period_command(config: RunConfig, section, cfg):
 
 def _symmetry_command(config: RunConfig, section, cfg):
     samples, times = _gather_samples(config, section, cfg)
-    sigma = SymmetryInvolution(config.field, cfg)
-    report = verify_sigma_symmetry(config.field, samples, times, cfg, sigma=sigma)
+    report = verify_sigma_symmetry(config.field, samples, times, cfg)
     report.checks.extend(_uniqueness_checks(config, section, cfg))
     report.provenance["section"] = section.label
     report.provenance["config_digest"] = config.digest()
-    pairs = _pairs_csv("symmetry_pairs", samples, sigma)
+    pairs = _pairs_csv("symmetry_pairs", samples, SymmetryInvolution(config.field, cfg))
     return _outcome(report, [("symmetry_report.json", report.to_json()),
                              ("symmetry_pairs.csv", pairs)])
 

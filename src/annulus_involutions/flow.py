@@ -517,16 +517,18 @@ def flow_to_event(
     return hit.t, hit.z
 
 
-def jacobian_fd(map_fn: Callable[[Point], Sequence[float]], z) -> tuple[Point, Point]:
-    """2x2 Jacobian of a planar map by central differences, as rows
-    ((d f0/dx, d f0/dy), (d f1/dx, d f1/dy)).
-
-    The step 1e-5 * (1 + |z|) is snapped to a power of two so the stencil
-    offsets carry no representation error.
+def jacobian_fd(map_fn: Callable[[Point], Sequence[float]], z, v) -> Point:
+    """J(z) v for a planar map f, by one central difference along v:
+    (f(z + h u) - f(z - h u)) |v| / 2h with u = v / |v|; v = 0 gives (0.0, 0.0)
+    without calling f.  The step h = 1e-5 * (1 + |z|) is snapped to a power
+    of two, so along an axis the stencil offsets carry no rounding error.
     """
     x, y = as_point(z)
+    vx, vy = as_point(v)
+    n = math.hypot(vx, vy)
+    if n == 0.0:
+        return 0.0, 0.0
     h = 2.0 ** round(math.log2(1e-5 * (1.0 + math.hypot(x, y))))
-    px, mx = map_fn((x + h, y)), map_fn((x - h, y))
-    py, my = map_fn((x, y + h)), map_fn((x, y - h))
-    return (((px[0] - mx[0]) / (2.0 * h), (py[0] - my[0]) / (2.0 * h)),
-            ((px[1] - mx[1]) / (2.0 * h), (py[1] - my[1]) / (2.0 * h)))
+    ux, uy = vx / n, vy / n
+    p, m = map_fn((x + h * ux, y + h * uy)), map_fn((x - h * ux, y - h * uy))
+    return (p[0] - m[0]) * n / (2.0 * h), (p[1] - m[1]) * n / (2.0 * h)

@@ -137,14 +137,15 @@ class Section:
     grid: list[float]
     points: list[Point]
 
+    def _undefined(self, s: float, exc: Exception) -> SectionError:
+        return SectionError(f"section {self.label}: curve undefined at s = {s:.6g}: {exc}")
+
     def _defined(self, f, s: float):
         """f(s), with a math error raised as SectionError naming s."""
         try:
             return f(s)
         except _MATH_ERRORS as exc:
-            raise SectionError(
-                f"section {self.label}: curve undefined at s = {s:.6g}: {exc}"
-            ) from exc
+            raise self._undefined(s, exc) from exc
 
     def _fine_polyline(self):
         """(parameters, xs, ys, blocks) of the fine polyline.  Block k covers
@@ -185,33 +186,38 @@ class Section:
         return i_best
 
     def project(self, z) -> tuple[float, float]:
-        """Nearest-point parameter (clamped to the range) and true distance."""
+        """Nearest-point parameter (clamped to the range) and true distance;
+        a Newton iterate where the curve is undefined raises SectionError."""
         zx, zy = as_point(z)
         s = self._fine_polyline()[0][self._nearest_vertex(zx, zy)]
         span = self.s_max - self.s_min
-        for _ in range(30):
-            cx, cy = self.point(s)
-            tx, ty = self.tangent(s)
-            rx, ry = zx - cx, zy - cy
-            h = rx * tx + ry * ty
-            c2x, c2y = self._second(s)
-            hp = -(tx * tx + ty * ty) + rx * c2x + ry * c2y
-            if hp == 0.0:
-                break
-            step = h / hp
-            s_new = min(max(s - step, self.s_min), self.s_max)
-            if abs(s_new - s) < 1e-14 * span:
+        try:
+            for _ in range(30):
+                cx, cy = self.point(s)
+                tx, ty = self.tangent(s)
+                rx, ry = zx - cx, zy - cy
+                h = rx * tx + ry * ty
+                c2x, c2y = self._second(s)
+                hp = -(tx * tx + ty * ty) + rx * c2x + ry * c2y
+                if hp == 0.0:
+                    break
+                step = h / hp
+                s_new = min(max(s - step, self.s_min), self.s_max)
+                if abs(s_new - s) < 1e-14 * span:
+                    s = s_new
+                    break
                 s = s_new
-                break
-            s = s_new
-        cx, cy = self.point(s)
+            cx, cy = self.point(s)
+        except _MATH_ERRORS as exc:
+            raise self._undefined(s, exc) from exc
         return s, math.hypot(zx - cx, zy - cy)
 
     def side(self, x: float, y: float) -> float:
-        """Signed offset of (x, y) along the local normal at the projected point."""
+        """Signed offset of (x, y) along the local normal at the projected
+        point (project has evaluated the curve point there)."""
         s, _ = self.project((x, y))
         cx, cy = self.point(s)
-        tx, ty = self.tangent(s)
+        tx, ty = self._defined(self.tangent, s)
         tn = math.hypot(tx, ty)
         return (tx * (y - cy) - ty * (x - cx)) / tn
 

@@ -88,12 +88,9 @@ def verify_sigma_symmetry(
     samples,
     times,
     cfg: IntegratorConfig = IntegratorConfig(),
-    *,
-    sigma: SymmetryInvolution | None = None,
 ) -> VerificationReport:
     """Run the symmetry identity suite over the samples and times."""
-    if sigma is None:
-        sigma = SymmetryInvolution(field, cfg)
+    sigma = SymmetryInvolution(field, cfg)
     threshold = 0.1  # non-triviality: the largest |sigma(z) - z| must exceed it
     with suite_scope():
         checks = [

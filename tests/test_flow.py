@@ -273,19 +273,25 @@ class TestEvents:
         assert [e.index for e in traj.events] == [0, 1]
 
 
+def _jacobian_columns(map_fn, z):
+    """[J e_x, J e_y] as the columns of a 2x2 array."""
+    return np.column_stack([jacobian_fd(map_fn, z, (1.0, 0.0)),
+                            jacobian_fd(map_fn, z, (0.0, 1.0))])
+
+
 class TestJacobianFD:
     def test_identity(self):
-        J = jacobian_fd(lambda z: z, [0.4, -1.1])
+        J = _jacobian_columns(lambda z: z, [0.4, -1.1])
         assert np.abs(J - np.eye(2)).max() <= 1e-12
 
     def test_mirror(self):
-        J = jacobian_fd(lambda z: np.array([z[0], -z[1]]), [0.3, 0.7])
+        J = _jacobian_columns(lambda z: np.array([z[0], -z[1]]), [0.3, 0.7])
         assert np.abs(J - np.diag([1.0, -1.0])).max() <= 1e-10
 
     def test_quarter_turn_flow_map(self, linear_center, cfg):
         # oracle: variational equations integrated with fixed-step RK4
         t = math.pi / 2
-        J = jacobian_fd(lambda z: flow(linear_center, z, t, cfg), [1.0, 0.0])
+        J = _jacobian_columns(lambda z: flow(linear_center, z, t, cfg), [1.0, 0.0])
         expected = variational_jacobian(linear_center, [1.0, 0.0], t)
         assert np.abs(expected - rotation_matrix(t)).max() <= 1e-10
         assert np.abs(J - expected).max() <= 1e-7
@@ -293,9 +299,44 @@ class TestJacobianFD:
     def test_pendulum_flow_map_vs_variational(self, pendulum, cfg):
         t = 1.3
         z = [1.1, 0.2]
-        J = jacobian_fd(lambda w: flow(pendulum, w, t, cfg), z)
+        J = _jacobian_columns(lambda w: flow(pendulum, w, t, cfg), z)
         expected = variational_jacobian(pendulum, z, t)
         assert np.abs(J - expected).max() <= 1e-6
+        v = (0.35, -0.8)
+        jv = jacobian_fd(lambda w: flow(pendulum, w, t, cfg), z, v)
+        assert np.abs(np.array(jv) - expected @ v).max() <= 1e-6 * math.hypot(*v)
+
+    @pytest.mark.parametrize("matrix, z", [((1.0, 0.0, 0.0, 1.0), (0.4, -1.1)),
+                                           ((1.0, 0.0, 0.0, -1.0), (0.3, 0.7))],
+                             ids=["identity", "mirror"])
+    @pytest.mark.parametrize("v", [(0.6, -1.3), (-2e-3, 5e-4), (3.0, 4.0)])
+    def test_oblique_direction(self, matrix, z, v):
+        # off the axes z +- h u is rounded to within an ulp of z, so J v is
+        # off by up to about ulp(|z|) |v| / 2h, below 5e-12 |v| at these z
+        a, b, c, d = matrix
+        jv = jacobian_fd(lambda w: (a * w[0] + b * w[1], c * w[0] + d * w[1]), z, v)
+        expected = (a * v[0] + b * v[1], c * v[0] + d * v[1])
+        assert math.dist(jv, expected) <= 1e-11 * math.hypot(*v)
+
+    def test_axis_directions_are_coordinate_differences(self, pendulum, cfg):
+        # along e_x and e_y the stencil is z +- h e_i exactly, so J e_i is
+        # bit for bit the coordinate central difference
+        z = (1.1, 0.2)
+        h = 2.0 ** round(math.log2(1e-5 * (1.0 + math.hypot(*z))))
+        f = functools.partial(flow, pendulum, t=1.3, cfg=cfg)
+        for i, v in enumerate([(1.0, 0.0), (0.0, 1.0)]):
+            zp, zm = list(z), list(z)
+            zp[i] += h
+            zm[i] -= h
+            p, m = f(tuple(zp)), f(tuple(zm))
+            column = ((p[0] - m[0]) / (2.0 * h), (p[1] - m[1]) / (2.0 * h))
+            assert jacobian_fd(f, z, v) == column
+
+    def test_zero_direction_skips_map(self):
+        def never(z):
+            raise AssertionError("map called for v = 0")
+
+        assert jacobian_fd(never, (0.5, 0.5), (0.0, 0.0)) == (0.0, 0.0)
 
 
 # (field, z0, t_final, cfg, events) runs of the kernel against the ndarray

@@ -96,3 +96,24 @@ def test_traced_event_counters():
     assert total("g.transversal") + total("g.affine") == (
         integrations + mods["flow"]._EVENT_SAMPLES * total("accepted")
         + total("brent_iter"))
+
+
+def test_traced_field_condition_matches_untraced():
+    # the traced benchmark pass must produce the untraced outputs; the
+    # check makes one directional difference per sample
+    tracing = _tracing()
+    mods = _layer_modules()
+    field = mods["fields"].builtin_field("linear-center")
+    sigma = mods["symmetry"].SymmetryInvolution(field)
+    samples = [(0.8, 0.3)]
+    plain = mods["verify"].check_field_condition(field, sigma, +1, samples)
+    tracer = tracing.Tracer()
+    tracer.install(mods)
+    try:
+        traced = mods["verify"].check_field_condition(field, sigma, +1, samples)
+    finally:
+        tracer.uninstall()
+    names = [rec[0] for rec in tracer.spans]
+    assert names.count("flow.jacobian_fd") == len(samples)
+    assert names.count("symmetry.SymmetryInvolution.__call__") == 3 * len(samples)
+    assert traced.to_dict() == plain.to_dict()

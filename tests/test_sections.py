@@ -166,6 +166,21 @@ class TestGeometry:
             assert [v.hex() for v in linspace(lo, hi, n)] == [
                 float(v).hex() for v in np.linspace(lo, hi, n)]
 
+    def test_newton_iterate_in_undefined_gap(self, linear_center):
+        # the curve is undefined for |s - s0| < 1e-4, between two vertices
+        # of the fine polyline, so certification passes; Newton started
+        # from a nearby vertex steps into the gap
+        s0 = 0.31171875
+        sec = make_section(linear_center, "s", f"0.1*s^2 + 0*sqrt((s-{s0})^2 - 1e-8)",
+                           (0.3, 1.5))
+        nx, ny = -0.2 * s0, 1.0
+        norm = math.hypot(nx, ny)
+        z = (s0 + 0.05 * nx / norm, 0.1 * s0 * s0 + 0.05 * ny / norm)
+        with pytest.raises(SectionError, match="curve undefined at s = "):
+            sec.project(z)
+        with pytest.raises(SectionError, match="curve undefined at s = "):
+            sec.side(*z)
+
     def test_self_intersection_rejected(self, linear_center):
         grid = np.linspace(0.0, 1.0, 9)
         pts = np.array([[math.sin(math.pi * g), 1.0 + 0.1 * g] for g in grid])

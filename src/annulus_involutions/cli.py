@@ -202,6 +202,11 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
         params = parse_number_list(entries["params"], "params")
         if not params:
             raise ConfigError("params list is empty")
+    samples = _parse_int(entries, "samples", 10)
+    times = _parse_int(entries, "times", 3)
+    for key, count in (("samples", samples), ("times", times)):
+        if count < 1:
+            raise ConfigError(f"{key} must be at least 1, got {count}")
     out_dir = Path(out_override) if out_override is not None else Path(entries.get("out", "out"))
     raw = dict(entries)
     raw["rtol"] = repr(rtol)
@@ -218,8 +223,8 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
         params=params,
         rtol=rtol,
         atol=atol,
-        samples=_parse_int(entries, "samples", 10),
-        times=_parse_int(entries, "times", 3),
+        samples=samples,
+        times=times,
         seed=seed,
         out_dir=out_dir,
         raw=raw,

@@ -13,6 +13,12 @@ Recognized functions: sin, cos, tan, exp, log, sqrt, abs.  The printer and
 evaluator additionally understand ``sign``, which differentiating ``abs``
 produces.  Identifiers other than the declared variables are rejected at
 parse time, so no free names survive into an AST.
+
+Evaluation goes through generated Python code: ``compile_fn`` turns a tuple
+of ASTs into one function that returns their values (a section's curve,
+its first and second derivatives form one such tuple), and each field's P
+and Q are fused with their domain and finiteness checks behind
+``PlanarField.rhs``.
 """
 
 from __future__ import annotations
@@ -330,15 +336,18 @@ def _exec(src: str, name: str) -> Callable:
 
 
 @lru_cache(maxsize=None)
-def compile_fn(e: ExprAst, variables: tuple[str, ...] = ("x", "y")) -> Callable[..., float]:
-    """Compile an AST into a plain positional-argument float function.
+def compile_fn(exprs: tuple[ExprAst, ...],
+               variables: tuple[str, ...] = ("x", "y")) -> Callable[..., tuple[float, ...]]:
+    """Compile a tuple of ASTs into one plain positional-argument function
+    that returns their values as a tuple of floats.
 
-    The emitted code performs exactly the arithmetic of the tree (same
+    The emitted code performs exactly the arithmetic of each tree (same
     operations in the same order), so results are bit-identical across
     calls.  Domain failures surface as one of ``_MATH_ERRORS``, which
     :func:`evaluate` maps to DomainError.
     """
-    return _exec(f"def _compiled({', '.join(variables)}):\n    return {_emit(e)}\n",
+    values = "".join(f"{_emit(e)}, " for e in exprs)
+    return _exec(f"def _compiled({', '.join(variables)}):\n    return ({values})\n",
                  "_compiled")
 
 
@@ -361,9 +370,9 @@ def _compile_rhs(p: ExprAst, q: ExprAst) -> Callable[[float, float], tuple[float
 
 def evaluate(e: ExprAst, x: float, y: float) -> float:
     """Evaluate at (x, y) in IEEE double; non-finite results raise DomainError."""
-    fn = compile_fn(e, ("x", "y"))
+    fn = compile_fn((e,), ("x", "y"))
     try:
-        v = fn(float(x), float(y))
+        v, = fn(float(x), float(y))
     except _MATH_ERRORS as exc:
         raise DomainError(f"evaluation failed at ({x}, {y}): {exc}") from exc
     if not math.isfinite(v):

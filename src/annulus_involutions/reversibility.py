@@ -230,9 +230,6 @@ class ReversibilityInvolution:
     def tau_star(self, z) -> float:
         return tau_star(self.field, self.delta_star, z, self.cfg)
 
-    def classify(self, z) -> tuple[BranchTag, dict]:
-        return classify(self.field, self.delta, self.delta_star, z, self.cfg)
-
     def __call__(self, z) -> Point:
         return sigma_reversible(self.field, self.delta, z, self.cfg, self.delta_star)
 

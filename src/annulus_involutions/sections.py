@@ -2,13 +2,18 @@
 
 A section is a regular curve s -> (x(s), y(s)) whose tangent is transversal
 to the field along the sampled grid; ``Section``, the base class of the
-curve kinds, also holds the certificate.  Curves expose a signed side
-function ``side(x, y)`` (signed distance along the local normal, on two
-floats) used as the event function for "trajectory meets the curve"
-crossings, plus nearest-point projection for membership tests.  Straight
-segments take an exact affine fast path; tabulated curves (conjugate
-sections have no closed form) are interpolated with a cubic spline.  Points
-are (x, y) tuples of floats and parameter grids are lists.
+curve kinds, also holds the certificate.  Each curve kind evaluates C, C'
+and C'' at s in one call, its ``jet``: an expression curve through one
+compiled function, a tabulated curve (conjugate sections have no closed
+form) from one set of not-a-knot cubic spline coefficients, a straight
+segment exactly.  Curves expose a signed side function ``side(x, y)``
+(signed distance along the local normal, on two floats) used as the event
+function for "trajectory meets the curve" crossings, plus nearest-point
+projection for membership tests; on a curved section both start from one
+foot point.  An expression curve becomes an exact straight segment only
+when its second derivatives are symbolically zero and its grid points are
+affine to round-off.  Points are (x, y) tuples of floats and parameter
+grids are lists.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from bisect import bisect_right
 
 from .errors import DomainError, SectionError, TransversalityError
-from .expr import _MATH_ERRORS, ExprAst, compile_fn, differentiate, parse, to_source
+from .expr import _MATH_ERRORS, Const, ExprAst, compile_fn, differentiate, parse, to_source
 from .flow import EventSpec, Point, as_point
 
 __all__ = [
@@ -46,79 +51,46 @@ def membership_tol(z) -> float:
     return 1e-9 * (1.0 + math.hypot(float(z[0]), float(z[1])))
 
 
-class _PPoly1D:
-    """Scalar piecewise cubic y(s): the not-a-knot interpolating spline.
+def _not_a_knot(grid: list[float], values: list[float]) -> tuple[list[float], ...]:
+    """Coefficients of the not-a-knot cubic spline through n >= 4 points
+    (the system and the coefficient formulas of scipy.interpolate.CubicSpline):
+    four lists over the n-1 segments, highest degree first, in the layout of
+    scipy's ``PPoly.c``.
 
-    ``c`` holds the coefficients as four lists over the n-1 segments,
-    highest degree first, in the layout of scipy's ``PPoly.c``.  The
-    segment is found by bisection.
+    The knot slopes m make C'' continuous at interior knots and C''' at
+    the second and second-last; that system is tridiagonal, and is
+    solved by elimination without pivoting.
     """
-
-    def __init__(self, knots: list[float], coeffs: tuple[list[float], ...]):
-        self.c = coeffs
-        self._knots = knots
-        self._c0, self._c1, self._c2, self._c3 = coeffs
-        self._last = len(knots) - 2
-
-    @classmethod
-    def fit(cls, grid, values):
-        """Not-a-knot cubic spline through n >= 4 points (the system and the
-        coefficient formulas of scipy.interpolate.CubicSpline).
-
-        The knot slopes m make C'' continuous at interior knots and C''' at
-        the second and second-last; that system is tridiagonal, and is
-        solved by elimination without pivoting.
-        """
-        x = [float(v) for v in grid]
-        y = [float(v) for v in values]
-        n = len(x)
-        dx = [b - a for a, b in zip(x, x[1:])]
-        slope = [(b - a) / h for a, b, h in zip(y, y[1:], dx)]
-        # row i: lower[i-1] * m[i-1] + diag[i] * m[i] + upper[i] * m[i+1] = rhs[i]
-        d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        lower, upper = dx[1:] + [d1], [d0] + dx[:-1]
-        diag = [dx[1]] + [2.0 * (a + b) for a, b in zip(dx, dx[1:])] + [dx[-2]]
-        rhs = ([((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0]
-               + [3.0 * (dx[i] * slope[i - 1] + dx[i - 1] * slope[i]) for i in range(1, n - 1)]
-               + [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1])
-        for i in range(1, n):
-            w = lower[i - 1] / diag[i - 1]
-            diag[i] -= w * upper[i - 1]
-            rhs[i] -= w * rhs[i - 1]
-        m = [rhs[-1] / diag[-1]] * n
-        for i in range(n - 2, -1, -1):
-            m[i] = (rhs[i] - upper[i] * m[i + 1]) / diag[i]
-        t = [(a + b - 2.0 * k) / h for a, b, k, h in zip(m, m[1:], slope, dx)]
-        return cls(x, ([ti / h for ti, h in zip(t, dx)],
-                       [(k - a) / h - ti for k, a, h, ti in zip(slope, m, dx, t)],
-                       m[:-1], y[:-1]))
-
-    def _segment(self, s: float) -> int:
-        # the index searchsorted(grid, s, side="right") - 1 gives, clamped
-        return min(max(bisect_right(self._knots, s) - 1, 0), self._last)
-
-    def __call__(self, s: float) -> float:
-        i = self._segment(s)
-        u = s - self._knots[i]
-        return ((self._c0[i] * u + self._c1[i]) * u + self._c2[i]) * u + self._c3[i]
-
-    def deriv(self, s: float) -> float:
-        i = self._segment(s)
-        u = s - self._knots[i]
-        return (3.0 * self._c0[i] * u + 2.0 * self._c1[i]) * u + self._c2[i]
-
-    def deriv2(self, s: float) -> float:
-        i = self._segment(s)
-        u = s - self._knots[i]
-        return 6.0 * self._c0[i] * u + 2.0 * self._c1[i]
+    x, y = grid, values
+    n = len(x)
+    dx = [b - a for a, b in zip(x, x[1:])]
+    slope = [(b - a) / h for a, b, h in zip(y, y[1:], dx)]
+    # row i: lower[i-1] * m[i-1] + diag[i] * m[i] + upper[i] * m[i+1] = rhs[i]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower, upper = dx[1:] + [d1], [d0] + dx[:-1]
+    diag = [dx[1]] + [2.0 * (a + b) for a, b in zip(dx, dx[1:])] + [dx[-2]]
+    rhs = ([((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0]
+           + [3.0 * (dx[i] * slope[i - 1] + dx[i - 1] * slope[i]) for i in range(1, n - 1)]
+           + [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1])
+    for i in range(1, n):
+        w = lower[i - 1] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    m = [rhs[-1] / diag[-1]] * n
+    for i in range(n - 2, -1, -1):
+        m[i] = (rhs[i] - upper[i] * m[i + 1]) / diag[i]
+    t = [(a + b - 2.0 * k) / h for a, b, k, h in zip(m, m[1:], slope, dx)]
+    return ([ti / h for ti, h in zip(t, dx)],
+            [(k - a) / h - ti for k, a, h, ti in zip(slope, m, dx, t)],
+            m[:-1], y[:-1])
 
 
 class Section:
     """A curve s -> C(s) on [s_min, s_max]; once certified, a transversal
     section that carries its certificate.
 
-    Subclasses define ``point``, ``tangent`` and ``_second`` (C, C' and C''
-    as float pairs) and may override ``project`` and ``side``.
+    Subclasses define ``jet(s)``, the floats (x, y, x', y', x'', y'') of C,
+    C' and C'' at s, and may override ``project`` and ``side``.
     ``side_lipschitz`` bounds |grad side| for the event scan; the generic
     side (offset at a Newton projection) has no proven bound.
     Certification sets ``label``, ``orientation`` (the common sign of
@@ -137,6 +109,12 @@ class Section:
     grid: list[float]
     points: list[Point]
 
+    def point(self, s: float) -> Point:
+        return self.jet(s)[:2]
+
+    def tangent(self, s: float) -> tuple[float, float]:
+        return self.jet(s)[2:4]
+
     def _undefined(self, s: float, exc: Exception) -> SectionError:
         return SectionError(f"section {self.label}: curve undefined at s = {s:.6g}: {exc}")
 
@@ -153,7 +131,7 @@ class Section:
         index, end index, anchor x, anchor y, bound on their distance)."""
         if getattr(self, "_fine", None) is None:
             ss = linspace(self.s_min, self.s_max, max(8 * (len(self.grid) - 1) + 1, 65))
-            pts = [self._defined(self.point, s) for s in ss]
+            pts = [self._defined(self.jet, s) for s in ss]
             xs, ys = [p[0] for p in pts], [p[1] for p in pts]
             blocks = []
             for a in range(0, len(ss), 8):
@@ -185,41 +163,42 @@ class Section:
                     best, i_best = d, i
         return i_best
 
-    def project(self, z) -> tuple[float, float]:
-        """Nearest-point parameter (clamped to the range) and true distance;
-        a Newton iterate where the curve is undefined raises SectionError."""
-        zx, zy = as_point(z)
+    def _foot(self, zx: float, zy: float) -> tuple[float, tuple[float, ...]]:
+        """(s, jet(s)) at the nearest point of the curve to (zx, zy): the
+        nearest fine-polyline vertex, then Newton on |z - C(s)|^2 with s
+        clamped to the range.  A Newton iterate where the curve is
+        undefined raises SectionError."""
         s = self._fine_polyline()[0][self._nearest_vertex(zx, zy)]
         span = self.s_max - self.s_min
         try:
+            jet = self.jet(s)
             for _ in range(30):
-                cx, cy = self.point(s)
-                tx, ty = self.tangent(s)
+                cx, cy, tx, ty, c2x, c2y = jet
                 rx, ry = zx - cx, zy - cy
                 h = rx * tx + ry * ty
-                c2x, c2y = self._second(s)
                 hp = -(tx * tx + ty * ty) + rx * c2x + ry * c2y
                 if hp == 0.0:
                     break
-                step = h / hp
-                s_new = min(max(s - step, self.s_min), self.s_max)
-                if abs(s_new - s) < 1e-14 * span:
-                    s = s_new
-                    break
+                s_new = min(max(s - h / hp, self.s_min), self.s_max)
+                converged = abs(s_new - s) < 1e-14 * span
                 s = s_new
-            cx, cy = self.point(s)
+                jet = self.jet(s)
+                if converged:
+                    break
         except _MATH_ERRORS as exc:
             raise self._undefined(s, exc) from exc
+        return s, jet
+
+    def project(self, z) -> tuple[float, float]:
+        """Nearest-point parameter (clamped to the range) and true distance."""
+        zx, zy = as_point(z)
+        s, (cx, cy, *_) = self._foot(zx, zy)
         return s, math.hypot(zx - cx, zy - cy)
 
     def side(self, x: float, y: float) -> float:
-        """Signed offset of (x, y) along the local normal at the projected
-        point (project has evaluated the curve point there)."""
-        s, _ = self.project((x, y))
-        cx, cy = self.point(s)
-        tx, ty = self._defined(self.tangent, s)
-        tn = math.hypot(tx, ty)
-        return (tx * (y - cy) - ty * (x - cx)) / tn
+        """Signed offset of (x, y) along the local normal at its foot point."""
+        _, (cx, cy, tx, ty, _, _) = self._foot(x, y)
+        return (tx * (y - cy) - ty * (x - cx)) / math.hypot(tx, ty)
 
     def distance(self, z) -> float:
         return self.project(z)[1]
@@ -250,11 +229,8 @@ class _AffineSegment(Section):
         self._dd = self.dx * self.dx + self.dy * self.dy
         self._dn = math.sqrt(self._dd)
 
-    def point(self, s: float) -> Point:
-        return self.ax + s * self.dx, self.ay + s * self.dy
-
-    def tangent(self, s: float) -> tuple[float, float]:
-        return self.dx, self.dy
+    def jet(self, s: float) -> tuple[float, ...]:
+        return self.ax + s * self.dx, self.ay + s * self.dy, self.dx, self.dy, 0.0, 0.0
 
     def project(self, z) -> tuple[float, float]:
         zx, zy = as_point(z)
@@ -268,38 +244,32 @@ class _AffineSegment(Section):
 
 
 class ExpressionCurve(Section):
-    """Curve defined by expressions x(s), y(s) with exact derivatives.
+    """Curve defined by expressions x(s), y(s), whose jet with the exact
+    derivatives is one compiled function.
 
-    The point and the tangent must be defined and finite at every grid
-    point; otherwise construction raises SectionError naming s.
+    The jet must be defined, and the point and the tangent finite, at every
+    grid point; otherwise construction raises SectionError naming s.
     """
 
     def __init__(self, sx: ExprAst, sy: ExprAst, s_min: float, s_max: float, grid):
         self.label = f"({to_source(sx)}, {to_source(sy)})"
         self.s_min, self.s_max = float(s_min), float(s_max)
         self.grid = [float(s) for s in grid]
-        var = ("s",)
-        self._x = compile_fn(sx, var)
-        self._y = compile_fn(sy, var)
-        self._dx = compile_fn(differentiate(sx, "s"), var)
-        self._dy = compile_fn(differentiate(sy, "s"), var)
-        self._ddx = compile_fn(differentiate(differentiate(sx, "s"), "s"), var)
-        self._ddy = compile_fn(differentiate(differentiate(sy, "s"), "s"), var)
+        dx, dy = differentiate(sx, "s"), differentiate(sy, "s")
+        ddx, ddy = differentiate(dx, "s"), differentiate(dy, "s")
+        self._jet = compile_fn((sx, sy, dx, dy, ddx, ddy), ("s",))
+        # C'' is symbolically zero; abs() also differentiates to a zero C'',
+        # so a kinked curve is told apart only by the grid test of _as_affine
+        self.straight = ddx == Const(0.0) and ddy == Const(0.0)
         self.points = []
         for s in self.grid:
-            p, t = self._defined(self.point, s), self._defined(self.tangent, s)
-            if not all(map(math.isfinite, p + t)):
+            jet = self._defined(self._jet, s)
+            if not all(map(math.isfinite, jet[:4])):
                 raise SectionError(f"section {self.label}: curve not finite at s = {s:.6g}")
-            self.points.append(p)
+            self.points.append(jet[:2])
 
-    def point(self, s: float) -> Point:
-        return self._x(s), self._y(s)
-
-    def tangent(self, s: float) -> tuple[float, float]:
-        return self._dx(s), self._dy(s)
-
-    def _second(self, s: float) -> tuple[float, float]:
-        return self._ddx(s), self._ddy(s)
+    def jet(self, s: float) -> tuple[float, ...]:
+        return self._jet(s)
 
 
 class TabulatedCurve(Section):
@@ -311,17 +281,18 @@ class TabulatedCurve(Section):
         if len(self.grid) < 4:
             raise SectionError("tabulated curve needs at least 4 grid points")
         self.s_min, self.s_max = self.grid[0], self.grid[-1]
-        self._px = _PPoly1D.fit(self.grid, [p[0] for p in self.points])
-        self._py = _PPoly1D.fit(self.grid, [p[1] for p in self.points])
+        # one row per segment: the x, then the y coefficients, highest degree first
+        self.coeffs = list(zip(*_not_a_knot(self.grid, [p[0] for p in self.points]),
+                               *_not_a_knot(self.grid, [p[1] for p in self.points])))
 
-    def point(self, s: float) -> Point:
-        return self._px(s), self._py(s)
-
-    def tangent(self, s: float) -> tuple[float, float]:
-        return self._px.deriv(s), self._py.deriv(s)
-
-    def _second(self, s: float) -> tuple[float, float]:
-        return self._px.deriv2(s), self._py.deriv2(s)
+    def jet(self, s: float) -> tuple[float, ...]:
+        # the segment searchsorted(grid, s, side="right") - 1 gives, clamped
+        i = min(max(bisect_right(self.grid, s) - 1, 0), len(self.coeffs) - 1)
+        u = s - self.grid[i]
+        a, b, c, d, e, f, g, k = self.coeffs[i]
+        return (((a * u + b) * u + c) * u + d, ((e * u + f) * u + g) * u + k,
+                (3.0 * a * u + 2.0 * b) * u + c, (3.0 * e * u + 2.0 * f) * u + g,
+                6.0 * a * u + 2.0 * b, 6.0 * e * u + 2.0 * f)
 
 
 def _as_affine(curve: Section) -> Section:
@@ -401,7 +372,10 @@ def make_section(field, sx, sy, s_range, n_grid: int = 33, name: str | None = No
     if n_grid < 4:
         raise SectionError("section grid needs at least 4 points")
     curve = ExpressionCurve(sx, sy, s_lo, s_hi, linspace(s_lo, s_hi, n_grid))
-    return _certify(_as_affine(curve), field, name or curve.label)
+    # the grid test alone would straighten a curve that is affine only at
+    # its grid points
+    return _certify(_as_affine(curve) if curve.straight else curve, field,
+                    name or curve.label)
 
 
 def section_from_points(field, grid, points, name: str) -> Section:

@@ -105,12 +105,11 @@ def linear_center_flow(z, t: float) -> np.ndarray:
 def field_jacobian(field):
     """The exact 2x2 Jacobian of V = (P, Q), as a function of z, from the
     symbolic partials dP/dx, dP/dy, dQ/dx, dQ/dy."""
-    partials = [compile_fn(differentiate(e, v)) for e in (field.p, field.q)
-                for v in ("x", "y")]
+    partials = compile_fn(tuple(differentiate(e, v) for e in (field.p, field.q)
+                                for v in ("x", "y")))
 
     def jac(z):
-        x, y = float(z[0]), float(z[1])
-        px, py, qx, qy = (f(x, y) for f in partials)
+        px, py, qx, qy = partials(float(z[0]), float(z[1]))
         return np.array(((px, py), (qx, qy)))
 
     return jac
@@ -302,15 +301,15 @@ def _project_reference(curve, z) -> float:
     """Nearest-point parameter of a curved section: argmin over the fine
     polyline, then Newton on |z - C(s)|^2 clamped to the range."""
     ss = np.linspace(curve.s_min, curve.s_max, max(8 * (len(curve.grid) - 1) + 1, 65))
-    pts = np.array([curve.point(float(s)) for s in ss])
+    pts = np.array([curve.jet(float(s))[:2] for s in ss])
     i = int(np.argmin((pts[:, 0] - z[0]) ** 2 + (pts[:, 1] - z[1]) ** 2))
     s = float(ss[i])
     span = curve.s_max - curve.s_min
     for _ in range(30):
-        c, t, c2 = curve.point(s), curve.tangent(s), np.array(curve._second(s))
-        r = z - c
-        h = r[0] * t[0] + r[1] * t[1]
-        hp = -(t[0] * t[0] + t[1] * t[1]) + r[0] * c2[0] + r[1] * c2[1]
+        cx, cy, tx, ty, c2x, c2y = curve.jet(s)
+        r = z - (cx, cy)
+        h = r[0] * tx + r[1] * ty
+        hp = -(tx * tx + ty * ty) + r[0] * c2x + r[1] * c2y
         if hp == 0.0:
             break
         s_new = min(max(s - h / hp, curve.s_min), curve.s_max)
@@ -330,6 +329,5 @@ def side_reference(curve, z) -> float:
         a, d = np.array([curve.ax, curve.ay]), np.array([curve.dx, curve.dy])
         dd = d[0] * d[0] + d[1] * d[1]
         return (d[0] * (z[1] - a[1]) - d[1] * (z[0] - a[0])) / math.sqrt(dd)
-    s = _project_reference(curve, z)
-    c, t = curve.point(s), curve.tangent(s)
-    return (t[0] * (z[1] - c[1]) - t[1] * (z[0] - c[0])) / math.hypot(t[0], t[1])
+    cx, cy, tx, ty, _, _ = curve.jet(_project_reference(curve, z))
+    return (tx * (z[1] - cy) - ty * (z[0] - cx)) / math.hypot(tx, ty)

@@ -134,18 +134,25 @@ section_grid = 17
         assert config.seed == 7
         assert config.out_dir == tmp_path / "elsewhere"
 
-    @pytest.mark.parametrize("text, args", [
-        ("", ["--rtol", "nan"]), ("", ["--rtol", "inf"]), ("atol = nan\n", []),
-    ], ids=["rtol-nan", "rtol-inf", "atol-nan"])
-    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, text, args):
-        cfg = write_config(tmp_path / "run.cfg", "field = linear-center\nsamples = 2\n"
-                           f"times = 1\n{text}out = {tmp_path / 'out'}\n")
+    # a non-finite tolerance, and sample or time counts below 1 (which
+    # would make period's PASS 0/0 vacuous)
+    @pytest.mark.parametrize("text, args, message", [
+        ("samples = 2\ntimes = 1\n", ["--rtol", "nan"], "tolerances must be positive and finite"),
+        ("samples = 2\ntimes = 1\n", ["--rtol", "inf"], "tolerances must be positive and finite"),
+        ("samples = 2\ntimes = 1\natol = nan\n", [], "tolerances must be positive and finite"),
+        ("samples = 0\ntimes = 1\n", [], "samples must be at least 1, got 0"),
+        ("samples = -3\ntimes = 1\n", [], "samples must be at least 1, got -3"),
+        ("samples = 2\ntimes = 0\n", [], "times must be at least 1, got 0"),
+    ], ids=["rtol-nan", "rtol-inf", "atol-nan", "samples-0", "samples-negative", "times-0"])
+    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, text, args, message):
+        cfg = write_config(tmp_path / "run.cfg",
+                           f"field = linear-center\n{text}out = {tmp_path / 'out'}\n")
         assert main(["period", "--config", cfg, *args]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("config error: tolerances must be positive and finite")
+        assert lines[0].startswith(f"config error: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_bad_expression_reported(self, tmp_path):
@@ -332,7 +339,8 @@ class TestVerifyCommand:
 COMMANDS = ["period", "symmetry", "reversibility", "verify"]
 
 # sections that cannot be built: a parse error, a curve undefined at a
-# grid point or between two, a field undefined at a section point
+# grid point or between two, a C'' undefined at a grid point (where
+# projection's Newton step needs it), a field undefined at a section point
 UNBUILDABLE_SECTIONS = {
     "parse-error": "field = linear-center\nsx = s +\nsy = 0\nsection_range = [0.2, 1.0]\n",
     "curve-undefined": ("field = linear-center\nsx = s\nsy = log(s)\n"
@@ -340,6 +348,8 @@ UNBUILDABLE_SECTIONS = {
     "field-undefined": "P = -y\nQ = x + 0*sqrt(x - 0.5)\nsection = x-axis [0.2, 1.0]\n",
     "curve-gap": ("field = linear-center\nsx = s\nsy = 0.1*s^2 + 0*sqrt((s-0.32)^2 - 0.0001)\n"
                   "section_range = [0.3, 1.5]\n"),
+    "second-derivative-undefined": ("field = linear-center\nsx = s\nsy = (s - 0.3)^1.5\n"
+                                    "section_range = [0.3, 1.5]\n"),
 }
 
 # a literal that parses to inf, and a section whose derivative folds to inf:

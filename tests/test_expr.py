@@ -231,7 +231,7 @@ class TestDifferentiate:
         d = differentiate(parse("x*1e308*10"), "x")
         assert d == Bin("*", Const(1e308), Const(10.0))
         assert parse(to_source(d)) == d
-        assert compile_fn(d)(0.5, 0.0) == math.inf
+        assert compile_fn((d,))(0.5, 0.0) == (math.inf,)
         with pytest.raises(DomainError):
             evaluate(d, 0.5, 0.0)
         assert differentiate(parse("x*1e308*0.5"), "x") == Const(5e307)
@@ -290,9 +290,9 @@ class TestPlanarField:
     def test_energy_matches_compiled_hamiltonian(self, name):
         # energy goes through evaluate; finite values keep their bits
         field = builtin_field(name)
-        hf = compile_fn(field.hamiltonian)
+        hf = compile_fn((field.hamiltonian,))
         for x, y in np.random.default_rng(5).uniform(-3.0, 3.0, size=(50, 2)).tolist():
-            assert field.energy((x, y)).hex() == hf(x, y).hex()
+            assert field.energy((x, y)).hex() == hf(x, y)[0].hex()
 
     @pytest.mark.parametrize("h, z, message", [
         ("log(x)", (-1.0, 0.0), "evaluation failed at (-1.0, 0.0): math domain error"),
@@ -321,10 +321,10 @@ class TestPlanarField:
         # rhs is generated as one function; each component equals its
         # expression compiled on its own, to the bit
         field = builtin_field(name)
-        pf, qf = compile_fn(field.p), compile_fn(field.q)
+        pf, qf = compile_fn((field.p,)), compile_fn((field.q,))
         for x, y in np.random.default_rng(3).uniform(-3.0, 3.0, size=(200, 2)).tolist():
             px, qy = field.rhs(x, y)
-            assert (px.hex(), qy.hex()) == (pf(x, y).hex(), qf(x, y).hex())
+            assert (px.hex(), qy.hex()) == (pf(x, y)[0].hex(), qf(x, y)[0].hex())
 
     @pytest.mark.parametrize("p, q, z, cause, message", [
         ("-y", "sqrt(x)", (-1.0, 0.0), ValueError,

@@ -9,6 +9,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import annulus_involutions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,33 +69,45 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_traced_event_counters():
+def _section(mods, field, kind):
+    make_section = mods["sections"].make_section
+    if kind == "affine":
+        return make_section(field, "s", "0", (0.2, 2.0), name="x-axis")
+    wavy = make_section(field, "s", "0.2*sin(3*s)", (0.3, 1.8), name="wavy")
+    return wavy if kind == "expression" else mods["reversibility"].conjugate_section(field, wavy)
+
+
+@pytest.mark.parametrize("kind", ["affine", "expression", "tabulated"])
+def test_traced_event_counters(kind):
     # the benchmark counts event work through wrappers it puts around g,
     # rhs and brent's function; one period and one curve-event search must
-    # show every call the scan makes
+    # show every call the scan makes, and find the untraced crossing
     tracing = _tracing()
     mods = _layer_modules()
     field = mods["fields"].builtin_field("linear-center")
-    section = mods["sections"].make_section(field, "s", "0", (0.2, 2.0), name="x-axis")
+    section = _section(mods, field, kind)
+    assert tracing.CURVE_KINDS[type(section).__name__] == kind
+    untraced = mods["flow"].flow_to_event(field, (0.0, 1.0), section.event(), 1, 10.0)
     tracer = tracing.Tracer()
     tracer.install(mods)
     try:
         mods["period"].period(field, (1.0, 0.0))
-        mods["flow"].flow_to_event(field, (0.0, 1.0), section.event(), 1, 10.0)
+        traced = mods["flow"].flow_to_event(field, (0.0, 1.0), section.event(), 1, 10.0)
     finally:
         tracer.uninstall()
+    assert repr(traced) == repr(untraced)
     spans = [(rec[0], rec[5] or {}) for rec in tracer.spans]
 
     def total(key, name=None):
         return sum(c.get(key, 0) for n, c in spans if name in (None, n))
 
-    assert total("g.transversal") > 0 and total("g.affine") > 0
+    assert total("g.transversal") > 0 and total(f"g.{kind}") > 0
     assert total("rhs", "flow.integrate") == total("nfev") > 0
     # each integration evaluates g once at the start, once per dense-output
     # sample of each accepted step, and once per Brent iterate
     integrations = sum(1 for n, _ in spans if n == "flow.integrate")
     assert integrations == 2
-    assert total("g.transversal") + total("g.affine") == (
+    assert total("g.transversal") + total(f"g.{kind}") == (
         integrations + mods["flow"]._EVENT_SAMPLES * total("accepted")
         + total("brent_iter"))
 

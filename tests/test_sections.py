@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from annulus_involutions.errors import ExpressionError, SectionError, TransversalityError
-from annulus_involutions.expr import PlanarField
+from annulus_involutions.expr import PlanarField, compile_fn, differentiate, parse
 from annulus_involutions.flow import flow_to_event
+from annulus_involutions.reversibility import ReversibilityInvolution
 from annulus_involutions.sections import (
     ExpressionCurve,
     TabulatedCurve,
-    _PPoly1D,
+    _not_a_knot,
     linspace,
     make_section,
     section_from_points,
@@ -128,33 +129,49 @@ class TestGeometry:
         for n in range(4, 34):
             for grid in (np.linspace(0.2, 2.0, n), np.cumsum(rng.uniform(0.5, 1.5, n))):
                 values = np.sin(3.0 * grid) + 0.1 * rng.normal(size=n)
-                ours = np.array(_PPoly1D.fit(grid, values).c)
+                ours = np.array(_not_a_knot(grid.tolist(), values.tolist()))
                 ref = CubicSpline(grid, values).c
                 scale = np.abs(ref).max(axis=1, keepdims=True)
                 assert np.abs(ours - ref).max() <= 1e-13 * scale.max()
                 assert (np.abs(ours - ref) <= 1e-13 * scale).all()
 
     def test_spline_evaluation_matches_array_coefficients(self):
-        # value, deriv and deriv2 read the coefficients from lists; each
-        # must equal, to the bit, the polynomial evaluated on the (4, n-1)
-        # array at the segment searchsorted(side="right") selects, at
-        # knots, midpoints and beyond both ends
+        # the jet reads the coefficients of both components from lists; its
+        # value, C' and C'' must equal, to the bit, the polynomials evaluated
+        # on the (4, n-1) arrays at the segment searchsorted(side="right")
+        # selects, at knots, midpoints and beyond both ends
         rng = np.random.default_rng(5)
         for n in range(4, 34):
             grid = np.cumsum(rng.uniform(0.5, 1.5, n))
-            pp = _PPoly1D.fit(grid, np.sin(3.0 * grid) + 0.1 * rng.normal(size=n))
-            c = np.array(pp.c)
+            xs = (grid + 0.1 * rng.normal(size=n)).tolist()
+            ys = (np.sin(3.0 * grid) + 0.1 * rng.normal(size=n)).tolist()
+            curve = TabulatedCurve(grid, list(zip(xs, ys)))
+            coeffs = [np.array(_not_a_knot(grid.tolist(), v)) for v in (xs, ys)]
             span = grid[-1] - grid[0]
             outside = [grid[0] - span, grid[0] - 1e-9, grid[-1] + 1e-9, grid[-1] + span]
             for s in np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:]), outside]).tolist():
                 i = min(max(int(np.searchsorted(grid, s, side="right")) - 1, 0), n - 2)
                 u = s - grid[i]
-                expected = (((c[0, i] * u + c[1, i]) * u + c[2, i]) * u + c[3, i],
-                            (3.0 * c[0, i] * u + 2.0 * c[1, i]) * u + c[2, i],
-                            6.0 * c[0, i] * u + 2.0 * c[1, i])
-                got = (pp(s), pp.deriv(s), pp.deriv2(s))
-                assert [type(v) for v in got] == [float] * 3
+                x, y = [(((c[0, i] * u + c[1, i]) * u + c[2, i]) * u + c[3, i],
+                         (3.0 * c[0, i] * u + 2.0 * c[1, i]) * u + c[2, i],
+                         6.0 * c[0, i] * u + 2.0 * c[1, i]) for c in coeffs]
+                expected = (x[0], y[0], x[1], y[1], x[2], y[2])
+                got = curve.jet(s)
+                assert [type(v) for v in got] == [float] * 6
                 assert [v.hex() for v in got] == [float(v).hex() for v in expected]
+
+    @pytest.mark.parametrize("sx, sy", [("s", "0.2*sin(3*s)"), ("cos(s)*s^2", "exp(-s)/s"),
+                                        ("s + abs(s - 1)", "sqrt(1 + s^2)")])
+    def test_expression_jet_matches_separate_functions(self, sx, sy):
+        # one compiled jet gives, to the bit, the six expressions compiled
+        # one at a time
+        x, y = parse(sx, ("s",)), parse(sy, ("s",))
+        dx, dy = differentiate(x, "s"), differentiate(y, "s")
+        parts = [compile_fn((e,), ("s",)) for e in
+                 (x, y, dx, dy, differentiate(dx, "s"), differentiate(dy, "s"))]
+        curve = ExpressionCurve(x, y, 0.3, 1.8, linspace(0.3, 1.8, 9))
+        for s in linspace(0.3, 1.8, 97):
+            assert [v.hex() for v in curve.jet(s)] == [f(s)[0].hex() for f in parts]
 
     def test_linspace_has_the_bits_of_numpy(self):
         # section grids and the fine polylines keep the bits they had as arrays
@@ -180,6 +197,16 @@ class TestGeometry:
             sec.project(z)
         with pytest.raises(SectionError, match="curve undefined at s = "):
             sec.side(*z)
+
+    def test_curve_straight_only_at_grid_points_kept(self, linear_center):
+        # the wiggle vanishes at all 33 grid points, so the grid alone looks
+        # straight; its C'' is not zero, so it stays the user's curve
+        k = math.pi / (1.8 / 32)
+        sec = make_section(linear_center, "s", f"0.02*sin({k!r}*(s - 0.2))", (0.2, 2.0))
+        assert isinstance(sec, ExpressionCurve)
+        z = (0.228125, 0.02)
+        assert sec.distance(z) <= 1e-15
+        assert ReversibilityInvolution(linear_center, sec)(z) == z
 
     def test_self_intersection_rejected(self, linear_center):
         grid = np.linspace(0.0, 1.0, 9)

@@ -26,13 +26,17 @@ directory ``<command>/`` plus ``<command>.stdout``, ``<command>.stderr`` and
 ``grid.stdout`` (with ``.stderr`` and ``.exit``): the repr of ``period()``
 at 24 points (x, 0) spread over each built-in's default section range,
 with the pendulum's range stretched to x = 3.1 so that near-separatrix
-orbits are covered.  Runs are made from inside their case directory with
-relative paths, so two trees give the same files exactly when their
-outputs agree, and
+orbits are covered.  A twelfth, ``<out>/time-maps/``, holds ``maps.stdout``:
+for each built-in with its default x-axis section, the repr of ``tau``,
+``tau_star`` and ``classify`` at six points (a section point, the conjugate
+point of the same grid parameter and four ``annulus_points``), or the
+failure a point raised.  No command prints these library time maps.  Runs
+are made from inside their case directory with relative paths, so two
+trees give the same files exactly when their outputs agree, and
 
     diff -r <out of tree A> <out of tree B>
 
-is empty.  The exit code is 0 when all 41 runs completed, whatever they
+is empty.  The exit code is 0 when all 42 runs completed, whatever they
 printed.
 
 A change that may move numbers but nothing else is checked with
@@ -91,6 +95,31 @@ for name in builtin_names():
     for i in range(24):
         x = lo + i * (hi - lo) / 23
         print(name, repr(x), repr(period(field, (x, 0.0))))
+"""
+TIME_MAPS = """
+from annulus_involutions.errors import SAMPLE_FAILURES
+from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
+from annulus_involutions.flow import IntegratorConfig
+from annulus_involutions.reversibility import classify, conjugate_section, tau, tau_star
+from annulus_involutions.sections import make_section
+from annulus_involutions.verify import annulus_points
+cfg = IntegratorConfig()
+for name in builtin_names():
+    field = builtin_field(name)
+    delta = make_section(field, "s", "0", default_section_range(name), name="x-axis")
+    star = conjugate_section(field, delta, cfg)
+    s = delta.grid[len(delta.grid) // 2]
+    points = [delta.point(s), star.point(s)] + annulus_points(field, delta, 4, cfg, seed=5)
+    maps = {"tau": lambda z: tau(field, delta, z, cfg),
+            "tau_star": lambda z: tau_star(field, star, z, cfg),
+            "classify": lambda z: classify(field, delta, star, z, cfg)}
+    for z in points:
+        for label, fn in maps.items():
+            try:
+                out = repr(fn(z))
+            except SAMPLE_FAILURES as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            print(name, repr(z), label, out)
 """
 
 
@@ -211,6 +240,12 @@ def main(argv=None) -> int:
                          env=env, cwd=case, capture_output=True, text=True)
     _keep(case, "grid", run)
     print(f"period-grid: exit {run.returncode}")
+    case = args.out / "time-maps"
+    case.mkdir(parents=True, exist_ok=True)
+    run = subprocess.run([sys.executable, "-c", TIME_MAPS],
+                         env=env, cwd=case, capture_output=True, text=True)
+    _keep(case, "maps", run)
+    print(f"time-maps: exit {run.returncode}")
     return 0
 
 

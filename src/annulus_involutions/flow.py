@@ -11,7 +11,8 @@ unrolled per component, and each step keeps its dense-output coefficients
 as floats.  The event scan runs on floats too: event functions are called
 as ``g(x, y)`` on dense-output samples and Brent iterates.  A point is an
 ``(x, y)`` tuple of floats wherever one is handed out (a located root for
-``accept`` and the hit, the trajectory's states), and the grid is a list.
+``accept`` and the hit, a trajectory's state), and a trajectory keeps only
+its accepted steps.
 Every float equals what the same loop gives on 2-element ndarrays, because
 each expression keeps that loop's operation order: stage sums left to
 right, squares as ``v * v``, the two-component mean as
@@ -33,12 +34,18 @@ step keeps its bits.  The factor 2 and the floor absorb rounding in g, in
 B and in the carried start value, which is g at the previous step's last
 sample rather than at c1 exactly.  The skip is exact only if L is a true
 bound; a value that is too small can drop crossings.
+
+``IntegratorConfig`` holds the two step-control settings, ``rtol`` and
+``atol``.  Every integration is capped at ``_MAX_STEPS`` step attempts,
+and every search for a crossing or a return looks no further than
+``MAX_HORIZON`` time units.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from operator import attrgetter
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
@@ -53,9 +60,9 @@ __all__ = [
     "integrate",
     "flow",
     "flow_to_event",
-    "flow_to_event_trajectory",
     "jacobian_fd",
     "brent",
+    "MAX_HORIZON",
     "Point",
     "as_point",
 ]
@@ -98,6 +105,11 @@ _BRENT_MAXITER = 200
 _EVENT_SAMPLES = 3
 _SAMPLE_FRACTIONS = tuple(i / _EVENT_SAMPLES for i in range(1, _EVENT_SAMPLES + 1))
 
+# accepted plus rejected step attempts per integration
+_MAX_STEPS = 10_000_000
+# longest time any crossing or return search integrates
+MAX_HORIZON = 1e4
+
 
 Point = tuple[float, float]  # the package's point type: (x, y) as floats
 
@@ -114,17 +126,11 @@ class IntegratorConfig:
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_steps: int = 10_000_000
-    max_horizon: float = 1e4
 
     def __post_init__(self):
         # written so that NaN fails each test
         if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if not 0.0 < self.max_horizon < math.inf:
-            raise ValueError("max_horizon must be positive and finite")
 
 
 @dataclass
@@ -195,42 +201,41 @@ class _Step:
 
 @dataclass
 class Trajectory:
-    """Dense-output solution of one integrate() call.
+    """Dense-output solution of one integrate() call: its accepted steps.
 
-    Steps tile [0, s_end] in internal progress time s >= 0; requested times
-    are t = direction * s.  Interpolation at step boundaries reproduces the
-    stored endpoint states exactly.
+    The steps tile [0, s_end] in internal progress time s >= 0, each
+    starting where the previous one ended; requested times are
+    t = direction * s.  ``z_final`` is the end state of the last step,
+    which after a terminal event is the step holding the root.  A step
+    boundary reads back the step's start state, or ``z_final`` at s_end,
+    exactly.
     """
 
     direction: int
     steps: list[_Step]
-    s_grid: list[float]  # accepted step boundaries, len(steps) + 1
-    states: list[Point]  # states at the boundaries
-    naccepted: int
+    z_final: Point
     nrejected: int
     nfev: int
     events: list[EventHit] = dc_field(default_factory=list)
 
     @property
-    def t_final(self) -> float:
-        return self.direction * self.s_grid[-1]
-
-    @property
-    def z_final(self) -> Point:
-        return self.states[-1]
+    def naccepted(self) -> int:
+        return len(self.steps)
 
     def state(self, t: float) -> Point:
         """State at requested time t inside the integrated span."""
+        steps = self.steps
+        s_end = steps[-1].s0 + steps[-1].h if steps else 0.0
         s = self.direction * t
-        if s < -1e-12 or s > self.s_grid[-1] + 1e-12:
+        if s < -1e-12 or s > s_end + 1e-12:
             raise ValueError(f"time {t} outside integrated span")
-        s = min(max(s, 0.0), self.s_grid[-1])
-        idx = min(max(bisect_right(self.s_grid, s) - 1, 0), len(self.steps) - 1)
-        if s == self.s_grid[idx]:
-            return self.states[idx]
-        if s == self.s_grid[idx + 1]:
-            return self.states[idx + 1]
-        return self.steps[idx].at(s)
+        s = min(max(s, 0.0), s_end)
+        if s == s_end:
+            return self.z_final
+        step = steps[max(bisect_right(steps, s, key=attrgetter("s0")) - 1, 0)]
+        if s == step.s0:
+            return step.c1x, step.c1y
+        return step.at(s)
 
 
 def _initial_step(rhs, x, y, fx, fy, rtol, atol, s_end):
@@ -365,7 +370,7 @@ def integrate(
     """
     x, y = as_point(z0)
     if t_final == 0.0:
-        return Trajectory(1, [], [0.0], [(x, y)], 0, 0, 0)
+        return Trajectory(1, [], (x, y), 0, 0)
     direction = 1 if t_final > 0 else -1
     s_end = abs(t_final)
 
@@ -378,7 +383,7 @@ def integrate(
 
     fx, fy = rhs_s(x, y)
     nfev = 1
-    rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
+    rtol, atol = cfg.rtol, cfg.atol
     h = _initial_step(rhs_s, x, y, fx, fy, rtol, atol, s_end)
     nfev += 1
 
@@ -390,17 +395,15 @@ def integrate(
     zero_start: list[float | None] = [g_floor if abs(g) < g_floor else None for g in g_prev]
 
     steps: list[_Step] = []
-    boundaries = [0.0]
-    states = [(x, y)]
     hits: list[EventHit] = []
-    naccepted = nrejected = 0
+    nrejected = 0
     s = 0.0
     terminal_hit = None
 
     while s < s_end:
-        if naccepted + nrejected >= max_steps:
+        if len(steps) + nrejected >= _MAX_STEPS:
             raise StepLimitExceeded(
-                f"step limit {max_steps} reached at t={direction * s:.6g}"
+                f"step limit {_MAX_STEPS} reached at t={direction * s:.6g}"
             )
         h = min(h, s_end - s)
         k2x, k2y = rhs_s(x + h * (_A21 * fx), y + h * (_A21 * fy))
@@ -437,9 +440,6 @@ def integrate(
         )
         steps.append(step)
         s += h
-        boundaries.append(s)
-        states.append((xn, yn))
-        naccepted += 1
 
         if events:
             for s_root, hit in _scan_step(step, events, g_prev, direction, zero_start):
@@ -461,16 +461,8 @@ def integrate(
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
         h *= factor
 
-    return Trajectory(
-        direction=direction,
-        steps=steps,
-        s_grid=boundaries,
-        states=states,
-        naccepted=naccepted,
-        nrejected=nrejected,
-        nfev=nfev,
-        events=hits,
-    )
+    return Trajectory(direction, steps, (x, y) if terminal_hit is None else (xn, yn),
+                      nrejected, nfev, hits)
 
 
 def flow(field: PlanarField, z0, t: float, cfg: IntegratorConfig = IntegratorConfig()) -> Point:
@@ -480,41 +472,23 @@ def flow(field: PlanarField, z0, t: float, cfg: IntegratorConfig = IntegratorCon
     return integrate(field.rhs, z0, t, cfg, bounds=field.contains).z_final
 
 
-def flow_to_event_trajectory(field: PlanarField, z0, event: EventSpec, t_direction: int,
-                             t_max: float,
-                             cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
+def flow_to_event(field: PlanarField, z0, event: EventSpec, t_direction: int,
+                  cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate up to the first strict crossing of the event in the given
     time direction; that crossing is the trajectory's first event.
 
     A crossing at t = 0 (starting on the zero set) is skipped.  Raises
-    EventNotFound if no crossing occurs before t_max.
+    EventNotFound if no crossing occurs within MAX_HORIZON.
     """
     if t_direction not in (1, -1):
         raise ValueError("t_direction must be +1 or -1")
-    t_max = abs(t_max)
-    if t_max > cfg.max_horizon:
-        t_max = cfg.max_horizon
-    traj = integrate(field.rhs, z0, t_direction * t_max, cfg,
+    traj = integrate(field.rhs, z0, t_direction * MAX_HORIZON, cfg,
                      events=[replace(event, terminal=True)], bounds=field.contains)
     if not traj.events:
         raise EventNotFound(
-            f"no event crossing within |t| <= {t_max:.6g} from ({z0[0]:.6g}, {z0[1]:.6g})"
+            f"no event crossing within |t| <= {MAX_HORIZON:.6g} from ({z0[0]:.6g}, {z0[1]:.6g})"
         )
     return traj
-
-
-def flow_to_event(
-    field: PlanarField,
-    z0,
-    event: EventSpec,
-    t_direction: int,
-    t_max: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> tuple[float, Point]:
-    """First strict crossing (t_hit, z_hit) of the event in the given time
-    direction, t_hit signed; see flow_to_event_trajectory."""
-    hit = flow_to_event_trajectory(field, z0, event, t_direction, t_max, cfg).events[0]
-    return hit.t, hit.z
 
 
 def jacobian_fd(map_fn: Callable[[Point], Sequence[float]], z, v) -> Point:

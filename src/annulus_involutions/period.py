@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import SAMPLE_FAILURES, CriticalPointError, DomainEscape, NotACycle
 from .expr import PlanarField
-from .flow import EventSpec, IntegratorConfig, Point, Trajectory, as_point, integrate
+from .flow import MAX_HORIZON, EventSpec, IntegratorConfig, Point, Trajectory, as_point, integrate
 from .memo import memoized
 
 __all__ = ["Cycle", "AnnulusSample", "detect_cycle", "period", "sample_annulus"]
@@ -50,13 +50,13 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig
     event = EventSpec(g=lambda px, py: (px - zx) * vx + (py - zy) * vy,
                       direction=1, terminal=True, lipschitz=1.0)
     try:
-        traj = integrate(field.rhs, z, cfg.max_horizon, cfg, events=[event],
+        traj = integrate(field.rhs, z, MAX_HORIZON, cfg, events=[event],
                          bounds=field.contains)
     except DomainEscape as exc:
         raise NotACycle(f"orbit of ({z[0]:.6g}, {z[1]:.6g}) left the domain: {exc}") from exc
     if not traj.events:
         raise NotACycle(
-            f"no return to the transversal within t = {cfg.max_horizon:.6g} "
+            f"no return to the transversal within t = {MAX_HORIZON:.6g} "
             f"(not a cycle, or annulus boundary)"
         )
     hit = traj.events[0]

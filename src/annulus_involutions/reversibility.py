@@ -26,7 +26,7 @@ import math
 
 from .errors import CycleError, EventNotFound, NotASection
 from .expr import PlanarField
-from .flow import IntegratorConfig, Point, as_point, flow, flow_to_event, flow_to_event_trajectory
+from .flow import IntegratorConfig, Point, as_point, flow, flow_to_event
 from .memo import memoized, suite_scope
 from .period import _half_period
 from .sections import Section, linspace, membership_tol, section_from_points
@@ -107,8 +107,8 @@ def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, Point, Po
 def _crossing_pair(field, section: Section, z, cfg) -> tuple[float, Point, Point]:
     ev = section.event()
     try:
-        back = flow_to_event_trajectory(field, z, ev, -1, cfg.max_horizon, cfg)
-        fwd = flow_to_event_trajectory(field, z, ev, +1, cfg.max_horizon, cfg)
+        back = flow_to_event(field, z, ev, -1, cfg)
+        fwd = flow_to_event(field, z, ev, +1, cfg)
     except EventNotFound as exc:
         raise EventNotFound(
             f"orbit of ({z[0]:.6g}, {z[1]:.6g}) does not cross {section.label}: {exc}"
@@ -173,8 +173,8 @@ def classify(field: PlanarField, delta: Section, delta_star: Section, z,
         return BranchTag.ON_DELTA, {}
     if delta_star.contains(z):
         return BranchTag.ON_DELTA_STAR, {}
-    t_d, _ = flow_to_event(field, z, delta.event(), -1, cfg.max_horizon, cfg)
-    t_s, _ = flow_to_event(field, z, delta_star.event(), -1, cfg.max_horizon, cfg)
+    t_d = flow_to_event(field, z, delta.event(), -1, cfg).events[0].t
+    t_s = flow_to_event(field, z, delta_star.event(), -1, cfg).events[0].t
     tag = BranchTag.A_PLUS if -t_d < -t_s else BranchTag.A_MINUS
     return tag, {"delta": t_d, "delta_star": t_s}
 
@@ -277,6 +277,7 @@ def verify_reversibility(
     sigma: ReversibilityInvolution | None = None,
 ) -> VerificationReport:
     """Run the reversibility identity suite for one section."""
+    samples, times = list(samples), list(times)  # each check reads them again
     if sigma is None:
         sigma = ReversibilityInvolution(field, delta, cfg)
     on_delta = [delta.point(s) for s in sample_parameters(5, delta.s_min, delta.s_max, seed=1)]
@@ -295,7 +296,6 @@ def verify_reversibility(
         "section": delta.label,
         "construction": "section_time_reversibility",
         "config_digest": config_digest({"rtol": cfg.rtol, "atol": cfg.atol,
-                                        "samples": len(list(samples)),
-                                        "times": len(list(times))}),
+                                        "samples": len(samples), "times": len(times)}),
     }
     return VerificationReport(checks=checks, provenance=provenance)

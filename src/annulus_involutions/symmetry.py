@@ -90,6 +90,7 @@ def verify_sigma_symmetry(
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> VerificationReport:
     """Run the symmetry identity suite over the samples and times."""
+    samples, times = list(samples), list(times)  # each check reads them again
     sigma = SymmetryInvolution(field, cfg)
     threshold = 0.1  # non-triviality: the largest |sigma(z) - z| must exceed it
     with suite_scope():
@@ -114,6 +115,6 @@ def verify_sigma_symmetry(
         "field": field.name,
         "construction": "half_period_symmetry",
         "config_digest": config_digest({"rtol": cfg.rtol, "atol": cfg.atol,
-                                        "samples": len(list(samples)), "times": len(list(times))}),
+                                        "samples": len(samples), "times": len(times)}),
     }
     return VerificationReport(checks=checks, provenance=provenance)

@@ -229,6 +229,7 @@ def check_commutation(field: PlanarField, sigma, sign: int, samples, times,
     """Flow commutation (sign +1) or anti-commutation (sign -1):
     max |sigma(phi(t,z)) - phi(sign*t, sigma(z))|."""
     name = "flow_commutation" if sign > 0 else "flow_anticommutation"
+    times = list(times)  # read once per sample
 
     def one(z):
         sz = sigma(z)

@@ -11,8 +11,10 @@ special-function identities where available).
 The exceptions are the ndarray references that the package's scalar code
 must reproduce bit for bit.  ``integrate_reference`` is the Dormand-Prince
 step loop and the event scan written on 2-element ndarrays.  It shares
-the tableau, Brent's method and the Trajectory type with the package; the
-step loop, dense output and event scan are its own.  Event functions take
+the tableau, the step limit, Brent's method and the EventHit type with the
+package; the step loop, dense output, event scan and its record
+(``RefTrajectory``, which keeps the step grid and the state at every
+boundary) are its own.  Event functions take
 ``g(x, y)``; the reference calls them on the numpy scalars of an ndarray
 state.  ``side_reference`` is the signed side function of each curve kind
 on ndarrays, with its own nearest-point Newton iteration; it shares only
@@ -20,6 +22,8 @@ the curve's evaluation of C(s), C'(s) and C''(s).
 """
 
 import math
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -163,6 +167,40 @@ class _RefStep:
         return self.c1 + th * (self.c2 + om * (self.c3 + th * (self.c4 + om * self.c5)))
 
 
+@dataclass
+class RefTrajectory:
+    """integrate_reference's record: the steps, the accepted step boundaries
+    ``s_grid`` and the ``states`` there, as ndarrays."""
+
+    direction: int
+    steps: list
+    s_grid: np.ndarray
+    states: np.ndarray
+    nrejected: int
+    nfev: int
+    events: list
+
+    @property
+    def naccepted(self) -> int:
+        return len(self.steps)
+
+    @property
+    def z_final(self):
+        return self.states[-1]
+
+    def state(self, t):
+        s = self.direction * t
+        if s < -1e-12 or s > self.s_grid[-1] + 1e-12:
+            raise ValueError(f"time {t} outside integrated span")
+        s = min(max(s, 0.0), self.s_grid[-1])
+        idx = min(max(bisect_right(self.s_grid, s) - 1, 0), len(self.steps) - 1)
+        if s == self.s_grid[idx]:
+            return self.states[idx]
+        if s == self.s_grid[idx + 1]:
+            return self.states[idx + 1]
+        return self.steps[idx].at(s)
+
+
 def _ref_g(ev):
     """The event function on an ndarray state, as the scan used to call it."""
     return lambda z: ev.g(z[0], z[1])
@@ -219,7 +257,7 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
 
     y = np.asarray(z0, dtype=float).copy()
     if t_final == 0.0:
-        return F.Trajectory(1, [], np.array([0.0]), y[None, :].copy(), 0, 0, 0)
+        return RefTrajectory(1, [], np.array([0.0]), y[None, :].copy(), 0, 0, [])
     direction = 1 if t_final > 0 else -1
     s_end = abs(t_final)
     if direction == 1:
@@ -237,13 +275,13 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
     g_floor = 1e-12 * (1.0 + float(np.linalg.norm(y)))
     zero_start = [g_floor if abs(g) < g_floor else None for g in g_prev]
     steps, boundaries, states, hits = [], [0.0], [y.copy()], []
-    naccepted = nrejected = 0
+    nrejected = 0
     s = 0.0
     terminal_hit = None
     while s < s_end:
-        if naccepted + nrejected >= cfg.max_steps:
+        if len(steps) + nrejected >= F._MAX_STEPS:
             raise StepLimitExceeded(
-                f"step limit {cfg.max_steps} reached at t={direction * s:.6g}")
+                f"step limit {F._MAX_STEPS} reached at t={direction * s:.6g}")
         h = min(h, s_end - s)
         k1 = f
         k2 = rhs_s(y + h * (F._A21 * k1))
@@ -273,7 +311,6 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
         s += h
         boundaries.append(s)
         states.append(y_new.copy())
-        naccepted += 1
         if events:
             for _, hit in _ref_scan_step(step, events, g_prev, direction, zero_start):
                 hits.append(hit)
@@ -291,8 +328,8 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
         factor = (F._MAX_FACTOR if err == 0.0 else
                   min(F._MAX_FACTOR, max(F._MIN_FACTOR, F._SAFETY * err ** -0.2)))
         h *= factor
-    return F.Trajectory(direction, steps, np.array(boundaries), np.array(states),
-                        naccepted, nrejected, nfev, hits)
+    return RefTrajectory(direction, steps, np.array(boundaries), np.array(states),
+                         nrejected, nfev, hits)
 
 
 # --- reference section side functions on ndarrays ------------------------------

@@ -20,7 +20,6 @@ from annulus_involutions.flow import (
     brent,
     flow,
     flow_to_event,
-    flow_to_event_trajectory,
     integrate,
     jacobian_fd,
 )
@@ -43,16 +42,14 @@ class TestConfig:
     def test_defaults(self):
         c = IntegratorConfig()
         assert c.rtol == 1e-10 and c.atol == 1e-12
-        assert c.max_steps == 10_000_000
+        assert [f.name for f in dataclasses.fields(c)] == ["rtol", "atol"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(rtol=0.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_steps=0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("key", ["rtol", "atol", "max_horizon"])
+    @pytest.mark.parametrize("key", ["rtol", "atol"])
     def test_non_finite_rejected(self, key, value):
         # NaN passes a plain "<= 0" test; each setting must be finite
         with pytest.raises(ValueError):
@@ -108,10 +105,10 @@ class TestFlow:
         z = np.asarray(flow(field, [0.5, 0.2], 1.0, cfg))
         assert np.abs(z - [1.5, 0.2]).max() <= 1e-12
 
-    def test_step_limit(self, linear_center):
-        tight = IntegratorConfig(max_steps=5)
-        with pytest.raises(StepLimitExceeded):
-            flow(linear_center, [1.0, 0.0], 100.0, tight)
+    def test_step_limit(self, linear_center, cfg, monkeypatch):
+        monkeypatch.setattr(flow_mod, "_MAX_STEPS", 5)
+        with pytest.raises(StepLimitExceeded, match="step limit 5 reached"):
+            flow(linear_center, [1.0, 0.0], 100.0, cfg)
 
     def test_group_property(self, linear_center, pendulum, duffing, cubic_center, cfg):
         # |phi(s, phi(t, z)) - phi(s + t, z)| <= 1e-8 (1 + |z|)
@@ -152,22 +149,59 @@ class TestFlow:
             assert b <= a + 1e-13
 
 
+def _boundaries(traj):
+    """Each step's start, then the end of the last step."""
+    return [st.s0 for st in traj.steps] + [traj.steps[-1].s0 + traj.steps[-1].h]
+
+
+def _boundary_states(traj):
+    """Each step's start state, then z_final."""
+    return [(st.c1x, st.c1y) for st in traj.steps] + [traj.z_final]
+
+
 class TestTrajectory:
     def test_boundary_states_exact(self, pendulum, cfg):
         traj = integrate(pendulum.rhs, [1.0, 0.0], 5.0, cfg, bounds=pendulum.contains)
+        grid, states = _boundaries(traj), _boundary_states(traj)
         for i in (0, len(traj.steps) // 2, len(traj.steps)):
-            t = float(traj.s_grid[i])
-            assert np.array_equal(traj.state(t), traj.states[i])
+            assert traj.state(grid[i]) == states[i]
+        assert traj.state(5.0) == traj.z_final
 
     def test_spans_tile_interval(self, pendulum, cfg):
         traj = integrate(pendulum.rhs, [1.0, 0.0], 5.0, cfg, bounds=pendulum.contains)
-        grid = traj.s_grid
+        grid = _boundaries(traj)
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(5.0, abs=1e-12)
         assert np.all(np.diff(grid) > 0.0)
         # each step starts exactly where the previous ended
-        for step, s0 in zip(traj.steps, grid[:-1]):
-            assert step.s0 == s0
+        for prev, step in zip(traj.steps, traj.steps[1:]):
+            assert step.s0 == prev.s0 + prev.h
+
+    def test_time_zero(self, pendulum, cfg):
+        traj = integrate(pendulum.rhs, (0.7, -0.3), 0.0, cfg)
+        assert traj.steps == [] and traj.naccepted == 0
+        assert traj.z_final == traj.state(0.0) == (0.7, -0.3)
+        with pytest.raises(ValueError):
+            traj.state(1e-9)
+
+    @pytest.mark.parametrize("name, t", [("linear-center", 9.0), ("pendulum", -9.0)],
+                             ids=["fwd", "bwd"])
+    def test_terminal_stop_matches_reference(self, name, t, cfg):
+        # a run stopped by a terminal event: state() at every step boundary
+        # and z_final, the end of the step holding the root, equal the
+        # reference's stored states to the bit
+        field = builtin_field(name)
+        events = [EventSpec(g=lambda x, y: y - 0.1 * x, direction=1)]
+        got = integrate(field.rhs, (1.0, 0.3), t, cfg, events, field.contains)
+        ref = integrate_reference(field, (1.0, 0.3), t, cfg, events, field.contains)
+        [hit] = got.events
+        last = got.steps[-1]
+        assert last.s0 < abs(hit.t) <= last.s0 + last.h < abs(t)
+        assert len(ref.s_grid) == len(got.steps) + 1
+        for s, z in zip(ref.s_grid, ref.states):
+            assert np.array(got.state(got.direction * float(s))).tobytes() == z.tobytes()
+        assert isinstance(got.z_final, tuple)
+        assert np.array(got.z_final).tobytes() == ref.states[-1].tobytes()
 
     def test_interpolation_accuracy(self, linear_center, cfg):
         traj = integrate(linear_center.rhs, [1.0, 0.0], 2 * math.pi, cfg,
@@ -196,30 +230,30 @@ class TestEvents:
         # from (0,1) the first y = 0 crossing forward in time is the
         # quarter-turn point (-1, 0), reached with g = y decreasing
         ev = EventSpec(g=lambda x, y: y, direction=-1)
-        t_hit, z_hit = flow_to_event(linear_center, [0.0, 1.0], ev, 1, 10.0, cfg)
-        z_hit = np.asarray(z_hit)
+        hit = flow_to_event(linear_center, [0.0, 1.0], ev, 1, cfg).events[0]
+        t_hit, z_hit = hit.t, np.asarray(hit.z)
         assert t_hit == pytest.approx(math.pi / 2, abs=1e-9)
         assert np.abs(z_hit - [-1.0, 0.0]).max() <= 1e-9
 
     def test_start_on_zero_set_skipped(self, linear_center, cfg):
         ev = EventSpec(g=lambda x, y: y, direction=0)
-        t_hit, z_hit = flow_to_event(linear_center, [1.0, 0.0], ev, 1, 10.0, cfg)
-        z_hit = np.asarray(z_hit)
+        hit = flow_to_event(linear_center, [1.0, 0.0], ev, 1, cfg).events[0]
+        t_hit, z_hit = hit.t, np.asarray(hit.z)
         assert t_hit == pytest.approx(math.pi, abs=1e-9)
         assert np.abs(z_hit - [-1.0, 0.0]).max() <= 1e-9
 
     def test_duffing_half_period(self, duffing, cfg):
         ev = EventSpec(g=lambda x, y: y, direction=0)
-        t_hit, z_hit = flow_to_event(duffing, [1.0, 0.0], ev, 1, 10.0, cfg)
-        z_hit = np.asarray(z_hit)
+        hit = flow_to_event(duffing, [1.0, 0.0], ev, 1, cfg).events[0]
+        t_hit, z_hit = hit.t, np.asarray(hit.z)
         assert t_hit == pytest.approx(0.5 * T_DUFFING_AMP1, abs=1e-8)
         assert np.abs(z_hit - [-1.0, 0.0]).max() <= 1e-8
 
     def test_event_consistency(self, pendulum, cfg):
         # g(z_hit) small and sign change in the requested direction
         ev = EventSpec(g=lambda x, y: y - 0.4, direction=1)
-        t_hit, z_hit = flow_to_event(pendulum, [1.0, 0.0], ev, 1, 20.0, cfg)
-        z_hit = np.asarray(z_hit)
+        hit = flow_to_event(pendulum, [1.0, 0.0], ev, 1, cfg).events[0]
+        t_hit, z_hit = hit.t, np.asarray(hit.z)
         scale = 1.0 + np.linalg.norm(z_hit)
         assert abs(z_hit[1] - 0.4) <= 1e-10 * scale
         eps = 1e-6
@@ -229,22 +263,23 @@ class TestEvents:
 
     def test_backward_event(self, linear_center, cfg):
         ev = EventSpec(g=lambda x, y: y, direction=0)
-        t_hit, z_hit = flow_to_event(linear_center, [0.0, 1.0], ev, -1, 10.0, cfg)
-        z_hit = np.asarray(z_hit)
+        hit = flow_to_event(linear_center, [0.0, 1.0], ev, -1, cfg).events[0]
+        t_hit, z_hit = hit.t, np.asarray(hit.z)
         assert t_hit == pytest.approx(-math.pi / 2, abs=1e-9)
         assert np.abs(z_hit - [1.0, 0.0]).max() <= 1e-9
 
-    def test_no_event_before_horizon(self, linear_center, cfg):
+    def test_no_event_before_horizon(self, linear_center, cfg, monkeypatch):
+        monkeypatch.setattr(flow_mod, "MAX_HORIZON", 50.0)
         ev = EventSpec(g=lambda x, y: x - 5.0, direction=0)
-        with pytest.raises(EventNotFound):
-            flow_to_event(linear_center, [1.0, 0.0], ev, 1, 50.0, cfg)
+        with pytest.raises(EventNotFound, match=r"within \|t\| <= 50 from"):
+            flow_to_event(linear_center, [1.0, 0.0], ev, 1, cfg)
 
     def test_accept_hook_skips_vetoed_roots(self, linear_center, cfg):
         # reject the x < 0 half of the y = 0 line; the first accepted
         # crossing from (0,1) is then the full three-quarter turn at (1,0)
         ev = EventSpec(g=lambda x, y: y, direction=0, accept=lambda p: p[0] > 0.0)
-        t_hit, z_hit = flow_to_event(linear_center, [0.0, 1.0], ev, 1, 10.0, cfg)
-        z_hit = np.asarray(z_hit)
+        hit = flow_to_event(linear_center, [0.0, 1.0], ev, 1, cfg).events[0]
+        t_hit, z_hit = hit.t, np.asarray(hit.z)
         assert t_hit == pytest.approx(1.5 * math.pi, abs=1e-9)
         assert np.abs(z_hit - [1.0, 0.0]).max() <= 1e-9
 
@@ -367,8 +402,8 @@ def _assert_same_hits(got, ref):
 
 def _assert_same_run(got, ref):
     """Step grid, states, work counts and every hit equal to the bit."""
-    assert np.array_equal(got.s_grid, ref.s_grid)
-    assert np.array_equal(got.states, ref.states)
+    assert np.array_equal(_boundaries(got), ref.s_grid)
+    assert np.array_equal(_boundary_states(got), ref.states)
     assert (got.naccepted, got.nrejected, got.nfev) == (
         ref.naccepted, ref.nrejected, ref.nfev)
     _assert_same_hits(got, ref)
@@ -415,9 +450,9 @@ class TestKernelMatchesReference:
         _assert_same_run(got, ref)
         if name == "cubic-center" and cfg.rtol == 1e-6:
             assert got.nrejected >= 50
-        for a, b in zip(got.s_grid[:-1], got.s_grid[1:]):
+        for step in got.steps:
             for w in (0.25, 0.5, 0.9):
-                t_in = got.direction * float(a + w * (b - a))
+                t_in = got.direction * (step.s0 + w * step.h)
                 assert np.array_equal(got.state(t_in), ref.state(t_in))
         assert [e.index for e in got.events][-1:] == ([1] if events else [])
 
@@ -482,15 +517,15 @@ class TestKernelMatchesReference:
         for x, y in seen:
             assert sec.side(x, y).hex() == float(side_reference(sec, (x, y))).hex()
 
-    @pytest.mark.parametrize("field, z0, t, cfg, exc", [
-        (builtin_field("linear-center"), (1.0, 0.0), 100.0, IntegratorConfig(max_steps=5),
-         StepLimitExceeded),
+    @pytest.mark.parametrize("field, z0, t, max_steps, exc", [
+        (builtin_field("linear-center"), (1.0, 0.0), 100.0, 5, StepLimitExceeded),
         (PlanarField.from_strings("1", "0", domain=(-1.0, 1.0, -1.0, 1.0)), (0.0, 0.0),
-         -10.0, IntegratorConfig(), DomainEscape),
-        (PlanarField.from_strings("-1", "sqrt(x)"), (0.5, 0.0), 2.0, IntegratorConfig(),
-         DomainError),
+         -10.0, None, DomainEscape),
+        (PlanarField.from_strings("-1", "sqrt(x)"), (0.5, 0.0), 2.0, None, DomainError),
     ], ids=["step-limit", "domain-escape", "domain-error"])
-    def test_same_failures(self, field, z0, t, cfg, exc):
+    def test_same_failures(self, field, z0, t, max_steps, exc, cfg, monkeypatch):
+        if max_steps is not None:  # both loops read the limit from flow
+            monkeypatch.setattr(flow_mod, "_MAX_STEPS", max_steps)
         with pytest.raises(exc) as got:
             integrate(field.rhs, z0, t, cfg, bounds=field.contains)
         with pytest.raises(exc) as ref:
@@ -515,8 +550,8 @@ class TestEventSkip:
         # a full scan costs at least 1 + 3 g calls per accepted step
         section = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
         calls = [0]
-        traj = flow_to_event_trajectory(linear_center, (0.0, 1.0),
-                                        _counting(section.event(), calls), 1, 10.0, cfg)
+        traj = flow_to_event(linear_center, (0.0, 1.0), _counting(section.event(), calls),
+                             1, cfg)
         assert traj.events
         assert calls[0] < 1 + flow_mod._EVENT_SAMPLES * traj.naccepted
 

@@ -104,20 +104,20 @@ def test_nested_scope_reuses_the_outer_one(linear_center, cfg, integrations):
     assert integrations[0] == 1
 
 
-def test_failure_is_not_stored(linear_center, lc_xaxis):
-    quick = IntegratorConfig(max_horizon=20.0)
+def test_failure_is_not_stored(linear_center, lc_xaxis, cfg, monkeypatch):
+    monkeypatch.setattr(flow_mod, "MAX_HORIZON", 20.0)
     far = np.array([3.0, 0.0])  # its cycle misses the segment [0.2, 2.0]
     with suite_scope():
         messages = []
         for _ in range(2):
             with pytest.raises(CriticalPointError) as crit:
-                sigma_symmetric(linear_center, [0.0, 0.0], quick)
+                sigma_symmetric(linear_center, [0.0, 0.0], cfg)
             with pytest.raises(EventNotFound) as miss:
-                tau(linear_center, lc_xaxis, far, quick)
+                tau(linear_center, lc_xaxis, far, cfg)
             messages.append((str(crit.value), str(miss.value)))
         assert memo._MEMO.get() == {}
     with pytest.raises(EventNotFound) as outside:
-        tau(linear_center, lc_xaxis, far, quick)
+        tau(linear_center, lc_xaxis, far, cfg)
     assert messages[0] == messages[1]
     assert messages[0][1] == str(outside.value)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from annulus_involutions import period as period_mod
 from annulus_involutions.errors import CriticalPointError, NotACycle
 from annulus_involutions.flow import IntegratorConfig, flow
 from annulus_involutions.period import detect_cycle, period, sample_annulus
@@ -143,8 +144,10 @@ class TestSampleAnnulus:
         for s, T in zip(params, periods):
             assert T == pytest.approx(pendulum_period(float(s)), abs=1e-6)
 
-    def test_failures_recorded_not_fatal(self, pendulum):
-        tight = IntegratorConfig(rtol=1e-10, atol=1e-12, max_horizon=20.0)
+    def test_failures_recorded_not_fatal(self, pendulum, monkeypatch):
+        # the x = 3.1 cycle's period, about 21, exceeds the shortened horizon
+        monkeypatch.setattr(period_mod, "MAX_HORIZON", 20.0)
+        tight = IntegratorConfig(rtol=1e-10, atol=1e-12)
         sec = make_section(pendulum, "s", "0", (0.3, 3.1), name="x-axis")
         samp = sample_annulus(pendulum, sec, [1.0, 3.1], tight)
         assert not samp.ok

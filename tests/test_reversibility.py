@@ -137,13 +137,13 @@ class TestTau:
         assert t.hex() == t_hit.hex()
         assert len(calls) - n_tau == n_tau + 1
 
-    def test_orbit_missing_section(self, linear_center):
-        from annulus_involutions.flow import IntegratorConfig
+    def test_orbit_missing_section(self, linear_center, cfg, monkeypatch):
+        from annulus_involutions import flow as flow_mod
 
+        monkeypatch.setattr(flow_mod, "MAX_HORIZON", 50.0)
         short = make_section(linear_center, "s", "0", (0.2, 0.5), name="short")
-        quick = IntegratorConfig(max_horizon=50.0)
         with pytest.raises(EventNotFound):
-            tau(linear_center, short, on_circle(math.pi / 2), quick)  # radius 1 cycle
+            tau(linear_center, short, on_circle(math.pi / 2), cfg)  # radius 1 cycle
 
     def test_double_crossing_detected(self, linear_center, cfg):
         # a horizontal chord meets the r = 1.8 cycle twice; grid validation

@@ -348,3 +348,24 @@ class TestDigest:
         b = config_digest({"y": 2, "x": 1})
         assert a == b and len(a) == 12
         assert config_digest({"x": 1, "y": 3}) != a
+
+
+def test_iterator_inputs_give_the_list_report(linear_center, cfg):
+    # every check reads the samples, and check_commutation reads the times
+    # once per sample, so one-shot iterators must give the report of lists
+    from annulus_involutions.reversibility import verify_reversibility
+    from annulus_involutions.symmetry import verify_sigma_symmetry
+
+    sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
+    samples = annulus_points(linear_center, sec, 3, cfg, seed=1)
+    times = [0.4, -1.1]
+    sigma = SymmetryInvolution(linear_center, cfg)
+    runs = {
+        "symmetry": lambda s, t: verify_sigma_symmetry(linear_center, s, t, cfg),
+        "reversibility": lambda s, t: verify_reversibility(linear_center, sec, s, t, cfg),
+        "commutation": lambda s, t: check_commutation(linear_center, sigma, +1, s, t, cfg),
+    }
+    for name, run in runs.items():
+        listed = run(list(samples), list(times)).to_dict()
+        assert listed == run(iter(samples), iter(times)).to_dict(), name
+        assert listed.get("all_pass", listed.get("pass")), name

@@ -3,8 +3,10 @@
 The integrator is an embedded Dormand-Prince 5(4) pair with the classic
 quartic dense-output interpolant, so event roots are located on the
 continuous extension of accepted steps rather than by shrinking steps.
-Negative flow times integrate the reversed field over positive internal
-time; trajectories remember their direction.
+A negative flow time is integrated over positive internal progress time s
+with a signed step: the stages use the field's own velocities, and each
+step length that multiplies them is hs = -h.  Trajectories remember their
+direction.
 
 The kernel is scalar: the state is two floats, the seven stages are
 unrolled per component, and each step keeps its dense-output coefficients
@@ -13,27 +15,33 @@ as ``g(x, y)`` on dense-output samples and Brent iterates.  A point is an
 ``(x, y)`` tuple of floats wherever one is handed out (a located root for
 ``accept`` and the hit, a trajectory's state), and a trajectory keeps only
 its accepted steps.
-Every float equals what the same loop gives on 2-element ndarrays, because
-each expression keeps that loop's operation order: stage sums left to
-right, squares as ``v * v``, the two-component mean as
-``(a*a + b*b) / 2``, the error scale from ``max(abs(y), abs(y_new))`` per
-component, and reversed time as a negation.  Reordering any of them
-changes results in the last bits, and through step control, event times
-and reports.
+Every float equals what the same loop gives on 2-element ndarrays with the
+negated field for reversed time, because each expression keeps that loop's
+operation order: stage sums left to right, squares as ``v * v``, the
+two-component mean as ``(a*a + b*b) / 2``, and the error scale from
+``max(abs(y), abs(y_new))`` per component, written as a conditional with
+``max``'s tie order (as are the step-size clamps).  The signed step gives
+the bits of the negated field because IEEE negation is exact and
+round-to-nearest is symmetric: ``(-h) * (a*p + b*q)`` equals
+``h * (a*(-p) + b*(-q))``.  Reordering any expression changes results in
+the last bits, and through step control, event times and reports.
 
 Because ``g`` receives Python floats, a division by zero inside a user
 event function raises ZeroDivisionError rather than returning inf.
 
 An event may declare a Lipschitz bound L on |grad g|.  Within one step
 the dense output stays within B of the step's start, where B sums the
-absolute Horner coefficients c2..c5 of both components, so g moves by at
-most L * B.  A step whose start value has |g| > 2 * L * B plus a rounding
-floor cannot change the sign of g at any sample, and its scan is skipped:
-only the last sample is evaluated, so the value carried into the next
-step keeps its bits.  The factor 2 and the floor absorb rounding in g, in
-B and in the carried start value, which is g at the previous step's last
-sample rather than at c1 exactly.  The skip is exact only if L is a true
-bound; a value that is too small can drop crossings.
+absolute Horner coefficients c2..c5, the x terms and then the y terms,
+so g moves by at most L * B.  A step whose start value has
+|g| > 2 * L * B plus a rounding floor cannot change the sign of g at any
+sample, and its scan is skipped.  The integrator loop makes this test
+after each accepted step, and hands only the events that fail it to the
+scan.  A skipped event evaluates g once, at the last sample s0 + h, so the
+value carried into the next step keeps the bits a scan would give.  The
+factor 2 and the floor absorb rounding in g, in B and in the carried start
+value, which is g at the previous step's last sample rather than at c1
+exactly.  The skip is exact only if L is a true bound; a value that is too
+small can drop crossings.
 
 ``IntegratorConfig`` holds the two step-control settings, ``rtol`` and
 ``atol``.  Every integration is capped at ``_MAX_STEPS`` step attempts,
@@ -45,7 +53,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
@@ -192,12 +200,6 @@ class _Step:
             self.c1y + th * (self.c2y + om * (self.c3y + th * (self.c4y + om * self.c5y))),
         )
 
-    def reach(self) -> float:
-        """Bound on the distance of any dense-output point from the start:
-        the absolute Horner coefficients c2..c5 of both components summed."""
-        return (abs(self.c2x) + abs(self.c3x) + abs(self.c4x) + abs(self.c5x)
-                + abs(self.c2y) + abs(self.c3y) + abs(self.c4y) + abs(self.c5y))
-
 
 @dataclass
 class Trajectory:
@@ -238,7 +240,7 @@ class Trajectory:
         return step.at(s)
 
 
-def _initial_step(rhs, x, y, fx, fy, rtol, atol, s_end):
+def _initial_step(rhs, x, y, fx, fy, rtol, atol, s_end, sign):
     sx = atol + rtol * abs(x)
     sy = atol + rtol * abs(y)
     ax, ay = x / sx, y / sy
@@ -247,7 +249,8 @@ def _initial_step(rhs, x, y, fx, fy, rtol, atol, s_end):
     d1 = math.sqrt((ax * ax + ay * ay) / 2)
     h0 = 1e-6 if d1 < 1e-12 or d0 < 1e-12 else 0.01 * d0 / d1
     h0 = min(h0, s_end)
-    f1x, f1y = rhs(x + h0 * fx, y + h0 * fy)
+    hs0 = sign * h0
+    f1x, f1y = rhs(x + hs0 * fx, y + hs0 * fy)
     ax, ay = (f1x - fx) / sx, (f1y - fy) / sy
     d2 = math.sqrt((ax * ax + ay * ay) / 2) / h0
     dm = max(d1, d2)
@@ -307,32 +310,23 @@ def brent(f, a, b, fa=None, fb=None):
     return b
 
 
-def _scan_step(step, events, g_prev, direction, zero_start):
-    """Look for event crossings inside one accepted step.
+def _scan_step(step, events, scan, g_prev, direction, zero_start):
+    """Look for crossings of the events ``events[k]``, k in ``scan``, inside
+    one accepted step.
 
     g_prev holds event values at the step start and is updated to the step
     end; accepted hits come back ordered by progress time.  zero_start[k]
     is None for a normal event, or a threshold while the event started at
-    g ~ 0 and crossings are still being suppressed.  An event with a
-    Lipschitz bound whose start value clears 2 * L * reach plus the floor
-    is not scanned; only its value at the step end is taken.
+    g ~ 0 and crossings are still being suppressed.
     """
     hits = []
     s0, h = step.s0, step.h
-    svals = samples = reach = None
-    for k, ev in enumerate(events):
+    svals = [s0 + q * h for q in _SAMPLE_FRACTIONS]
+    samples = [step.at(s_b) for s_b in svals]
+    for k in scan:
+        ev = events[k]
         g = ev.g
         ga = g_prev[k]
-        if ev.lipschitz is not None and zero_start[k] is None:
-            if reach is None:
-                reach = step.reach()
-                floor = 1e-12 * (1.0 + abs(step.c1x) + abs(step.c1y))
-            if abs(ga) > 2.0 * ev.lipschitz * reach + floor:
-                g_prev[k] = g(*step.at(s0 + _SAMPLE_FRACTIONS[-1] * h))
-                continue
-        if samples is None:
-            svals = [s0 + q * h for q in _SAMPLE_FRACTIONS]
-            samples = [step.at(s_b) for s_b in svals]
         sa = s0
         for s_b, (xb, yb) in zip(svals, samples):
             gb = g(xb, yb)
@@ -349,7 +343,8 @@ def _scan_step(step, events, g_prev, direction, zero_start):
                     hits.append((s_root, EventHit(k, float(direction * s_root), z_root)))
             ga, sa = gb, s_b
         g_prev[k] = ga
-    hits.sort(key=lambda item: item[0])
+    if len(hits) > 1:
+        hits.sort(key=itemgetter(0))
     return hits
 
 
@@ -372,20 +367,12 @@ def integrate(
     if t_final == 0.0:
         return Trajectory(1, [], (x, y), 0, 0)
     direction = 1 if t_final > 0 else -1
+    sign = float(direction)
     s_end = abs(t_final)
 
-    if direction == 1:
-        rhs_s = rhs
-    else:
-        def rhs_s(x, y, _rhs=rhs):
-            px, qy = _rhs(x, y)
-            return -px, -qy
-
-    fx, fy = rhs_s(x, y)
-    nfev = 1
+    fx, fy = rhs(x, y)
     rtol, atol = cfg.rtol, cfg.atol
-    h = _initial_step(rhs_s, x, y, fx, fy, rtol, atol, s_end)
-    nfev += 1
+    h = _initial_step(rhs, x, y, fx, fy, rtol, atol, s_end, sign)
 
     events = list(events)
     g_prev = [ev.g(x, y) for ev in events]
@@ -396,59 +383,79 @@ def integrate(
 
     steps: list[_Step] = []
     hits: list[EventHit] = []
-    nrejected = 0
+    attempts = 0
     s = 0.0
     terminal_hit = None
 
     while s < s_end:
-        if len(steps) + nrejected >= _MAX_STEPS:
+        if attempts >= _MAX_STEPS:
             raise StepLimitExceeded(
                 f"step limit {_MAX_STEPS} reached at t={direction * s:.6g}"
             )
-        h = min(h, s_end - s)
-        k2x, k2y = rhs_s(x + h * (_A21 * fx), y + h * (_A21 * fy))
-        k3x, k3y = rhs_s(x + h * (_A31 * fx + _A32 * k2x),
-                         y + h * (_A31 * fy + _A32 * k2y))
-        k4x, k4y = rhs_s(x + h * (_A41 * fx + _A42 * k2x + _A43 * k3x),
-                         y + h * (_A41 * fy + _A42 * k2y + _A43 * k3y))
-        k5x, k5y = rhs_s(x + h * (_A51 * fx + _A52 * k2x + _A53 * k3x + _A54 * k4x),
-                         y + h * (_A51 * fy + _A52 * k2y + _A53 * k3y + _A54 * k4y))
-        k6x, k6y = rhs_s(x + h * (_A61 * fx + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
-                         y + h * (_A61 * fy + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y))
-        xn = x + h * (_A71 * fx + _A73 * k3x + _A74 * k4x + _A75 * k5x + _A76 * k6x)
-        yn = y + h * (_A71 * fy + _A73 * k3y + _A74 * k4y + _A75 * k5y + _A76 * k6y)
-        k7x, k7y = rhs_s(xn, yn)
-        nfev += 6
-        ex = h * (_E1 * fx + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
-        ey = h * (_E1 * fy + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
-        ex /= atol + rtol * max(abs(x), abs(xn))
-        ey /= atol + rtol * max(abs(y), abs(yn))
+        attempts += 1
+        rest = s_end - s
+        if rest < h:
+            h = rest
+        hs = sign * h
+        k2x, k2y = rhs(x + hs * (_A21 * fx), y + hs * (_A21 * fy))
+        k3x, k3y = rhs(x + hs * (_A31 * fx + _A32 * k2x),
+                       y + hs * (_A31 * fy + _A32 * k2y))
+        k4x, k4y = rhs(x + hs * (_A41 * fx + _A42 * k2x + _A43 * k3x),
+                       y + hs * (_A41 * fy + _A42 * k2y + _A43 * k3y))
+        k5x, k5y = rhs(x + hs * (_A51 * fx + _A52 * k2x + _A53 * k3x + _A54 * k4x),
+                       y + hs * (_A51 * fy + _A52 * k2y + _A53 * k3y + _A54 * k4y))
+        k6x, k6y = rhs(x + hs * (_A61 * fx + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
+                       y + hs * (_A61 * fy + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y))
+        xn = x + hs * (_A71 * fx + _A73 * k3x + _A74 * k4x + _A75 * k5x + _A76 * k6x)
+        yn = y + hs * (_A71 * fy + _A73 * k3y + _A74 * k4y + _A75 * k5y + _A76 * k6y)
+        k7x, k7y = rhs(xn, yn)
+        ex = hs * (_E1 * fx + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
+        ey = hs * (_E1 * fy + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
+        a, b = abs(x), abs(xn)
+        ex /= atol + rtol * (b if b > a else a)
+        a, b = abs(y), abs(yn)
+        ey /= atol + rtol * (b if b > a else a)
         err = math.sqrt((ex * ex + ey * ey) / 2)
         if err > 1.0:
-            nrejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            factor = _SAFETY * err ** -0.2
+            h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             continue
 
         dx, dy = xn - x, yn - y
-        c3x, c3y = h * fx - dx, h * fy - dy
-        step = _Step(
-            s, h, x, y, dx, dy, c3x, c3y,
-            dx - h * k7x - c3x,
-            dy - h * k7y - c3y,
-            h * (_D1 * fx + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x + _D7 * k7x),
-            h * (_D1 * fy + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y + _D7 * k7y),
-        )
+        c3x, c3y = hs * fx - dx, hs * fy - dy
+        c4x, c4y = dx - hs * k7x - c3x, dy - hs * k7y - c3y
+        c5x = hs * (_D1 * fx + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x + _D7 * k7x)
+        c5y = hs * (_D1 * fy + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y + _D7 * k7y)
+        step = _Step(s, h, x, y, dx, dy, c3x, c3y, c4x, c4y, c5x, c5y)
         steps.append(step)
         s += h
 
         if events:
-            for s_root, hit in _scan_step(step, events, g_prev, direction, zero_start):
-                hits.append(hit)
-                if events[hit.index].terminal:
-                    terminal_hit = hit
+            # the Lipschitz skip: an event whose start value clears
+            # 2 L reach + floor takes only its value at the end sample s
+            scan = []
+            reach = end = None
+            for k, ev in enumerate(events):
+                lip = ev.lipschitz
+                if lip is not None and zero_start[k] is None:
+                    if reach is None:
+                        reach = (abs(dx) + abs(c3x) + abs(c4x) + abs(c5x)
+                                 + abs(dy) + abs(c3y) + abs(c4y) + abs(c5y))
+                        floor = 1e-12 * (1.0 + abs(x) + abs(y))
+                    if abs(g_prev[k]) > (2.0 * lip) * reach + floor:
+                        if end is None:
+                            end = step.at(s)
+                        g_prev[k] = ev.g(*end)
+                        continue
+                scan.append(k)
+            if scan:
+                for s_root, hit in _scan_step(step, events, scan, g_prev, direction, zero_start):
+                    hits.append(hit)
+                    if events[hit.index].terminal:
+                        terminal_hit = hit
+                        break
+                if terminal_hit is not None:
                     break
-            if terminal_hit is not None:
-                break
 
         if bounds is not None and not bounds((xn, yn)):
             raise DomainEscape(
@@ -458,11 +465,16 @@ def integrate(
 
         x, y = xn, yn
         fx, fy = k7x, k7y
-        factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
-        h *= factor
+        if err == 0.0:
+            h *= _MAX_FACTOR
+        else:
+            factor = _SAFETY * err ** -0.2
+            factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
 
+    # nfev: the start, the trial stage of _initial_step and six per attempt
     return Trajectory(direction, steps, (x, y) if terminal_hit is None else (xn, yn),
-                      nrejected, nfev, hits)
+                      attempts - len(steps), 2 + 6 * attempts, hits)
 
 
 def flow(field: PlanarField, z0, t: float, cfg: IntegratorConfig = IntegratorConfig()) -> Point:

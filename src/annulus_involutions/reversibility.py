@@ -48,7 +48,6 @@ __all__ = [
     "conjugate_section",
     "classify",
     "tau",
-    "tau_hit",
     "tau_star",
     "sigma_reversible",
     "ReversibilityInvolution",
@@ -134,14 +133,6 @@ def _signed_crossing(field, delta: Section, z, cfg) -> tuple[float, Point]:
         return 0.0, z
     t, z_hit, _ = _nearest_crossing(field, delta, z, cfg)
     return t, z_hit
-
-
-def tau_hit(field: PlanarField, delta: Section, z,
-            cfg: IntegratorConfig = IntegratorConfig()) -> tuple[float, float, Point]:
-    """Signed section time plus the crossing itself: (tau, s parameter, point)."""
-    t, z_hit = _signed_crossing(field, delta, z, cfg)
-    s, _ = delta.project(z_hit)
-    return t, s, z_hit
 
 
 def tau(field: PlanarField, delta: Section, z,

@@ -379,6 +379,9 @@ class TestJacobianFD:
 # crossing of the line y = 0.1 x
 _TILTED = [EventSpec(g=lambda x, y: y, direction=0, terminal=False),
            EventSpec(g=lambda x, y: y - 0.1 * x, direction=1)]
+# the same pair with the bound |grad y| = 1 on the watch, so that the kernel
+# skips the watch on steps where it scans the terminal event
+_MIXED = [dataclasses.replace(_TILTED[0], lipschitz=1.0), _TILTED[1]]
 _KERNEL_CASES = [
     pytest.param(name, (1.0, 0.3), t, IntegratorConfig(), events,
                  id=f"{name}-{'fwd' if t > 0 else 'bwd'}-{'event' if events else 'plain'}")
@@ -388,6 +391,10 @@ _KERNEL_CASES = [
 ] + [
     pytest.param("cubic-center", (3.5, 0.0), -3.0, IntegratorConfig(rtol=1e-6, atol=1e-9),
                  (), id="cubic-center-rejections"),
+] + [
+    pytest.param("pendulum", (1.0, 0.3), t, IntegratorConfig(), _MIXED,
+                 id=f"pendulum-{'fwd' if t > 0 else 'bwd'}-mixed")
+    for t in (9.0, -9.0)
 ]
 
 
@@ -543,8 +550,9 @@ def _counting(ev, calls):
 
 
 class TestEventSkip:
-    """The scan skips a step whose start value clears 2 L B + floor, where L
-    is the event's Lipschitz bound and B the step's ``reach``."""
+    """The integrator skips an event's scan on a step whose start value
+    clears 2 L B + floor, where L is the event's Lipschitz bound and B the
+    step's reach, its absolute Horner coefficients c2..c5 summed."""
 
     def test_flow_to_event_keeps_the_bound(self, linear_center, cfg):
         # a full scan costs at least 1 + 3 g calls per accepted step
@@ -557,26 +565,42 @@ class TestEventSkip:
 
     @pytest.mark.parametrize("offset", [1e-12, -1e-12], ids=["outside", "inside"])
     def test_tight_margin(self, linear_center, cfg, offset):
-        # the level line y = c puts g at the start of one step a relative
-        # 1e-12 outside or inside that step's margin: only outside is the
-        # step skipped, and the hits of the whole run equal the full scan's
-        # either way.  The step is one whose end sample s0 + h is not its
-        # end state c1 + c2, so the carried value must come from the sample.
+        # the level line y = c puts the value carried into one step a
+        # relative 1e-12 outside or inside that step's margin: only outside
+        # is the step skipped, and the hits of the whole run equal the full
+        # scan's either way.  The step is one whose end sample s0 + h is not
+        # its end state c1 + c2, so the carried value must come from the
+        # sample.  bounds runs once after each accepted step's scan, so it
+        # splits the g calls by step.
         z0 = (1.0, 0.0)
         steps = integrate(linear_center.rhs, z0, 9.0, cfg).steps
-        step = next(st for st in steps[1:] if st.at(st.s0 + st.h)[1] != st.c1y + st.c2y)
-        margin = 2.0 * 1.0 * step.reach() + 1e-12 * (1.0 + abs(step.c1x) + abs(step.c1y))
+        i = next(i for i, st in enumerate(steps)
+                 if i > 0 and st.at(st.s0 + st.h)[1] != st.c1y + st.c2y)
+        step, prev = steps[i], steps[i - 1]
+        reach = (abs(step.c2x) + abs(step.c3x) + abs(step.c4x) + abs(step.c5x)
+                 + abs(step.c2y) + abs(step.c3y) + abs(step.c4y) + abs(step.c5y))
+        margin = 2.0 * 1.0 * reach + 1e-12 * (1.0 + abs(step.c1x) + abs(step.c1y))
         c = step.c1y - margin * (1.0 + offset)
         event = EventSpec(g=lambda x, y: y - c, direction=0, terminal=False, lipschitz=1.0)
-        g_prev = [event.g(step.c1x, step.c1y)]
-        assert (abs(g_prev[0]) > margin) == (offset > 0)
+        assert (abs(event.g(*prev.at(prev.s0 + prev.h))) > margin) == (offset > 0)
 
-        calls = [0]
-        assert flow_mod._scan_step(step, [_counting(event, calls)], g_prev, 1, [None]) == []
-        assert calls[0] == (1 if offset > 0 else flow_mod._EVENT_SAMPLES)
-        assert g_prev[0].hex() == event.g(*step.at(step.s0 + step.h)).hex()
+        seen = [[]]  # g's arguments, one list per accepted step
 
-        got = integrate(linear_center.rhs, z0, 9.0, cfg, [event])
+        def g(x, y):
+            seen[-1].append((x, y))
+            return event.g(x, y)
+
+        def bounds(z):
+            seen.append([])
+            return True
+
+        got = integrate(linear_center.rhs, z0, 9.0, cfg,
+                        [dataclasses.replace(event, g=g)], bounds)
+        assert got.steps[i].s0 == step.s0 and got.steps[i].h == step.h
+        assert len(seen[i]) == (1 if offset > 0 else flow_mod._EVENT_SAMPLES)
+        end = step.at(step.s0 + step.h)
+        assert [v.hex() for v in seen[i][-1]] == [v.hex() for v in end]
+
         full = integrate(linear_center.rhs, z0, 9.0, cfg,
                          [dataclasses.replace(event, lipschitz=None)])
         assert len(full.events) >= 2

@@ -11,7 +11,12 @@ from annulus_involutions.errors import CriticalPointError, EventNotFound
 from annulus_involutions.flow import IntegratorConfig
 from annulus_involutions.memo import suite_scope
 from annulus_involutions.period import period
-from annulus_involutions.reversibility import sigma_reversible, tau, tau_hit, verify_reversibility
+from annulus_involutions.reversibility import (
+    _signed_crossing,
+    sigma_reversible,
+    tau,
+    verify_reversibility,
+)
 from annulus_involutions.sections import make_section
 from annulus_involutions.symmetry import sigma_symmetric, verify_sigma_symmetry
 from annulus_involutions.verify import annulus_points
@@ -78,7 +83,7 @@ def test_mutating_a_result_leaves_the_entry(linear_center, lc_xaxis, cfg, integr
     with suite_scope():
         image = sigma_symmetric(linear_center, z, cfg)
         kept = np.array(image)
-        _, _, z_hit = tau_hit(linear_center, lc_xaxis, w, cfg)
+        _, z_hit = _signed_crossing(linear_center, lc_xaxis, w, cfg)
         kept_hit = np.array(z_hit)
         rev_image = sigma_reversible(linear_center, lc_xaxis, w, cfg)
         kept_rev = np.array(rev_image)
@@ -87,7 +92,7 @@ def test_mutating_a_result_leaves_the_entry(linear_center, lc_xaxis, cfg, integr
                 result[0] = 99.0
         done = integrations[0]
         assert np.array_equal(sigma_symmetric(linear_center, z, cfg), kept)
-        assert np.array_equal(tau_hit(linear_center, lc_xaxis, w, cfg)[2], kept_hit)
+        assert np.array_equal(_signed_crossing(linear_center, lc_xaxis, w, cfg)[1], kept_hit)
         assert np.array_equal(sigma_reversible(linear_center, lc_xaxis, w, cfg), kept_rev)
         assert integrations[0] == done
 

@@ -8,6 +8,7 @@ from annulus_involutions.flow import flow
 from annulus_involutions.memo import suite_scope
 from annulus_involutions.period import period
 from annulus_involutions.reversibility import (
+    _signed_crossing,
     BranchTag,
     ReversibilityInvolution,
     check_half_period_roundtrip,
@@ -16,7 +17,6 @@ from annulus_involutions.reversibility import (
     conjugate_section,
     sigma_reversible,
     tau,
-    tau_hit,
     tau_star,
     verify_reversibility,
 )
@@ -119,23 +119,25 @@ class TestTau:
     def test_hit_point_on_section(self, cubic_center, cfg):
         sec = make_section(cubic_center, "s", "s", (0.3, 1.5), name="diagonal")
         z = flow(cubic_center, [1.0, 1.0], 1.1, cfg)
-        t, s_hit, z_hit = tau_hit(cubic_center, sec, z, cfg)
+        t, z_hit = _signed_crossing(cubic_center, sec, z, cfg)
+        s_hit, _ = sec.project(z_hit)
         assert np.linalg.norm(np.subtract(z_hit, sec.point(s_hit))) <= 1e-8
         assert np.linalg.norm(np.subtract(flow(cubic_center, z, t, cfg), z_hit)) <= 1e-8
 
     @pytest.mark.parametrize("start", [(0.4, 0.9), (0.8, 0.192)], ids=["off", "on"])
     def test_tau_projects_no_crossing(self, pendulum, cfg, start):
-        # tau equals tau_hit's time but skips the projection of the crossing
-        # that only tau_hit reports; (0.8, 0.3 * 0.8^2) lies on the section
+        # tau equals the crossing search's time and projects no more often
+        # than that search: it does not project the crossing point;
+        # (0.8, 0.3 * 0.8^2) lies on the section
         sec = make_section(pendulum, "s", "0.3*s^2", (0.35, 1.75), name="parabola")
         calls = []
         project = sec.project
         sec.project = lambda z: calls.append(1) or project(z)
         t = tau(pendulum, sec, start, cfg)
         n_tau = len(calls)
-        t_hit = tau_hit(pendulum, sec, start, cfg)[0]
+        t_hit, _ = _signed_crossing(pendulum, sec, start, cfg)
         assert t.hex() == t_hit.hex()
-        assert len(calls) - n_tau == n_tau + 1
+        assert len(calls) - n_tau == n_tau
 
     def test_orbit_missing_section(self, linear_center, cfg, monkeypatch):
         from annulus_involutions import flow as flow_mod
@@ -317,7 +319,8 @@ class TestRectifiedChart:
         rev = ReversibilityInvolution(duffing, sec, cfg)
 
         def chart(z):
-            t, s_hit, _ = tau_hit(duffing, sec, z, cfg)
+            t, z_hit = _signed_crossing(duffing, sec, z, cfg)
+            s_hit, _ = sec.project(z_hit)
             return -t, s_hit
 
         rng = np.random.default_rng(17)

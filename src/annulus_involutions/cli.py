@@ -40,12 +40,10 @@ from .memo import suite_scope
 from .period import period, sample_annulus
 from .reversibility import ReversibilityInvolution, verify_reversibility
 from .sections import Section, make_section
-from .symmetry import SymmetryInvolution, uniqueness_probe, verify_sigma_symmetry
+from .symmetry import SymmetryInvolution, verify_sigma_symmetry
 from .verify import (
-    CheckResult,
     VerificationReport,
     annulus_points,
-    check_lower_bound,
     config_digest,
     sample_parameters,
     sample_time_fractions,
@@ -56,8 +54,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_TRANSVERSALITY = 3
-
-_UNIQUENESS_GRID = [round(0.05 * k, 2) for k in range(1, 20)]  # 0.05 .. 0.95
 
 
 @dataclass
@@ -91,22 +87,14 @@ class RunConfig:
         )
 
 
-def _parse_float(entries, key, default) -> float:
+def _parse_number(entries, key, default, kind=float):
     if key not in entries:
         return default
     try:
-        return float(entries[key])
+        return kind(entries[key])
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {entries[key]!r}") from exc
-
-
-def _parse_int(entries, key, default) -> int:
-    if key not in entries:
-        return default
-    try:
-        return int(entries[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {entries[key]!r}") from exc
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {entries[key]!r}") from exc
 
 
 _KNOWN_KEYS = {
@@ -190,11 +178,11 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     field = _resolve_field(entries, path.parent)
     sx, sy, rng, label = _resolve_section(entries, field)
-    rtol = _parse_float(entries, "rtol", 1e-10)
+    rtol = _parse_number(entries, "rtol", 1e-10)
     if rtol_override is not None:
         rtol = rtol_override
-    atol = _parse_float(entries, "atol", max(1e-12, 0.01 * rtol))
-    seed = _parse_int(entries, "seed", 0)
+    atol = _parse_number(entries, "atol", max(1e-12, 0.01 * rtol))
+    seed = _parse_number(entries, "seed", 0, int)
     if seed_override is not None:
         seed = seed_override
     params = None
@@ -202,8 +190,8 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
         params = parse_number_list(entries["params"], "params")
         if not params:
             raise ConfigError("params list is empty")
-    samples = _parse_int(entries, "samples", 10)
-    times = _parse_int(entries, "times", 3)
+    samples = _parse_number(entries, "samples", 10, int)
+    times = _parse_number(entries, "times", 3, int)
     for key, count in (("samples", samples), ("times", times)):
         if count < 1:
             raise ConfigError(f"{key} must be at least 1, got {count}")
@@ -218,7 +206,7 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
         section_sx=sx,
         section_sy=sy,
         section_range=rng,
-        section_grid=_parse_int(entries, "section_grid", 33),
+        section_grid=_parse_number(entries, "section_grid", 33, int),
         section_label=label,
         params=params,
         rtol=rtol,
@@ -282,30 +270,6 @@ def _gather_samples(config: RunConfig, section, cfg) -> tuple[list, list[float]]
     return samples, times
 
 
-def _uniqueness_checks(config: RunConfig, section, cfg) -> list[CheckResult]:
-    """The half shift must square to the identity; every other shift on
-    the grid must miss the identity by a margin."""
-    half_tol = 1e-8
-    z_probe = section.point(0.5 * (section.s_min + section.s_max))
-    try:
-        probe = uniqueness_probe(config.field, z_probe, _UNIQUENESS_GRID, cfg)
-    except SAMPLE_FAILURES as exc:
-        failed = CheckResult("uniqueness_half_shift", float("inf"), half_tol, False,
-                             z_probe, None, errors=[str(exc)])
-        failed_off = CheckResult("uniqueness_off_half_shifts", float("inf"), 0.0,
-                                 False, None, None, errors=[str(exc)])
-        return [failed, failed_off]
-    residuals = dict(zip(_UNIQUENESS_GRID, probe))
-    at_half = residuals[0.5]
-    off_half = min(v for f, v in residuals.items() if f != 0.5)
-    return [
-        CheckResult("uniqueness_half_shift", at_half, half_tol, at_half <= half_tol,
-                    z_probe, None, extras={"fraction": 0.5}),
-        check_lower_bound("uniqueness_off_half_shifts", off_half, 1e-3,
-                          worst_point=z_probe),
-    ]
-
-
 def _outcome(report: VerificationReport, files):
     """A suite's outcome: its check counts, its files and one stderr line
     per check error."""
@@ -328,9 +292,7 @@ def _period_command(config: RunConfig, section, cfg):
 
 def _symmetry_command(config: RunConfig, section, cfg):
     samples, times = _gather_samples(config, section, cfg)
-    report = verify_sigma_symmetry(config.field, samples, times, cfg)
-    report.checks.extend(_uniqueness_checks(config, section, cfg))
-    report.provenance["section"] = section.label
+    report = verify_sigma_symmetry(config.field, section, samples, times, cfg)
     report.provenance["config_digest"] = config.digest()
     pairs = _pairs_csv("symmetry_pairs", samples, SymmetryInvolution(config.field, cfg))
     return _outcome(report, [("symmetry_report.json", report.to_json()),
@@ -355,8 +317,7 @@ def _reversibility_command(config: RunConfig, section, cfg):
 
 def _verify_command(config: RunConfig, section, cfg):
     samples, times = _gather_samples(config, section, cfg)
-    sym = verify_sigma_symmetry(config.field, samples, times, cfg)
-    sym.checks.extend(_uniqueness_checks(config, section, cfg))
+    sym = verify_sigma_symmetry(config.field, section, samples, times, cfg)
     rev = verify_reversibility(config.field, section, samples, times, cfg)
     for prefix, suite in (("symmetry", sym), ("reversibility", rev)):
         for c in suite.checks:

@@ -58,6 +58,9 @@ __all__ = [
 
 _BAND_WIDTH = 1e-7  # inside this distance of either curve, both time routes
                     # are computed and their agreement asserted
+_TIE_RTOL = 1e-8  # crossings equally far within this share of the period are a
+                  # tie, whose time is +T/2; at the grid points of the built-ins'
+                  # default sections the largest share is 3.9e-11 (pendulum)
 
 
 class BranchTag(enum.Enum):
@@ -95,9 +98,10 @@ def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, Point, Po
     point.  Then t_f - t_b = T, so phi(t_b + t_f, z) = phi(2 tau, z)
     whichever crossing is nearer, and t_b + t_f lies inside the span of
     the farther search, whose dense output gives the image.  Returns
-    (t, z_hit, image) with t the signed nearest-crossing time.  The event
-    depends only on the section, so inside a suite scope the result is
-    memoized on (field, section, cfg, z bits); z is an (x, y) tuple.
+    (t, z_hit, image): t is the signed nearest-crossing time, or +T/2 with
+    the forward hit at a tie (``_TIE_RTOL``), so t is in (-T/2, T/2].  The
+    event depends only on the section, so inside a suite scope the result
+    is memoized on (field, section, cfg, z bits); z is an (x, y) tuple.
     """
     return memoized(("crossing", field, section, cfg), z,
                     lambda: _crossing_pair(field, section, z, cfg))
@@ -122,6 +126,8 @@ def _crossing_pair(field, section: Section, z, cfg) -> tuple[float, Point, Point
         )
     t_2tau = hit_b.t + hit_f.t
     image = back.state(t_2tau) if t_2tau <= 0.0 else fwd.state(t_2tau)
+    if abs(t_2tau) <= _TIE_RTOL * (hit_f.t - hit_b.t):
+        return 0.5 * (hit_f.t - hit_b.t), hit_f.z, image
     hit = hit_b if -hit_b.t <= hit_f.t else hit_f
     return hit.t, hit.z, image
 

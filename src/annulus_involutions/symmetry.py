@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import math
 
+from .errors import SAMPLE_FAILURES
 from .expr import PlanarField
 from .flow import IntegratorConfig, Point, flow
 from .memo import suite_scope
 from .period import _half_period, detect_cycle, period
+from .sections import Section
 from .verify import (
+    CheckResult,
     VerificationReport,
     _run_samples,
     check_commutation,
@@ -28,6 +31,8 @@ from .verify import (
 
 __all__ = ["SymmetryInvolution", "sigma_symmetric", "uniqueness_probe",
            "verify_sigma_symmetry"]
+
+_UNIQUENESS_GRID = [round(0.05 * k, 2) for k in range(1, 20)]  # 0.05 .. 0.95
 
 
 class SymmetryInvolution:
@@ -65,9 +70,9 @@ def uniqueness_probe(field: PlanarField, z, fractions,
 
     Only f = 1/2 gives a residual at integration-error level; every other
     fraction leaves the point displaced along its cycle.  The cycle through
-    z is detected once.  Off the half, both legs are read from the dense
-    output of the cycle detections of z and of its image; at f = 1/2 both
-    legs are fresh flows, whose endpoint error sets the residual.
+    z is detected once, and off the half both legs are read from it:
+    phi(f T, phi(f T, z)) = phi(((2f) mod 1) T, z).  At f = 1/2 both legs
+    are fresh flows, whose endpoint error sets the residual.
     """
     cyc = detect_cycle(field, z, cfg)
     residuals = []
@@ -76,20 +81,44 @@ def uniqueness_probe(field: PlanarField, z, fractions,
             z1 = flow(field, z, f * cyc.period, cfg)
             z2 = flow(field, z1, f * period(field, z1, cfg), cfg)
         else:
-            z1 = cyc.trajectory.state(f * cyc.period)
-            cyc1 = detect_cycle(field, z1, cfg)
-            z2 = cyc1.trajectory.state(f * cyc1.period)
+            z2 = cyc.trajectory.state(((2.0 * f) % 1.0) * cyc.period)
         residuals.append(math.dist(z2, z))
     return residuals
 
 
+def _uniqueness_checks(field: PlanarField, section: Section, cfg) -> list[CheckResult]:
+    """The half shift must square to the identity; every other shift on
+    the grid must miss the identity by a margin."""
+    half_tol = 1e-8
+    z_probe = section.point(0.5 * (section.s_min + section.s_max))
+    try:
+        probe = uniqueness_probe(field, z_probe, _UNIQUENESS_GRID, cfg)
+    except SAMPLE_FAILURES as exc:
+        failed = CheckResult("uniqueness_half_shift", float("inf"), half_tol, False,
+                             z_probe, None, errors=[str(exc)])
+        failed_off = CheckResult("uniqueness_off_half_shifts", float("inf"), 0.0,
+                                 False, None, None, errors=[str(exc)])
+        return [failed, failed_off]
+    residuals = dict(zip(_UNIQUENESS_GRID, probe))
+    at_half = residuals[0.5]
+    off_half = min(v for f, v in residuals.items() if f != 0.5)
+    return [
+        CheckResult("uniqueness_half_shift", at_half, half_tol, at_half <= half_tol,
+                    z_probe, None, extras={"fraction": 0.5}),
+        check_lower_bound("uniqueness_off_half_shifts", off_half, 1e-3,
+                          worst_point=z_probe),
+    ]
+
+
 def verify_sigma_symmetry(
     field: PlanarField,
+    section: Section,
     samples,
     times,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> VerificationReport:
-    """Run the symmetry identity suite over the samples and times."""
+    """Run the symmetry identity suite over the samples and times, then
+    the uniqueness probe at the midpoint of the section."""
     samples, times = list(samples), list(times)  # each check reads them again
     sigma = SymmetryInvolution(field, cfg)
     threshold = 0.1  # non-triviality: the largest |sigma(z) - z| must exceed it
@@ -111,10 +140,12 @@ def verify_sigma_symmetry(
     nontrivial.errors.extend(moves.errors)
     nontrivial.passed = nontrivial.passed and not moves.errors
     checks.append(nontrivial)
+    checks.extend(_uniqueness_checks(field, section, cfg))
     provenance = {
         "field": field.name,
         "construction": "half_period_symmetry",
         "config_digest": config_digest({"rtol": cfg.rtol, "atol": cfg.atol,
                                         "samples": len(samples), "times": len(times)}),
+        "section": section.label,
     }
     return VerificationReport(checks=checks, provenance=provenance)

@@ -19,6 +19,9 @@ boundary) are its own.  Event functions take
 state.  ``side_reference`` is the signed side function of each curve kind
 on ndarrays, with its own nearest-point Newton iteration; it shares only
 the curve's evaluation of C(s), C'(s) and C''(s).
+``uniqueness_probe_reference`` composes each fractional shift with
+itself through two cycle detections, one at z and one at its image, where
+the package reads both legs from the one cycle of z.
 """
 
 import math
@@ -31,6 +34,7 @@ from scipy import integrate
 from annulus_involutions import flow as F
 from annulus_involutions.errors import DomainEscape, StepLimitExceeded
 from annulus_involutions.expr import compile_fn, differentiate
+from annulus_involutions.period import detect_cycle
 from annulus_involutions.sections import _AffineSegment
 
 
@@ -368,3 +372,18 @@ def side_reference(curve, z) -> float:
         return (d[0] * (z[1] - a[1]) - d[1] * (z[0] - a[0])) / math.sqrt(dd)
     cx, cy, tx, ty, _, _ = curve.jet(_project_reference(curve, z))
     return (tx * (z[1] - cy) - ty * (z[0] - cx)) / math.hypot(tx, ty)
+
+
+# --- reference uniqueness probe: each leg from its own cycle detection ---------
+
+def uniqueness_probe_reference(field, z, fractions, cfg):
+    """|sigma_f(sigma_f(z)) - z| per fraction, sigma_f(w) = phi(f T(w), w),
+    with the two legs read from two cycle detections: z1 = sigma_f(z) from
+    the cycle of z, then sigma_f(z1) from the cycle detected again at z1."""
+    cyc = detect_cycle(field, z, cfg)
+    out = []
+    for f in fractions:
+        z1 = cyc.trajectory.state(f * cyc.period)
+        cyc1 = detect_cycle(field, z1, cfg)
+        out.append(math.dist(cyc1.trajectory.state(f * cyc1.period), z))
+    return out

@@ -88,7 +88,7 @@ def test_04_half_period_symmetry_on_all_builtins():
         samples = annulus_points(field, sec, 10, cfg, seed=1)
         t_ref = period(field, sec.point(0.5 * (lo + hi)), cfg)
         times = [f * t_ref for f in (0.11, 0.27, 0.42, 0.63, 0.81)]
-        rep = verify_sigma_symmetry(field, samples, times, cfg)
+        rep = verify_sigma_symmetry(field, sec, samples, times, cfg)
         for check, gate in [("involution", 1e-7), ("flow_commutation", 1e-6),
                             ("period_invariance", 1e-7),
                             ("field_condition_symmetry", 1e-4)]:

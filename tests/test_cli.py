@@ -13,11 +13,14 @@ from annulus_involutions.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_TRANSVERSALITY,
+    _gather_samples,
     _pairs_csv,
     load_config,
     main,
 )
 from annulus_involutions.errors import ConfigError, FlowError
+from annulus_involutions.flow import IntegratorConfig
+from annulus_involutions.symmetry import verify_sigma_symmetry
 
 
 def write_config(path, text):
@@ -155,6 +158,16 @@ section_grid = 17
         assert lines[0].startswith(f"config error: {message}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("rtol = tight", "rtol: expected a number, got 'tight'"),
+        ("seed = 1.5", "seed: expected an integer, got '1.5'"),
+        ("section_grid = 3e1", "section_grid: expected an integer, got '3e1'"),
+    ])
+    def test_unparsable_number(self, tmp_path, text, message):
+        path = write_config(tmp_path / "run.cfg", f"field = linear-center\n{text}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+
     def test_bad_expression_reported(self, tmp_path):
         path = write_config(tmp_path / "run.cfg",
                             "P = -y +\nQ = x\nsection = x-axis [0.2, 2]\n")
@@ -244,6 +257,23 @@ class TestSymmetryCommand:
         for row in pairs[1:]:
             x, y, sx, sy = map(float, row)
             assert abs(sx + x) <= 1e-7 and abs(sy + y) <= 1e-7  # sigma = -id
+
+    def test_report_is_the_library_suite(self, lc_config, tmp_path):
+        # the command writes the suite's report, uniqueness checks included;
+        # only the digest differs (the command's covers the whole config)
+        assert main(["symmetry", "--config", lc_config]) == EXIT_OK
+        written = json.loads((tmp_path / "out" / "symmetry_report.json").read_text())
+        config = load_config(lc_config)
+        cfg = IntegratorConfig(rtol=config.rtol, atol=config.atol)
+        section = config.build_section()
+        samples, times = _gather_samples(config, section, cfg)
+        suite = verify_sigma_symmetry(config.field, section, samples, times, cfg).to_dict()
+        for report in (written, suite):
+            del report["provenance"]["config_digest"]
+        assert written == suite
+        assert list(written["provenance"]) == ["field", "construction", "section"]
+        assert [c["check_name"] for c in written["checks"]][-2:] == [
+            "uniqueness_half_shift", "uniqueness_off_half_shifts"]
 
     def test_loose_rtol_fails_gates(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "p.cfg", f"""

@@ -134,7 +134,7 @@ def test_stored_values_are_floats_and_points(pendulum, cfg):
     samples = annulus_points(pendulum, sec, 2, cfg, seed=3)
     times = [1.3]
     with suite_scope():
-        verify_sigma_symmetry(pendulum, samples, times, cfg)
+        verify_sigma_symmetry(pendulum, sec, samples, times, cfg)
         verify_reversibility(pendulum, sec, samples, times, cfg)
         entries = memo._MEMO.get()
         assert {k[0] for k in entries} == {"half_period", "crossing"}

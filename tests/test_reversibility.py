@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from annulus_involutions.errors import EventNotFound, NotASection
+from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
 from annulus_involutions.flow import flow
 from annulus_involutions.memo import suite_scope
 from annulus_involutions.period import period
@@ -115,6 +116,21 @@ class TestTau:
             z = flow(pendulum, z0, frac * T, cfg)
             t = tau(pendulum, pend_xaxis, z, cfg)
             assert -T / 2 < t < T / 2
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_tie_is_plus_half_period(self, name, cfg):
+        # a point of delta_star is half a period from delta both ways (and a
+        # point of delta from delta_star); the time is +T/2 whichever
+        # crossing search comes out nearer in the last bits
+        field = builtin_field(name)
+        delta = make_section(field, "s", "0", default_section_range(name), name="x-axis")
+        star = conjugate_section(field, delta, cfg)
+        i = len(delta.grid) // 2
+        half = 0.5 * star.periods[i]
+        for t in (tau(field, delta, star.points[i], cfg),
+                  tau_star(field, star, delta.point(delta.grid[i]), cfg)):
+            assert t > 0.0
+            assert t == pytest.approx(half, rel=1e-8)
 
     def test_hit_point_on_section(self, cubic_center, cfg):
         sec = make_section(cubic_center, "s", "s", (0.3, 1.5), name="diagonal")

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from annulus_involutions import symmetry
 from annulus_involutions.expr import PlanarField
+from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
 from annulus_involutions.flow import flow
 from annulus_involutions.memo import suite_scope
 from annulus_involutions.period import period
@@ -16,7 +18,7 @@ from annulus_involutions.symmetry import (
 )
 from annulus_involutions.verify import annulus_points
 
-from oracles import T_PENDULUM_HALF_PI
+from oracles import T_PENDULUM_HALF_PI, uniqueness_probe_reference
 
 
 class TestSigmaSymmetric:
@@ -128,12 +130,39 @@ class TestUniquenessProbe:
             else:
                 assert res > 1e-3
 
+    def test_one_cycle_detection(self, pendulum, cfg, monkeypatch):
+        # off the half both legs are read from the cycle of z; only f = 1/2
+        # runs its two flows and the period of its image
+        calls = {"detect_cycle": [], "period": [], "flow": []}
+        for name, log in calls.items():
+            real = getattr(symmetry, name)
+            monkeypatch.setattr(symmetry, name, lambda field, z, *rest, _real=real, _log=log:
+                                _log.append(z) or _real(field, z, *rest))
+        z = (math.pi / 2, 0.0)
+        grid = [round(0.05 * k, 2) for k in range(1, 20)]  # the suite's grid
+        uniqueness_probe(pendulum, z, grid, cfg)
+        assert calls["detect_cycle"] == [z]
+        assert len(calls["period"]) == 1 and len(calls["flow"]) == 2
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_off_half_matches_two_detections(self, name, cfg):
+        # phi(f T, phi(f T, z)) read from one cycle agrees with detecting
+        # the cycle again at the image, at the probe point of the suite
+        field = builtin_field(name)
+        sec = make_section(field, "s", "0", default_section_range(name), name="x-axis")
+        z = sec.point(0.5 * (sec.s_min + sec.s_max))
+        off = [f for f in symmetry._UNIQUENESS_GRID if f != 0.5]
+        got = uniqueness_probe(field, z, off, cfg)
+        want = uniqueness_probe_reference(field, z, off, cfg)
+        for f, g, w in zip(off, got, want):
+            assert g == pytest.approx(w, rel=1e-9), f
+
 
 class TestVerifySuite:
     def test_linear_center_report(self, linear_center, cfg):
         sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
         samples = annulus_points(linear_center, sec, 10, cfg, seed=1)
-        report = verify_sigma_symmetry(linear_center, samples,
+        report = verify_sigma_symmetry(linear_center, sec, samples,
                                        [0.3, 1.0, 2.5], cfg)
         assert report.all_pass
         assert report["involution"].max_residual <= 1e-8
@@ -142,7 +171,7 @@ class TestVerifySuite:
     def test_pendulum_report(self, pendulum, cfg):
         sec = make_section(pendulum, "s", "0", (0.3, 2.5), name="x-axis")
         samples = annulus_points(pendulum, sec, 10, cfg, seed=1)
-        report = verify_sigma_symmetry(pendulum, samples, [0.3, 1.0, 2.5], cfg)
+        report = verify_sigma_symmetry(pendulum, sec, samples, [0.3, 1.0, 2.5], cfg)
         assert report.all_pass
         assert report["flow_commutation"].max_residual <= 1e-6
 
@@ -151,16 +180,17 @@ class TestVerifySuite:
         samples = [cubic_center_pt for cubic_center_pt in
                    annulus_points(cubic_center, sec, 3, cfg, seed=1)]
         samples += [np.array([0.5, 0.0]), np.array([1.0, 0.0]), np.array([2.0, 0.0])]
-        report = verify_sigma_symmetry(cubic_center, samples, [0.4, 1.3], cfg)
+        report = verify_sigma_symmetry(cubic_center, sec, samples, [0.4, 1.3], cfg)
         assert report.all_pass
         assert report["involution"].max_residual <= 1e-6
 
     def test_report_structure(self, linear_center, cfg):
         sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
         samples = annulus_points(linear_center, sec, 4, cfg, seed=1)
-        report = verify_sigma_symmetry(linear_center, samples, [1.0], cfg)
+        report = verify_sigma_symmetry(linear_center, sec, samples, [1.0], cfg)
         names = [c.name for c in report.checks]
         assert names == ["involution", "flow_commutation", "period_invariance",
                          "field_condition_symmetry", "energy_invariance",
-                         "non_triviality"]
+                         "non_triviality", "uniqueness_half_shift",
+                         "uniqueness_off_half_shifts"]
         assert len(set(names)) == len(names)

@@ -361,7 +361,7 @@ def test_iterator_inputs_give_the_list_report(linear_center, cfg):
     times = [0.4, -1.1]
     sigma = SymmetryInvolution(linear_center, cfg)
     runs = {
-        "symmetry": lambda s, t: verify_sigma_symmetry(linear_center, s, t, cfg),
+        "symmetry": lambda s, t: verify_sigma_symmetry(linear_center, sec, s, t, cfg),
         "reversibility": lambda s, t: verify_reversibility(linear_center, sec, s, t, cfg),
         "commutation": lambda s, t: check_commutation(linear_center, sigma, +1, s, t, cfg),
     }

@@ -47,6 +47,8 @@ which requires, of every file the two trees hold:
 
 - the same set of files, and identical ``*.exit`` files (exit codes);
 - identical ``PASS k/k`` / ``FAIL j/k`` summary lines;
+- identical gates: every JSON ``"tolerance"`` field and every value of a
+  CSV ``tolerance`` column, spelled the same;
 - identical text once every number is masked, which covers the JSON
   ``pass`` and ``all_pass`` flags, the CSV ``pass`` column and each
   stderr line.
@@ -59,6 +61,8 @@ and where it is.  It exits 1 when a requirement fails.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import os
 import re
@@ -149,6 +153,7 @@ def _keep(case: Path, stem: str, run: subprocess.CompletedProcess) -> None:
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|inf|nan|Infinity|NaN)(?![\w.])")
 SUMMARY = re.compile(r"^(?:PASS|FAIL) \d+/\d+$", re.MULTILINE)
+TOLERANCE_FIELD = re.compile(r'"tolerance": ([^,\s}]+)')
 
 
 def _relative_change(a: float, b: float) -> float:
@@ -157,6 +162,18 @@ def _relative_change(a: float, b: float) -> float:
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
     return abs(a - b) / max(abs(a), abs(b))
+
+
+def _gates(rel: str, text: str) -> list[str]:
+    """The gate values a file states, which no change may move: its JSON
+    ``"tolerance"`` fields, or a CSV's ``tolerance`` column."""
+    if rel.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(text)))
+        if rows and "tolerance" in rows[0]:
+            col = rows[0].index("tolerance")
+            return [row[col] for row in rows[1:]]
+        return []
+    return TOLERANCE_FIELD.findall(text)
 
 
 def _compare_file(rel: str, text_a: str, text_b: str) -> tuple[str | None, str]:
@@ -168,6 +185,9 @@ def _compare_file(rel: str, text_a: str, text_b: str) -> tuple[str | None, str]:
     lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
     if len(lines_a) != len(lines_b):
         return f"{len(lines_a)} lines -> {len(lines_b)}", ""
+    gates_a, gates_b = _gates(rel, text_a), _gates(rel, text_b)
+    if gates_a != gates_b:
+        return f"tolerance {gates_a} -> {gates_b}", ""
     worst, where, count = 0.0, "", 0
     for lineno, (la, lb) in enumerate(zip(lines_a, lines_b), start=1):
         if NUMBER.sub("#", la) != NUMBER.sub("#", lb):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .errors import SAMPLE_FAILURES, CriticalPointError, DomainEscape, NotACycle
 from .expr import PlanarField
-from .flow import MAX_HORIZON, EventSpec, IntegratorConfig, Point, Trajectory, as_point, integrate
+from .flow import (MAX_HORIZON, EventSpec, IntegratorConfig, Point, Trajectory, as_point, flow,
+                   integrate)
 from .memo import memoized
 
 __all__ = ["Cycle", "AnnulusSample", "detect_cycle", "period", "sample_annulus"]
@@ -73,16 +74,32 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig
                  closure_residual=closure)
 
 
-def _half_period(field: PlanarField, z, cfg: IntegratorConfig) -> tuple[float, Point]:
-    """(T(z), phi(T/2, z)), both read from one cycle detection; memoized
-    inside a suite scope (see :mod:`.memo`)."""
+def _half_period(field: PlanarField, z, cfg: IntegratorConfig) -> tuple[float, Point, float]:
+    """(T(z), w, dt) from one cycle detection, where w is the start of the
+    accepted step holding T/2 and dt the time from w to T/2 (see
+    ``Trajectory.step_start``); memoized inside a suite scope (see
+    :mod:`.memo`)."""
     z = as_point(z)
 
     def detect():
         cyc = detect_cycle(field, z, cfg)
-        return cyc.period, cyc.trajectory.state(0.5 * cyc.period)
+        return cyc.period, *cyc.trajectory.step_start(0.5 * cyc.period)
 
     return memoized(("half_period", field, cfg), z, detect)
+
+
+def _half_period_image(field: PlanarField, z, cfg: IntegratorConfig) -> tuple[float, Point]:
+    """(T(z), phi(T/2, z)): the image is the cycle detection's state at T/2,
+    integrated afresh from the start of the step holding it, so its error is
+    the propagated solution's and not the dense output's; memoized inside a
+    suite scope."""
+    z = as_point(z)
+
+    def advance():
+        t_period, w, dt = _half_period(field, z, cfg)
+        return t_period, flow(field, w, dt, cfg)
+
+    return memoized(("half_period_image", field, cfg), z, advance)
 
 
 def period(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig()) -> float:

@@ -28,7 +28,7 @@ from .errors import CycleError, EventNotFound, NotASection
 from .expr import PlanarField
 from .flow import IntegratorConfig, Point, as_point, flow, flow_to_event
 from .memo import memoized, suite_scope
-from .period import _half_period
+from .period import _half_period_image
 from .sections import Section, linspace, membership_tol, section_from_points
 from .verify import (
     CheckResult,
@@ -80,7 +80,7 @@ def conjugate_section(field: PlanarField, delta: Section,
     periods = []
     for s in delta.grid:
         try:
-            t_period, image = _half_period(field, delta.point(s), cfg)
+            t_period, image = _half_period_image(field, delta.point(s), cfg)
         except CycleError as exc:
             raise CycleError(f"conjugate section failed at s = {s:.6g}: {exc}") from exc
         periods.append(t_period)

@@ -14,7 +14,7 @@ from .errors import SAMPLE_FAILURES
 from .expr import PlanarField
 from .flow import IntegratorConfig, Point, flow
 from .memo import suite_scope
-from .period import _half_period, detect_cycle, period
+from .period import _half_period_image, detect_cycle, period
 from .sections import Section
 from .verify import (
     CheckResult,
@@ -39,7 +39,7 @@ class SymmetryInvolution:
     """Evaluatable half-period map bound to a field and integrator settings.
 
     Each evaluation detects the cycle through its point and reads the image
-    off that one integration (see :func:`sigma_symmetric`).  Inside a suite
+    off that integration (see :func:`sigma_symmetric`).  Inside a suite
     scope the period and the image of a point are detected once.
     """
 
@@ -57,10 +57,10 @@ class SymmetryInvolution:
 def sigma_symmetric(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig()) -> Point:
     """Advance z half a period along its cycle.
 
-    The image is read from the dense output of the cycle-detection
-    integration, which already covers [0, T].
+    The cycle detection, which already covers [0, T], names the start of
+    its step holding T/2, and one short flow from there gives the image.
     """
-    return _half_period(field, z, cfg)[1]
+    return _half_period_image(field, z, cfg)[1]
 
 
 def uniqueness_probe(field: PlanarField, z, fractions,

@@ -9,22 +9,27 @@ in the tests were computed with these routines (cross-checked against
 special-function identities where available).
 
 The exceptions are the ndarray references that the package's scalar code
-must reproduce bit for bit.  ``integrate_reference`` is the Dormand-Prince
-step loop and the event scan written on 2-element ndarrays.  It shares
-the tableau, the step limit, Brent's method and the EventHit type with the
-package; the step loop, dense output, event scan and its record
+must reproduce bit for bit.  ``integrate_reference`` is the DOP853 step
+loop and the event scan written on 2-element ndarrays, with the stages
+driven from the tableau read as a table.  It shares the tableau, the step
+limit, Brent's method and the EventHit type with the package; the step
+loop, dense output, event scan and its record
 (``RefTrajectory``, which keeps the step grid and the state at every
 boundary) are its own.  Event functions take
 ``g(x, y)``; the reference calls them on the numpy scalars of an ndarray
 state.  ``side_reference`` is the signed side function of each curve kind
 on ndarrays, with its own nearest-point Newton iteration; it shares only
 the curve's evaluation of C(s), C'(s) and C''(s).
+``ScipyE5DOP853`` is scipy's own DOP853 steered by its 5th-order error
+estimate alone, as the package's kernel is; it shares nothing with the
+package and checks the copied tableau and the step control.
 ``uniqueness_probe_reference`` composes each fractional shift with
 itself through two cycle detections, one at z and one at its image, where
 the package reads both legs from the one cycle of z.
 """
 
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -154,21 +159,52 @@ T_DUFFING_AMP1 = 4.768022029102461
 T_CUBIC_AMP1 = 7.416298709205488
 
 
-# --- reference DP5(4) step loop on ndarrays ----------------------------------
+# --- reference DOP853 step loop on ndarrays -----------------------------------
+
+def _tableau(pattern):
+    """flow's coefficients whose names match pattern, as {row: [(stage,
+    weight), ...]} with the stages ascending; a pattern with one group
+    gives the single row 0."""
+    rows = {}
+    for name, weight in vars(F).items():
+        m = re.fullmatch(pattern, name)
+        if m:
+            row, stage = (0, m[1]) if m.lastindex == 1 else (int(m[1]), m[2])
+            rows.setdefault(row, []).append((int(stage), weight))
+    return {row: sorted(terms) for row, terms in rows.items()}
+
+
+# stage rows 2..12 and 14..16, the 8th-order weights, the 5th-order error
+# weights and the dense-output rows 5..8, read off flow's names
+_REF_A = _tableau(r"_A(\d+)_(\d+)")
+_REF_B = _tableau(r"_B(\d+)")[0]
+_REF_E = _tableau(r"_E(\d+)")[0]
+_REF_D = _tableau(r"_D(\d+)_(\d+)")
+
+
+def _ref_sum(terms, k):
+    """sum of weight * k[stage] over terms, added left to right."""
+    total = None
+    for stage, weight in terms:
+        total = weight * k[stage] if total is None else total + weight * k[stage]
+    return total
+
 
 class _RefStep:
-    def __init__(self, s0, h, c1, c2, c3, c4, c5):
+    def __init__(self, s0, h, c):
         self.s0, self.h = s0, h
-        self.c1, self.c2, self.c3, self.c4, self.c5 = c1, c2, c3, c4, c5
+        self.c = c  # the dense-output coefficients c1..c8 as c[0..7]
 
     def at(self, s):
+        c1, c2, c3, c4, c5, c6, c7, c8 = self.c
         th = (s - self.s0) / self.h
         if th <= 0.0:
-            return self.c1.copy()
+            return c1.copy()
         if th >= 1.0:
-            return self.c1 + self.c2
+            return c1 + c2
         om = 1.0 - th
-        return self.c1 + th * (self.c2 + om * (self.c3 + th * (self.c4 + om * self.c5)))
+        return c1 + th * (c2 + om * (c3 + th * (c4 + om * (
+            c5 + th * (c6 + om * (c7 + th * c8))))))
 
 
 @dataclass
@@ -247,7 +283,7 @@ def _ref_initial_step(rhs, y0, f0, rtol, atol, s_end):
     f1 = rhs(y1)
     d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
     dm = max(d1, d2)
-    h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h0 * 1e-3)
+    h1 = (0.01 / dm) ** (1 / 6) if dm > 1e-15 else max(1e-6, h0 * 1e-3)
     return min(100 * h0, h1, s_end)
 
 
@@ -287,30 +323,25 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
             raise StepLimitExceeded(
                 f"step limit {F._MAX_STEPS} reached at t={direction * s:.6g}")
         h = min(h, s_end - s)
-        k1 = f
-        k2 = rhs_s(y + h * (F._A21 * k1))
-        k3 = rhs_s(y + h * (F._A31 * k1 + F._A32 * k2))
-        k4 = rhs_s(y + h * (F._A41 * k1 + F._A42 * k2 + F._A43 * k3))
-        k5 = rhs_s(y + h * (F._A51 * k1 + F._A52 * k2 + F._A53 * k3 + F._A54 * k4))
-        k6 = rhs_s(y + h * (F._A61 * k1 + F._A62 * k2 + F._A63 * k3 + F._A64 * k4
-                            + F._A65 * k5))
-        y_new = y + h * (F._A71 * k1 + F._A73 * k3 + F._A74 * k4 + F._A75 * k5
-                         + F._A76 * k6)
-        k7 = rhs_s(y_new)
-        nfev += 6
-        err_vec = h * (F._E1 * k1 + F._E3 * k3 + F._E4 * k4 + F._E5 * k5 + F._E6 * k6
-                       + F._E7 * k7)
+        k = {1: f}
+        for i in range(2, 13):
+            k[i] = rhs_s(y + h * _ref_sum(_REF_A[i], k))
+        y_new = y + h * _ref_sum(_REF_B, k)
+        nfev += 11
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+        err = h * math.sqrt(float(np.mean((_ref_sum(_REF_E, k) / scale) ** 2)))
         if err > 1.0:
             nrejected += 1
-            h *= max(F._MIN_FACTOR, F._SAFETY * err ** -0.2)
+            h *= max(F._MIN_FACTOR, F._SAFETY * err ** (-1 / 6))
             continue
+        k[13] = rhs_s(y_new)
+        for i in range(14, 17):
+            k[i] = rhs_s(y + h * _ref_sum(_REF_A[i], k))
+        nfev += 4
         ydiff = y_new - y
-        c3 = h * k1 - ydiff
-        step = _RefStep(s, h, y.copy(), ydiff, c3, ydiff - h * k7 - c3,
-                        h * (F._D1 * k1 + F._D3 * k3 + F._D4 * k4 + F._D5 * k5
-                             + F._D6 * k6 + F._D7 * k7))
+        step = _RefStep(s, h, [y.copy(), ydiff, h * k[1] - ydiff,
+                               2.0 * ydiff - h * (k[13] + k[1])]
+                        + [h * _ref_sum(_REF_D[r], k) for r in range(5, 9)])
         steps.append(step)
         s += h
         boundaries.append(s)
@@ -328,12 +359,31 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
                 f"state ({y_new[0]:.6g}, {y_new[1]:.6g}) left the working domain "
                 f"at t={direction * s:.6g}")
         y = y_new
-        f = k7
+        f = k[13]
         factor = (F._MAX_FACTOR if err == 0.0 else
-                  min(F._MAX_FACTOR, max(F._MIN_FACTOR, F._SAFETY * err ** -0.2)))
+                  min(F._MAX_FACTOR, max(F._MIN_FACTOR, F._SAFETY * err ** (-1 / 6))))
         h *= factor
     return RefTrajectory(direction, steps, np.array(boundaries), np.array(states),
                          nrejected, nfev, hits)
+
+
+class ScipyE5DOP853(integrate.DOP853):
+    """scipy's DOP853 with the error norm |h| * RMS(sum_j E5_j k_j / scale)
+    and the exponent -1/6 (error_estimator_order 5).  Unlike the package,
+    it does not let a step grow right after a rejection, so only accepted
+    steps are comparable."""
+
+    error_estimator_order = 5
+
+    def _estimate_error_norm(self, K, h, scale):
+        return abs(h) * np.linalg.norm(K.T @ self.E5 / scale) / math.sqrt(len(scale))
+
+
+def scipy_dop853(field, z0, t0, t_bound, cfg, first_step):
+    """A ScipyE5DOP853 solver for the field from z0 at time t0."""
+    return ScipyE5DOP853(lambda t, z: np.array(field.rhs(z[0], z[1])), t0,
+                         np.asarray(z0, dtype=float), t_bound, rtol=cfg.rtol,
+                         atol=cfg.atol, first_step=first_step)
 
 
 # --- reference section side functions on ndarrays ------------------------------

@@ -11,7 +11,8 @@ _spec = importlib.util.spec_from_file_location("byte_matrix", SCRIPT)
 byte_matrix = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(byte_matrix)
 
-REPORT = '{\n  "check_name": "involution",\n  "max_residual": 1.2345678901234567e-10,\n  "pass": true\n}\n'
+REPORT = ('{\n  "check_name": "involution",\n  "max_residual": 1.2345678901234567e-10,\n'
+          '  "pass": true,\n  "tolerance": 1e-07\n}\n')
 SUMMARY = "check,residual,tolerance,pass\ninvolution,-0.25,0.0,true\n"
 FILES = {
     "case/verify.exit": "0\n",
@@ -63,7 +64,13 @@ def test_moved_number_passes(tmp_path, capsys, rel, text):
     ("case/verify/verify_summary.csv", SUMMARY + "energy,0.0,0.0,true\n", "2 lines -> 3"),
     ("case/verify/verify_report.json", REPORT.replace("true", "false"),
      "line 4 differs beyond its numbers"),
-], ids=["exit", "summary", "line-count", "word"])
+    # a gate is not a result: a moved tolerance fails even where the
+    # text around it is unchanged
+    ("case/verify/verify_report.json", REPORT.replace("1e-07", "1e-06"),
+     "tolerance ['1e-07'] -> ['1e-06']"),
+    ("case/verify/verify_summary.csv", SUMMARY.replace("-0.25,0.0", "-0.25,0.5"),
+     "tolerance ['0.0'] -> ['0.5']"),
+], ids=["exit", "summary", "line-count", "word", "json-tolerance", "csv-tolerance"])
 def test_other_change_fails(tmp_path, capsys, rel, text, problem):
     code, out = _compare(tmp_path, capsys, {rel: text})
     assert code == 1

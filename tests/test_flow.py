@@ -30,9 +30,12 @@ from annulus_involutions.sections import make_section
 from oracles import (
     T_DUFFING_AMP1,
     T_PENDULUM_HALF_PI,
+    cubic_center_period,
     integrate_reference,
     linear_center_flow,
+    pendulum_period,
     rotation_matrix,
+    scipy_dop853,
     side_reference,
     variational_jacobian,
 )
@@ -224,6 +227,29 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             traj.state(-0.5)
 
+    @pytest.mark.parametrize("t_final", [5.0, -5.0], ids=["fwd", "bwd"])
+    def test_step_start(self, pendulum, cfg, t_final):
+        traj = integrate(pendulum.rhs, [1.0, 0.0], t_final, cfg, bounds=pendulum.contains)
+        sign = traj.direction
+        grid, states = _boundaries(traj), _boundary_states(traj)
+        # a step boundary is its own start; the span's end is z_final
+        for i in (0, len(traj.steps) // 2):
+            assert traj.step_start(sign * grid[i]) == (states[i], 0.0)
+        assert traj.step_start(t_final) == (traj.z_final, 0.0)
+        # inside a step: its start, and the signed time still to go
+        i = len(traj.steps) // 3
+        step = traj.steps[i]
+        t = sign * (step.s0 + 0.37 * step.h)
+        w, dt = traj.step_start(t)
+        assert w == states[i]
+        assert dt * sign > 0.0 and abs(dt) < step.h
+        assert sign * grid[i] + dt == pytest.approx(t, abs=1e-15)
+        assert math.dist(flow(pendulum, w, dt, cfg), traj.state(t)) <= 1e-11
+        with pytest.raises(ValueError):
+            traj.step_start(2.0 * t_final)
+        with pytest.raises(ValueError):
+            traj.step_start(-0.5 * t_final)
+
 
 class TestEvents:
     def test_descending_crossing(self, linear_center, cfg):
@@ -306,6 +332,26 @@ class TestEvents:
                   EventSpec(g=lambda x, y: y_of(x, y) + 0.5, direction=1)]
         traj = integrate(linear_center.rhs, (1.0, 0.3), t, cfg, events=events)
         assert [e.index for e in traj.events] == [0, 1]
+
+    @pytest.mark.parametrize("bound", [None, 1.0], ids=["scan", "skip"])
+    @pytest.mark.parametrize("name, a, period", [
+        ("pendulum", 3.1, pendulum_period(3.1)),
+        ("cubic-center", 0.05, cubic_center_period(0.05)),
+    ], ids=["pendulum-3.1", "cubic-center-0.05"])
+    def test_every_crossing_over_ten_periods(self, name, a, period, bound, cfg):
+        # three dense-output samples per step must bracket every crossing,
+        # also with long steps: near the pendulum's separatrix and on the
+        # cubic center's flat orbit near the origin.  From (a, 0) the orbit
+        # meets y = 0 every half of the quadrature period, alternately at
+        # x < 0 and at the return x > 0: 20 crossings in 10.25 periods,
+        # with the x-axis watch fully scanned or skipped as detect_cycle's is
+        field = builtin_field(name)
+        ev = EventSpec(g=lambda x, y: y, terminal=False, lipschitz=bound)
+        traj = integrate(field.rhs, (a, 0.0), 10.25 * period, cfg, [ev], field.contains)
+        assert len(traj.events) == 20
+        for k, hit in enumerate(traj.events, start=1):
+            assert abs(hit.t - k * period / 2) <= 1e-8 * period
+            assert (hit.z[0] > 0.0) == (k % 2 == 0)
 
 
 def _jacobian_columns(map_fn, z):
@@ -540,6 +586,51 @@ class TestKernelMatchesReference:
         assert str(got.value) == str(ref.value)
 
 
+# (field, z0) runs over [0, 40] against scipy's DOP853
+_SCIPY_CASES = [("cubic-center", (1.0, 0.0)), ("pendulum", (3.1, 0.0)),
+                ("duffing", (1.5, 0.0)), ("linear-center", (1.0, 0.3))]
+
+
+class TestScipyDOP853:
+    """The kernel against scipy's DOP853 steered by the same 5th-order
+    error norm (``oracles.ScipyE5DOP853``), which shares no code or
+    coefficient with the package: a check of the copied tableau, the dense
+    output and the step control."""
+
+    @pytest.mark.parametrize("name, z0", _SCIPY_CASES, ids=[c[0] for c in _SCIPY_CASES])
+    def test_same_accepted_steps(self, name, z0, cfg):
+        # started from the kernel's first step, scipy accepts as many steps
+        # and ends at the same state.  Rejections may differ, because scipy
+        # does not let a step grow right after a rejection.
+        field = builtin_field(name)
+        got = integrate(field.rhs, z0, 40.0, cfg)
+        sol = scipy_dop853(field, z0, 0.0, 40.0, cfg, got.steps[0].h)
+        accepted = 0
+        while sol.status == "running":
+            sol.step()
+            accepted += 1
+        assert sol.status == "finished" and sol.t == 40.0
+        assert accepted == got.naccepted
+        assert math.dist(sol.y, got.z_final) <= 1e-11
+
+    @pytest.mark.parametrize("name, z0", _SCIPY_CASES, ids=[c[0] for c in _SCIPY_CASES])
+    def test_each_step_and_its_dense_output(self, name, z0, cfg):
+        # scipy's step from each accepted step's start state, with the same
+        # length, is accepted too, ends where the kernel's does and has the
+        # same 7th-order dense output
+        field = builtin_field(name)
+        for step in integrate(field.rhs, z0, 40.0, cfg).steps:
+            s0, h = step.s0, step.h
+            sol = scipy_dop853(field, (step.c1x, step.c1y), s0, s0 + 2.0 * h, cfg, h)
+            sol.step()
+            assert (sol.t_old, sol.t) == (s0, s0 + h)
+            tol = 1e-13 * (1.0 + math.hypot(step.c1x, step.c1y))
+            assert math.dist(sol.y, step.at(s0 + h)) <= tol
+            dense = sol.dense_output()
+            for q in (0.1, 0.3, 0.5, 0.7, 0.9):
+                assert math.dist(dense(s0 + q * h), step.at(s0 + q * h)) <= tol
+
+
 def _counting(ev, calls):
     """ev with its g counting calls into calls[0]; every other field kept."""
     def g(x, y):
@@ -549,10 +640,15 @@ def _counting(ev, calls):
     return dataclasses.replace(ev, g=g)
 
 
+def _reach(step):
+    """The skip's reach of a step: |c2| + ... + |c8|, x terms then y."""
+    return sum(abs(getattr(step, f"c{i}{c}")) for c in "xy" for i in range(2, 9))
+
+
 class TestEventSkip:
     """The integrator skips an event's scan on a step whose start value
     clears 2 L B + floor, where L is the event's Lipschitz bound and B the
-    step's reach, its absolute Horner coefficients c2..c5 summed."""
+    step's reach, its absolute dense-output coefficients c2..c8 summed."""
 
     def test_flow_to_event_keeps_the_bound(self, linear_center, cfg):
         # a full scan costs at least 1 + 3 g calls per accepted step
@@ -577,8 +673,7 @@ class TestEventSkip:
         i = next(i for i, st in enumerate(steps)
                  if i > 0 and st.at(st.s0 + st.h)[1] != st.c1y + st.c2y)
         step, prev = steps[i], steps[i - 1]
-        reach = (abs(step.c2x) + abs(step.c3x) + abs(step.c4x) + abs(step.c5x)
-                 + abs(step.c2y) + abs(step.c3y) + abs(step.c4y) + abs(step.c5y))
+        reach = _reach(step)
         margin = 2.0 * 1.0 * reach + 1e-12 * (1.0 + abs(step.c1x) + abs(step.c1y))
         c = step.c1y - margin * (1.0 + offset)
         event = EventSpec(g=lambda x, y: y - c, direction=0, terminal=False, lipschitz=1.0)

@@ -50,12 +50,14 @@ def test_nothing_stored_outside_a_scope(linear_center, cfg, integrations):
     assert integrations[0] == 2
     with suite_scope():
         period(linear_center, z, cfg)
-        sigma_symmetric(linear_center, z, cfg)
         assert integrations[0] == 3
-        assert len(memo._MEMO.get()) == 1
+        # the image reuses the detection and adds one short flow to T/2
+        sigma_symmetric(linear_center, z, cfg)
+        assert integrations[0] == 4
+        assert len(memo._MEMO.get()) == 2
     assert memo._MEMO.get() is None
     period(linear_center, z, cfg)
-    assert integrations[0] == 4
+    assert integrations[0] == 5
 
 
 def test_default_settings_share_the_entry(linear_center, integrations):
@@ -64,7 +66,7 @@ def test_default_settings_share_the_entry(linear_center, integrations):
     with suite_scope():
         period(linear_center, z)
         sigma_symmetric(linear_center, z, IntegratorConfig())
-        assert integrations[0] == 1
+        assert integrations[0] == 2  # one detection, one flow to T/2
 
 
 def test_hit_has_the_bits_of_a_fresh_call(pendulum, cfg):
@@ -104,9 +106,9 @@ def test_nested_scope_reuses_the_outer_one(linear_center, cfg, integrations):
         with suite_scope():
             assert memo._MEMO.get() is outer
             sigma_symmetric(linear_center, z, cfg)
-        assert memo._MEMO.get() is outer and len(outer) == 1
+        assert memo._MEMO.get() is outer and len(outer) == 2
         sigma_symmetric(linear_center, z, cfg)
-    assert integrations[0] == 1
+    assert integrations[0] == 2  # one detection, one flow to T/2
 
 
 def test_failure_is_not_stored(linear_center, lc_xaxis, cfg, monkeypatch):
@@ -137,7 +139,7 @@ def test_stored_values_are_floats_and_points(pendulum, cfg):
         verify_sigma_symmetry(pendulum, sec, samples, times, cfg)
         verify_reversibility(pendulum, sec, samples, times, cfg)
         entries = memo._MEMO.get()
-        assert {k[0] for k in entries} == {"half_period", "crossing"}
+        assert {k[0] for k in entries} == {"half_period", "half_period_image", "crossing"}
         for value in entries.values():
             assert type(value) is tuple
             for v in value:

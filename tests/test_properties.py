@@ -143,6 +143,24 @@ def test_event_bound_keeps_hits(cfg, name, x0, y0, ax, ay, angle, length, direct
     assert hits[0] == hits[1]
 
 
+@pytest.mark.parametrize("name", builtin_names())
+@FAST
+@given(u=_unit, t=st.sampled_from([10.0, -10.0]),
+       thetas=st.lists(_unit, min_size=1, max_size=8))
+def test_dense_output_stays_within_reach(cfg, name, u, t, thetas):
+    # the skip's certificate: each term of the nested dense output is a
+    # coefficient times th^a (1 - th)^b <= 1 on [0, 1], so on every accepted
+    # step |x - c1x| + |y - c1y| <= |c2x| + ... + |c8x| + |c2y| + ... + |c8y|
+    field = builtin_field(name)
+    lo, hi = default_section_range(name)
+    traj = integrate(field.rhs, (lo + u * (hi - lo), 0.0), t, cfg, bounds=field.contains)
+    for step in traj.steps:
+        reach = sum(abs(getattr(step, f"c{i}{c}")) for c in "xy" for i in range(2, 9))
+        for th in thetas + [0.0, 1.0]:
+            x, y = step.at(step.s0 + th * step.h)
+            assert abs(x - step.c1x) + abs(y - step.c1y) <= reach
+
+
 # curves for the nearest-vertex search: the parabola (s, s^2) on [-1, 1] has
 # a fine polyline symmetric about x = 0 to the bit, so every point (0, y)
 # lies exactly as far from the vertex at s as from the one at -s; the

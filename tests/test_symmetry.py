@@ -8,7 +8,7 @@ from annulus_involutions.expr import PlanarField
 from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
 from annulus_involutions.flow import flow
 from annulus_involutions.memo import suite_scope
-from annulus_involutions.period import period
+from annulus_involutions.period import detect_cycle, period
 from annulus_involutions.sections import make_section
 from annulus_involutions.symmetry import (
     SymmetryInvolution,
@@ -64,6 +64,37 @@ class TestSigmaSymmetric:
         # the memo keys on the exact point, so the wells stay apart there too
         with suite_scope():
             self.test_two_wells_on_one_energy_level(cfg)
+
+
+class TestImageAccuracy:
+    """The image is the cycle detection's state at T/2 integrated afresh
+    from the start of the step holding it, not its dense output."""
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_image_is_flow_from_step_start(self, name, cfg):
+        field = builtin_field(name)
+        z = (0.8, 0.3)
+        cyc = detect_cycle(field, z, cfg)
+        w, dt = cyc.trajectory.step_start(0.5 * cyc.period)
+        assert dt > 0.0
+        assert sigma_symmetric(field, z, cfg) == flow(field, w, dt, cfg)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_energy_error_below_dense_output(self, name, cfg):
+        # 16 points at amplitudes 0.25 .. 1.9; the dense output's largest
+        # energy error is 3.7 (pendulum) to 84 (linear-center) times the
+        # image's
+        field = builtin_field(name)
+        image_err = dense_err = 0.0
+        for k in range(16):
+            a, th = 0.25 + 0.11 * k, 0.7 * k + 0.3
+            z = (a * math.cos(th), a * math.sin(th))
+            cyc = detect_cycle(field, z, cfg)
+            h = field.energy(z)
+            image_err = max(image_err, abs(field.energy(sigma_symmetric(field, z, cfg)) - h))
+            dense = cyc.trajectory.state(0.5 * cyc.period)
+            dense_err = max(dense_err, abs(field.energy(dense) - h))
+        assert image_err <= 0.5 * dense_err
 
 
 class TestInvolutionProperties:

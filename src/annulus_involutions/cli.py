@@ -37,7 +37,7 @@ from .expr import PlanarField, parse_field_text, parse_key_values, parse_number_
 from .fields import builtin_field, builtin_names, default_section_range
 from .flow import IntegratorConfig
 from .memo import suite_scope
-from .period import period, sample_annulus
+from .period import sample_annulus
 from .reversibility import ReversibilityInvolution, verify_reversibility
 from .sections import Section, make_section
 from .symmetry import SymmetryInvolution, verify_sigma_symmetry
@@ -103,6 +103,13 @@ _KNOWN_KEYS = {
 }
 
 
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
 def _resolve_field(entries: dict[str, str], config_dir: Path) -> PlanarField:
     named = entries.get("field")
     inline = "P" in entries or "Q" in entries
@@ -118,7 +125,7 @@ def _resolve_field(entries: dict[str, str], config_dir: Path) -> PlanarField:
                 f"({', '.join(builtin_names())}) nor an existing file"
             )
         try:
-            return parse_field_text(path.read_text(encoding="utf-8"), name=path.stem)
+            return parse_field_text(_read_text(path, "field file"), name=path.stem)
         except ExpressionError as exc:
             raise ConfigError(f"field file {path}: {exc}") from exc
     if inline:
@@ -172,7 +179,7 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    entries = parse_key_values(path.read_text(encoding="utf-8"), f"{path}:")
+    entries = parse_key_values(_read_text(path, "config file"), f"{path}:")
     unknown = set(entries) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -196,6 +203,12 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
         if count < 1:
             raise ConfigError(f"{key} must be at least 1, got {count}")
     out_dir = Path(out_override) if out_override is not None else Path(entries.get("out", "out"))
+    # refused here rather than when the files are written, after the whole run
+    for existing in (out_dir, *out_dir.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise ConfigError(f"out: {existing} exists and is not a directory")
+            break
     raw = dict(entries)
     raw["rtol"] = repr(rtol)
     raw["seed"] = repr(seed)
@@ -260,7 +273,7 @@ def _gather_samples(config: RunConfig, section, cfg) -> tuple[list, list[float]]
         samples = [section.point(s) for s in params]
     try:
         mid = 0.5 * (section.s_min + section.s_max)
-        t_ref = period(config.field, section.point(mid), cfg)
+        t_ref = SymmetryInvolution(config.field, cfg).period_of(section.point(mid))
     except SAMPLE_FAILURES as exc:
         print(f"reference period unavailable, using unit-scale times: {exc}",
               file=sys.stderr)

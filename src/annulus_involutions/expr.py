@@ -119,7 +119,7 @@ class Token:
     offset: int  # byte offset into the UTF-8 source
 
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
@@ -137,6 +137,8 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             continue
         off = _byte_offset(source, i)
+        if not ch.isascii():  # every variable and function name is ASCII
+            raise LexicalError(f"unexpected character {ch!r}", off)
         if ch.isdigit() or ch == ".":
             m = _NUMBER_RE.match(source, i)
             if m is None:

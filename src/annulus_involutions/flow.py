@@ -364,8 +364,6 @@ class Trajectory:
         s, step = self._locate(t)
         if step is None:
             return self.z_final
-        if s == step.s0:
-            return step.c1x, step.c1y
         return step.at(s)
 
     def step_start(self, t: float) -> tuple[Point, float]:
@@ -693,8 +691,6 @@ def integrate(
 
 def flow(field: PlanarField, z0, t: float, cfg: IntegratorConfig = IntegratorConfig()) -> Point:
     """The flow map: z0 advanced by time t (t = 0 returns z0 unchanged)."""
-    if t == 0.0:
-        return as_point(z0)
     return integrate(field.rhs, z0, t, cfg, bounds=field.contains).z_final
 
 

@@ -74,37 +74,27 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig
                  closure_residual=closure)
 
 
-def _half_period(field: PlanarField, z, cfg: IntegratorConfig) -> tuple[float, Point, float]:
-    """(T(z), w, dt) from one cycle detection, where w is the start of the
-    accepted step holding T/2 and dt the time from w to T/2 (see
-    ``Trajectory.step_start``); memoized inside a suite scope (see
-    :mod:`.memo`)."""
-    z = as_point(z)
-
-    def detect():
-        cyc = detect_cycle(field, z, cfg)
-        return cyc.period, *cyc.trajectory.step_start(0.5 * cyc.period)
-
-    return memoized(("half_period", field, cfg), z, detect)
-
-
 def _half_period_image(field: PlanarField, z, cfg: IntegratorConfig) -> tuple[float, Point]:
-    """(T(z), phi(T/2, z)): the image is the cycle detection's state at T/2,
-    integrated afresh from the start of the step holding it, so its error is
-    the propagated solution's and not the dense output's; memoized inside a
-    suite scope."""
+    """(T(z), phi(T/2, z)) from one cycle detection: the image is the
+    detection's state at T/2, integrated afresh from the start of the step
+    holding it (see ``Trajectory.step_start``), so its error is the
+    propagated solution's and not the dense output's.  This is the
+    construction's one record: inside a suite scope it is memoized (see
+    :mod:`.memo`), and the period and the image of a point are read from it."""
     z = as_point(z)
 
     def advance():
-        t_period, w, dt = _half_period(field, z, cfg)
-        return t_period, flow(field, w, dt, cfg)
+        cyc = detect_cycle(field, z, cfg)
+        w, dt = cyc.trajectory.step_start(0.5 * cyc.period)
+        return cyc.period, flow(field, w, dt, cfg)
 
     return memoized(("half_period_image", field, cfg), z, advance)
 
 
 def period(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig()) -> float:
-    """Minimal positive period T(z) of the cycle through z."""
-    return _half_period(field, z, cfg)[0]
+    """Minimal positive period T(z) of the cycle through z, from one cycle
+    detection per call (never memoized)."""
+    return detect_cycle(field, z, cfg).period
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .expr import PlanarField
 from .flow import IntegratorConfig, Point, as_point, flow, flow_to_event
 from .memo import memoized, suite_scope
 from .period import _half_period_image
-from .sections import Section, linspace, membership_tol, section_from_points
+from .sections import Section, curve_event, linspace, membership_tol, section_from_points
 from .verify import (
     CheckResult,
     VerificationReport,
@@ -103,33 +103,32 @@ def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, Point, Po
     event depends only on the section, so inside a suite scope the result
     is memoized on (field, section, cfg, z bits); z is an (x, y) tuple.
     """
-    return memoized(("crossing", field, section, cfg), z,
-                    lambda: _crossing_pair(field, section, z, cfg))
 
+    def search():
+        ev = curve_event(section)
+        try:
+            back = flow_to_event(field, z, ev, -1, cfg)
+            fwd = flow_to_event(field, z, ev, +1, cfg)
+        except EventNotFound as exc:
+            raise EventNotFound(
+                f"orbit of ({z[0]:.6g}, {z[1]:.6g}) does not cross {section.label}: {exc}"
+            ) from exc
+        hit_b, hit_f = back.events[0], fwd.events[0]
+        z_b, z_f = hit_b.z, hit_f.z
+        if math.dist(z_b, z_f) > 1e-6 * (1.0 + math.hypot(*z)):
+            raise NotASection(
+                f"{section.label} meets the cycle through ({z[0]:.6g}, {z[1]:.6g}) more "
+                f"than once per period (backward hit ({z_b[0]:.6g}, {z_b[1]:.6g}), forward "
+                f"hit ({z_f[0]:.6g}, {z_f[1]:.6g})); not a global section for this annulus"
+            )
+        t_2tau = hit_b.t + hit_f.t
+        image = back.state(t_2tau) if t_2tau <= 0.0 else fwd.state(t_2tau)
+        if abs(t_2tau) <= _TIE_RTOL * (hit_f.t - hit_b.t):
+            return 0.5 * (hit_f.t - hit_b.t), hit_f.z, image
+        hit = hit_b if -hit_b.t <= hit_f.t else hit_f
+        return hit.t, hit.z, image
 
-def _crossing_pair(field, section: Section, z, cfg) -> tuple[float, Point, Point]:
-    ev = section.event()
-    try:
-        back = flow_to_event(field, z, ev, -1, cfg)
-        fwd = flow_to_event(field, z, ev, +1, cfg)
-    except EventNotFound as exc:
-        raise EventNotFound(
-            f"orbit of ({z[0]:.6g}, {z[1]:.6g}) does not cross {section.label}: {exc}"
-        ) from exc
-    hit_b, hit_f = back.events[0], fwd.events[0]
-    z_b, z_f = hit_b.z, hit_f.z
-    if math.dist(z_b, z_f) > 1e-6 * (1.0 + math.hypot(*z)):
-        raise NotASection(
-            f"{section.label} meets the cycle through ({z[0]:.6g}, {z[1]:.6g}) more than "
-            f"once per period (backward hit ({z_b[0]:.6g}, {z_b[1]:.6g}), forward hit "
-            f"({z_f[0]:.6g}, {z_f[1]:.6g})); not a global section for this annulus"
-        )
-    t_2tau = hit_b.t + hit_f.t
-    image = back.state(t_2tau) if t_2tau <= 0.0 else fwd.state(t_2tau)
-    if abs(t_2tau) <= _TIE_RTOL * (hit_f.t - hit_b.t):
-        return 0.5 * (hit_f.t - hit_b.t), hit_f.z, image
-    hit = hit_b if -hit_b.t <= hit_f.t else hit_f
-    return hit.t, hit.z, image
+    return memoized(("crossing", field, section, cfg), z, search)
 
 
 def _signed_crossing(field, delta: Section, z, cfg) -> tuple[float, Point]:
@@ -170,8 +169,8 @@ def classify(field: PlanarField, delta: Section, delta_star: Section, z,
         return BranchTag.ON_DELTA, {}
     if delta_star.contains(z):
         return BranchTag.ON_DELTA_STAR, {}
-    t_d = flow_to_event(field, z, delta.event(), -1, cfg).events[0].t
-    t_s = flow_to_event(field, z, delta_star.event(), -1, cfg).events[0].t
+    t_d = flow_to_event(field, z, curve_event(delta), -1, cfg).events[0].t
+    t_s = flow_to_event(field, z, curve_event(delta_star), -1, cfg).events[0].t
     tag = BranchTag.A_PLUS if -t_d < -t_s else BranchTag.A_MINUS
     return tag, {"delta": t_d, "delta_star": t_s}
 

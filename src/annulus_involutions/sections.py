@@ -206,9 +206,6 @@ class Section:
     def contains(self, z) -> bool:
         return self.distance(z) <= membership_tol(z)
 
-    def event(self, direction: int = 0, terminal: bool = True) -> EventSpec:
-        return curve_event(self, direction=direction, terminal=terminal)
-
 
 # bench/tracing.py looks the base class up by this name
 _CurveBase = Section

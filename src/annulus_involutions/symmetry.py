@@ -12,9 +12,9 @@ import math
 
 from .errors import SAMPLE_FAILURES
 from .expr import PlanarField
-from .flow import IntegratorConfig, Point, flow
+from .flow import IntegratorConfig, Point
 from .memo import suite_scope
-from .period import _half_period_image, detect_cycle, period
+from .period import _half_period_image, detect_cycle
 from .sections import Section
 from .verify import (
     CheckResult,
@@ -39,8 +39,9 @@ class SymmetryInvolution:
     """Evaluatable half-period map bound to a field and integrator settings.
 
     Each evaluation detects the cycle through its point and reads the image
-    off that integration (see :func:`sigma_symmetric`).  Inside a suite
-    scope the period and the image of a point are detected once.
+    off that integration (see :func:`sigma_symmetric`).  ``period_of`` reads
+    T from the same record, so inside a suite scope the period and the
+    image of a point come from one detection.
     """
 
     def __init__(self, field: PlanarField, cfg: IntegratorConfig = IntegratorConfig()):
@@ -48,7 +49,7 @@ class SymmetryInvolution:
         self.cfg = cfg
 
     def period_of(self, z) -> float:
-        return period(self.field, z, self.cfg)
+        return _half_period_image(self.field, z, self.cfg)[0]
 
     def __call__(self, z) -> Point:
         return sigma_symmetric(self.field, z, self.cfg)
@@ -71,15 +72,15 @@ def uniqueness_probe(field: PlanarField, z, fractions,
     Only f = 1/2 gives a residual at integration-error level; every other
     fraction leaves the point displaced along its cycle.  The cycle through
     z is detected once, and off the half both legs are read from it:
-    phi(f T, phi(f T, z)) = phi(((2f) mod 1) T, z).  At f = 1/2 both legs
-    are fresh flows, whose endpoint error sets the residual.
+    phi(f T, phi(f T, z)) = phi(((2f) mod 1) T, z).  At f = 1/2 the shift
+    is :func:`sigma_symmetric` applied twice, so inside a suite scope its
+    first leg is the record the suite already holds for z.
     """
     cyc = detect_cycle(field, z, cfg)
     residuals = []
     for f in fractions:
         if f == 0.5:
-            z1 = flow(field, z, f * cyc.period, cfg)
-            z2 = flow(field, z1, f * period(field, z1, cfg), cfg)
+            z2 = sigma_symmetric(field, sigma_symmetric(field, z, cfg), cfg)
         else:
             z2 = cyc.trajectory.state(((2.0 * f) % 1.0) * cyc.period)
         residuals.append(math.dist(z2, z))
@@ -126,7 +127,7 @@ def verify_sigma_symmetry(
         checks = [
             check_involution(sigma, samples),
             check_commutation(field, sigma, +1, samples, times, cfg),
-            check_period_invariance(field, sigma, samples, cfg),
+            check_period_invariance(sigma.period_of, sigma, samples),
             check_field_condition(field, sigma, +1, samples),
         ]
         if field.hamiltonian is not None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import SAMPLE_FAILURES
 from .expr import PlanarField
 from .flow import IntegratorConfig, Point, as_point, flow, jacobian_fd
-from .period import detect_cycle, period
+from .period import detect_cycle
 from .sections import membership_tol
 
 __all__ = [
@@ -255,17 +255,18 @@ def check_field_condition(field: PlanarField, sigma, sign: int, samples) -> Chec
     return _run_samples(name, 1e-4, samples, one)
 
 
-def check_period_invariance(field: PlanarField, sigma, samples,
-                            cfg: IntegratorConfig = IntegratorConfig()) -> CheckResult:
-    """max |T(sigma(z)) - T(z)| / T(z).
+def check_period_invariance(period_of, sigma, samples) -> CheckResult:
+    """max |T(sigma(z)) - T(z)| / T(z), with T the period function
+    ``period_of(z)``.
 
-    Inside a suite scope, T(z) and T(sigma(z)) come from the cycle
-    detections that sigma already ran for those points, with the same bits.
+    The symmetry suite passes ``SymmetryInvolution.period_of``: inside its
+    scope, T(z) and T(sigma(z)) are read from the records that sigma
+    already made for those points.
     """
 
     def one(z):
-        tz = period(field, z, cfg)
-        tsz = period(field, sigma(z), cfg)
+        tz = period_of(z)
+        tsz = period_of(sigma(z))
         return [(abs(tsz - tz) / tz, None)]
 
     return _run_samples("period_invariance", 1e-7, samples, one)

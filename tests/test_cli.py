@@ -175,6 +175,41 @@ section_grid = 17
             load_config(path)
 
 
+class TestOutsideInput:
+    # text that is not UTF-8, a name outside ASCII and an output path that
+    # is a file are config errors: exit 2, one stderr line, before any
+    # computation, instead of a traceback and exit 1
+    @pytest.mark.parametrize("case, start", [
+        ("config-not-utf8", "config error: config file "),
+        ("field-file-not-utf8", "config error: field file "),
+        ("non-ascii-name", "config error: inline field: "),
+        ("out-is-a-file", "config error: out: "),
+        ("out-under-a-file", "config error: out: "),
+    ])
+    def test_exit2_with_one_line(self, tmp_path, capsys, case, start):
+        taken = tmp_path / "taken.csv"
+        taken.write_text("kept\n", encoding="utf-8")
+        out = {"out-is-a-file": taken, "out-under-a-file": taken / "out"}.get(
+            case, tmp_path / "out")
+        text = f"field = linear-center\nout = {out}\n"
+        if case == "config-not-utf8":
+            text = "# caf\u00e9\n" + text
+        elif case == "field-file-not-utf8":
+            (tmp_path / "f.txt").write_bytes("# caf\u00e9\nP = -y\nQ = x\n".encode("latin-1"))
+            text = f"field = f.txt\nsection = x-axis [0.2, 2.0]\nout = {out}\n"
+        elif case == "non-ascii-name":
+            text = f"P = \u00e9\nQ = x\nsection = x-axis [0.2, 2.0]\nout = {out}\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text.encode("latin-1" if case == "config-not-utf8" else "utf-8"))
+        assert main(["period", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(start)
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestPeriodCommand:
     def test_linear_center(self, lc_config, tmp_path, capsys):
         code = main(["period", "--config", lc_config])

@@ -56,6 +56,16 @@ class TestTokenize:
             tokenize("x + $y")
         assert exc.value.offset == 4
 
+    # names and numbers are ASCII: a letter or digit outside it is an
+    # unexpected character, not an identifier or the number it reads as
+    @pytest.mark.parametrize("source, offset", [
+        ("\u00e9", 0), ("x + \uff58", 4), ("\u0663", 0), ("1\u0663", 1),
+    ], ids=["e-acute", "fullwidth-x", "arabic-indic-3", "digit-then-arabic-indic"])
+    def test_non_ascii_is_unexpected(self, source, offset):
+        with pytest.raises(LexicalError) as exc:
+            tokenize(source)
+        assert exc.value.offset == offset
+
     def test_offsets_are_bytes(self):
         assert [t.offset for t in tokenize("x + y")] == [0, 2, 4]
 

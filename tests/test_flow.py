@@ -25,7 +25,7 @@ from annulus_involutions.flow import (
 )
 from annulus_involutions.period import detect_cycle
 from annulus_involutions.reversibility import conjugate_section
-from annulus_involutions.sections import make_section
+from annulus_involutions.sections import curve_event, make_section
 
 from oracles import (
     T_DUFFING_AMP1,
@@ -517,14 +517,14 @@ class TestKernelMatchesReference:
         # the root, before it meets the curve.  The straight segments carry
         # a Lipschitz bound, so the kernel skips scans the reference makes.
         field, sec, y0 = _section_case(kind)
-        assert sec.event().lipschitz == (1.0 if kind in ("affine", "diagonal") else None)
+        assert curve_event(sec).lipschitz == (1.0 if kind in ("affine", "diagonal") else None)
         assert type(sec).__name__ == _CURVE_CLASS[kind]
         z0 = (0.0, y0 if t > 0 else -y0)
         runs = []
         for run in (integrate, integrate_reference):
             vetoed = []
-            events = [_recording_vetoes(sec.event(terminal=False), vetoed),
-                      _recording_vetoes(sec.event(terminal=True), vetoed)]
+            events = [_recording_vetoes(curve_event(sec, terminal=False), vetoed),
+                      _recording_vetoes(curve_event(sec, terminal=True), vetoed)]
             rhs = field.rhs if run is integrate else field
             runs.append((run(rhs, z0, t, cfg, events, field.contains), vetoed))
         (got, got_vetoed), (ref, ref_vetoed) = runs
@@ -564,7 +564,7 @@ class TestKernelMatchesReference:
             return sec.side(x, y)
 
         traj = integrate(field.rhs, (0.0, y0), 9.0, cfg,
-                         [EventSpec(g=g, terminal=False, accept=sec.event().accept)],
+                         [EventSpec(g=g, terminal=False, accept=curve_event(sec).accept)],
                          field.contains)
         assert traj.events and len(seen) > 100
         for x, y in seen:
@@ -654,7 +654,7 @@ class TestEventSkip:
         # a full scan costs at least 1 + 3 g calls per accepted step
         section = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
         calls = [0]
-        traj = flow_to_event(linear_center, (0.0, 1.0), _counting(section.event(), calls),
+        traj = flow_to_event(linear_center, (0.0, 1.0), _counting(curve_event(section), calls),
                              1, cfg)
         assert traj.events
         assert calls[0] < 1 + flow_mod._EVENT_SAMPLES * traj.naccepted

@@ -18,7 +18,11 @@ from annulus_involutions.reversibility import (
     verify_reversibility,
 )
 from annulus_involutions.sections import make_section
-from annulus_involutions.symmetry import sigma_symmetric, verify_sigma_symmetry
+from annulus_involutions.symmetry import (
+    SymmetryInvolution,
+    sigma_symmetric,
+    verify_sigma_symmetry,
+)
 from annulus_involutions.verify import annulus_points
 
 
@@ -44,37 +48,55 @@ def lc_xaxis(linear_center):
 
 def test_nothing_stored_outside_a_scope(linear_center, cfg, integrations):
     z = np.array([0.6, 0.8])
+    sigma = SymmetryInvolution(linear_center, cfg)
     assert memo._MEMO.get() is None
+    sigma(z)
+    sigma.period_of(z)
+    assert integrations[0] == 4  # each call: one detection, one flow to T/2
+    with suite_scope():
+        sigma(z)
+        assert integrations[0] == 6
+        # the period is read from the image's record
+        sigma.period_of(z)
+        assert integrations[0] == 6
+        assert len(memo._MEMO.get()) == 1
+    assert memo._MEMO.get() is None
+    sigma.period_of(z)
+    assert integrations[0] == 8
+
+
+def test_period_is_one_detection_per_call(linear_center, cfg, monkeypatch):
+    detections = []
+    real = period_mod.detect_cycle
+    monkeypatch.setattr(period_mod, "detect_cycle",
+                        lambda *args: detections.append(args[1]) or real(*args))
+    z = (0.6, 0.8)
     period(linear_center, z, cfg)
-    period(linear_center, z, cfg)
-    assert integrations[0] == 2
+    assert len(detections) == 1
     with suite_scope():
         period(linear_center, z, cfg)
-        assert integrations[0] == 3
-        # the image reuses the detection and adds one short flow to T/2
-        sigma_symmetric(linear_center, z, cfg)
-        assert integrations[0] == 4
-        assert len(memo._MEMO.get()) == 2
-    assert memo._MEMO.get() is None
-    period(linear_center, z, cfg)
-    assert integrations[0] == 5
+        sigma_symmetric(linear_center, z, cfg)  # a record period() does not read
+        period(linear_center, z, cfg)
+        assert len(detections) == 4
+    assert detections == [z] * 4
 
 
 def test_default_settings_share_the_entry(linear_center, integrations):
     # the default IntegratorConfig() equals a fresh one, so both reach one entry
     z = np.array([0.6, 0.8])
     with suite_scope():
-        period(linear_center, z)
+        SymmetryInvolution(linear_center).period_of(z)
         sigma_symmetric(linear_center, z, IntegratorConfig())
         assert integrations[0] == 2  # one detection, one flow to T/2
 
 
 def test_hit_has_the_bits_of_a_fresh_call(pendulum, cfg):
     z = np.array([0.9, 0.4])
-    fresh = sigma_symmetric(pendulum, z, cfg), period(pendulum, z, cfg)
+    sigma = SymmetryInvolution(pendulum, cfg)
+    fresh = sigma(z), sigma.period_of(z)
     with suite_scope():
-        sigma_symmetric(pendulum, z, cfg)
-        hit = sigma_symmetric(pendulum, z, cfg), period(pendulum, z, cfg)
+        sigma(z)
+        hit = sigma(z), sigma.period_of(z)
     assert np.array(hit[0]).tobytes() == np.array(fresh[0]).tobytes()
     assert hit[1].hex() == fresh[1].hex()
 
@@ -106,7 +128,7 @@ def test_nested_scope_reuses_the_outer_one(linear_center, cfg, integrations):
         with suite_scope():
             assert memo._MEMO.get() is outer
             sigma_symmetric(linear_center, z, cfg)
-        assert memo._MEMO.get() is outer and len(outer) == 2
+        assert memo._MEMO.get() is outer and len(outer) == 1
         sigma_symmetric(linear_center, z, cfg)
     assert integrations[0] == 2  # one detection, one flow to T/2
 
@@ -130,8 +152,8 @@ def test_failure_is_not_stored(linear_center, lc_xaxis, cfg, monkeypatch):
 
 
 def test_stored_values_are_floats_and_points(pendulum, cfg):
-    # whole cycles or trajectories in the memo would raise the suite's
-    # peak memory by tens of megabytes
+    # one record kind per construction; whole cycles or trajectories in the
+    # memo would raise the suite's peak memory by tens of megabytes
     sec = make_section(pendulum, "s", "0", (0.3, 2.5), name="x-axis")
     samples = annulus_points(pendulum, sec, 2, cfg, seed=3)
     times = [1.3]
@@ -139,12 +161,32 @@ def test_stored_values_are_floats_and_points(pendulum, cfg):
         verify_sigma_symmetry(pendulum, sec, samples, times, cfg)
         verify_reversibility(pendulum, sec, samples, times, cfg)
         entries = memo._MEMO.get()
-        assert {k[0] for k in entries} == {"half_period", "half_period_image", "crossing"}
+        assert {k[0] for k in entries} == {"half_period_image", "crossing"}
         for value in entries.values():
             assert type(value) is tuple
             for v in value:
                 assert type(v) is float or (type(v) is tuple and len(v) == 2
                                             and all(type(c) is float for c in v))
+
+
+def test_symmetry_period_invariance_runs_no_integration(pendulum, cfg, monkeypatch,
+                                                         integrations):
+    # the involution check has already made the records of z and sigma(z)
+    sec = make_section(pendulum, "s", "0", (0.3, 2.5), name="x-axis")
+    samples = annulus_points(pendulum, sec, 3, cfg, seed=3)
+    during = []
+    orig = symmetry.check_period_invariance
+
+    def check(*args):
+        before = integrations[0]
+        result = orig(*args)
+        during.append(integrations[0] - before)
+        return result
+
+    monkeypatch.setattr(symmetry, "check_period_invariance", check)
+    report = verify_sigma_symmetry(pendulum, sec, samples, [1.3], cfg)
+    assert report["period_invariance"].passed
+    assert during == [0]
 
 
 def _verify_outputs(tmp_path, name, memo_on, monkeypatch, integrations):

@@ -87,12 +87,15 @@ def test_traced_event_counters(kind):
     field = mods["fields"].builtin_field("linear-center")
     section = _section(mods, field, kind)
     assert tracing.CURVE_KINDS[type(section).__name__] == kind
-    untraced = mods["flow"].flow_to_event(field, (0.0, 1.0), section.event(), 1)
+    # curve_event is looked up at each call, so the traced search uses the
+    # wrapper the tracer installs
+    sections = mods["sections"]
+    untraced = mods["flow"].flow_to_event(field, (0.0, 1.0), sections.curve_event(section), 1)
     tracer = tracing.Tracer()
     tracer.install(mods)
     try:
         mods["period"].period(field, (1.0, 0.0))
-        traced = mods["flow"].flow_to_event(field, (0.0, 1.0), section.event(), 1)
+        traced = mods["flow"].flow_to_event(field, (0.0, 1.0), sections.curve_event(section), 1)
     finally:
         tracer.uninstall()
     assert (traced.events, traced.z_final) == (untraced.events, untraced.z_final)

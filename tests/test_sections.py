@@ -11,6 +11,7 @@ from annulus_involutions.sections import (
     ExpressionCurve,
     TabulatedCurve,
     _not_a_knot,
+    curve_event,
     linspace,
     make_section,
     section_from_points,
@@ -218,7 +219,7 @@ class TestGeometry:
 class TestCurveEvents:
     def test_segment_crossing_accepted(self, linear_center, cfg):
         sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
-        hit = flow_to_event(linear_center, [0.0, 1.0], sec.event(), -1, cfg).events[0]
+        hit = flow_to_event(linear_center, [0.0, 1.0], curve_event(sec), -1, cfg).events[0]
         t, z = hit.t, hit.z
         assert t == pytest.approx(-math.pi / 2, abs=1e-9)
         assert np.abs(np.asarray(z) - [1.0, 0.0]).max() <= 1e-9
@@ -228,14 +229,14 @@ class TestCurveEvents:
         # (-1,0) first, which is outside the [0.2, 2] segment and must be
         # skipped in favor of (1,0) three quarters of a turn later
         sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
-        hit = flow_to_event(linear_center, [0.0, 1.0], sec.event(), 1, cfg).events[0]
+        hit = flow_to_event(linear_center, [0.0, 1.0], curve_event(sec), 1, cfg).events[0]
         t, z = hit.t, hit.z
         assert t == pytest.approx(1.5 * math.pi, abs=1e-9)
         assert np.abs(np.asarray(z) - [1.0, 0.0]).max() <= 1e-9
 
     def test_curved_section_event(self, linear_center, cfg):
         sec = make_section(linear_center, "s", "0.2*sin(3*s)", (0.3, 1.8), name="wavy")
-        z = flow_to_event(linear_center, [0.0, 1.0], sec.event(), -1, cfg).events[0].z
+        z = flow_to_event(linear_center, [0.0, 1.0], curve_event(sec), -1, cfg).events[0].z
         s_hit, dist = sec.project(z)
         assert dist <= 1e-9
         assert sec.s_min <= s_hit <= sec.s_max

@@ -162,9 +162,9 @@ class TestUniquenessProbe:
                 assert res > 1e-3
 
     def test_one_cycle_detection(self, pendulum, cfg, monkeypatch):
-        # off the half both legs are read from the cycle of z; only f = 1/2
-        # runs its two flows and the period of its image
-        calls = {"detect_cycle": [], "period": [], "flow": []}
+        # off the half both legs are read from the cycle of z; f = 1/2 is
+        # sigma applied twice, to z and to its image
+        calls = {"detect_cycle": [], "sigma_symmetric": []}
         for name, log in calls.items():
             real = getattr(symmetry, name)
             monkeypatch.setattr(symmetry, name, lambda field, z, *rest, _real=real, _log=log:
@@ -173,7 +173,7 @@ class TestUniquenessProbe:
         grid = [round(0.05 * k, 2) for k in range(1, 20)]  # the suite's grid
         uniqueness_probe(pendulum, z, grid, cfg)
         assert calls["detect_cycle"] == [z]
-        assert len(calls["period"]) == 1 and len(calls["flow"]) == 2
+        assert calls["sigma_symmetric"] == [z, sigma_symmetric(pendulum, z, cfg)]
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_off_half_matches_two_detections(self, name, cfg):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from annulus_involutions.errors import DomainError, FlowError
+from annulus_involutions.period import period
 from annulus_involutions.sections import make_section
 from annulus_involutions.symmetry import SymmetryInvolution
 from annulus_involutions.verify import (
@@ -152,12 +153,13 @@ class TestCheckPeriodInvariance:
         sec = make_section(pendulum, "s", "0", (0.3, 2.5), name="x-axis")
         sigma = SymmetryInvolution(pendulum, cfg)
         samples = annulus_points(pendulum, sec, 4, cfg, seed=3)
-        r = check_period_invariance(pendulum, sigma, samples, cfg)
+        r = check_period_invariance(sigma.period_of, sigma, samples)
         assert r.passed and r.max_residual <= 1e-7
 
     def test_off_cycle_map_fails(self, pendulum, cfg):
         shrink = lambda z: 0.5 * np.asarray(z, dtype=float)
-        r = check_period_invariance(pendulum, shrink, [np.array([2.0, 0.0])], cfg)
+        r = check_period_invariance(lambda z: period(pendulum, z, cfg), shrink,
+                                    [np.array([2.0, 0.0])])
         assert not r.passed
 
 

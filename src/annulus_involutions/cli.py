@@ -330,8 +330,9 @@ def _reversibility_command(config: RunConfig, section, cfg):
 
 def _verify_command(config: RunConfig, section, cfg):
     samples, times = _gather_samples(config, section, cfg)
-    sym = verify_sigma_symmetry(config.field, section, samples, times, cfg)
+    # the reversibility's crossings make the symmetry's records of their points
     rev = verify_reversibility(config.field, section, samples, times, cfg)
+    sym = verify_sigma_symmetry(config.field, section, samples, times, cfg)
     for prefix, suite in (("symmetry", sym), ("reversibility", rev)):
         for c in suite.checks:
             c.name = f"{prefix}/{c.name}"

@@ -309,18 +309,31 @@ def to_source(e: ExprAst) -> str:
 # --- compilation and evaluation ---------------------------------------------
 
 def _emit(e: ExprAst) -> str:
+    """Python source for the tree.  An operand of ``+ - * /`` or of a
+    negation is parenthesized only where Python's precedence needs it, by
+    the rule of :func:`to_source`, so a flat sum stays flat and the
+    compiler's limit on nested parentheses binds only on nesting the tree
+    has."""
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        return f"(-{_emit(e.arg)})"
+        arg = _emit(e.arg)
+        return f"(-({arg}))" if _prec(e.arg) < 3 else f"(-{arg})"
     if isinstance(e, Call):
         return f"_fn_{e.fn}({_emit(e.arg)})"
     assert isinstance(e, Bin)
     if e.op == "^":
         return f"_fn_pow({_emit(e.left)}, {_emit(e.right)})"
-    return f"({_emit(e.left)} {e.op} {_emit(e.right)})"
+    # a negation, a power and the leaves emit atoms, and they rank above * and /
+    p = _PRECEDENCE[e.op]
+    left, right = _emit(e.left), _emit(e.right)
+    if _prec(e.left) < p:
+        left = f"({left})"
+    if _prec(e.right) <= p:
+        right = f"({right})"
+    return f"{left} {e.op} {right}"
 
 
 # raised by compiled expressions outside their real domain (sqrt(-1), exp(1000))

@@ -8,7 +8,10 @@ returns.  Only this module forms the bits.  The key holds bits rather than
 floats because 0.0 == -0.0.
 Values are small tuples of floats and points, never a cycle or a
 trajectory; they are immutable, so the stored value itself is returned.
-Exceptions are not stored.
+Exceptions are not stored.  A crossing is read off one cycle detection of
+its point, which also stores that point's half-period image; the section's
+event does not steer the integration, so the image has the bits of the
+symmetry's own computation.
 
 Nothing is stored outside ``suite_scope()``.  A scope opened inside another
 reuses the outer one, and the memo is dropped when the outermost closes.

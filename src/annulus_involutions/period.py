@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import SAMPLE_FAILURES, CriticalPointError, DomainEscape, NotACycle
 from .expr import PlanarField
@@ -32,12 +33,16 @@ class Cycle:
     closure_residual: float
 
 
-def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig()) -> Cycle:
+def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig(), *,
+                 events: Sequence[EventSpec] = ()) -> Cycle:
     """Detect the cycle through z and return it with its minimal period.
 
     Raises CriticalPointError if V(z) ~ 0, NotACycle if the orbit does not
     return to the transversal (within the horizon and domain) or the
-    closure residual exceeds 1e-8 * (1 + |z|).
+    closure residual exceeds 1e-8 * (1 + |z|).  ``events``, all
+    non-terminal, are watched on the same integration (their hits are the
+    trajectory's events of index 1, 2, ...); they do not steer step
+    control, so the cycle keeps its bits.
     """
     z = zx, zy = as_point(z)
     vx, vy = field.rhs(zx, zy)
@@ -51,16 +56,16 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig
     event = EventSpec(g=lambda px, py: (px - zx) * vx + (py - zy) * vy,
                       direction=1, terminal=True, lipschitz=1.0)
     try:
-        traj = integrate(field.rhs, z, MAX_HORIZON, cfg, events=[event],
+        traj = integrate(field.rhs, z, MAX_HORIZON, cfg, events=[event, *events],
                          bounds=field.contains)
     except DomainEscape as exc:
         raise NotACycle(f"orbit of ({z[0]:.6g}, {z[1]:.6g}) left the domain: {exc}") from exc
-    if not traj.events:
+    if not traj.events or traj.events[-1].index != 0:
         raise NotACycle(
             f"no return to the transversal within t = {MAX_HORIZON:.6g} "
             f"(not a cycle, or annulus boundary)"
         )
-    hit = traj.events[0]
+    hit = traj.events[-1]
     closure = math.dist(hit.z, z)
     tol = 1e-8 * (1.0 + math.hypot(zx, zy))
     if closure > tol:
@@ -74,17 +79,19 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig
                  closure_residual=closure)
 
 
-def _half_period_image(field: PlanarField, z, cfg: IntegratorConfig) -> tuple[float, Point]:
+def _half_period_image(field: PlanarField, z, cfg: IntegratorConfig,
+                       cycle: Cycle | None = None) -> tuple[float, Point]:
     """(T(z), phi(T/2, z)) from one cycle detection: the image is the
     detection's state at T/2, integrated afresh from the start of the step
     holding it (see ``Trajectory.step_start``), so its error is the
-    propagated solution's and not the dense output's.  This is the
+    propagated solution's and not the dense output's.  ``cycle`` is the
+    cycle through z when the caller has detected it already.  This is the
     construction's one record: inside a suite scope it is memoized (see
     :mod:`.memo`), and the period and the image of a point are read from it."""
     z = as_point(z)
 
     def advance():
-        cyc = detect_cycle(field, z, cfg)
+        cyc = detect_cycle(field, z, cfg) if cycle is None else cycle
         w, dt = cyc.trajectory.step_start(0.5 * cyc.period)
         return cyc.period, flow(field, w, dt, cfg)
 

@@ -16,7 +16,7 @@ is the mirror (x, -y), which also fixes the negative x-axis).
 The conjugate curve is a certified tabulated :class:`~.sections.Section`
 that also carries the period of each grid cycle.  ``sigma_reversible`` and
 ``ReversibilityInvolution`` evaluate sigma through one body, which reads
-the image off the two crossing searches that find tau.
+the image off the one cycle detection that finds tau.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ import math
 
 from .errors import CycleError, EventNotFound, NotASection
 from .expr import PlanarField
-from .flow import IntegratorConfig, Point, as_point, flow, flow_to_event
+from .flow import IntegratorConfig, Point, as_point, flow
 from .memo import memoized, suite_scope
-from .period import _half_period_image
+from .period import _half_period_image, detect_cycle
 from .sections import Section, curve_event, linspace, membership_tol, section_from_points
 from .verify import (
     CheckResult,
@@ -90,43 +90,34 @@ def conjugate_section(field: PlanarField, delta: Section,
     return star
 
 
-def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, Point, Point]:
-    """Two-sided first crossing of the curve with the smaller |t|.
-
-    Validates that the cycle through z meets the curve once per period:
-    the first backward and first forward hits must be the same curve
-    point.  Then t_f - t_b = T, so phi(t_b + t_f, z) = phi(2 tau, z)
-    whichever crossing is nearer, and t_b + t_f lies inside the span of
-    the farther search, whose dense output gives the image.  Returns
-    (t, z_hit, image): t is the signed nearest-crossing time, or +T/2 with
-    the forward hit at a tie (``_TIE_RTOL``), so t is in (-T/2, T/2].  The
-    event depends only on the section, so inside a suite scope the result
-    is memoized on (field, section, cfg, z bits); z is an (x, y) tuple.
+def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, Point, Point, float]:
+    """The curve's crossing with the smaller |t|, read off one cycle
+    detection that watches the curve; the cycle must meet the curve once
+    per period (no crossing over [0, T) raises EventNotFound, two or more
+    NotASection).  The one at t_f gives t_b = t_f - T, and
+    phi(2 tau, z) = phi(t_b + t_f, z) is the cycle's dense output at
+    2 t_f mod T.  Returns (t, z_hit, image, t_b): t is the nearer of t_b
+    and t_f, or +T/2 at a tie (``_TIE_RTOL``), so t is in (-T/2, T/2].
+    Inside a suite scope the result is memoized on (field, section, cfg,
+    z bits), and the detection makes the symmetry's record of z too; z is
+    an (x, y) tuple.
     """
 
     def search():
-        ev = curve_event(section)
-        try:
-            back = flow_to_event(field, z, ev, -1, cfg)
-            fwd = flow_to_event(field, z, ev, +1, cfg)
-        except EventNotFound as exc:
-            raise EventNotFound(
-                f"orbit of ({z[0]:.6g}, {z[1]:.6g}) does not cross {section.label}: {exc}"
-            ) from exc
-        hit_b, hit_f = back.events[0], fwd.events[0]
-        z_b, z_f = hit_b.z, hit_f.z
-        if math.dist(z_b, z_f) > 1e-6 * (1.0 + math.hypot(*z)):
-            raise NotASection(
-                f"{section.label} meets the cycle through ({z[0]:.6g}, {z[1]:.6g}) more "
-                f"than once per period (backward hit ({z_b[0]:.6g}, {z_b[1]:.6g}), forward "
-                f"hit ({z_f[0]:.6g}, {z_f[1]:.6g})); not a global section for this annulus"
+        cyc = detect_cycle(field, z, cfg, events=[curve_event(section, terminal=False)])
+        hits = [hit for hit in cyc.trajectory.events if hit.index == 1]
+        if len(hits) != 1:
+            raise (NotASection if hits else EventNotFound)(
+                f"{section.label} meets the cycle through ({z[0]:.6g}, {z[1]:.6g}) "
+                f"{len(hits)} times per period; not a global section for this annulus"
             )
-        t_2tau = hit_b.t + hit_f.t
-        image = back.state(t_2tau) if t_2tau <= 0.0 else fwd.state(t_2tau)
-        if abs(t_2tau) <= _TIE_RTOL * (hit_f.t - hit_b.t):
-            return 0.5 * (hit_f.t - hit_b.t), hit_f.z, image
-        hit = hit_b if -hit_b.t <= hit_f.t else hit_f
-        return hit.t, hit.z, image
+        _half_period_image(field, z, cfg, cyc)
+        hit, t_period = hits[0], cyc.period
+        t_b = hit.t - t_period
+        image = cyc.trajectory.state((2.0 * hit.t) % t_period)
+        if abs(t_b + hit.t) <= _TIE_RTOL * t_period:
+            return 0.5 * t_period, hit.z, image, t_b
+        return (t_b if -t_b <= hit.t else hit.t), hit.z, image, t_b
 
     return memoized(("crossing", field, section, cfg), z, search)
 
@@ -136,8 +127,7 @@ def _signed_crossing(field, delta: Section, z, cfg) -> tuple[float, Point]:
     z = as_point(z)
     if delta.contains(z):
         return 0.0, z
-    t, z_hit, _ = _nearest_crossing(field, delta, z, cfg)
-    return t, z_hit
+    return _nearest_crossing(field, delta, z, cfg)[:2]
 
 
 def tau(field: PlanarField, delta: Section, z,
@@ -163,14 +153,16 @@ def classify(field: PlanarField, delta: Section, delta_star: Section, z,
 
     Membership is a distance test; otherwise the backward orbit decides:
     whichever of the two curves it crosses first names the branch.  The
-    raw backward crossing times of both curves come back for inspection.
+    backward crossing times of both curves, read from their crossing
+    records, come back for inspection.
     """
+    z = as_point(z)
     if delta.contains(z):
         return BranchTag.ON_DELTA, {}
     if delta_star.contains(z):
         return BranchTag.ON_DELTA_STAR, {}
-    t_d = flow_to_event(field, z, curve_event(delta), -1, cfg).events[0].t
-    t_s = flow_to_event(field, z, curve_event(delta_star), -1, cfg).events[0].t
+    t_d = _nearest_crossing(field, delta, z, cfg)[3]
+    t_s = _nearest_crossing(field, delta_star, z, cfg)[3]
     tag = BranchTag.A_PLUS if -t_d < -t_s else BranchTag.A_MINUS
     return tag, {"delta": t_d, "delta_star": t_s}
 
@@ -234,7 +226,7 @@ def check_well_posedness(field: PlanarField, delta: Section, delta_star: Section
                          cfg: IntegratorConfig = IntegratorConfig()) -> CheckResult:
     """Agreement of the two time routes: max |phi(2 tau*(z), z) - phi(2 tau(z), z)|.
 
-    Each image is read from the crossing searches that find its time.
+    Each image is read off the cycle detection that finds its time.
     """
 
     def one(z):

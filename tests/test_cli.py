@@ -235,6 +235,20 @@ out = {tmp_path / 'out'}
         for v in scaled:
             assert v == pytest.approx(scaled[1], rel=1e-5)
 
+    def test_long_flat_sum(self, tmp_path, capsys):
+        # 201 terms; with every operation parenthesized the compiled field
+        # nested past the compiler's limit of 200 parentheses
+        q = "+".join(["0*x"] * 200) + "-x"
+        cfg = write_config(tmp_path / "sum.cfg", f"""
+P = y
+Q = {q}
+section = x-axis [0.3, 1.0]
+params = [0.5, 0.9]
+out = {tmp_path / 'out'}
+""")
+        assert main(["period", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "PASS 2/2"
+
     def test_missing_config(self, capsys):
         assert main(["period", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annulus_involutions.errors import (
     ConfigError,
@@ -12,7 +14,9 @@ from annulus_involutions.errors import (
     UnknownVariableError,
 )
 from annulus_involutions.expr import (
+    _FUNC_IMPL,
     Bin,
+    Call,
     Const,
     compile_fn,
     Neg,
@@ -204,6 +208,58 @@ class TestRoundTrip:
         for _ in range(300):
             tree = random_tree(4)
             assert parse(to_source(tree)) == tree
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": math.pow}
+
+
+def _walk(e, x, y):
+    """The tree's arithmetic, one node at a time, left operand first."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return x if e.name == "x" else y
+    if isinstance(e, Neg):
+        return -_walk(e.arg, x, y)
+    if isinstance(e, Call):
+        return _FUNC_IMPL[e.fn](_walk(e.arg, x, y))
+    return _BINARY[e.op](_walk(e.left, x, y), _walk(e.right, x, y))
+
+
+def _outcome(fn, *args):
+    """The value's bits, or the math error's type."""
+    try:
+        value = fn(*args)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__
+    return float(value).hex()
+
+
+_trees = st.recursive(
+    st.one_of(st.floats(min_value=0.0, max_value=1e3).map(Const),
+              st.sampled_from([Var("x"), Var("y")])),
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(Bin, st.sampled_from("+-*/^"), children, children),
+        st.builds(Call, st.sampled_from(sorted(_FUNC_IMPL)), children)),
+    max_leaves=24)
+_arg = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tree=_trees, x=_arg, y=_arg)
+def test_compiled_arithmetic_is_the_trees(tree, x, y):
+    # the emitted source drops every parenthesis precedence does not need;
+    # the operations and their order, and so every bit, stay the tree's
+    compiled = compile_fn((tree,), ("x", "y"))
+    assert _outcome(lambda: compiled(x, y)[0]) == _outcome(_walk, tree, x, y)
+
+
+def test_long_flat_sum_compiles():
+    # 250 terms: parenthesizing each sum nested past the compiler's limit
+    tree = parse("+".join(["x*y"] * 249) + "-x")
+    assert compile_fn((tree,), ("x", "y"))(0.5, 3.0) == (_walk(tree, 0.5, 3.0),)
 
 
 class TestDifferentiate:

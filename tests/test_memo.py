@@ -189,6 +189,32 @@ def test_symmetry_period_invariance_runs_no_integration(pendulum, cfg, monkeypat
     assert during == [0]
 
 
+def test_crossing_record_writes_the_symmetry_record(linear_center, lc_xaxis, cfg,
+                                                    integrations):
+    # the crossing's one detection also makes sigma(z), with the bits of
+    # the symmetry's own computation
+    z = (0.3, -0.9)
+    fresh = sigma_symmetric(linear_center, z, cfg)
+    with suite_scope():
+        tau(linear_center, lc_xaxis, z, cfg)
+        done = integrations[0]
+        assert done == 4  # the symmetry's two, then the detection and the flow to T/2
+        assert np.array(sigma_symmetric(linear_center, z, cfg)).tobytes() == \
+            np.array(fresh).tobytes()
+        assert integrations[0] == done
+
+
+def test_symmetry_after_reversibility_runs_no_integration(pendulum, cfg, integrations):
+    sec = make_section(pendulum, "s", "0", (0.3, 2.5), name="x-axis")
+    samples = annulus_points(pendulum, sec, 3, cfg, seed=3)
+    with suite_scope():
+        verify_reversibility(pendulum, sec, samples, [1.3], cfg)
+        done = integrations[0]
+        for z in samples:
+            sigma_symmetric(pendulum, z, cfg)
+        assert integrations[0] == done
+
+
 def _verify_outputs(tmp_path, name, memo_on, monkeypatch, integrations):
     config = tmp_path / "lc.cfg"
     config.write_text("field = linear-center\nsamples = 2\ntimes = 1\nseed = 4\n",

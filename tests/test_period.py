@@ -5,9 +5,10 @@ import pytest
 
 from annulus_involutions import period as period_mod
 from annulus_involutions.errors import CriticalPointError, NotACycle
+from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
 from annulus_involutions.flow import IntegratorConfig, flow
 from annulus_involutions.period import detect_cycle, period, sample_annulus
-from annulus_involutions.sections import make_section
+from annulus_involutions.sections import curve_event, make_section
 
 from oracles import (
     T_CUBIC_AMP1,
@@ -60,6 +61,36 @@ class TestDetectCycle:
         # rotation orbits beyond the separatrix never return to the transversal
         with pytest.raises(NotACycle):
             detect_cycle(pendulum, [0.0, 2.5], cfg)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_watched_curve_keeps_the_bits(self, name, cfg):
+        # a non-terminal event does not steer step control: watching the
+        # section leaves the period, every step start and the end state
+        # with the bits of the plain detection
+        field = builtin_field(name)
+        lo, hi = default_section_range(name)
+        sec = make_section(field, "s", "0", (lo, hi), name="x-axis")
+        z = flow(field, sec.point(0.5 * (lo + hi)), 0.3, cfg)
+        plain = detect_cycle(field, z, cfg)
+        watched = detect_cycle(field, z, cfg, events=[curve_event(sec, terminal=False)])
+
+        def bits(cyc):
+            traj = cyc.trajectory
+            return ([(st.s0.hex(), st.h.hex(), st.c1x.hex(), st.c1y.hex()) for st in traj.steps],
+                    [v.hex() for v in traj.z_final], cyc.period.hex())
+
+        assert bits(watched) == bits(plain)
+        # the section's one crossing, then the return that ends the detection
+        assert [hit.index for hit in watched.trajectory.events] == [1, 0]
+
+    def test_watched_curve_without_return(self, pendulum, cfg, monkeypatch):
+        # a rotation orbit crosses the line x = 1 but never returns: the
+        # crossing alone does not make a cycle
+        monkeypatch.setattr(period_mod, "MAX_HORIZON", 1.0)
+        line = make_section(pendulum, "1", "s", (2.0, 3.0), name="x = 1")
+        with pytest.raises(NotACycle, match="no return"):
+            detect_cycle(pendulum, [0.0, 2.5], cfg,
+                         events=[curve_event(line, terminal=False)])
 
     def test_cached_trajectory_covers_period(self, duffing, cfg):
         c = detect_cycle(duffing, [1.0, 0.0], cfg)

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from annulus_involutions.expr import Bin, Call, Const, Neg, Var, parse, to_source
+from annulus_involutions.expr import Bin, Call, Const, Neg, PlanarField, Var, parse, to_source
 from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
 from annulus_involutions.flow import EventSpec, flow, integrate
 from annulus_involutions.period import detect_cycle, period
-from annulus_involutions.reversibility import ReversibilityInvolution, tau
+from annulus_involutions.reversibility import ReversibilityInvolution, tau, verify_reversibility
 from annulus_involutions.sections import (
     ExpressionCurve,
     TabulatedCurve,
@@ -24,7 +24,7 @@ from annulus_involutions.sections import (
     make_section,
     section_from_points,
 )
-from annulus_involutions.symmetry import SymmetryInvolution
+from annulus_involutions.symmetry import SymmetryInvolution, verify_sigma_symmetry
 from annulus_involutions.verify import annulus_points
 
 # every example runs orbit computations, so a failure is reported as found,
@@ -212,3 +212,76 @@ def test_nearest_vertex_is_the_first_argmin(name, x, y, vertex, dx, dy):
         x, y = xs[vertex] + dx, ys[vertex] + dy
     d2 = (np.array(xs) - x) ** 2 + (np.array(ys) - y) ** 2
     assert curve._nearest_vertex(x, y) == int(np.argmin(d2))
+
+
+# --- random non-Hamiltonian reversible centres ---------------------------------
+
+_COEF = 0.2
+_CENTRE_SECTION = (0.05, 0.2)
+
+
+def _reversible_centre(a1, a2, a3, b1, b2, b3, b4):
+    """P = -y + y A(x, y^2), Q = x + B(x, y^2) with A = a1 x + a2 u + a3 x^2
+    and B = b1 x^2 + b2 u + b3 x^3 + b4 x u (u = y^2), every |coefficient|
+    at most c = _COEF, built from text.
+
+    P is odd in y and Q even, so the mirror R(x, y) = (x, -y) reverses the
+    flow.  The divergence y (a1 + 2 a3 x) + 2 y (b2 + b4 x) is not
+    identically zero, so the field is in general not Hamiltonian.
+
+    The section x-axis [0.05, 0.2] lies in one period annulus.  With
+    r = |z|, |A| <= c r (1 + r) and |B| <= c r^2 (1 + r), so the angle obeys
+    |dtheta/dt - 1| <= 2 c r (1 + r) and the radius |dr/dt| <= 2 c r^2 (1 + r).
+    While r <= rho = 0.5 this is eps = 2 c rho (1 + rho) = 0.3, so theta
+    increases and dr/dtheta <= k r^2 with k = 2 c (1 + rho) / (1 - eps) < 0.86.
+    Over half a turn 1/r falls by at most k pi < 2.7 from 1/r0 >= 5, so an
+    orbit from (r0, 0), r0 <= 0.2, reaches the negative x-axis with r below
+    1 / (5 - 2.7) < 0.44 < rho all the way.  An orbit that meets Fix R twice
+    is closed by the reversibility, so each section point lies on a cycle
+    that winds once around the origin with theta monotone, which meets the
+    section once.
+    """
+    coefs = (a1, a2, a3, b1, b2, b3, b4)
+    assert all(abs(c) <= _COEF for c in coefs)
+    p = f"-y + y*({a1!r}*x + {a2!r}*y^2 + {a3!r}*x^2)"
+    q = f"x + {b1!r}*x^2 + {b2!r}*y^2 + {b3!r}*x^3 + {b4!r}*x*y^2"
+    return PlanarField.from_strings(p, q, name="random-centre")
+
+
+# sigma_delta against the mirror, the symmetry against its mirror conjugate,
+# and sigma_delta(sigma_sym) against sigma_q, scaled by 1 + |z|; the largest
+# measured over these examples is 2.8e-12, from sigma_q
+_CENTRE_TOL = 1e-9
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
+@given(coefs=st.lists(st.floats(min_value=-_COEF, max_value=_COEF), min_size=7, max_size=7))
+def test_random_reversible_centre(cfg, coefs):
+    field = _reversible_centre(*coefs)
+    section = make_section(field, "s", "0", _CENTRE_SECTION, name="x-axis")
+    sym = SymmetryInvolution(field, cfg)
+    rev = ReversibilityInvolution(field, section, cfg)
+    samples = annulus_points(field, section, 4, cfg, seed=3)
+    times = [0.7, 2.9]
+
+    def mirror(z):
+        return z[0], -z[1]
+
+    # (iv) both suites pass
+    for report in (verify_sigma_symmetry(field, section, samples, times, cfg),
+                   verify_reversibility(field, section, samples, times, cfg, sigma=rev)):
+        assert report.all_pass, [(c.name, c.max_residual, c.errors) for c in report.checks]
+    # (iii) delta_q = phi(-T/4, delta), tabulated from delta's grid periods
+    quarter = [flow(field, section.point(s), -0.25 * t, cfg)
+               for s, t in zip(section.grid, rev.delta_star.periods)]
+    rev_q = ReversibilityInvolution(
+        field, section_from_points(field, section.grid, quarter, name="x-axis_quarter"), cfg)
+    for z in samples:
+        scale = 1.0 + np.linalg.norm(z)
+        # (i) the reversibility fixing the positive x-axis is the mirror
+        assert np.linalg.norm(np.subtract(rev(z), mirror(z))) / scale <= _CENTRE_TOL
+        # (ii) the symmetry commutes with the mirror
+        assert np.linalg.norm(np.subtract(sym(mirror(z)), mirror(sym(z)))) / scale \
+            <= _CENTRE_TOL
+        # (iii) the symmetry turns one reversibility into another
+        assert np.linalg.norm(np.subtract(rev(sym(z)), rev_q(z))) / scale <= _CENTRE_TOL

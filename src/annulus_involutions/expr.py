@@ -168,12 +168,29 @@ def tokenize(source: str) -> list[Token]:
 
 # --- parser ----------------------------------------------------------------
 
+# The deepest expression ``parse`` accepts.  Depth counts, along any path
+# from the root to a leaf, one level per tree node and two more per pair of
+# parentheses, whether written (grouping, a call's argument) or emitted by
+# the compiler (a call, a sign, a power).  Printing, compiling, hashing and
+# differentiating a tree recurse once per node, and the recursive-descent
+# parser takes at most five frames per two levels, so all of them stay well
+# inside the interpreter's default 1000 frames; the generated code nests at
+# most 128 parentheses, below CPython's limit of 200.  A flat sum of 250
+# terms, two levels each, is 252 deep.
+MAX_DEPTH = 256
+
+
 class _Parser:
+    """Recursive descent over the grammar; each rule returns (node, depth),
+    and ``level`` is the depth the enclosing rules add above the current
+    position, so a node sits at ``level + depth`` (see ``MAX_DEPTH``)."""
+
     def __init__(self, source: str, variables: tuple[str, ...]):
         self.source = source
         self.tokens = tokenize(source)
         self.pos = 0
         self.variables = variables
+        self.level = 0
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -192,73 +209,97 @@ class _Parser:
             raise ParseError(f"expected {want!r}, found {tok.text!r}", tok.offset)
         return tok
 
+    def _too_deep(self, tok: Token) -> ParseError:
+        return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", tok.offset)
+
+    def nested(self, extra: int, rule, tok: Token) -> tuple[ExprAst, int]:
+        """``rule()`` parsed ``extra`` levels further down, refused at tok
+        when even a leaf there would be too deep."""
+        self.level += extra
+        if self.level + 1 > MAX_DEPTH:
+            raise self._too_deep(tok)
+        node, depth = rule()
+        self.level -= extra
+        return node, depth
+
+    def built(self, node: ExprAst, depth: int, tok: Token) -> tuple[ExprAst, int]:
+        """(node, depth), refused at tok when the node is too deep."""
+        if self.level + depth > MAX_DEPTH:
+            raise self._too_deep(tok)
+        return node, depth
+
     def parse(self) -> ExprAst:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
         return node
 
-    def expr(self) -> ExprAst:
-        node = self.term()
+    def expr(self) -> tuple[ExprAst, int]:
+        node, depth = self.term()
         while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in "+-":
             self.advance()
-            node = Bin(tok.text, node, self.term())
-        return node
+            right, d = self.nested(1, self.term, tok)
+            node, depth = self.built(Bin(tok.text, node, right), max(depth, d) + 1, tok)
+        return node, depth
 
-    def term(self) -> ExprAst:
-        node = self.unary()
+    def term(self) -> tuple[ExprAst, int]:
+        node, depth = self.unary()
         while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in "*/":
             self.advance()
-            node = Bin(tok.text, node, self.unary())
-        return node
+            right, d = self.nested(1, self.unary, tok)
+            node, depth = self.built(Bin(tok.text, node, right), max(depth, d) + 1, tok)
+        return node, depth
 
-    def unary(self) -> ExprAst:
+    def unary(self) -> tuple[ExprAst, int]:
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.unary())
+            arg, d = self.nested(3, self.unary, tok)
+            return self.built(Neg(arg), d + 3, tok)
         return self.power()
 
-    def power(self) -> ExprAst:
-        node = self.atom()
+    def power(self) -> tuple[ExprAst, int]:
+        node, depth = self.atom()
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.text == "^":
             self.advance()
-            node = Bin("^", node, self.unary())
-        return node
+            right, d = self.nested(3, self.unary, tok)
+            return self.built(Bin("^", node, right), max(depth, d) + 3, tok)
+        return node, depth
 
-    def atom(self) -> ExprAst:
+    def atom(self) -> tuple[ExprAst, int]:
         tok = self.advance()
         if tok.kind == "num":
             value = float(tok.text)
             if not math.isfinite(value):
                 raise ParseError(f"number {tok.text!r} is not finite", tok.offset)
-            return Const(value)
+            return Const(value), 1
         if tok.kind == "lparen":
-            node = self.expr()
+            node, d = self.nested(2, self.expr, tok)
             self.expect("rparen")
-            return node
+            return self.built(node, d + 2, tok)
         if tok.kind == "ident":
             nxt = self.peek()
             if nxt is not None and nxt.kind == "lparen":
                 if tok.text not in _PARSE_FUNCTIONS:
                     raise UnknownFunctionError(f"unknown function {tok.text!r}", tok.offset)
                 self.advance()
-                arg = self.expr()
+                arg, d = self.nested(3, self.expr, tok)
                 self.expect("rparen")
-                return Call(tok.text, arg)
+                return self.built(Call(tok.text, arg), d + 3, tok)
             if tok.text not in self.variables:
                 raise UnknownVariableError(
                     f"unknown variable {tok.text!r} (allowed: {', '.join(self.variables)})",
                     tok.offset,
                 )
-            return Var(tok.text)
+            return Var(tok.text), 1
         raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
 
 
 def parse(source: str, variables: tuple[str, ...] = ("x", "y")) -> ExprAst:
-    """Parse source text into an AST over the given variables."""
+    """Parse source text into an AST over the given variables; an
+    expression deeper than ``MAX_DEPTH`` is a ParseError."""
     return _Parser(source, variables).parse()
 
 

@@ -3,37 +3,50 @@
 The integrator is Hairer's DOP853: an explicit 8th-order Runge-Kutta
 step with 12 stages.  The first stage is the field at the step's start,
 which the previous accepted step evaluated at its end (FSAL), so an
-attempt costs 11 field evaluations.  Step size is controlled by the
-pair's embedded 5th-order error estimate alone: the error norm is
-|h| times the root mean square, over x and y, of sum_j E_j k_j divided by
-atol + rtol * max(|z|, |z_new|) per component, and the controller
-exponent is -1/6 (the initial step uses the matching power 1/6).  Each
-accepted step evaluates the field at its end and forms the 7th-order
-dense output eagerly from three more stages, so event roots are located
-on the continuous extension of accepted steps rather than by shrinking
-steps.
+attempt costs 11 field evaluations and an accepted step one more.  Step
+size is controlled by the pair's embedded 5th-order error estimate alone:
+the error norm is |h| times the root mean square, over x and y, of
+sum_j E_j k_j divided by atol + rtol * max(|z|, |z_new|) per component,
+and the controller exponent is -1/6 (the initial step uses the matching
+power 1/6).
 A negative flow time is integrated over positive internal progress time s
 with a signed step: the stages use the field's own velocities, and each
 step length that multiplies them is hs = -h.  Trajectories remember their
 direction.
 
-The kernel is scalar: the state is two floats, the stages are unrolled
-per component, and each step keeps its dense-output coefficients c1..c8
-as floats, evaluated in the nested form
-c1 + th (c2 + (1-th) (c3 + th (c4 + (1-th) (c5 + th (c6 + (1-th) (c7 + th c8)))))).
-The event scan runs on floats too: event functions are called
-as ``g(x, y)`` on dense-output samples and Brent iterates.  A point is an
-``(x, y)`` tuple of floats wherever one is handed out (a located root for
-``accept`` and the hit, a trajectory's state), and a trajectory keeps only
-its accepted steps.
-Every float equals what the same loop gives on 2-element ndarrays with the
-negated field for reversed time, because each expression keeps that loop's
-operation order: stage sums left to right, squares as ``v * v``, the
-two-component mean as ``(a*a + b*b) / 2``, and the error scale from
-``max(abs(y), abs(y_new))`` per component, written as a conditional with
-``max``'s tie order (as are the step-size clamps).  The signed step gives
-the bits of the negated field because IEEE negation is exact and
-round-to-nearest is symmetric: ``(-h) * (a*p + b*q)`` equals
+Each accepted step keeps its start s0, its length h, its start state c1
+and the field k1 there, and the cubic Hermite interpolant through its two
+ends and their derivatives,
+c1 + th (c2 + (1-th) (c3 + th c4)).
+The cubic only screens a step for event crossings.  Every state handed
+out inside a step -- a located root, a Brent iterate, ``Trajectory.state``
+-- is the propagated solution: one partial DOP853 step of length s - s0
+from the step's start with k1 reused (11 field evaluations), whose error
+is no larger than the full step's.  DOP853's 7th-order dense output,
+which costs three more stages per accepted step and is one order below
+the propagated solution, is not formed.
+
+The event scan evaluates each event at the cubic's samples
+s0 + h/3, s0 + 2h/3 and at the step's end state.  A sign change anywhere
+from the start value flags the step: the event is then evaluated at the
+propagated solution's interior samples instead, and each bracket found
+there is closed by Brent's method on the propagated solution.  A
+crossing is always flagged when the start and end values differ in sign;
+a pair of crossings inside one step, close enough to be missed by both
+the samples and the cubic, is not seen.  Event functions are called as
+``g(x, y)`` on floats.  A point is an ``(x, y)`` tuple of floats wherever
+one is handed out (a located root for ``accept`` and the hit, a
+trajectory's state), and a trajectory keeps only its accepted steps.
+
+The kernel is scalar: the state is two floats and the stages are
+unrolled per component.  Every float equals what the same loop gives on
+2-element ndarrays with the negated field for reversed time, because each
+expression keeps that loop's operation order: stage sums left to right,
+squares as ``v * v``, the two-component mean as ``(a*a + b*b) / 2``, and
+the error scale from ``max(abs(y), abs(y_new))`` per component, written
+as a conditional with ``max``'s tie order (as are the step-size clamps).
+The signed step gives the bits of the negated field because IEEE negation
+is exact and round-to-nearest is symmetric: ``(-h) * (a*p + b*q)`` equals
 ``h * (a*(-p) + b*(-q))``.  Reordering any expression changes results in
 the last bits, and through step control, event times and reports.
 
@@ -41,26 +54,16 @@ Because ``g`` receives Python floats, a division by zero inside a user
 event function raises ZeroDivisionError rather than returning inf.
 
 An event may declare a Lipschitz bound L on |grad g|.  Within one step
-the dense output stays within B of the step's start, where B sums the
-absolute coefficients c2..c8, the x terms and then the y terms: each term
-of the nested form is a coefficient times th^a (1-th)^b, which is at most
-1 on [0, 1].  So g moves by at most L * B.  A step whose start value has
-|g| > 2 * L * B plus a rounding floor cannot change the sign of g at any
-sample, and its scan is skipped.  The integrator loop makes this test
-after each accepted step, and hands only the events that fail it to the
-scan.  A skipped event evaluates g once, at the last sample s0 + h, so the
-value carried into the next step keeps the bits a scan would give.  The
-factor 2 and the floor absorb rounding in g, in B and in the carried start
-value, which is g at the previous step's last sample rather than at c1
-exactly.  The skip is exact only if L is a true bound; a value that is too
-small can drop crossings.
-
-The dense output is one order below the propagated solution: between
-step ends it is about ten times less accurate, and its error changes with
-where a time falls inside its step.  ``Trajectory.step_start`` names the
-start of the accepted step holding a time, so that a short fresh ``flow``
-from there reads the state at the propagated solution's accuracy; the
-half-period image is read that way.
+the cubic stays within B of the step's start, where B sums the absolute
+coefficients c2..c4, the x terms and then the y terms: each term of the
+nested form is a coefficient times th^a (1-th)^b, which is at most 1 on
+[0, 1], and the end state is c1 + c2 up to rounding.  So g moves by at
+most L * B over the samples.  A step whose start value has
+|g| > 2 * L * B plus a rounding floor cannot flag, and its scan is
+skipped: the event is evaluated once, at the step's end state, which is
+the value a scan carries into the next step.  The factor 2 and the floor
+absorb rounding in g and in B.  The skip is exact only if L is a true
+bound; a value that is too small can drop crossings.
 
 ``IntegratorConfig`` holds the two step-control settings, ``rtol`` and
 ``atol``.  Every integration is capped at ``_MAX_STEPS`` step attempts,
@@ -101,8 +104,7 @@ __all__ = [
 # field at the step start, stages 2..12 make the 8th-order solution
 # (weights _Bj, scipy's B) and stage 13 is the field there, the next step's
 # stage 1.  _Ej are the weights of the 5th-order error estimate (scipy's
-# E5), and stages 14..16 with _Dr_j (scipy's D[r-5]) give the dense-output
-# coefficients c5..c8.
+# E5).
 _A2_1 = 5.26001519587677318785587544488e-2
 _A3_1, _A3_2 = (
     1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2,
@@ -151,24 +153,6 @@ _A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11 = (
     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
     6.43392746015763530355970484046e-1,
 )
-_A14_1, _A14_7, _A14_8, _A14_9, _A14_10, _A14_11, _A14_12, _A14_13 = (
-    5.61675022830479523392909219681e-2, 2.53500210216624811088794765333e-1,
-    -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1,
-    1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3,
-    7.56789766054569976138603589584e-3, -8.298e-3,
-)
-_A15_1, _A15_6, _A15_7, _A15_8, _A15_11, _A15_12, _A15_13, _A15_14 = (
-    3.18346481635021405060768473261e-2, 2.83009096723667755288322961402e-2,
-    5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2,
-    -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
-    -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1,
-)
-_A16_1, _A16_6, _A16_7, _A16_8, _A16_9, _A16_13, _A16_14, _A16_15 = (
-    -4.28896301583791923408573538692e-1, -4.69762141536116384314449447206,
-    7.68342119606259904184240953878, 4.06898981839711007970213554331,
-    3.56727187455281109270669543021e-1, -1.39902416515901462129418009734e-3,
-    2.9475147891527723389556272149, -9.15095847217987001081870187138,
-)
 _B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
     5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
     1.89151789931450038304281599044, -5.8012039600105847814672114227,
@@ -181,39 +165,6 @@ _E1, _E6, _E7, _E8, _E9, _E10, _E11, _E12 = (
     -0.3503288487499736816886487290, 0.3341791187130174790297318841,
     0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
 )
-_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14, _D5_15, _D5_16 = (
-    -0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
-    -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
-    0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
-    0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
-    -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
-    -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1,
-)
-_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14, _D6_15, _D6_16 = (
-    0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
-    0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
-    -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
-    -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
-    0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
-    -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2,
-)
-_D7_1, _D7_6, _D7_7, _D7_8, _D7_9, _D7_10, _D7_11, _D7_12, _D7_13, _D7_14, _D7_15, _D7_16 = (
-    0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
-    -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
-    -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
-    -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
-    -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
-    0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2,
-)
-_D8_1, _D8_6, _D8_7, _D8_8, _D8_9, _D8_10, _D8_11, _D8_12, _D8_13, _D8_14, _D8_15, _D8_16 = (
-    -0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
-    -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
-    0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
-    0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
-    -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
-    -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3,
-)
-
 _SAFETY = 0.9
 # step-size controller exponent: -1/(q + 1) for the order q = 5 estimate
 _EXPONENT = -1 / 6
@@ -224,8 +175,8 @@ _MAX_FACTOR = 10.0
 _BRENT_XTOL = 1e-13
 _BRENT_MAXITER = 200
 
-# dense-output samples per accepted step used to bracket event crossings,
-# at s0 + q * h for each fraction q
+# event samples per accepted step, at s0 + q * h for each fraction q: the
+# cubic's (or the partial steps') inside the step, the end state at q = 1
 _EVENT_SAMPLES = 3
 _SAMPLE_FRACTIONS = tuple(i / _EVENT_SAMPLES for i in range(1, _EVENT_SAMPLES + 1))
 
@@ -288,53 +239,52 @@ class EventHit:
 
 
 class _Step:
-    """One accepted step: start, length and the 7th-order dense-output
-    coefficients c1..c8, per component, as plain floats."""
+    """One accepted step: start s0 and length h in progress time, the start
+    state c1 and the field k1 there, and the cubic Hermite coefficients
+    c2..c4, per component, as plain floats."""
 
-    __slots__ = ("s0", "h", "c1x", "c1y", "c2x", "c2y", "c3x", "c3y", "c4x", "c4y",
-                 "c5x", "c5y", "c6x", "c6y", "c7x", "c7y", "c8x", "c8y")
+    __slots__ = ("s0", "h", "c1x", "c1y", "k1x", "k1y", "c2x", "c2y", "c3x", "c3y",
+                 "c4x", "c4y")
 
-    def __init__(self, s0, h, c1x, c1y, c2x, c2y, c3x, c3y, c4x, c4y,
-                 c5x, c5y, c6x, c6y, c7x, c7y, c8x, c8y):
+    def __init__(self, s0, h, c1x, c1y, k1x, k1y, c2x, c2y, c3x, c3y, c4x, c4y):
         self.s0 = s0
         self.h = h
         self.c1x, self.c1y = c1x, c1y
+        self.k1x, self.k1y = k1x, k1y
         self.c2x, self.c2y = c2x, c2y
         self.c3x, self.c3y = c3x, c3y
         self.c4x, self.c4y = c4x, c4y
-        self.c5x, self.c5y = c5x, c5y
-        self.c6x, self.c6y = c6x, c6y
-        self.c7x, self.c7y = c7x, c7y
-        self.c8x, self.c8y = c8x, c8y
 
-    def at(self, s: float) -> Point:
-        """Dense-output state at progress time s, as two floats."""
-        th = (s - self.s0) / self.h
-        if th <= 0.0:
-            return self.c1x, self.c1y
-        if th >= 1.0:
-            return self.c1x + self.c2x, self.c1y + self.c2y
+    def hermite(self, th: float) -> Point:
+        """The cubic at the fraction th of the step, as two floats."""
         om = 1.0 - th
-        return (
-            self.c1x + th * (self.c2x + om * (self.c3x + th * (self.c4x + om * (
-                self.c5x + th * (self.c6x + om * (self.c7x + th * self.c8x)))))),
-            self.c1y + th * (self.c2y + om * (self.c3y + th * (self.c4y + om * (
-                self.c5y + th * (self.c6y + om * (self.c7y + th * self.c8y)))))),
-        )
+        return (self.c1x + th * (self.c2x + om * (self.c3x + th * self.c4x)),
+                self.c1y + th * (self.c2y + om * (self.c3y + th * self.c4y)))
+
+    def state(self, rhs, sign: float, s: float) -> Point:
+        """The propagated solution at progress time s in [s0, s0 + h): one
+        DOP853 step of signed length sign * (s - s0) from the step's start
+        with k1 reused, 11 field evaluations; the start itself at s0."""
+        u = s - self.s0
+        if u <= 0.0:
+            return self.c1x, self.c1y
+        return _dop853(rhs, self.c1x, self.c1y, self.k1x, self.k1y, sign * u)[:2]
 
 
 @dataclass
 class Trajectory:
-    """Dense-output solution of one integrate() call: its accepted steps.
+    """Solution of one integrate() call: its accepted steps.
 
     The steps tile [0, s_end] in internal progress time s >= 0, each
     starting where the previous one ended; requested times are
     t = direction * s.  ``z_final`` is the end state of the last step,
     which after a terminal event is the step holding the root.  A step
     boundary reads back the step's start state, or ``z_final`` at s_end,
-    exactly.
+    exactly; any other time is one partial step of ``rhs`` from the start
+    of the step holding it.
     """
 
+    rhs: Callable[[float, float], tuple[float, float]]
     direction: int
     steps: list[_Step]
     z_final: Point
@@ -346,9 +296,8 @@ class Trajectory:
     def naccepted(self) -> int:
         return len(self.steps)
 
-    def _locate(self, t: float) -> tuple[float, _Step | None]:
-        """(progress time s of requested time t, the accepted step holding
-        it), with no step at the span's end."""
+    def state(self, t: float) -> Point:
+        """State at requested time t inside the integrated span."""
         steps = self.steps
         s_end = steps[-1].s0 + steps[-1].h if steps else 0.0
         s = self.direction * t
@@ -356,27 +305,9 @@ class Trajectory:
             raise ValueError(f"time {t} outside integrated span")
         s = min(max(s, 0.0), s_end)
         if s == s_end:
-            return s, None
-        return s, steps[max(bisect_right(steps, s, key=attrgetter("s0")) - 1, 0)]
-
-    def state(self, t: float) -> Point:
-        """State at requested time t inside the integrated span."""
-        s, step = self._locate(t)
-        if step is None:
             return self.z_final
-        return step.at(s)
-
-    def step_start(self, t: float) -> tuple[Point, float]:
-        """(start state of the accepted step holding requested time t, the
-        signed time from there to t); at the span's end, (z_final, 0.0).
-
-        ``flow`` over that time from that state gives the state at t with
-        the propagated solution's error rather than the dense output's.
-        """
-        s, step = self._locate(t)
-        if step is None:
-            return self.z_final, 0.0
-        return (step.c1x, step.c1y), self.direction * (s - step.s0)
+        step = steps[max(bisect_right(steps, s, key=attrgetter("s0")) - 1, 0)]
+        return step.state(self.rhs, float(self.direction), s)
 
 
 def _initial_step(rhs, x, y, fx, fy, rtol, atol, s_end, sign):
@@ -449,42 +380,122 @@ def brent(f, a, b, fa=None, fb=None):
     return b
 
 
-def _scan_step(step, events, scan, g_prev, direction, zero_start):
-    """Look for crossings of the events ``events[k]``, k in ``scan``, inside
-    one accepted step.
+def _dop853(rhs, x, y, fx, fy, hs):
+    """One DOP853 step of signed length hs from (x, y), where the field is
+    (fx, fy): the 8th-order end state and the 5th-order error sum
+    sum_j E_j k_j, per component, from 11 field evaluations."""
+    k2x, k2y = rhs(x + hs * (_A2_1 * fx),
+                   y + hs * (_A2_1 * fy))
+    k3x, k3y = rhs(x + hs * (_A3_1 * fx + _A3_2 * k2x),
+                   y + hs * (_A3_1 * fy + _A3_2 * k2y))
+    k4x, k4y = rhs(x + hs * (_A4_1 * fx + _A4_3 * k3x),
+                   y + hs * (_A4_1 * fy + _A4_3 * k3y))
+    k5x, k5y = rhs(x + hs * (_A5_1 * fx + _A5_3 * k3x + _A5_4 * k4x),
+                   y + hs * (_A5_1 * fy + _A5_3 * k3y + _A5_4 * k4y))
+    k6x, k6y = rhs(x + hs * (_A6_1 * fx + _A6_4 * k4x + _A6_5 * k5x),
+                   y + hs * (_A6_1 * fy + _A6_4 * k4y + _A6_5 * k5y))
+    k7x, k7y = rhs(x + hs * (_A7_1 * fx + _A7_4 * k4x + _A7_5 * k5x + _A7_6 * k6x),
+                   y + hs * (_A7_1 * fy + _A7_4 * k4y + _A7_5 * k5y + _A7_6 * k6y))
+    k8x, k8y = rhs(x + hs * (_A8_1 * fx + _A8_4 * k4x + _A8_5 * k5x + _A8_6 * k6x
+                             + _A8_7 * k7x),
+                   y + hs * (_A8_1 * fy + _A8_4 * k4y + _A8_5 * k5y + _A8_6 * k6y
+                             + _A8_7 * k7y))
+    k9x, k9y = rhs(x + hs * (_A9_1 * fx + _A9_4 * k4x + _A9_5 * k5x + _A9_6 * k6x
+                             + _A9_7 * k7x + _A9_8 * k8x),
+                   y + hs * (_A9_1 * fy + _A9_4 * k4y + _A9_5 * k5y + _A9_6 * k6y
+                             + _A9_7 * k7y + _A9_8 * k8y))
+    k10x, k10y = rhs(x + hs * (_A10_1 * fx + _A10_4 * k4x + _A10_5 * k5x + _A10_6 * k6x
+                               + _A10_7 * k7x + _A10_8 * k8x + _A10_9 * k9x),
+                     y + hs * (_A10_1 * fy + _A10_4 * k4y + _A10_5 * k5y + _A10_6 * k6y
+                               + _A10_7 * k7y + _A10_8 * k8y + _A10_9 * k9y))
+    k11x, k11y = rhs(x + hs * (_A11_1 * fx + _A11_4 * k4x + _A11_5 * k5x + _A11_6 * k6x
+                               + _A11_7 * k7x + _A11_8 * k8x + _A11_9 * k9x + _A11_10 * k10x),
+                     y + hs * (_A11_1 * fy + _A11_4 * k4y + _A11_5 * k5y + _A11_6 * k6y
+                               + _A11_7 * k7y + _A11_8 * k8y + _A11_9 * k9y + _A11_10 * k10y))
+    k12x, k12y = rhs(x + hs * (_A12_1 * fx + _A12_4 * k4x + _A12_5 * k5x + _A12_6 * k6x
+                               + _A12_7 * k7x + _A12_8 * k8x + _A12_9 * k9x + _A12_10 * k10x
+                               + _A12_11 * k11x),
+                     y + hs * (_A12_1 * fy + _A12_4 * k4y + _A12_5 * k5y + _A12_6 * k6y
+                               + _A12_7 * k7y + _A12_8 * k8y + _A12_9 * k9y + _A12_10 * k10y
+                               + _A12_11 * k11y))
+    return (
+        x + hs * (_B1 * fx + _B6 * k6x + _B7 * k7x + _B8 * k8x + _B9 * k9x + _B10 * k10x
+                  + _B11 * k11x + _B12 * k12x),
+        y + hs * (_B1 * fy + _B6 * k6y + _B7 * k7y + _B8 * k8y + _B9 * k9y + _B10 * k10y
+                  + _B11 * k11y + _B12 * k12y),
+        (_E1 * fx + _E6 * k6x + _E7 * k7x + _E8 * k8x + _E9 * k9x + _E10 * k10x
+         + _E11 * k11x + _E12 * k12x),
+        (_E1 * fy + _E6 * k6y + _E7 * k7y + _E8 * k8y + _E9 * k9y + _E10 * k10y
+         + _E11 * k11y + _E12 * k12y),
+    )
 
+
+def _crossed(ga: float, gb: float) -> bool:
+    """A strict sign change from ga to gb, or a landing on zero."""
+    return (ga < 0.0 < gb) or (ga > 0.0 > gb) or (gb == 0.0 and ga != 0.0)
+
+
+def _scan_step(rhs, sign, step, end, events, scan, g_prev, zero_start):
+    """Look for crossings of the events ``events[k]``, k in ``scan``, inside
+    one accepted step whose end state is ``end``.
+
+    Each event's values at the cubic's interior samples and at ``end``
+    flag a possible crossing by a sign change from the start value; a
+    flagged event is then sampled on the propagated solution (the step's
+    partial steps, shared between events) and its roots located there.
     g_prev holds event values at the step start and is updated to the step
-    end; accepted hits come back ordered by progress time.  zero_start[k]
-    is None for a normal event, or a threshold while the event started at
-    g ~ 0 and crossings are still being suppressed.
+    end.  zero_start[k] is None for a normal event, or a threshold while
+    the event started at g ~ 0 and crossings are still being suppressed.
+    A root is the Brent iterate it was located at, so it costs no partial
+    step of its own.  Returns the accepted hits as (progress time, hit)
+    ordered by time, and the number of partial steps taken.
     """
     hits = []
     s0, h = step.s0, step.h
+    s1 = s0 + h
     svals = [s0 + q * h for q in _SAMPLE_FRACTIONS]
-    samples = [step.at(s_b) for s_b in svals]
+    cubic = [step.hermite(q) for q in _SAMPLE_FRACTIONS[:-1]]
+    exact = None
+    seen: dict[float, Point] = {}  # the partial steps taken, by progress time
+
+    def at(s):
+        if s >= s1:
+            return end
+        z = seen.get(s)
+        if z is None:
+            z = step.state(rhs, sign, s)
+            if s > s0:
+                seen[s] = z
+        return z
+
     for k in scan:
         ev = events[k]
         g = ev.g
         ga = g_prev[k]
+        gvals = [g(*z) for z in cubic]
+        gvals.append(g(*end))
+        if any(map(_crossed, [ga, *gvals[:-1]], gvals)):
+            if exact is None:
+                exact = [at(s) for s in svals[:-1]]
+            gvals[:-1] = [g(*z) for z in exact]
         sa = s0
-        for s_b, (xb, yb) in zip(svals, samples):
-            gb = g(xb, yb)
+        for s_b, gb in zip(svals, gvals):
             if zero_start[k] is not None:
                 if abs(gb) > zero_start[k]:
                     zero_start[k] = None
                 ga, sa = gb, s_b
                 continue
-            crossed = (ga < 0.0 < gb) or (ga > 0.0 > gb) or (gb == 0.0 and ga != 0.0)
-            if crossed and (ev.direction == 0 or math.copysign(1.0, gb - ga) == ev.direction):
-                s_root = float(brent(lambda s: g(*step.at(s)), sa, s_b, ga, gb))
-                z_root = step.at(s_root)
+            if _crossed(ga, gb) and (ev.direction == 0
+                                     or math.copysign(1.0, gb - ga) == ev.direction):
+                s_root = float(brent(lambda s: g(*at(s)), sa, s_b, ga, gb))
+                z_root = at(s_root)
                 if ev.accept is None or ev.accept(z_root):
-                    hits.append((s_root, EventHit(k, float(direction * s_root), z_root)))
+                    hits.append((s_root, EventHit(k, float(sign * s_root), z_root)))
             ga, sa = gb, s_b
         g_prev[k] = ga
     if len(hits) > 1:
         hits.sort(key=itemgetter(0))
-    return hits
+    return hits, len(seen)
 
 
 def integrate(
@@ -495,7 +506,7 @@ def integrate(
     events: Sequence[EventSpec] = (),
     bounds: Callable[[Point], bool] | None = None,
 ) -> Trajectory:
-    """Integrate dz/dt = rhs(x, y) from z0 to t_final (either sign) with dense output.
+    """Integrate dz/dt = rhs(x, y) from z0 to t_final (either sign).
 
     ``rhs(x, y)`` returns the velocity as two floats; ``bounds`` receives
     each accepted state as an (x, y) pair.  Stops early at the first
@@ -504,7 +515,7 @@ def integrate(
     """
     x, y = as_point(z0)
     if t_final == 0.0:
-        return Trajectory(1, [], (x, y), 0, 0)
+        return Trajectory(rhs, 1, [], (x, y), 0, 0)
     direction = 1 if t_final > 0 else -1
     sign = float(direction)
     s_end = abs(t_final)
@@ -522,7 +533,7 @@ def integrate(
 
     steps: list[_Step] = []
     hits: list[EventHit] = []
-    attempts = 0
+    attempts = npartial = 0
     s = 0.0
     terminal_hit = None
 
@@ -536,48 +547,7 @@ def integrate(
         if rest < h:
             h = rest
         hs = sign * h
-        k2x, k2y = rhs(x + hs * (_A2_1 * fx),
-                       y + hs * (_A2_1 * fy))
-        k3x, k3y = rhs(x + hs * (_A3_1 * fx + _A3_2 * k2x),
-                       y + hs * (_A3_1 * fy + _A3_2 * k2y))
-        k4x, k4y = rhs(x + hs * (_A4_1 * fx + _A4_3 * k3x),
-                       y + hs * (_A4_1 * fy + _A4_3 * k3y))
-        k5x, k5y = rhs(x + hs * (_A5_1 * fx + _A5_3 * k3x + _A5_4 * k4x),
-                       y + hs * (_A5_1 * fy + _A5_3 * k3y + _A5_4 * k4y))
-        k6x, k6y = rhs(x + hs * (_A6_1 * fx + _A6_4 * k4x + _A6_5 * k5x),
-                       y + hs * (_A6_1 * fy + _A6_4 * k4y + _A6_5 * k5y))
-        k7x, k7y = rhs(x + hs * (_A7_1 * fx + _A7_4 * k4x + _A7_5 * k5x + _A7_6 * k6x),
-                       y + hs * (_A7_1 * fy + _A7_4 * k4y + _A7_5 * k5y + _A7_6 * k6y))
-        k8x, k8y = rhs(x + hs * (_A8_1 * fx + _A8_4 * k4x + _A8_5 * k5x + _A8_6 * k6x
-                                 + _A8_7 * k7x),
-                       y + hs * (_A8_1 * fy + _A8_4 * k4y + _A8_5 * k5y + _A8_6 * k6y
-                                 + _A8_7 * k7y))
-        k9x, k9y = rhs(x + hs * (_A9_1 * fx + _A9_4 * k4x + _A9_5 * k5x + _A9_6 * k6x
-                                 + _A9_7 * k7x + _A9_8 * k8x),
-                       y + hs * (_A9_1 * fy + _A9_4 * k4y + _A9_5 * k5y + _A9_6 * k6y
-                                 + _A9_7 * k7y + _A9_8 * k8y))
-        k10x, k10y = rhs(x + hs * (_A10_1 * fx + _A10_4 * k4x + _A10_5 * k5x + _A10_6 * k6x
-                                   + _A10_7 * k7x + _A10_8 * k8x + _A10_9 * k9x),
-                         y + hs * (_A10_1 * fy + _A10_4 * k4y + _A10_5 * k5y + _A10_6 * k6y
-                                   + _A10_7 * k7y + _A10_8 * k8y + _A10_9 * k9y))
-        k11x, k11y = rhs(x + hs * (_A11_1 * fx + _A11_4 * k4x + _A11_5 * k5x + _A11_6 * k6x
-                                   + _A11_7 * k7x + _A11_8 * k8x + _A11_9 * k9x + _A11_10 * k10x),
-                         y + hs * (_A11_1 * fy + _A11_4 * k4y + _A11_5 * k5y + _A11_6 * k6y
-                                   + _A11_7 * k7y + _A11_8 * k8y + _A11_9 * k9y + _A11_10 * k10y))
-        k12x, k12y = rhs(x + hs * (_A12_1 * fx + _A12_4 * k4x + _A12_5 * k5x + _A12_6 * k6x
-                                   + _A12_7 * k7x + _A12_8 * k8x + _A12_9 * k9x + _A12_10 * k10x
-                                   + _A12_11 * k11x),
-                         y + hs * (_A12_1 * fy + _A12_4 * k4y + _A12_5 * k5y + _A12_6 * k6y
-                                   + _A12_7 * k7y + _A12_8 * k8y + _A12_9 * k9y + _A12_10 * k10y
-                                   + _A12_11 * k11y))
-        xn = x + hs * (_B1 * fx + _B6 * k6x + _B7 * k7x + _B8 * k8x + _B9 * k9x + _B10 * k10x
-                       + _B11 * k11x + _B12 * k12x)
-        yn = y + hs * (_B1 * fy + _B6 * k6y + _B7 * k7y + _B8 * k8y + _B9 * k9y + _B10 * k10y
-                       + _B11 * k11y + _B12 * k12y)
-        ex = (_E1 * fx + _E6 * k6x + _E7 * k7x + _E8 * k8x + _E9 * k9x + _E10 * k10x
-              + _E11 * k11x + _E12 * k12x)
-        ey = (_E1 * fy + _E6 * k6y + _E7 * k7y + _E8 * k8y + _E9 * k9y + _E10 * k10y
-              + _E11 * k11y + _E12 * k12y)
+        xn, yn, ex, ey = _dop853(rhs, x, y, fx, fy, hs)
         a, b = abs(x), abs(xn)
         ex /= atol + rtol * (b if b > a else a)
         a, b = abs(y), abs(yn)
@@ -589,77 +559,34 @@ def integrate(
             continue
 
         k13x, k13y = rhs(xn, yn)
-        k14x, k14y = rhs(x + hs * (_A14_1 * fx + _A14_7 * k7x + _A14_8 * k8x + _A14_9 * k9x
-                                   + _A14_10 * k10x + _A14_11 * k11x + _A14_12 * k12x
-                                   + _A14_13 * k13x),
-                         y + hs * (_A14_1 * fy + _A14_7 * k7y + _A14_8 * k8y + _A14_9 * k9y
-                                   + _A14_10 * k10y + _A14_11 * k11y + _A14_12 * k12y
-                                   + _A14_13 * k13y))
-        k15x, k15y = rhs(x + hs * (_A15_1 * fx + _A15_6 * k6x + _A15_7 * k7x + _A15_8 * k8x
-                                   + _A15_11 * k11x + _A15_12 * k12x + _A15_13 * k13x
-                                   + _A15_14 * k14x),
-                         y + hs * (_A15_1 * fy + _A15_6 * k6y + _A15_7 * k7y + _A15_8 * k8y
-                                   + _A15_11 * k11y + _A15_12 * k12y + _A15_13 * k13y
-                                   + _A15_14 * k14y))
-        k16x, k16y = rhs(x + hs * (_A16_1 * fx + _A16_6 * k6x + _A16_7 * k7x + _A16_8 * k8x
-                                   + _A16_9 * k9x + _A16_13 * k13x + _A16_14 * k14x
-                                   + _A16_15 * k15x),
-                         y + hs * (_A16_1 * fy + _A16_6 * k6y + _A16_7 * k7y + _A16_8 * k8y
-                                   + _A16_9 * k9y + _A16_13 * k13y + _A16_14 * k14y
-                                   + _A16_15 * k15y))
-        c5x = hs * (_D5_1 * fx + _D5_6 * k6x + _D5_7 * k7x + _D5_8 * k8x + _D5_9 * k9x
-                    + _D5_10 * k10x + _D5_11 * k11x + _D5_12 * k12x + _D5_13 * k13x
-                    + _D5_14 * k14x + _D5_15 * k15x + _D5_16 * k16x)
-        c5y = hs * (_D5_1 * fy + _D5_6 * k6y + _D5_7 * k7y + _D5_8 * k8y + _D5_9 * k9y
-                    + _D5_10 * k10y + _D5_11 * k11y + _D5_12 * k12y + _D5_13 * k13y
-                    + _D5_14 * k14y + _D5_15 * k15y + _D5_16 * k16y)
-        c6x = hs * (_D6_1 * fx + _D6_6 * k6x + _D6_7 * k7x + _D6_8 * k8x + _D6_9 * k9x
-                    + _D6_10 * k10x + _D6_11 * k11x + _D6_12 * k12x + _D6_13 * k13x
-                    + _D6_14 * k14x + _D6_15 * k15x + _D6_16 * k16x)
-        c6y = hs * (_D6_1 * fy + _D6_6 * k6y + _D6_7 * k7y + _D6_8 * k8y + _D6_9 * k9y
-                    + _D6_10 * k10y + _D6_11 * k11y + _D6_12 * k12y + _D6_13 * k13y
-                    + _D6_14 * k14y + _D6_15 * k15y + _D6_16 * k16y)
-        c7x = hs * (_D7_1 * fx + _D7_6 * k6x + _D7_7 * k7x + _D7_8 * k8x + _D7_9 * k9x
-                    + _D7_10 * k10x + _D7_11 * k11x + _D7_12 * k12x + _D7_13 * k13x
-                    + _D7_14 * k14x + _D7_15 * k15x + _D7_16 * k16x)
-        c7y = hs * (_D7_1 * fy + _D7_6 * k6y + _D7_7 * k7y + _D7_8 * k8y + _D7_9 * k9y
-                    + _D7_10 * k10y + _D7_11 * k11y + _D7_12 * k12y + _D7_13 * k13y
-                    + _D7_14 * k14y + _D7_15 * k15y + _D7_16 * k16y)
-        c8x = hs * (_D8_1 * fx + _D8_6 * k6x + _D8_7 * k7x + _D8_8 * k8x + _D8_9 * k9x
-                    + _D8_10 * k10x + _D8_11 * k11x + _D8_12 * k12x + _D8_13 * k13x
-                    + _D8_14 * k14x + _D8_15 * k15x + _D8_16 * k16x)
-        c8y = hs * (_D8_1 * fy + _D8_6 * k6y + _D8_7 * k7y + _D8_8 * k8y + _D8_9 * k9y
-                    + _D8_10 * k10y + _D8_11 * k11y + _D8_12 * k12y + _D8_13 * k13y
-                    + _D8_14 * k14y + _D8_15 * k15y + _D8_16 * k16y)
         dx, dy = xn - x, yn - y
         c3x, c3y = hs * fx - dx, hs * fy - dy
         c4x, c4y = 2.0 * dx - hs * (k13x + fx), 2.0 * dy - hs * (k13y + fy)
-        step = _Step(s, h, x, y, dx, dy, c3x, c3y, c4x, c4y,
-                     c5x, c5y, c6x, c6y, c7x, c7y, c8x, c8y)
+        step = _Step(s, h, x, y, fx, fy, dx, dy, c3x, c3y, c4x, c4y)
         steps.append(step)
         s += h
 
         if events:
             # the Lipschitz skip: an event whose start value clears
-            # 2 L reach + floor takes only its value at the end sample s
+            # 2 L reach + floor takes only its value at the step's end
             scan = []
-            reach = end = None
+            reach = None
             for k, ev in enumerate(events):
                 lip = ev.lipschitz
                 if lip is not None and zero_start[k] is None:
                     if reach is None:
-                        reach = (abs(dx) + abs(c3x) + abs(c4x) + abs(c5x) + abs(c6x)
-                                 + abs(c7x) + abs(c8x) + abs(dy) + abs(c3y) + abs(c4y)
-                                 + abs(c5y) + abs(c6y) + abs(c7y) + abs(c8y))
+                        reach = (abs(dx) + abs(c3x) + abs(c4x)
+                                 + abs(dy) + abs(c3y) + abs(c4y))
                         floor = 1e-12 * (1.0 + abs(x) + abs(y))
                     if abs(g_prev[k]) > (2.0 * lip) * reach + floor:
-                        if end is None:
-                            end = step.at(s)
-                        g_prev[k] = ev.g(*end)
+                        g_prev[k] = ev.g(xn, yn)
                         continue
                 scan.append(k)
             if scan:
-                for s_root, hit in _scan_step(step, events, scan, g_prev, direction, zero_start):
+                found, partial = _scan_step(rhs, sign, step, (xn, yn), events, scan,
+                                            g_prev, zero_start)
+                npartial += partial
+                for s_root, hit in found:
                     hits.append(hit)
                     if events[hit.index].terminal:
                         terminal_hit = hit
@@ -683,10 +610,11 @@ def integrate(
             h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
 
     # nfev: the start, the trial stage of _initial_step, eleven stages per
-    # attempt and four more (the end point and three dense-output stages)
-    # per accepted step
-    return Trajectory(direction, steps, (x, y) if terminal_hit is None else (xn, yn),
-                      attempts - len(steps), 2 + 11 * attempts + 4 * len(steps), hits)
+    # attempt and per partial step of the event scan, and the end point of
+    # each accepted step
+    return Trajectory(rhs, direction, steps, (x, y) if terminal_hit is None else (xn, yn),
+                      attempts - len(steps),
+                      2 + 11 * (attempts + npartial) + len(steps), hits)
 
 
 def flow(field: PlanarField, z0, t: float, cfg: IntegratorConfig = IntegratorConfig()) -> Point:

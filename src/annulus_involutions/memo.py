@@ -13,7 +13,8 @@ its point, which also stores that point's half-period image; the section's
 event does not steer the integration, so the image has the bits of the
 symmetry's own computation.
 
-Nothing is stored outside ``suite_scope()``.  A scope opened inside another
+Nothing is stored outside ``suite_scope()``, and a value offered with
+``keep`` is not even computed there.  A scope opened inside another
 reuses the outer one, and the memo is dropped when the outermost closes.
 """
 
@@ -23,7 +24,7 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-__all__ = ["suite_scope", "memoized"]
+__all__ = ["suite_scope", "memoized", "keep"]
 
 _MEMO: ContextVar[dict | None] = ContextVar("annulus_involutions_memo", default=None)
 
@@ -52,3 +53,14 @@ def memoized(parts: tuple, z, compute) -> tuple:
     if value is None:
         value = memo[key] = compute()
     return value
+
+
+def keep(parts: tuple, z, compute) -> None:
+    """Store ``compute()`` under ``parts`` and the bits of the point z
+    while a scope is open that holds no value there; otherwise compute is
+    not called."""
+    memo = _MEMO.get()
+    if memo is not None:
+        key = (*parts, struct.pack("<2d", *z))
+        if key not in memo:
+            memo[key] = compute()

@@ -14,9 +14,8 @@ from typing import Sequence
 
 from .errors import SAMPLE_FAILURES, CriticalPointError, DomainEscape, NotACycle
 from .expr import PlanarField
-from .flow import (MAX_HORIZON, EventSpec, IntegratorConfig, Point, Trajectory, as_point, flow,
-                   integrate)
-from .memo import memoized
+from .flow import MAX_HORIZON, EventSpec, IntegratorConfig, Point, Trajectory, as_point, integrate
+from .memo import keep, memoized
 
 __all__ = ["Cycle", "AnnulusSample", "detect_cycle", "period", "sample_annulus"]
 
@@ -25,7 +24,9 @@ _CRITICAL_SPEED = 1e-12
 
 @dataclass
 class Cycle:
-    """A closed orbit: base point, minimal period, dense trajectory over it."""
+    """A closed orbit: base point, minimal period, and the trajectory over
+    it, whose ``state`` reads the propagated solution at any time in
+    [0, T]."""
 
     base_point: Point
     period: float
@@ -79,23 +80,27 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig
                  closure_residual=closure)
 
 
-def _half_period_image(field: PlanarField, z, cfg: IntegratorConfig,
-                       cycle: Cycle | None = None) -> tuple[float, Point]:
-    """(T(z), phi(T/2, z)) from one cycle detection: the image is the
-    detection's state at T/2, integrated afresh from the start of the step
-    holding it (see ``Trajectory.step_start``), so its error is the
-    propagated solution's and not the dense output's.  ``cycle`` is the
-    cycle through z when the caller has detected it already.  This is the
-    construction's one record: inside a suite scope it is memoized (see
-    :mod:`.memo`), and the period and the image of a point are read from it."""
+def _image_record(cycle: Cycle) -> tuple[float, Point]:
+    """(T, phi(T/2, z)) of the cycle through z: the image is the cycle's
+    state at T/2, one partial step of the propagated solution."""
+    return cycle.period, cycle.trajectory.state(0.5 * cycle.period)
+
+
+def _half_period_image(field: PlanarField, z, cfg: IntegratorConfig) -> tuple[float, Point]:
+    """(T(z), phi(T/2, z)) from one cycle detection (see ``_image_record``).
+    This is the construction's one record: inside a suite scope it is
+    memoized (see :mod:`.memo`), and the period and the image of a point
+    are read from it."""
     z = as_point(z)
+    return memoized(("half_period_image", field, cfg), z,
+                    lambda: _image_record(detect_cycle(field, z, cfg)))
 
-    def advance():
-        cyc = detect_cycle(field, z, cfg) if cycle is None else cycle
-        w, dt = cyc.trajectory.step_start(0.5 * cyc.period)
-        return cyc.period, flow(field, w, dt, cfg)
 
-    return memoized(("half_period_image", field, cfg), z, advance)
+def _keep_half_period_image(field: PlanarField, z, cfg: IntegratorConfig,
+                            cycle: Cycle) -> None:
+    """Store the record of z, read off the cycle through z that the caller
+    has detected, while a suite scope is open."""
+    keep(("half_period_image", field, cfg), as_point(z), lambda: _image_record(cycle))
 
 
 def period(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig()) -> float:

@@ -28,7 +28,7 @@ from .errors import CycleError, EventNotFound, NotASection
 from .expr import PlanarField
 from .flow import IntegratorConfig, Point, as_point, flow
 from .memo import memoized, suite_scope
-from .period import _half_period_image, detect_cycle
+from .period import _half_period_image, _keep_half_period_image, detect_cycle
 from .sections import Section, curve_event, linspace, membership_tol, section_from_points
 from .verify import (
     CheckResult,
@@ -95,12 +95,12 @@ def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, Point, Po
     detection that watches the curve; the cycle must meet the curve once
     per period (no crossing over [0, T) raises EventNotFound, two or more
     NotASection).  The one at t_f gives t_b = t_f - T, and
-    phi(2 tau, z) = phi(t_b + t_f, z) is the cycle's dense output at
-    2 t_f mod T.  Returns (t, z_hit, image, t_b): t is the nearer of t_b
-    and t_f, or +T/2 at a tie (``_TIE_RTOL``), so t is in (-T/2, T/2].
-    Inside a suite scope the result is memoized on (field, section, cfg,
-    z bits), and the detection makes the symmetry's record of z too; z is
-    an (x, y) tuple.
+    phi(2 tau, z) = phi(t_b + t_f, z) is the cycle's state at 2 t_f mod T,
+    a partial step of its propagated solution.  Returns
+    (t, z_hit, image, t_b): t is the nearer of t_b and t_f, or +T/2 at a
+    tie (``_TIE_RTOL``), so t is in (-T/2, T/2].  Inside a suite scope the
+    result is memoized on (field, section, cfg, z bits), and the detection
+    makes the symmetry's record of z too; z is an (x, y) tuple.
     """
 
     def search():
@@ -111,7 +111,7 @@ def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, Point, Po
                 f"{section.label} meets the cycle through ({z[0]:.6g}, {z[1]:.6g}) "
                 f"{len(hits)} times per period; not a global section for this annulus"
             )
-        _half_period_image(field, z, cfg, cyc)
+        _keep_half_period_image(field, z, cfg, cyc)
         hit, t_period = hits[0], cyc.period
         t_b = hit.t - t_period
         image = cyc.trajectory.state((2.0 * hit.t) % t_period)

@@ -58,8 +58,8 @@ class SymmetryInvolution:
 def sigma_symmetric(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig()) -> Point:
     """Advance z half a period along its cycle.
 
-    The cycle detection, which already covers [0, T], names the start of
-    its step holding T/2, and one short flow from there gives the image.
+    The image is the state at T/2 of the cycle detection, which already
+    covers [0, T]: one partial step of its propagated solution.
     """
     return _half_period_image(field, z, cfg)[1]
 

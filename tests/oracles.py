@@ -13,9 +13,10 @@ must reproduce bit for bit.  ``integrate_reference`` is the DOP853 step
 loop and the event scan written on 2-element ndarrays, with the stages
 driven from the tableau read as a table.  It shares the tableau, the step
 limit, Brent's method and the EventHit type with the package; the step
-loop, dense output, event scan and its record
+loop, the cubic screen, the partial steps, the event scan and its record
 (``RefTrajectory``, which keeps the step grid and the state at every
-boundary) are its own.  Event functions take
+boundary) are its own.  It scans every event on every step, where the
+package skips the steps an event's Lipschitz bound rules out.  Event functions take
 ``g(x, y)``; the reference calls them on the numpy scalars of an ndarray
 state.  ``side_reference`` is the signed side function of each curve kind
 on ndarrays, with its own nearest-point Newton iteration; it shares only
@@ -174,12 +175,11 @@ def _tableau(pattern):
     return {row: sorted(terms) for row, terms in rows.items()}
 
 
-# stage rows 2..12 and 14..16, the 8th-order weights, the 5th-order error
-# weights and the dense-output rows 5..8, read off flow's names
+# stage rows 2..12, the 8th-order weights and the 5th-order error weights,
+# read off flow's names
 _REF_A = _tableau(r"_A(\d+)_(\d+)")
 _REF_B = _tableau(r"_B(\d+)")[0]
 _REF_E = _tableau(r"_E(\d+)")[0]
-_REF_D = _tableau(r"_D(\d+)_(\d+)")
 
 
 def _ref_sum(terms, k):
@@ -190,21 +190,30 @@ def _ref_sum(terms, k):
     return total
 
 
-class _RefStep:
-    def __init__(self, s0, h, c):
-        self.s0, self.h = s0, h
-        self.c = c  # the dense-output coefficients c1..c8 as c[0..7]
+def _ref_stages(rhs_s, y, f, h):
+    """The stages k1..k12 of one DOP853 step of length h from y, k1 = f."""
+    k = {1: f}
+    for i in range(2, 13):
+        k[i] = rhs_s(y + h * _ref_sum(_REF_A[i], k))
+    return k
 
-    def at(self, s):
-        c1, c2, c3, c4, c5, c6, c7, c8 = self.c
-        th = (s - self.s0) / self.h
-        if th <= 0.0:
-            return c1.copy()
-        if th >= 1.0:
-            return c1 + c2
-        om = 1.0 - th
-        return c1 + th * (c2 + om * (c3 + th * (c4 + om * (
-            c5 + th * (c6 + om * (c7 + th * c8))))))
+
+class _RefStep:
+    def __init__(self, rhs_s, s0, h, y, f, c):
+        self.rhs_s, self.s0, self.h = rhs_s, s0, h
+        self.y, self.f = y, f
+        self.c = c  # the cubic Hermite coefficients c1..c4 as c[0..3]
+
+    def hermite(self, th):
+        c1, c2, c3, c4 = self.c
+        return c1 + th * (c2 + (1.0 - th) * (c3 + th * c4))
+
+    def state(self, s):
+        """The propagated solution at s: a DOP853 step of length s - s0."""
+        u = s - self.s0
+        if u <= 0.0:
+            return self.y.copy()
+        return self.y + u * _ref_sum(_REF_B, _ref_stages(self.rhs_s, self.y, self.f, u))
 
 
 @dataclass
@@ -238,7 +247,7 @@ class RefTrajectory:
             return self.states[idx]
         if s == self.s_grid[idx + 1]:
             return self.states[idx + 1]
-        return self.steps[idx].at(s)
+        return self.steps[idx].state(s)
 
 
 def _ref_g(ev):
@@ -246,31 +255,56 @@ def _ref_g(ev):
     return lambda z: ev.g(z[0], z[1])
 
 
-def _ref_scan_step(step, events, g_prev, direction, zero_start):
+def _ref_crossed(ga, gb):
+    return (ga < 0.0 < gb) or (ga > 0.0 > gb) or (gb == 0.0 and ga != 0.0)
+
+
+def _ref_scan_step(step, y_end, events, g_prev, direction, zero_start):
+    """Every event scanned on the step: flagged by the cubic's samples and
+    the end state, then sampled and located on the propagated solution.
+    Returns the hits and the number of partial steps taken."""
     hits = []
     s0, h = step.s0, step.h
-    svals = [s0 + (i / F._EVENT_SAMPLES) * h for i in range(1, F._EVENT_SAMPLES + 1)]
+    s1 = s0 + h
+    fractions = [i / F._EVENT_SAMPLES for i in range(1, F._EVENT_SAMPLES + 1)]
+    svals = [s0 + q * h for q in fractions]
+    exact = None
+    partial = {}
+
+    def at(s):
+        if s >= s1:
+            return y_end
+        if s <= s0:
+            return step.state(s)
+        if s not in partial:
+            partial[s] = step.state(s)
+        return partial[s]
+
     for k, ev in enumerate(events):
         g = _ref_g(ev)
         ga = g_prev[k]
+        gvals = [g(step.hermite(q)) for q in fractions[:-1]] + [g(y_end)]
+        if any(_ref_crossed(a, b) for a, b in zip([ga] + gvals[:-1], gvals)):
+            if exact is None:
+                exact = [at(s) for s in svals[:-1]]
+            gvals[:-1] = [g(z) for z in exact]
         sa = s0
-        for s_b in svals:
-            gb = g(step.at(s_b))
+        for s_b, gb in zip(svals, gvals):
             if zero_start[k] is not None:
                 if abs(gb) > zero_start[k]:
                     zero_start[k] = None
                 ga, sa = gb, s_b
                 continue
-            crossed = (ga < 0.0 < gb) or (ga > 0.0 > gb) or (gb == 0.0 and ga != 0.0)
-            if crossed and (ev.direction == 0 or math.copysign(1.0, gb - ga) == ev.direction):
-                s_root = float(F.brent(lambda s: g(step.at(s)), sa, s_b, ga, gb))
-                z_root = step.at(s_root)
+            if _ref_crossed(ga, gb) and (ev.direction == 0
+                                         or math.copysign(1.0, gb - ga) == ev.direction):
+                s_root = float(F.brent(lambda s: g(at(s)), sa, s_b, ga, gb))
+                z_root = at(s_root)
                 if ev.accept is None or ev.accept(z_root):
                     hits.append((s_root, F.EventHit(k, float(direction * s_root), z_root)))
             ga, sa = gb, s_b
         g_prev[k] = ga
     hits.sort(key=lambda item: item[0])
-    return hits
+    return hits, len(partial)
 
 
 def _ref_initial_step(rhs, y0, f0, rtol, atol, s_end):
@@ -323,9 +357,7 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
             raise StepLimitExceeded(
                 f"step limit {F._MAX_STEPS} reached at t={direction * s:.6g}")
         h = min(h, s_end - s)
-        k = {1: f}
-        for i in range(2, 13):
-            k[i] = rhs_s(y + h * _ref_sum(_REF_A[i], k))
+        k = _ref_stages(rhs_s, y, f, h)
         y_new = y + h * _ref_sum(_REF_B, k)
         nfev += 11
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
@@ -335,19 +367,19 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
             h *= max(F._MIN_FACTOR, F._SAFETY * err ** (-1 / 6))
             continue
         k[13] = rhs_s(y_new)
-        for i in range(14, 17):
-            k[i] = rhs_s(y + h * _ref_sum(_REF_A[i], k))
-        nfev += 4
+        nfev += 1
         ydiff = y_new - y
-        step = _RefStep(s, h, [y.copy(), ydiff, h * k[1] - ydiff,
-                               2.0 * ydiff - h * (k[13] + k[1])]
-                        + [h * _ref_sum(_REF_D[r], k) for r in range(5, 9)])
+        step = _RefStep(rhs_s, s, h, y.copy(), k[1],
+                        [y.copy(), ydiff, h * k[1] - ydiff, 2.0 * ydiff - h * (k[13] + k[1])])
         steps.append(step)
         s += h
         boundaries.append(s)
         states.append(y_new.copy())
         if events:
-            for _, hit in _ref_scan_step(step, events, g_prev, direction, zero_start):
+            found, partial = _ref_scan_step(step, y_new, events, g_prev, direction,
+                                            zero_start)
+            nfev += 11 * partial
+            for _, hit in found:
                 hits.append(hit)
                 if events[hit.index].terminal:
                     terminal_hit = hit

@@ -440,6 +440,18 @@ NON_FINITE_CONSTANTS = {
                "section error: section (s, s*1e+308*10.0): curve not finite at s = 0.3"),
 }
 
+# field expressions nested deeper than the parser accepts: (config, the
+# stderr line)
+TOO_DEEP = {
+    "nested-250": ("P = -y\nQ = " + "x+(" * 250 + "x" + ")" * 250
+                   + "\nsection = x-axis [0.2, 1.0]\n",
+                   "config error: inline field: expression nested deeper than 256 levels "
+                   "(offset 256)"),
+    "flat-1200": ("P = -y\nQ = " + "+".join(["x"] * 1200) + "\nsection = x-axis [0.2, 1.0]\n",
+                  "config error: inline field: expression nested deeper than 256 levels "
+                  "(offset 511)"),
+}
+
 # cycles through the outer section points leave the working box
 ESCAPE = ("P = -y\nQ = x\ndomain = [-1, 2, -2, 2]\nsection = x-axis [0.2, 1.4]\n"
           "params = [0.5, 1.3]\nsamples = 4\ntimes = 2\nseed = 7\n")
@@ -457,6 +469,16 @@ class TestOneDriver:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("section error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("case", list(TOO_DEEP))
+    def test_too_deep_expression_exit2(self, tmp_path, capsys, case, command):
+        text, line = TOO_DEEP[case]
+        cfg = write_config(tmp_path / "d.cfg", text + f"out = {tmp_path / 'out'}\n")
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.splitlines() == [line]
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("case", list(NON_FINITE_CONSTANTS))

@@ -15,6 +15,7 @@ from annulus_involutions.errors import (
 )
 from annulus_involutions.expr import (
     _FUNC_IMPL,
+    MAX_DEPTH,
     Bin,
     Call,
     Const,
@@ -120,6 +121,38 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse(f"x + 0*{literal}")
         assert str(exc.value) == f"number {literal!r} is not finite (offset 6)"
+
+    @pytest.mark.parametrize("source, offset", [
+        ("x+(" * 250 + "x" + ")" * 250, 256),
+        ("+".join(["x"] * 1200), 511),
+        ("(" * 5000, 127),
+    ], ids=["nested-250", "flat-1200", "unclosed-5000"])
+    def test_too_deep_rejected(self, source, offset):
+        # refused at the first token whose node would sit too deep, before
+        # the parser or anything walking the tree runs out of frames
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert str(exc.value) == (
+            f"expression nested deeper than {MAX_DEPTH} levels (offset {offset})")
+
+    @pytest.mark.parametrize("make, n", [
+        (lambda n: "+".join(["x"] * n), MAX_DEPTH),
+        (lambda n: "x+(" * n + "x" + ")" * n, 85),
+        (lambda n: "-" * n + "x", 85),
+        (lambda n: "sin(" * n + "x" + ")" * n, 85),
+        (lambda n: "(" * n + "x" + ")" * n, 127),
+        (lambda n: "^".join(["x"] * n), 86),
+    ], ids=["flat", "nested", "signs", "calls", "parentheses", "powers"])
+    def test_deepest_accepted_is_usable(self, make, n):
+        # at the limit (a leaf inside 127 parentheses is 255 deep): one more
+        # level is refused, and the tree compiles, differentiates and prints
+        # back to itself
+        tree = parse(make(n))
+        with pytest.raises(ParseError):
+            parse(make(n + 1))
+        compile_fn((tree,), ("x", "y"))(0.5, 0.25)
+        differentiate(tree, "x")
+        assert parse(to_source(tree)) == tree
 
 
 class TestEvaluate:

@@ -214,9 +214,11 @@ class TestTrajectory:
             assert np.linalg.norm(traj.state(float(t)) - exact) <= 1e-9
 
     def test_stats_counted(self, pendulum, cfg):
+        # without events: the start, the initial step's trial, 11 per attempt
+        # and the end point of each accepted step
         traj = integrate(pendulum.rhs, [1.0, 0.0], 5.0, cfg, bounds=pendulum.contains)
         assert traj.naccepted == len(traj.steps)
-        assert traj.nfev >= 6 * traj.naccepted
+        assert traj.nfev == 2 + 11 * (traj.naccepted + traj.nrejected) + traj.naccepted
         assert traj.nrejected >= 0
 
     def test_out_of_span_query(self, linear_center, cfg):
@@ -229,26 +231,49 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("t_final", [5.0, -5.0], ids=["fwd", "bwd"])
     def test_step_start(self, pendulum, cfg, t_final):
+        # state() inside a step is one DOP853 step of the partial length from
+        # the start of the step holding it, k1 reused: at the full length it
+        # is the kernel's own step end to the bit, and it agrees with a fresh
+        # flow from the step's start
         traj = integrate(pendulum.rhs, [1.0, 0.0], t_final, cfg, bounds=pendulum.contains)
         sign = traj.direction
         grid, states = _boundaries(traj), _boundary_states(traj)
-        # a step boundary is its own start; the span's end is z_final
-        for i in (0, len(traj.steps) // 2):
-            assert traj.step_start(sign * grid[i]) == (states[i], 0.0)
-        assert traj.step_start(t_final) == (traj.z_final, 0.0)
-        # inside a step: its start, and the signed time still to go
+        full = [i for i, st in enumerate(traj.steps) if (st.s0 + st.h) - st.s0 == st.h]
+        assert len(full) >= 3
+        for i in full:
+            st = traj.steps[i]
+            assert st.state(pendulum.rhs, float(sign), st.s0 + st.h) == states[i + 1]
+            assert (st.k1x, st.k1y) == pendulum.rhs(st.c1x, st.c1y)
         i = len(traj.steps) // 3
         step = traj.steps[i]
         t = sign * (step.s0 + 0.37 * step.h)
-        w, dt = traj.step_start(t)
-        assert w == states[i]
+        dt = t - sign * grid[i]
         assert dt * sign > 0.0 and abs(dt) < step.h
-        assert sign * grid[i] + dt == pytest.approx(t, abs=1e-15)
-        assert math.dist(flow(pendulum, w, dt, cfg), traj.state(t)) <= 1e-11
+        assert traj.state(t) == step.state(pendulum.rhs, float(sign), sign * t)
+        assert math.dist(flow(pendulum, states[i], dt, cfg), traj.state(t)) <= 1e-11
         with pytest.raises(ValueError):
-            traj.step_start(2.0 * t_final)
+            traj.state(2.0 * t_final)
         with pytest.raises(ValueError):
-            traj.step_start(-0.5 * t_final)
+            traj.state(-0.5 * t_final)
+
+    @pytest.mark.parametrize("name", ["linear-center", "pendulum"])
+    def test_nfev_counts_every_evaluation(self, name, cfg):
+        # partial steps of the scan and Brent count 11 evaluations each;
+        # state() after the run evaluates the field but is not counted
+        field = builtin_field(name)
+        calls = [0]
+
+        def rhs(x, y):
+            calls[0] += 1
+            return field.rhs(x, y)
+
+        events = [EventSpec(g=lambda x, y: y, terminal=False),
+                  EventSpec(g=lambda x, y: x - 0.3 * y, direction=1, terminal=False)]
+        traj = integrate(rhs, (1.0, 0.3), 9.0, cfg, events, field.contains)
+        assert len(traj.events) >= 3
+        assert calls[0] == traj.nfev > 2 + 12 * traj.naccepted + 11 * traj.nrejected
+        traj.state(0.5)
+        assert calls[0] == traj.nfev + 11
 
 
 class TestEvents:
@@ -339,7 +364,7 @@ class TestEvents:
         ("cubic-center", 0.05, cubic_center_period(0.05)),
     ], ids=["pendulum-3.1", "cubic-center-0.05"])
     def test_every_crossing_over_ten_periods(self, name, a, period, bound, cfg):
-        # three dense-output samples per step must bracket every crossing,
+        # three samples per step must bracket every crossing,
         # also with long steps: near the pendulum's separatrix and on the
         # cubic center's flat orbit near the origin.  From (a, 0) the orbit
         # meets y = 0 every half of the quadrature period, alternately at
@@ -616,19 +641,38 @@ class TestScipyDOP853:
     @pytest.mark.parametrize("name, z0", _SCIPY_CASES, ids=[c[0] for c in _SCIPY_CASES])
     def test_each_step_and_its_dense_output(self, name, z0, cfg):
         # scipy's step from each accepted step's start state, with the same
-        # length, is accepted too, ends where the kernel's does and has the
-        # same 7th-order dense output
+        # length, is accepted too and ends where the kernel's does.  Inside
+        # every fifth step, state() agrees with scipy run to that time at
+        # rtol 1e-13 within the kernel's own largest step-end error there
         field = builtin_field(name)
-        for step in integrate(field.rhs, z0, 40.0, cfg).steps:
+        traj = integrate(field.rhs, z0, 40.0, cfg)
+        ends = _boundary_states(traj)[1:]
+        fine = IntegratorConfig(rtol=1e-13, atol=1e-16)
+
+        def reference(z, s0, s1):
+            sol = scipy_dop853(field, z, s0, s1, fine, None)
+            while sol.status == "running":
+                sol.step()
+            return sol.y
+
+        for step, end in zip(traj.steps, ends):
             s0, h = step.s0, step.h
-            sol = scipy_dop853(field, (step.c1x, step.c1y), s0, s0 + 2.0 * h, cfg, h)
+            z = (step.c1x, step.c1y)
+            sol = scipy_dop853(field, z, s0, s0 + 2.0 * h, cfg, h)
             sol.step()
             assert (sol.t_old, sol.t) == (s0, s0 + h)
-            tol = 1e-13 * (1.0 + math.hypot(step.c1x, step.c1y))
-            assert math.dist(sol.y, step.at(s0 + h)) <= tol
-            dense = sol.dense_output()
-            for q in (0.1, 0.3, 0.5, 0.7, 0.9):
-                assert math.dist(dense(s0 + q * h), step.at(s0 + q * h)) <= tol
+            tol = 1e-13 * (1.0 + math.hypot(*z))
+            assert math.dist(sol.y, end) <= tol
+        end_err = inner_err = 0.0
+        for step, end in list(zip(traj.steps, ends))[::5]:
+            s0, h = step.s0, step.h
+            z = (step.c1x, step.c1y)
+            scale = 1.0 + math.hypot(*z)
+            end_err = max(end_err, math.dist(reference(z, s0, s0 + h), end) / scale)
+            for q in (0.1, 0.5, 0.9):
+                s = s0 + q * h
+                inner_err = max(inner_err, math.dist(reference(z, s0, s), traj.state(s)) / scale)
+        assert 0.0 < inner_err <= end_err <= 1e-13
 
 
 def _counting(ev, calls):
@@ -641,14 +685,14 @@ def _counting(ev, calls):
 
 
 def _reach(step):
-    """The skip's reach of a step: |c2| + ... + |c8|, x terms then y."""
-    return sum(abs(getattr(step, f"c{i}{c}")) for c in "xy" for i in range(2, 9))
+    """The skip's reach of a step: |c2| + |c3| + |c4|, x terms then y."""
+    return sum(abs(getattr(step, f"c{i}{c}")) for c in "xy" for i in range(2, 5))
 
 
 class TestEventSkip:
     """The integrator skips an event's scan on a step whose start value
     clears 2 L B + floor, where L is the event's Lipschitz bound and B the
-    step's reach, its absolute dense-output coefficients c2..c8 summed."""
+    step's reach, its absolute cubic coefficients c2..c4 summed."""
 
     def test_flow_to_event_keeps_the_bound(self, linear_center, cfg):
         # a full scan costs at least 1 + 3 g calls per accepted step
@@ -661,23 +705,22 @@ class TestEventSkip:
 
     @pytest.mark.parametrize("offset", [1e-12, -1e-12], ids=["outside", "inside"])
     def test_tight_margin(self, linear_center, cfg, offset):
-        # the level line y = c puts the value carried into one step a
-        # relative 1e-12 outside or inside that step's margin: only outside
-        # is the step skipped, and the hits of the whole run equal the full
-        # scan's either way.  The step is one whose end sample s0 + h is not
-        # its end state c1 + c2, so the carried value must come from the
-        # sample.  bounds runs once after each accepted step's scan, so it
-        # splits the g calls by step.
+        # the level line y = c puts the value carried into one step, g at its
+        # start state, a relative 1e-12 outside or inside that step's margin:
+        # only outside is the step skipped, and the hits of the whole run
+        # equal the full scan's either way.  The value carried out of the
+        # step is g at its end state, the next step's start.  bounds runs
+        # once after each accepted step's scan, so it splits the g calls by
+        # step.
         z0 = (1.0, 0.0)
         steps = integrate(linear_center.rhs, z0, 9.0, cfg).steps
-        i = next(i for i, st in enumerate(steps)
-                 if i > 0 and st.at(st.s0 + st.h)[1] != st.c1y + st.c2y)
-        step, prev = steps[i], steps[i - 1]
+        i = next(i for i, st in enumerate(steps) if i > 0 and 0.3 < st.c1y < 0.9)
+        step, end = steps[i], (steps[i + 1].c1x, steps[i + 1].c1y)
         reach = _reach(step)
         margin = 2.0 * 1.0 * reach + 1e-12 * (1.0 + abs(step.c1x) + abs(step.c1y))
         c = step.c1y - margin * (1.0 + offset)
         event = EventSpec(g=lambda x, y: y - c, direction=0, terminal=False, lipschitz=1.0)
-        assert (abs(event.g(*prev.at(prev.s0 + prev.h))) > margin) == (offset > 0)
+        assert (abs(event.g(step.c1x, step.c1y)) > margin) == (offset > 0)
 
         seen = [[]]  # g's arguments, one list per accepted step
 
@@ -693,7 +736,6 @@ class TestEventSkip:
                         [dataclasses.replace(event, g=g)], bounds)
         assert got.steps[i].s0 == step.s0 and got.steps[i].h == step.h
         assert len(seen[i]) == (1 if offset > 0 else flow_mod._EVENT_SAMPLES)
-        end = step.at(step.s0 + step.h)
         assert [v.hex() for v in seen[i][-1]] == [v.hex() for v in end]
 
         full = integrate(linear_center.rhs, z0, 9.0, cfg,
@@ -705,8 +747,11 @@ class TestEventSkip:
     @pytest.mark.parametrize("name", builtin_names())
     def test_g_call_identity(self, name, bound, cfg, monkeypatch):
         # detect_cycle's transversal: one g call at the start, one per
-        # skipped step, three per scanned step and one per Brent iterate.  A
-        # step counts as scanned when g saw its first dense-output sample.
+        # skipped step, three per scanned step (two cubic samples and the
+        # end state), two more per flagged step (its partial-step samples)
+        # and one per Brent iterate.  A step counts as scanned when g saw
+        # its first cubic sample, and as flagged when g saw its first
+        # partial-step sample.  Each partial step costs 11 evaluations.
         field = builtin_field(name)
         seen, iterates, runs = [], [0], []
 
@@ -736,11 +781,15 @@ class TestEventSkip:
         [traj] = runs
         points = set(seen)
         q = flow_mod._SAMPLE_FRACTIONS[0]
-        scanned = sum(step.at(step.s0 + q * step.h) in points for step in traj.steps)
-        assert iterates[0] > 0
+        scanned = sum(step.hermite(q) in points for step in traj.steps)
+        flagged = sum(traj.state(step.s0 + q * step.h) in points for step in traj.steps)
+        assert iterates[0] > 0 and flagged >= 2
         if bound is None:
             assert scanned == traj.naccepted
-            assert len(seen) == 1 + 3 * traj.naccepted + iterates[0]
+            assert len(seen) == 1 + 3 * traj.naccepted + 2 * flagged + iterates[0]
         else:
             assert 0 < scanned < traj.naccepted / 2
-            assert len(seen) == 1 + traj.naccepted + 2 * scanned + iterates[0]
+            assert len(seen) == (1 + traj.naccepted + 2 * scanned + 2 * flagged
+                                 + iterates[0])
+        assert traj.nfev == (2 + 12 * traj.naccepted + 11 * traj.nrejected
+                             + 11 * (2 * flagged + iterates[0]))

@@ -52,17 +52,17 @@ def test_nothing_stored_outside_a_scope(linear_center, cfg, integrations):
     assert memo._MEMO.get() is None
     sigma(z)
     sigma.period_of(z)
-    assert integrations[0] == 4  # each call: one detection, one flow to T/2
+    assert integrations[0] == 2  # each call: one detection, read at T/2
     with suite_scope():
         sigma(z)
-        assert integrations[0] == 6
+        assert integrations[0] == 3
         # the period is read from the image's record
         sigma.period_of(z)
-        assert integrations[0] == 6
+        assert integrations[0] == 3
         assert len(memo._MEMO.get()) == 1
     assert memo._MEMO.get() is None
     sigma.period_of(z)
-    assert integrations[0] == 8
+    assert integrations[0] == 4
 
 
 def test_period_is_one_detection_per_call(linear_center, cfg, monkeypatch):
@@ -87,7 +87,7 @@ def test_default_settings_share_the_entry(linear_center, integrations):
     with suite_scope():
         SymmetryInvolution(linear_center).period_of(z)
         sigma_symmetric(linear_center, z, IntegratorConfig())
-        assert integrations[0] == 2  # one detection, one flow to T/2
+        assert integrations[0] == 1  # one detection, read at T/2
 
 
 def test_hit_has_the_bits_of_a_fresh_call(pendulum, cfg):
@@ -130,7 +130,7 @@ def test_nested_scope_reuses_the_outer_one(linear_center, cfg, integrations):
             sigma_symmetric(linear_center, z, cfg)
         assert memo._MEMO.get() is outer and len(outer) == 1
         sigma_symmetric(linear_center, z, cfg)
-    assert integrations[0] == 2  # one detection, one flow to T/2
+    assert integrations[0] == 1  # one detection, read at T/2
 
 
 def test_failure_is_not_stored(linear_center, lc_xaxis, cfg, monkeypatch):
@@ -198,10 +198,32 @@ def test_crossing_record_writes_the_symmetry_record(linear_center, lc_xaxis, cfg
     with suite_scope():
         tau(linear_center, lc_xaxis, z, cfg)
         done = integrations[0]
-        assert done == 4  # the symmetry's two, then the detection and the flow to T/2
+        assert done == 2  # the symmetry's detection, then the crossing's
         assert np.array(sigma_symmetric(linear_center, z, cfg)).tobytes() == \
             np.array(fresh).tobytes()
         assert integrations[0] == done
+
+
+def test_crossing_outside_a_scope_reads_no_image(linear_center, lc_xaxis, cfg, monkeypatch):
+    # with no scope to keep it in, the symmetry's record is not made: tau
+    # evaluates the field once for the transversal's normal, inside its one
+    # detection, and in the one partial step of the crossing record's own
+    # image at 2 t_f mod T, but in no partial step at T/2
+    calls, runs = [0], []
+    field_type, rhs = type(linear_center), type(linear_center).rhs
+    real = period_mod.integrate
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return rhs(self, x, y)
+
+    monkeypatch.setattr(field_type, "rhs", counted)
+    monkeypatch.setattr(period_mod, "integrate",
+                        lambda *args, **kwargs: runs.append(real(*args, **kwargs)) or runs[-1])
+    assert memo._MEMO.get() is None
+    tau(linear_center, lc_xaxis, (0.3, -0.9), cfg)
+    [traj] = runs
+    assert calls[0] == 1 + traj.nfev + 11
 
 
 def test_symmetry_after_reversibility_runs_no_integration(pendulum, cfg, integrations):

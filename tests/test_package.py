@@ -105,14 +105,21 @@ def test_traced_event_counters(kind):
         return sum(c.get(key, 0) for n, c in spans if name in (None, n))
 
     assert total("g.transversal") > 0 and total(f"g.{kind}") > 0
-    assert total("rhs", "flow.integrate") == total("nfev") > 0
-    # each integration evaluates g once at the start, once per dense-output
-    # sample of each accepted step, and once per Brent iterate
+    # the partial steps Brent takes count into nfev; the tracer books
+    # their evaluations to the Brent span inside the integration
+    assert total("rhs", "flow.integrate") + total("rhs", "flow.brent") == total("nfev") > 0
+    # each integration evaluates g once at the start, once per sample of
+    # each accepted step (the cubic's and the end state), and once per
+    # partial step: the samples of a flagged step and the Brent iterates.
+    # A partial step is 11 of nfev beyond 2 per integration, 12 per
+    # accepted and 11 per rejected step
     integrations = sum(1 for n, _ in spans if n == "flow.integrate")
     assert integrations == 2
+    partial, rest = divmod(total("nfev") - 2 * integrations - 12 * total("accepted")
+                           - 11 * total("rejected"), 11)
+    assert rest == 0 and partial > total("brent_iter") > 0
     assert total("g.transversal") + total(f"g.{kind}") == (
-        integrations + mods["flow"]._EVENT_SAMPLES * total("accepted")
-        + total("brent_iter"))
+        integrations + mods["flow"]._EVENT_SAMPLES * total("accepted") + partial)
 
 
 def test_traced_field_condition_matches_untraced():

@@ -169,17 +169,39 @@ def test_event_bound_keeps_hits(cfg, name, x0, y0, ax, ay, angle, length, direct
 @given(u=_unit, t=st.sampled_from([10.0, -10.0]),
        thetas=st.lists(_unit, min_size=1, max_size=8))
 def test_dense_output_stays_within_reach(cfg, name, u, t, thetas):
-    # the skip's certificate: each term of the nested dense output is a
+    # the skip's certificate: each term of the nested cubic is a
     # coefficient times th^a (1 - th)^b <= 1 on [0, 1], so on every accepted
-    # step |x - c1x| + |y - c1y| <= |c2x| + ... + |c8x| + |c2y| + ... + |c8y|
+    # step |x - c1x| + |y - c1y| <= |c2x| + |c3x| + |c4x| + |c2y| + |c3y| + |c4y|
+    # at every sample, and at the end state, which the cubic meets at th = 1
     field = builtin_field(name)
     lo, hi = default_section_range(name)
     traj = integrate(field.rhs, (lo + u * (hi - lo), 0.0), t, cfg, bounds=field.contains)
-    for step in traj.steps:
-        reach = sum(abs(getattr(step, f"c{i}{c}")) for c in "xy" for i in range(2, 9))
-        for th in thetas + [0.0, 1.0]:
-            x, y = step.at(step.s0 + th * step.h)
+    ends = [(st.c1x, st.c1y) for st in traj.steps[1:]] + [traj.z_final]
+    for step, end in zip(traj.steps, ends):
+        reach = sum(abs(getattr(step, f"c{i}{c}")) for c in "xy" for i in range(2, 5))
+        for x, y in [step.hermite(th) for th in thetas + [0.0, 1.0]] + [end]:
             assert abs(x - step.c1x) + abs(y - step.c1y) <= reach
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          phases=NO_SHRINK)
+@given(name=st.sampled_from(builtin_names()), x0=_coord, y0=_coord, ax=_coord, ay=_coord,
+       angle=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+       direction=st.sampled_from([-1, 0, 1]), t=st.sampled_from([7.0, -7.0]),
+       bound=st.booleans())
+def test_hits_lie_on_the_propagated_solution(cfg, name, x0, y0, ax, ay, angle, direction,
+                                             t, bound):
+    # every located root is the trajectory's own state at its time, to the
+    # bit, and its line offset g is at Brent's tolerance times the speed
+    field = builtin_field(name)
+    line = _AffineSegment((ax, ay), (math.cos(angle), math.sin(angle)), 0.0, 1.0, None, None)
+    event = EventSpec(g=line.side, direction=direction, terminal=False,
+                      lipschitz=line.side_lipschitz if bound else None)
+    traj = integrate(field.rhs, (x0, y0), t, cfg, [event], field.contains)
+    for hit in traj.events:
+        assert [v.hex() for v in hit.z] == [v.hex() for v in traj.state(hit.t)]
+        speed = math.hypot(*field.rhs(*hit.z))
+        assert abs(line.side(*hit.z)) <= 2e-13 * (1.0 + speed) * (1.0 + abs(hit.t))
 
 
 # curves for the nearest-vertex search: the parabola (s, s^2) on [-1, 1] has

@@ -18,7 +18,7 @@ from annulus_involutions.symmetry import (
 )
 from annulus_involutions.verify import annulus_points
 
-from oracles import T_PENDULUM_HALF_PI, uniqueness_probe_reference
+from oracles import T_PENDULUM_HALF_PI, scipy_dop853, uniqueness_probe_reference
 
 
 class TestSigmaSymmetric:
@@ -66,24 +66,35 @@ class TestSigmaSymmetric:
             self.test_two_wells_on_one_energy_level(cfg)
 
 
+def _step_holding(traj, s):
+    """The accepted step of a forward trajectory that holds time s."""
+    return next(st for st in reversed(traj.steps) if st.s0 <= s)
+
+
 class TestImageAccuracy:
-    """The image is the cycle detection's state at T/2 integrated afresh
-    from the start of the step holding it, not its dense output."""
+    """The image is the cycle detection's propagated solution at T/2: one
+    partial step from the start of the step holding it, not an interpolant
+    of that step."""
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_image_is_flow_from_step_start(self, name, cfg):
         field = builtin_field(name)
         z = (0.8, 0.3)
         cyc = detect_cycle(field, z, cfg)
-        w, dt = cyc.trajectory.step_start(0.5 * cyc.period)
-        assert dt > 0.0
-        assert sigma_symmetric(field, z, cfg) == flow(field, w, dt, cfg)
+        half = 0.5 * cyc.period
+        step = _step_holding(cyc.trajectory, half)
+        assert step.s0 < half < step.s0 + step.h
+        image = sigma_symmetric(field, z, cfg)
+        assert image == cyc.trajectory.state(half) == step.state(field.rhs, 1.0, half)
+        start = (step.c1x, step.c1y)
+        assert math.dist(image, flow(field, start, half - step.s0, cfg)) <= 1e-12
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_energy_error_below_dense_output(self, name, cfg):
-        # 16 points at amplitudes 0.25 .. 1.9; the dense output's largest
-        # energy error is 3.7 (pendulum) to 84 (linear-center) times the
-        # image's
+        # 16 points at amplitudes 0.25 .. 1.9; the largest energy error of
+        # DOP853's 7th-order dense output of the same step (scipy's, from
+        # the step's start) is 3.6 (pendulum) to 78 (linear-center) times
+        # the image's
         field = builtin_field(name)
         image_err = dense_err = 0.0
         for k in range(16):
@@ -92,7 +103,12 @@ class TestImageAccuracy:
             cyc = detect_cycle(field, z, cfg)
             h = field.energy(z)
             image_err = max(image_err, abs(field.energy(sigma_symmetric(field, z, cfg)) - h))
-            dense = cyc.trajectory.state(0.5 * cyc.period)
+            half = 0.5 * cyc.period
+            step = _step_holding(cyc.trajectory, half)
+            sol = scipy_dop853(field, (step.c1x, step.c1y), step.s0, step.s0 + 2.0 * step.h,
+                               cfg, step.h)
+            sol.step()
+            dense = sol.dense_output()(half)
             dense_err = max(dense_err, abs(field.energy(dense) - h))
         assert image_err <= 0.5 * dense_err
 

@@ -9,12 +9,13 @@ than unary minus, so ``-x^2`` means ``-(x^2)``)::
     power := atom ('^' unary)?
     atom  := NUMBER | IDENT '(' expr ')' | IDENT | '(' expr ')'
 
-Recognized functions: sin, cos, tan, exp, log, sqrt, abs.  The printer and
-evaluator additionally understand ``sign``, which differentiating ``abs``
-produces.  Identifiers other than the declared variables are rejected at
-parse time, so no free names survive into an AST.
+The functions are the keys of ``_FUNC_IMPL``: sin, cos, tan, exp, log,
+sqrt, abs, and sign, which differentiating ``abs`` produces.  Identifiers
+other than the declared variables are rejected at parse time, so no free
+names survive into an AST.
 
-Evaluation goes through generated Python code: ``compile_fn`` turns a tuple
+Evaluation goes through generated Python code, the :func:`to_source` text
+with calls and powers spelled as Python calls: ``compile_fn`` turns a tuple
 of ASTs into one function that returns their values (a section's curve,
 its first and second derivatives form one such tuple), and each field's P
 and Q are fused with their domain and finiteness checks behind
@@ -27,11 +28,13 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Union
 
 from .errors import (
     ConfigError,
     DomainError,
+    ExpressionError,
     LexicalError,
     ParseError,
     UnknownFunctionError,
@@ -91,13 +94,6 @@ class Call:
 
 ExprAst = Union[Const, Var, Neg, Bin, Call]
 
-_PARSE_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "sign")
-
-
-def _sign(v: float) -> float:
-    return float((v > 0.0) - (v < 0.0))
-
-
 _FUNC_IMPL = {
     "sin": math.sin,
     "cos": math.cos,
@@ -106,7 +102,7 @@ _FUNC_IMPL = {
     "log": math.log,
     "sqrt": math.sqrt,
     "abs": math.fabs,
-    "sign": _sign,
+    "sign": lambda v: float((v > 0.0) - (v < 0.0)),  # sign(0) = 0
 }
 
 
@@ -119,8 +115,15 @@ class Token:
     offset: int  # byte offset into the UTF-8 source
 
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# one named group per token kind, after any whitespace
+_TOKEN_RE = re.compile(r"""\s*(?:
+      (?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<op>[-+*/^])
+    | (?P<lparen>\()
+    | (?P<rparen>\))
+    | (?P<comma>,)
+)?""", re.VERBOSE)
 
 
 def _byte_offset(source: str, index: int) -> int:
@@ -130,49 +133,27 @@ def _byte_offset(source: str, index: int) -> int:
 def tokenize(source: str) -> list[Token]:
     """Split source into number/identifier/operator tokens, skipping whitespace."""
     tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        off = _byte_offset(source, i)
-        if not ch.isascii():  # every variable and function name is ASCII
-            raise LexicalError(f"unexpected character {ch!r}", off)
-        if ch.isdigit() or ch == ".":
-            m = _NUMBER_RE.match(source, i)
-            if m is None:
-                raise LexicalError(f"malformed number starting with {ch!r}", off)
-            tokens.append(Token("num", m.group(), off))
-            i = m.end()
-        elif ch.isalpha() or ch == "_":
-            m = _IDENT_RE.match(source, i)
-            tokens.append(Token("ident", m.group(), off))
-            i = m.end()
-        elif ch in "+-*/^":
-            tokens.append(Token("op", ch, off))
-            i += 1
-        elif ch == "(":
-            tokens.append(Token("lparen", ch, off))
-            i += 1
-        elif ch == ")":
-            tokens.append(Token("rparen", ch, off))
-            i += 1
-        elif ch == ",":
-            tokens.append(Token("comma", ch, off))
-            i += 1
-        else:
-            raise LexicalError(f"unexpected character {ch!r}", off)
-    return tokens
+    i = 0
+    while True:
+        m = _TOKEN_RE.match(source, i)
+        kind, i = m.lastgroup, m.end()
+        if kind is None:
+            if i == len(source):
+                return tokens
+            ch = source[i]  # every token is ASCII, and a number needs a digit
+            what = "malformed number starting with" if ch == "." else "unexpected character"
+            raise LexicalError(f"{what} {ch!r}", _byte_offset(source, i))
+        tokens.append(Token(kind, m.group(kind), _byte_offset(source, m.start(kind))))
 
 
 # --- parser ----------------------------------------------------------------
 
 # The deepest expression ``parse`` accepts.  Depth counts, along any path
-# from the root to a leaf, one level per tree node and two more per pair of
-# parentheses, whether written (grouping, a call's argument) or emitted by
-# the compiler (a call, a sign, a power).  Printing, compiling, hashing and
-# differentiating a tree recurse once per node, and the recursive-descent
+# from the root to a leaf, one level per tree node, two more per pair of
+# written parentheses (grouping, a call's argument) and two more per call,
+# sign or power, though generated code, being the source text, puts a sign
+# in parentheses only around a sum or product.  Printing, compiling, hashing
+# and differentiating a tree recurse once per node, and the recursive-descent
 # parser takes at most five frames per two levels, so all of them stay well
 # inside the interpreter's default 1000 frames; the generated code nests at
 # most 128 parentheses, below CPython's limit of 200.  A flat sum of 250
@@ -202,12 +183,10 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
+    def expect(self, kind: str) -> None:
         tok = self.advance()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.text!r}", tok.offset)
-        return tok
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.offset)
 
     def _too_deep(self, tok: Token) -> ParseError:
         return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", tok.offset)
@@ -282,7 +261,7 @@ class _Parser:
         if tok.kind == "ident":
             nxt = self.peek()
             if nxt is not None and nxt.kind == "lparen":
-                if tok.text not in _PARSE_FUNCTIONS:
+                if tok.text not in _FUNC_IMPL:
                     raise UnknownFunctionError(f"unknown function {tok.text!r}", tok.offset)
                 self.advance()
                 arg, d = self.nested(3, self.expr, tok)
@@ -311,79 +290,64 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 def _prec(e: ExprAst) -> int:
     if isinstance(e, Bin):
         return _PRECEDENCE[e.op]
-    if isinstance(e, Neg):
-        return 3
+    if isinstance(e, Neg) or (isinstance(e, Const) and math.copysign(1.0, e.value) < 0):
+        return 3  # a negative constant prints with its sign
     return 5
 
 
-def to_source(e: ExprAst) -> str:
-    """Render an AST back to parseable text; reparsing yields an identical tree."""
+def _source(e: ExprAst, python: bool) -> str:
+    """The tree as grammar text, or as the Python the compiler runs: a call
+    spelled ``_fn_<name>(...)`` and ``a^b`` as ``_fn_pow(a, b)``.  Python
+    ranks a sign above ``*`` and ``/`` as the grammar does, so both place
+    parentheses only where precedence needs them and keep every operation
+    and its order."""
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Call):
-        return f"{e.fn}({to_source(e.arg)})"
+        return f"{'_fn_' if python else ''}{e.fn}({_source(e.arg, python)})"
     if isinstance(e, Neg):
-        inner = to_source(e.arg)
-        if _prec(e.arg) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    assert isinstance(e, Bin)
-    p = _PRECEDENCE[e.op]
-    left = to_source(e.left)
-    right = to_source(e.right)
-    if e.op == "^":
-        # right-associative: parenthesize the left operand unless it is atomic
-        if _prec(e.left) <= p:
-            left = f"({left})"
-        if _prec(e.right) < p:
-            right = f"({right})"
-    else:
-        if _prec(e.left) < p:
-            left = f"({left})"
-        if _prec(e.right) <= p:
-            right = f"({right})"
+        inner = _source(e.arg, python)
+        return f"-({inner})" if _prec(e.arg) < 3 else f"-{inner}"
+    left, right = _source(e.left, python), _source(e.right, python)
+    if e.op == "^" and python:
+        return f"_fn_pow({left}, {right})"
+    # ^ groups to the right and the others to the left, so an operand of the
+    # same rank needs parentheses on the other side
+    p, rightward = _PRECEDENCE[e.op], e.op == "^"
+    if _prec(e.left) < p + rightward:
+        left = f"({left})"
+    if _prec(e.right) < p + (not rightward):
+        right = f"({right})"
     return f"{left} {e.op} {right}" if e.op in "+-" else f"{left}{e.op}{right}"
 
 
+def to_source(e: ExprAst) -> str:
+    """Render an AST as parseable text.  Reparsing the text of a tree that
+    :func:`parse` returned yields an identical tree; any other tree reparses
+    to one of the same value (``differentiate`` folds negative constants, so
+    ``0.5*x^(-0.5)`` reparses with ``Neg(Const(0.5))`` for ``Const(-0.5)``)."""
+    return _source(e, python=False)
+
+
 # --- compilation and evaluation ---------------------------------------------
-
-def _emit(e: ExprAst) -> str:
-    """Python source for the tree.  An operand of ``+ - * /`` or of a
-    negation is parenthesized only where Python's precedence needs it, by
-    the rule of :func:`to_source`, so a flat sum stays flat and the
-    compiler's limit on nested parentheses binds only on nesting the tree
-    has."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        arg = _emit(e.arg)
-        return f"(-({arg}))" if _prec(e.arg) < 3 else f"(-{arg})"
-    if isinstance(e, Call):
-        return f"_fn_{e.fn}({_emit(e.arg)})"
-    assert isinstance(e, Bin)
-    if e.op == "^":
-        return f"_fn_pow({_emit(e.left)}, {_emit(e.right)})"
-    # a negation, a power and the leaves emit atoms, and they rank above * and /
-    p = _PRECEDENCE[e.op]
-    left, right = _emit(e.left), _emit(e.right)
-    if _prec(e.left) < p:
-        left = f"({left})"
-    if _prec(e.right) <= p:
-        right = f"({right})"
-    return f"{left} {e.op} {right}"
-
 
 # raised by compiled expressions outside their real domain (sqrt(-1), exp(1000))
 _MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
+@lru_cache(maxsize=None)
 def _exec(src: str, name: str) -> Callable:
     """Define ``name`` by executing generated source, with the function
-    implementations the emitted code calls in its namespace."""
+    implementations the emitted code calls in its namespace.  Cached by the
+    text, not the trees: ``Const(-0.0) == Const(0.0)``, but their texts and
+    results differ.  Text nested deeper than the 200 parentheses CPython
+    compiles (a section's second derivatives can be) is an ExpressionError."""
+    nesting = max(accumulate((c == "(") - (c == ")") for c in src))
+    if nesting > 200:
+        raise ExpressionError(f"expression too deep to compile: {nesting} nested "
+                              "parentheses, above Python's limit of 200")
     ns = {f"_fn_{fn}": impl for fn, impl in _FUNC_IMPL.items()}
     ns["_fn_pow"] = math.pow
     ns.update(_MATH_ERRORS=_MATH_ERRORS, DomainError=DomainError, _isfinite=math.isfinite)
@@ -391,7 +355,6 @@ def _exec(src: str, name: str) -> Callable:
     return ns[name]
 
 
-@lru_cache(maxsize=None)
 def compile_fn(exprs: tuple[ExprAst, ...],
                variables: tuple[str, ...] = ("x", "y")) -> Callable[..., tuple[float, ...]]:
     """Compile a tuple of ASTs into one plain positional-argument function
@@ -402,7 +365,7 @@ def compile_fn(exprs: tuple[ExprAst, ...],
     calls.  Domain failures surface as one of ``_MATH_ERRORS``, which
     :func:`evaluate` maps to DomainError.
     """
-    values = "".join(f"{_emit(e)}, " for e in exprs)
+    values = "".join(f"{_source(e, python=True)}, " for e in exprs)
     return _exec(f"def _compiled({', '.join(variables)}):\n    return ({values})\n",
                  "_compiled")
 
@@ -414,8 +377,8 @@ def _compile_rhs(p: ExprAst, q: ExprAst) -> Callable[[float, float], tuple[float
     return _exec(
         "def _rhs(x, y):\n"
         "    try:\n"
-        f"        px = {_emit(p)}\n"
-        f"        qy = {_emit(q)}\n"
+        f"        px = {_source(p, python=True)}\n"
+        f"        qy = {_source(q, python=True)}\n"
         "    except _MATH_ERRORS as exc:\n"
         "        raise DomainError(f'field evaluation failed at ({x}, {y}): {exc}') from exc\n"
         "    if not (_isfinite(px) and _isfinite(qy)):\n"
@@ -438,8 +401,8 @@ def evaluate(e: ExprAst, x: float, y: float) -> float:
 
 # --- differentiation --------------------------------------------------------
 
-def _is_const(e: ExprAst, v: float | None = None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
+def _is_const(e: ExprAst, v: float) -> bool:
+    return isinstance(e, Const) and e.value == v
 
 
 def _fold(op: str, a: ExprAst, b: ExprAst, value: Callable[[float, float], float]) -> ExprAst:
@@ -494,6 +457,19 @@ def _pow(a: ExprAst, b: ExprAst) -> ExprAst:
     return Bin("^", a, b)
 
 
+# each function's derivative, as a tree in its argument u
+_OUTER_DERIVATIVE = {
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: Neg(Call("sin", u)),
+    "tan": lambda u: _div(Const(1.0), _pow(Call("cos", u), Const(2.0))),
+    "exp": lambda u: Call("exp", u),
+    "log": lambda u: _div(Const(1.0), u),
+    "sqrt": lambda u: _div(Const(1.0), _mul(Const(2.0), Call("sqrt", u))),
+    "abs": lambda u: Call("sign", u),
+    "sign": lambda u: Const(0.0),
+}
+
+
 def differentiate(e: ExprAst, var: str) -> ExprAst:
     """Symbolic partial derivative with respect to ``var``.
 
@@ -526,27 +502,7 @@ def differentiate(e: ExprAst, var: str) -> ExprAst:
         logterm = _add(_mul(dv, Call("log", u)), _div(_mul(v, du), u))
         return _mul(_pow(u, v), logterm)
     assert isinstance(e, Call)
-    u = e.arg
-    du = differentiate(u, var)
-    if e.fn == "sin":
-        outer: ExprAst = Call("cos", u)
-    elif e.fn == "cos":
-        outer = Neg(Call("sin", u))
-    elif e.fn == "tan":
-        outer = _div(Const(1.0), _pow(Call("cos", u), Const(2.0)))
-    elif e.fn == "exp":
-        outer = Call("exp", u)
-    elif e.fn == "log":
-        outer = _div(Const(1.0), u)
-    elif e.fn == "sqrt":
-        outer = _div(Const(1.0), _mul(Const(2.0), Call("sqrt", u)))
-    elif e.fn == "abs":
-        outer = Call("sign", u)
-    elif e.fn == "sign":
-        return Const(0.0)
-    else:  # pragma: no cover - parser rejects unknown functions
-        raise UnknownFunctionError(f"cannot differentiate {e.fn!r}")
-    return _mul(outer, du)
+    return _mul(_OUTER_DERIVATIVE[e.fn](e.arg), differentiate(e.arg, var))
 
 
 # --- planar fields -----------------------------------------------------------

@@ -66,9 +66,10 @@ absorb rounding in g and in B.  The skip is exact only if L is a true
 bound; a value that is too small can drop crossings.
 
 ``IntegratorConfig`` holds the two step-control settings, ``rtol`` and
-``atol``.  Every integration is capped at ``_MAX_STEPS`` step attempts,
-and every search for a crossing or a return looks no further than
-``MAX_HORIZON`` time units.
+``atol``.  Every integration is capped at ``_MAX_STEPS`` = 100 000 step
+attempts, Hairer's default, so a stalled or stiff integration stops in
+seconds and in little memory, and every search for a crossing or a return
+looks no further than ``MAX_HORIZON`` time units.
 """
 
 from __future__ import annotations
@@ -180,8 +181,8 @@ _BRENT_MAXITER = 200
 _EVENT_SAMPLES = 3
 _SAMPLE_FRACTIONS = tuple(i / _EVENT_SAMPLES for i in range(1, _EVENT_SAMPLES + 1))
 
-# accepted plus rejected step attempts per integration
-_MAX_STEPS = 10_000_000
+# accepted plus rejected step attempts per integration (Hairer's NMAX)
+_MAX_STEPS = 100_000
 # longest time any crossing or return search integrates
 MAX_HORIZON = 1e4
 

@@ -249,6 +249,22 @@ out = {tmp_path / 'out'}
         assert main(["period", "--config", cfg]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "PASS 2/2"
 
+    def test_stalled_integration_stops_at_the_step_limit(self, tmp_path, capsys):
+        # Q = x^(-1) is singular at x = 0: the orbit from (0.383994, 0)
+        # stalls at t = 0.481265, where x = 3.7e-162, and the sample fails
+        # at the step cap instead of filling memory with steps
+        cfg = write_config(tmp_path / "stall.cfg", f"""
+P = -y
+Q = x^(-1)
+section = x-axis [0.2, 0.5]
+params = [0.383994]
+out = {tmp_path / 'out'}
+""")
+        assert main(["period", "--config", cfg]) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "FAIL 0/1"
+        assert "step limit 100000" in captured.err and "Traceback" not in captured.err
+
     def test_missing_config(self, capsys):
         assert main(["period", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
@@ -440,7 +456,8 @@ NON_FINITE_CONSTANTS = {
                "section error: section (s, s*1e+308*10.0): curve not finite at s = 0.3"),
 }
 
-# field expressions nested deeper than the parser accepts: (config, the
+# field expressions nested deeper than the parser accepts, and a section
+# whose second derivatives nest deeper than Python compiles: (config, the
 # stderr line)
 TOO_DEEP = {
     "nested-250": ("P = -y\nQ = " + "x+(" * 250 + "x" + ")" * 250
@@ -450,6 +467,10 @@ TOO_DEEP = {
     "flat-1200": ("P = -y\nQ = " + "+".join(["x"] * 1200) + "\nsection = x-axis [0.2, 1.0]\n",
                   "config error: inline field: expression nested deeper than 256 levels "
                   "(offset 511)"),
+    "section-derivatives": ("field = linear-center\nsx = s\nsy = " + "s/(" * 63 + "s"
+                            + ")" * 63 + "\nsection_range = [0.5, 0.6]\n",
+                            "section error: expression too deep to compile: 251 nested "
+                            "parentheses, above Python's limit of 200"),
 }
 
 # cycles through the outer section points leave the working box

@@ -1,5 +1,6 @@
 import math
 import operator
+import string
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from annulus_involutions.errors import (
 )
 from annulus_involutions.expr import (
     _FUNC_IMPL,
+    _source,
     MAX_DEPTH,
     Bin,
     Call,
@@ -73,6 +75,38 @@ class TestTokenize:
 
     def test_offsets_are_bytes(self):
         assert [t.offset for t in tokenize("x + y")] == [0, 2, 4]
+
+    def test_every_code_point(self):
+        # each character after an ideographic space (three UTF-8 bytes):
+        # whitespace is skipped, an ASCII token character is its token, a
+        # lone "." is a malformed number and anything else is unexpected
+        kinds = {**dict.fromkeys(string.digits, "num"),
+                 **dict.fromkeys(string.ascii_letters + "_", "ident"),
+                 **dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen", ",": "comma"}
+        wrong = []
+        for c in range(0x110000):
+            ch = chr(c)
+            try:
+                got = [(t.kind, t.text, t.offset) for t in tokenize("\u3000" + ch)]
+            except LexicalError as exc:
+                got = (str(exc), exc.offset)
+            if ch.isspace():
+                want = []
+            elif ch in kinds:
+                want = [(kinds[ch], ch, 3)]
+            elif ch == ".":
+                want = ("malformed number starting with '.' (offset 3)", 3)
+            else:
+                want = (f"unexpected character {ch!r} (offset 3)", 3)
+            if got != want:
+                wrong.append((hex(c), got, want))
+        assert wrong == []
+
+    @pytest.mark.parametrize("after", ["", "x", "e5", ".", "+1", " 1", "\u00e9", "\u3000"])
+    def test_dot_without_digit_is_malformed(self, after):
+        with pytest.raises(LexicalError) as exc:
+            tokenize("y + ." + after)
+        assert str(exc.value) == "malformed number starting with '.' (offset 4)"
 
 
 class TestParse:
@@ -178,6 +212,13 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(parse("exp(x)"), 1e9, 0.0)
 
+    def test_signed_zero_constants_compile_apart(self):
+        # the two trees compare equal, so a cache keyed by the trees would
+        # hand the second the first one's function
+        assert Const(-0.0) == Const(0.0)
+        assert math.copysign(1.0, compile_fn((Const(0.0),))(0.0, 0.0)[0]) == 1.0
+        assert math.copysign(1.0, compile_fn((Const(-0.0),))(0.0, 0.0)[0]) == -1.0
+
     def test_purity_bit_identical(self):
         e = parse("sin(x)*cos(y) + x^3/(1 + y^2)")
         vals = {evaluate(e, 0.7310987, -1.2345678) for _ in range(50)}
@@ -269,8 +310,9 @@ def _outcome(fn, *args):
     return float(value).hex()
 
 
+# constants of either sign: differentiate and its folding make negative ones
 _trees = st.recursive(
-    st.one_of(st.floats(min_value=0.0, max_value=1e3).map(Const),
+    st.one_of(st.floats(min_value=-1e3, max_value=1e3).map(Const),
               st.sampled_from([Var("x"), Var("y")])),
     lambda children: st.one_of(
         st.builds(Neg, children),
@@ -287,6 +329,45 @@ def test_compiled_arithmetic_is_the_trees(tree, x, y):
     # the operations and their order, and so every bit, stay the tree's
     compiled = compile_fn((tree,), ("x", "y"))
     assert _outcome(lambda: compiled(x, y)[0]) == _outcome(_walk, tree, x, y)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tree=_trees, x=_arg, y=_arg)
+def test_compiled_derivatives_are_the_trees(tree, x, y):
+    for var in ("x", "y"):
+        d = differentiate(tree, var)
+        compiled = compile_fn((d,), ("x", "y"))
+        assert _outcome(lambda: compiled(x, y)[0]) == _outcome(_walk, d, x, y)
+
+
+def _has_power(e):
+    if isinstance(e, Bin):
+        return e.op == "^" or _has_power(e.left) or _has_power(e.right)
+    return isinstance(e, (Neg, Call)) and _has_power(e.arg)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tree=_trees)
+def test_compiled_source_is_the_printed_source(tree):
+    # one printer: the compiler's text is to_source's, with calls prefixed
+    # (and a power spelled as a call, so trees with one are left out)
+    if not _has_power(tree):
+        assert _source(tree, python=True).replace("_fn_", "") == to_source(tree)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tree=_trees, x=_arg, y=_arg)
+def test_printed_trees_reparse_to_the_same_values(tree, x, y):
+    # a negative constant comes back as a sign of its magnitude, with the
+    # same bits; on the left of ^ it keeps its parentheses
+    assert _outcome(_walk, parse(to_source(tree)), x, y) == _outcome(_walk, tree, x, y)
+
+
+def test_folded_negative_constant_prints_as_a_sign():
+    d = differentiate(parse("x^0.5"), "x")
+    assert to_source(d) == "0.5*x^(-0.5)"
+    assert parse(to_source(d)) == Bin("*", Const(0.5), Bin("^", Var("x"), Neg(Const(0.5))))
+    assert to_source(Bin("^", Const(-2.0), Var("x"))) == "(-2.0)^x"
 
 
 def test_long_flat_sum_compiles():

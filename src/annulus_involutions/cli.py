@@ -13,7 +13,8 @@ known failure modes: section parse and validation failures, and the
 numerical failures in ``errors.SAMPLE_FAILURES``.  A sample whose sigma
 fails is left out of the pairs CSV with one stderr line.  One command run
 is one memo scope (see :mod:`.memo`), so the checks and the pairs CSV
-share each point's cycle detection and section crossings.
+share each point's cycle detection and section crossings, or their
+failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,8 +65,7 @@ class RunConfig:
     section_grid: int
     section_label: str
     params: list[float] | None
-    rtol: float
-    atol: float
+    cfg: IntegratorConfig
     samples: int
     times: int
     seed: int
@@ -212,8 +211,10 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
     raw = dict(entries)
     raw["rtol"] = repr(rtol)
     raw["seed"] = repr(seed)
-    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):  # NaN fails too
-        raise ConfigError(f"tolerances must be positive and finite (rtol {rtol!r}, atol {atol!r})")
+    try:
+        cfg = IntegratorConfig(rtol=rtol, atol=atol)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} (rtol {rtol!r}, atol {atol!r})") from exc
     return RunConfig(
         field=field,
         section_sx=sx,
@@ -222,8 +223,7 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
         section_grid=_parse_number(entries, "section_grid", 33, int),
         section_label=label,
         params=params,
-        rtol=rtol,
-        atol=atol,
+        cfg=cfg,
         samples=samples,
         times=times,
         seed=seed,
@@ -375,7 +375,6 @@ def _run(config: RunConfig, command: str) -> int:
     files written.
     """
     body, seed_only = _COMMANDS[command]
-    cfg = IntegratorConfig(rtol=config.rtol, atol=config.atol)
     try:
         section = config.build_section()
     except (ExpressionError, SectionError) as exc:
@@ -384,7 +383,7 @@ def _run(config: RunConfig, command: str) -> int:
         return _fail(EXIT_CONFIG, f"section error: {exc}")
     with suite_scope():
         try:
-            (npass, total), files, errors = body(config, section, cfg)
+            (npass, total), files, errors = body(config, section, config.cfg)
         except TransversalityError as exc:
             return _fail(EXIT_TRANSVERSALITY, f"transversality error: {exc}")
         except SAMPLE_FAILURES as exc:

@@ -66,10 +66,13 @@ absorb rounding in g and in B.  The skip is exact only if L is a true
 bound; a value that is too small can drop crossings.
 
 ``IntegratorConfig`` holds the two step-control settings, ``rtol`` and
-``atol``.  Every integration is capped at ``_MAX_STEPS`` = 100 000 step
-attempts, Hairer's default, so a stalled or stiff integration stops in
-seconds and in little memory, and every search for a crossing or a return
-looks no further than ``MAX_HORIZON`` time units.
+``atol``.  As in Hairer's code, an integration stops with
+``StepLimitExceeded`` when a step is too small to advance t, 0.1 h <= t *
+uround, tested before the step is clamped to the end of the span; one
+whose steps still advance is capped at ``_MAX_STEPS`` = 100 000 step
+attempts, Hairer's default, so a stiff integration stops in seconds and
+in little memory.  Every search for a crossing or a return looks no
+further than ``MAX_HORIZON`` time units.
 """
 
 from __future__ import annotations
@@ -181,8 +184,11 @@ _BRENT_MAXITER = 200
 _EVENT_SAMPLES = 3
 _SAMPLE_FRACTIONS = tuple(i / _EVENT_SAMPLES for i in range(1, _EVENT_SAMPLES + 1))
 
-# accepted plus rejected step attempts per integration (Hairer's NMAX)
+# accepted plus rejected step attempts per integration (Hairer's NMAX); a
+# step that no longer advances t stops sooner, by the step-size test
 _MAX_STEPS = 100_000
+# unit roundoff of a double, Hairer's UROUND
+_UROUND = 2.220446049250313e-16
 # longest time any crossing or return search integrates
 MAX_HORIZON = 1e4
 
@@ -347,7 +353,7 @@ def brent(f, a, b, fa=None, fb=None):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * 2.220446049250313e-16 * abs(b) + 0.5 * _BRENT_XTOL
+        tol = 2.0 * _UROUND * abs(b) + 0.5 * _BRENT_XTOL
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
@@ -542,6 +548,10 @@ def integrate(
         if attempts >= _MAX_STEPS:
             raise StepLimitExceeded(
                 f"step limit {_MAX_STEPS} reached at t={direction * s:.6g}"
+            )
+        if 0.1 * h <= s * _UROUND:
+            raise StepLimitExceeded(
+                f"step size {h:.3g} too small at t={direction * s:.6g}"
             )
         attempts += 1
         rest = s_end - s

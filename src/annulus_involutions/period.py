@@ -15,7 +15,7 @@ from typing import Sequence
 from .errors import SAMPLE_FAILURES, CriticalPointError, DomainEscape, NotACycle
 from .expr import PlanarField
 from .flow import MAX_HORIZON, EventSpec, IntegratorConfig, Point, Trajectory, as_point, integrate
-from .memo import keep, memoized
+from .memo import memoized
 
 __all__ = ["Cycle", "AnnulusSample", "detect_cycle", "period", "sample_annulus"]
 
@@ -80,27 +80,21 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig
                  closure_residual=closure)
 
 
-def _image_record(cycle: Cycle) -> tuple[float, Point]:
-    """(T, phi(T/2, z)) of the cycle through z: the image is the cycle's
-    state at T/2, one partial step of the propagated solution."""
-    return cycle.period, cycle.trajectory.state(0.5 * cycle.period)
-
-
-def _half_period_image(field: PlanarField, z, cfg: IntegratorConfig) -> tuple[float, Point]:
-    """(T(z), phi(T/2, z)) from one cycle detection (see ``_image_record``).
-    This is the construction's one record: inside a suite scope it is
-    memoized (see :mod:`.memo`), and the period and the image of a point
-    are read from it."""
+def _half_period_image(field: PlanarField, z, cfg: IntegratorConfig,
+                       cycle: Cycle | None = None) -> tuple[float, Point]:
+    """(T(z), phi(T/2, z)): the image is the state at T/2 of the cycle
+    through z, one partial step of its propagated solution.  The cycle is
+    detected here unless the caller has detected it (``cycle``).  This is
+    the construction's one record: inside a suite scope it is memoized,
+    failure included (see :mod:`.memo`), and the period and the image of
+    a point are read from it."""
     z = as_point(z)
-    return memoized(("half_period_image", field, cfg), z,
-                    lambda: _image_record(detect_cycle(field, z, cfg)))
 
+    def record():
+        cyc = detect_cycle(field, z, cfg) if cycle is None else cycle
+        return cyc.period, cyc.trajectory.state(0.5 * cyc.period)
 
-def _keep_half_period_image(field: PlanarField, z, cfg: IntegratorConfig,
-                            cycle: Cycle) -> None:
-    """Store the record of z, read off the cycle through z that the caller
-    has detected, while a suite scope is open."""
-    keep(("half_period_image", field, cfg), as_point(z), lambda: _image_record(cycle))
+    return memoized(("half_period_image", field, cfg), z, record)
 
 
 def period(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig()) -> float:

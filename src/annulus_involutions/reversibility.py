@@ -28,7 +28,7 @@ from .errors import CycleError, EventNotFound, NotASection
 from .expr import PlanarField
 from .flow import IntegratorConfig, Point, as_point, flow
 from .memo import memoized, suite_scope
-from .period import _half_period_image, _keep_half_period_image, detect_cycle
+from .period import _half_period_image, detect_cycle
 from .sections import Section, curve_event, linspace, membership_tol, section_from_points
 from .verify import (
     CheckResult,
@@ -99,19 +99,20 @@ def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, Point, Po
     a partial step of its propagated solution.  Returns
     (t, z_hit, image, t_b): t is the nearer of t_b and t_f, or +T/2 at a
     tie (``_TIE_RTOL``), so t is in (-T/2, T/2].  Inside a suite scope the
-    result is memoized on (field, section, cfg, z bits), and the detection
-    makes the symmetry's record of z too; z is an (x, y) tuple.
+    result, or its failure, is memoized on (field, section, cfg, z bits),
+    and the detection makes the symmetry's record of z too; z is an (x, y)
+    tuple.
     """
 
     def search():
         cyc = detect_cycle(field, z, cfg, events=[curve_event(section, terminal=False)])
+        _half_period_image(field, z, cfg, cyc)
         hits = [hit for hit in cyc.trajectory.events if hit.index == 1]
         if len(hits) != 1:
             raise (NotASection if hits else EventNotFound)(
                 f"{section.label} meets the cycle through ({z[0]:.6g}, {z[1]:.6g}) "
                 f"{len(hits)} times per period; not a global section for this annulus"
             )
-        _keep_half_period_image(field, z, cfg, cyc)
         hit, t_period = hits[0], cyc.period
         t_b = hit.t - t_period
         image = cyc.trajectory.state((2.0 * hit.t) % t_period)

@@ -49,16 +49,19 @@ _SQRT2_FRAC = 0.41421356237309515
 @dataclass
 class CheckResult:
     """Outcome of one named residual check: pass iff max_residual <= tolerance
-    and no sample failed to evaluate."""
+    and no sample failed to evaluate (a NaN residual fails)."""
 
     name: str
     max_residual: float
     tolerance: float
-    passed: bool
     worst_point: Point | None = None
     worst_time: float | None = None
     errors: list[str] = dc_field(default_factory=list)
     extras: dict = dc_field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tolerance and not self.errors
 
     def to_dict(self) -> dict:
         worst = None
@@ -209,10 +212,9 @@ def _run_samples(name, tolerance, samples, fn):
                 worst_point = as_point(z)
                 worst_time = t_tag
     if worst < 0.0:
-        return CheckResult(name, math.inf, tolerance, False, None, None,
+        return CheckResult(name, math.inf, tolerance, None, None,
                            errors or ["no samples evaluated"])
-    return CheckResult(name, worst, tolerance, worst <= tolerance and not errors,
-                       worst_point, worst_time, errors)
+    return CheckResult(name, worst, tolerance, worst_point, worst_time, errors)
 
 
 def check_involution(sigma, samples) -> CheckResult:
@@ -290,8 +292,7 @@ def check_lower_bound(name: str, value: float, threshold: float,
     Encoded as max_residual = threshold - value with tolerance 0 so the
     report invariant pass <=> max_residual <= tolerance still holds.
     """
-    residual = threshold - value
-    return CheckResult(name, residual, 0.0, residual <= 0.0, worst_point, None,
+    return CheckResult(name, threshold - value, 0.0, worst_point, None,
                        extras={"value": value, "threshold": threshold})
 
 

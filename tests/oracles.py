@@ -356,6 +356,8 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
         if len(steps) + nrejected >= F._MAX_STEPS:
             raise StepLimitExceeded(
                 f"step limit {F._MAX_STEPS} reached at t={direction * s:.6g}")
+        if 0.1 * h <= s * F._UROUND:  # before the clamp to the span's end
+            raise StepLimitExceeded(f"step size {h:.3g} too small at t={direction * s:.6g}")
         h = min(h, s_end - s)
         k = _ref_stages(rhs_s, y, f, h)
         y_new = y + h * _ref_sum(_REF_B, k)

@@ -53,7 +53,7 @@ class TestLoadConfig:
         assert config.field.name == "linear-center"
         assert config.section_label == "x-axis"
         assert config.params == [0.5, 1.0, 1.5]
-        assert config.rtol == 1e-10
+        assert config.cfg == IntegratorConfig(rtol=1e-10, atol=1e-12)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -133,7 +133,7 @@ section_grid = 17
     def test_overrides(self, lc_config, tmp_path):
         config = load_config(lc_config, rtol_override=1e-8, seed_override=7,
                              out_override=tmp_path / "elsewhere")
-        assert config.rtol == 1e-8
+        assert config.cfg == IntegratorConfig(rtol=1e-8, atol=1e-10)
         assert config.seed == 7
         assert config.out_dir == tmp_path / "elsewhere"
 
@@ -249,10 +249,10 @@ out = {tmp_path / 'out'}
         assert main(["period", "--config", cfg]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "PASS 2/2"
 
-    def test_stalled_integration_stops_at_the_step_limit(self, tmp_path, capsys):
+    def test_stalled_integration_stops_at_the_step_size(self, tmp_path, capsys):
         # Q = x^(-1) is singular at x = 0: the orbit from (0.383994, 0)
-        # stalls at t = 0.481265, where x = 3.7e-162, and the sample fails
-        # at the step cap instead of filling memory with steps
+        # stalls at t = 0.481265, where the step no longer advances t, and
+        # the sample fails there instead of running to the step cap
         cfg = write_config(tmp_path / "stall.cfg", f"""
 P = -y
 Q = x^(-1)
@@ -263,7 +263,8 @@ out = {tmp_path / 'out'}
         assert main(["period", "--config", cfg]) == EXIT_CHECK_FAILED
         captured = capsys.readouterr()
         assert captured.out.strip() == "FAIL 0/1"
-        assert "step limit 100000" in captured.err and "Traceback" not in captured.err
+        assert "too small at t=0.481265" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_missing_config(self, capsys):
         assert main(["period", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG
@@ -329,7 +330,7 @@ class TestSymmetryCommand:
         assert main(["symmetry", "--config", lc_config]) == EXIT_OK
         written = json.loads((tmp_path / "out" / "symmetry_report.json").read_text())
         config = load_config(lc_config)
-        cfg = IntegratorConfig(rtol=config.rtol, atol=config.atol)
+        cfg = config.cfg
         section = config.build_section()
         samples, times = _gather_samples(config, section, cfg)
         suite = verify_sigma_symmetry(config.field, section, samples, times, cfg).to_dict()

@@ -113,6 +113,28 @@ class TestFlow:
         with pytest.raises(StepLimitExceeded, match="step limit 5 reached"):
             flow(linear_center, [1.0, 0.0], 100.0, cfg)
 
+    def test_fast_centre_reaches_the_step_cap(self, cfg):
+        # its steps are small but still advance t, so only the cap stops it
+        field = PlanarField.from_strings("-1000*y", "1000*x")
+        with pytest.raises(StepLimitExceeded) as exc:
+            flow(field, [1.0, 0.0], 1e4, cfg)
+        assert str(exc.value) == "step limit 100000 reached at t=12.8018"
+
+    def test_zero_step_stops_at_once(self, cfg):
+        # exp(1000 x) overflows the initial step's estimate, so h is 0 at
+        # t = 0: no attempt is made, only the start and the trial stage
+        field = PlanarField.from_strings("-y*exp(1000*x)", "x")
+        calls = []
+
+        def rhs(x, y):
+            calls.append((x, y))
+            return field.rhs(x, y)
+
+        with pytest.raises(StepLimitExceeded) as exc:
+            integrate(rhs, (0.383994, 0.0), 10.0, cfg)
+        assert str(exc.value) == "step size 0 too small at t=0"
+        assert len(calls) == 2
+
     def test_group_property(self, linear_center, pendulum, duffing, cubic_center, cfg):
         # |phi(s, phi(t, z)) - phi(s + t, z)| <= 1e-8 (1 + |z|)
         cases = [
@@ -600,7 +622,9 @@ class TestKernelMatchesReference:
         (PlanarField.from_strings("1", "0", domain=(-1.0, 1.0, -1.0, 1.0)), (0.0, 0.0),
          -10.0, None, DomainEscape),
         (PlanarField.from_strings("-1", "sqrt(x)"), (0.5, 0.0), 2.0, None, DomainError),
-    ], ids=["step-limit", "domain-escape", "domain-error"])
+        (PlanarField.from_strings("-y", "x^(-1)"), (0.383994, 0.0), 1.0, None,
+         StepLimitExceeded),
+    ], ids=["step-limit", "domain-escape", "domain-error", "step-size"])
     def test_same_failures(self, field, z0, t, max_steps, exc, cfg, monkeypatch):
         if max_steps is not None:  # both loops read the limit from flow
             monkeypatch.setattr(flow_mod, "_MAX_STEPS", max_steps)

@@ -133,36 +133,66 @@ def test_nested_scope_reuses_the_outer_one(linear_center, cfg, integrations):
     assert integrations[0] == 1  # one detection, read at T/2
 
 
-def test_failure_is_not_stored(linear_center, lc_xaxis, cfg, monkeypatch):
-    monkeypatch.setattr(flow_mod, "MAX_HORIZON", 20.0)
-    far = np.array([3.0, 0.0])  # its cycle misses the segment [0.2, 2.0]
-    with suite_scope():
+def test_failure_fails_once_per_scope(linear_center, lc_xaxis, cfg, monkeypatch):
+    # a known failure is a record: inside a scope the second call raises
+    # the same type and message without detecting the cycle again
+    detections = [0]
+    real = period_mod.detect_cycle
+
+    def counted(*args, **kwargs):
+        detections[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(period_mod, "detect_cycle", counted)
+    monkeypatch.setattr(reversibility, "detect_cycle", counted)
+    far = (3.0, 0.0)  # its cycle misses the segment [0.2, 2.0]
+    calls = [(CriticalPointError, lambda: sigma_symmetric(linear_center, (0.0, 0.0), cfg)),
+             (EventNotFound, lambda: tau(linear_center, lc_xaxis, far, cfg))]
+
+    def failures():
         messages = []
-        for _ in range(2):
-            with pytest.raises(CriticalPointError) as crit:
-                sigma_symmetric(linear_center, [0.0, 0.0], cfg)
-            with pytest.raises(EventNotFound) as miss:
-                tau(linear_center, lc_xaxis, far, cfg)
-            messages.append((str(crit.value), str(miss.value)))
-        assert memo._MEMO.get() == {}
-    with pytest.raises(EventNotFound) as outside:
-        tau(linear_center, lc_xaxis, far, cfg)
-    assert messages[0] == messages[1]
-    assert messages[0][1] == str(outside.value)
+        for kind, call in calls:
+            with pytest.raises(kind) as info:
+                call()
+            assert type(info.value) is kind
+            messages.append(str(info.value))
+        return messages
+
+    outside = failures()
+    assert failures() == outside
+    assert detections[0] == 4 and memo._MEMO.get() is None  # nothing stored
+    with suite_scope():
+        assert failures() == outside
+        assert detections[0] == 6
+        assert failures() == outside
+        assert detections[0] == 6
+        stored = [v for v in memo._MEMO.get().values() if isinstance(v, BaseException)]
+        assert [type(v) for v in stored] == [CriticalPointError, EventNotFound]
+        for exc in stored:  # no frames, even after being raised again
+            assert exc.__traceback__ is None
+            assert exc.__cause__ is None and exc.__context__ is None
 
 
 def test_stored_values_are_floats_and_points(pendulum, cfg):
     # one record kind per construction; whole cycles or trajectories in the
     # memo would raise the suite's peak memory by tens of megabytes
+    # (a failure is the bare exception, which holds no frames or steps)
     sec = make_section(pendulum, "s", "0", (0.3, 2.5), name="x-axis")
-    samples = annulus_points(pendulum, sec, 2, cfg, seed=3)
+    # the critical point (0, 0) fails in both constructions
+    samples = annulus_points(pendulum, sec, 2, cfg, seed=3) + [(0.0, 0.0)]
     times = [1.3]
     with suite_scope():
         verify_sigma_symmetry(pendulum, sec, samples, times, cfg)
         verify_reversibility(pendulum, sec, samples, times, cfg)
         entries = memo._MEMO.get()
         assert {k[0] for k in entries} == {"half_period_image", "crossing"}
+        failures = [v for v in entries.values() if isinstance(v, BaseException)]
+        assert [type(v) for v in failures] == [CriticalPointError] * 2
         for value in entries.values():
+            if isinstance(value, BaseException):
+                assert value.__traceback__ is None
+                assert value.__cause__ is None and value.__context__ is None
+                continue
             assert type(value) is tuple
             for v in value:
                 assert type(v) is float or (type(v) is tuple and len(v) == 2
@@ -204,11 +234,12 @@ def test_crossing_record_writes_the_symmetry_record(linear_center, lc_xaxis, cfg
         assert integrations[0] == done
 
 
-def test_crossing_outside_a_scope_reads_no_image(linear_center, lc_xaxis, cfg, monkeypatch):
-    # with no scope to keep it in, the symmetry's record is not made: tau
-    # evaluates the field once for the transversal's normal, inside its one
-    # detection, and in the one partial step of the crossing record's own
-    # image at 2 t_f mod T, but in no partial step at T/2
+def test_crossing_outside_a_scope_reads_both_images(linear_center, lc_xaxis, cfg,
+                                                    monkeypatch):
+    # with no scope to keep it in, the symmetry's record is still made:
+    # tau evaluates the field once for the transversal's normal, inside its
+    # one detection, and in two partial steps, the symmetry's image at T/2
+    # and the crossing record's own at 2 t_f mod T
     calls, runs = [0], []
     field_type, rhs = type(linear_center), type(linear_center).rhs
     real = period_mod.integrate
@@ -223,7 +254,7 @@ def test_crossing_outside_a_scope_reads_no_image(linear_center, lc_xaxis, cfg, m
     assert memo._MEMO.get() is None
     tau(linear_center, lc_xaxis, (0.3, -0.9), cfg)
     [traj] = runs
-    assert calls[0] == 1 + traj.nfev + 11
+    assert calls[0] == 1 + traj.nfev + 22
 
 
 def test_symmetry_after_reversibility_runs_no_integration(pendulum, cfg, integrations):

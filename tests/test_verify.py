@@ -281,8 +281,8 @@ class TestSampling:
 class TestReport:
     def _demo_report(self):
         checks = [
-            CheckResult("a", 1e-9, 1e-7, True, (1.0, 0.0), None),
-            CheckResult("b", 2e-3, 1e-6, False, (0.3, 0.8), 1.5, ["(1, 2): nope"]),
+            CheckResult("a", 1e-9, 1e-7, (1.0, 0.0), None),
+            CheckResult("b", 2e-3, 1e-6, (0.3, 0.8), 1.5, ["(1, 2): nope"]),
         ]
         return VerificationReport(checks=checks, provenance={"field": "demo",
                                                              "config_digest": "abc"})

@@ -19,7 +19,10 @@ with calls and powers spelled as Python calls: ``compile_fn`` turns a tuple
 of ASTs into one function that returns their values (a section's curve,
 its first and second derivatives form one such tuple), and each field's P
 and Q are fused with their domain and finiteness checks behind
-``PlanarField.rhs``.
+``PlanarField.rhs``.  The same lines (``_evaluation`` inside ``_guarded``)
+put P and Q inline at every stage of the field's DOP853 step, which
+:mod:`.flow` compiles from its template on the field's first integration.
+All generated code is compiled once per text (``_exec``).
 """
 
 from __future__ import annotations
@@ -370,21 +373,31 @@ def compile_fn(exprs: tuple[ExprAst, ...],
                  "_compiled")
 
 
+def _evaluation(p: ExprAst, q: ExprAst, kx: str, ky: str) -> list[str]:
+    """Lines that set ``kx`` and ``ky`` to P and Q at (x, y), with a
+    non-finite value raised as DomainError."""
+    return [f"{kx} = {_source(p, python=True)}",
+            f"{ky} = {_source(q, python=True)}",
+            f"if not (_isfinite({kx}) and _isfinite({ky})):",
+            "    raise DomainError(f'non-finite field value at ({x}, {y})')"]
+
+
+def _guarded(name: str, params: str, lines: list[str]) -> str:
+    """Source of ``def name(params)`` that runs ``lines`` in one try block,
+    with a math-domain failure raised as DomainError at the point (x, y)
+    being evaluated."""
+    body = "".join(f"        {line}\n" for line in lines)
+    return (f"def {name}({params}):\n    try:\n{body}"
+            "    except _MATH_ERRORS as exc:\n"
+            "        raise DomainError(f'field evaluation failed at ({x}, {y}): {exc}') from exc\n")
+
+
 def _compile_rhs(p: ExprAst, q: ExprAst) -> Callable[[float, float], tuple[float, float]]:
     """One function (x, y) -> (P, Q): the arithmetic of ``compile_fn`` for
     each component, with math-domain failures and non-finite values raised
     as DomainError."""
-    return _exec(
-        "def _rhs(x, y):\n"
-        "    try:\n"
-        f"        px = {_source(p, python=True)}\n"
-        f"        qy = {_source(q, python=True)}\n"
-        "    except _MATH_ERRORS as exc:\n"
-        "        raise DomainError(f'field evaluation failed at ({x}, {y}): {exc}') from exc\n"
-        "    if not (_isfinite(px) and _isfinite(qy)):\n"
-        "        raise DomainError(f'non-finite field value at ({x}, {y})')\n"
-        "    return px, qy\n",
-        "_rhs")
+    return _exec(_guarded("_rhs", "x, y", [*_evaluation(p, q, "px", "qy"), "return px, qy"]),
+                 "_rhs")
 
 
 def evaluate(e: ExprAst, x: float, y: float) -> float:
@@ -538,6 +551,8 @@ class PlanarField:
             raise ConfigError(f"degenerate domain box {self.domain}")
         self.hamiltonian = hamiltonian
         self._rhs = _compile_rhs(p, q)
+        # the field's DOP853 step, compiled by flow on its first integration
+        self._step = None
 
     @classmethod
     def from_strings(
@@ -556,11 +571,14 @@ class PlanarField:
         return f"PlanarField({self.name!r}: P={to_source(self.p)}, Q={to_source(self.q)})"
 
     def rhs(self, x: float, y: float) -> tuple[float, float]:
-        """Right-hand side V(x, y) = (P, Q) for the integrator, as two floats.
+        """Right-hand side V(x, y) = (P, Q), as two floats, through one
+        generated function that evaluates P and Q.  Math-domain failures and
+        non-finite values raise DomainError.
 
-        This is the integrator's hot path, so it takes and returns plain
-        floats, through one generated function that evaluates P and Q.
-        Math-domain failures and non-finite values raise DomainError.
+        Passed to ``flow.integrate``, this method selects the field's own
+        generated step, which evaluates P and Q inline and does not call it;
+        any other callable, a wrapper of this method included, is called at
+        every stage.
         """
         return self._rhs(x, y)
 

@@ -38,6 +38,21 @@ the samples and the cubic, is not seen.  Event functions are called as
 one is handed out (a located root for ``accept`` and the hit, a
 trajectory's state), and a trajectory keeps only its accepted steps.
 
+The stage arithmetic is written once, as a source template
+(``_step_lines``), and compiled into two kinds of instance.  The generic
+``_dop853(rhs, x0, y0, fx, fy, hs)`` calls ``rhs(x, y)`` at each stage; it
+runs any callable handed to ``integrate``, a wrapper of a field's ``rhs``
+included.  Each field gets its own instance, compiled on its first
+integration and kept on the field: P and Q stand inline at every stage,
+each stage is followed by a finiteness test, and the whole step sits in
+one try block, so an attempt makes no Python call per stage and a
+failure raises the DomainError text of ``PlanarField.rhs`` at the stage
+point.  ``integrate`` runs a field's instance when it is handed that
+field's own ``PlanarField.rhs``, and evaluates the field's generated
+``_rhs`` for the start, the initial step's trial and each step's end.
+The template writes each coefficient as its repr, which reads back as
+the same double, so both instances give the same bits.
+
 The kernel is scalar: the state is two floats and the stages are
 unrolled per component.  Every float equals what the same loop gives on
 2-element ndarrays with the negated field for reversed time, because each
@@ -81,10 +96,11 @@ import math
 from bisect import bisect_right
 from operator import attrgetter, itemgetter
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 from .errors import DomainEscape, EventNotFound, StepLimitExceeded
-from .expr import PlanarField
+from .expr import PlanarField, _evaluation, _exec, _guarded
 
 __all__ = [
     "IntegratorConfig",
@@ -104,70 +120,52 @@ __all__ = [
 
 # Hairer's DOP853 tableau (autonomous systems; stage times unused), copied
 # from scipy/integrate/_ivp/dop853_coefficients.py.  Stages are numbered
-# from 1 as in Hairer's code: _Ai_j is scipy's A[i-1, j-1].  Stage 1 is the
-# field at the step start, stages 2..12 make the 8th-order solution
-# (weights _Bj, scipy's B) and stage 13 is the field there, the next step's
-# stage 1.  _Ej are the weights of the 5th-order error estimate (scipy's
-# E5).
-_A2_1 = 5.26001519587677318785587544488e-2
-_A3_1, _A3_2 = (
-    1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2,
+# from 1 as in Hairer's code.  Stage 1 is the field at the step start;
+# _A[i - 2] lists stage i's nonzero coefficients as pairs (j, scipy's
+# A[i-1, j-1]), for the stages 2..12 that make the 8th-order solution
+# (weights _B, scipy's B), and stage 13 is the field there, the next step's
+# stage 1.  _E are the weights of the 5th-order error estimate (scipy's E5).
+_A = (
+    ((1, 5.26001519587677318785587544488e-2),),
+    ((1, 1.97250569845378994544595329183e-2), (2, 5.91751709536136983633785987549e-2)),
+    ((1, 2.95875854768068491816892993775e-2), (3, 8.87627564304205475450678981324e-2)),
+    ((1, 2.41365134159266685502369798665e-1), (3, -8.84549479328286085344864962717e-1),
+     (4, 9.24834003261792003115737966543e-1)),
+    ((1, 3.7037037037037037037037037037e-2), (4, 1.70828608729473871279604482173e-1),
+     (5, 1.25467687566822425016691814123e-1)),
+    ((1, 3.7109375e-2), (4, 1.70252211019544039314978060272e-1),
+     (5, 6.02165389804559606850219397283e-2), (6, -1.7578125e-2)),
+    ((1, 3.70920001185047927108779319836e-2), (4, 1.70383925712239993810214054705e-1),
+     (5, 1.07262030446373284651809199168e-1), (6, -1.53194377486244017527936158236e-2),
+     (7, 8.27378916381402288758473766002e-3)),
+    ((1, 6.24110958716075717114429577812e-1), (4, -3.36089262944694129406857109825),
+     (5, -8.68219346841726006818189891453e-1), (6, 2.75920996994467083049415600797e1),
+     (7, 2.01540675504778934086186788979e1), (8, -4.34898841810699588477366255144e1)),
+    ((1, 4.77662536438264365890433908527e-1), (4, -2.48811461997166764192642586468),
+     (5, -5.90290826836842996371446475743e-1), (6, 2.12300514481811942347288949897e1),
+     (7, 1.52792336328824235832596922938e1), (8, -3.32882109689848629194453265587e1),
+     (9, -2.03312017085086261358222928593e-2)),
+    ((1, -9.3714243008598732571704021658e-1), (4, 5.18637242884406370830023853209),
+     (5, 1.09143734899672957818500254654), (6, -8.14978701074692612513997267357),
+     (7, -1.85200656599969598641566180701e1), (8, 2.27394870993505042818970056734e1),
+     (9, 2.49360555267965238987089396762), (10, -3.0467644718982195003823669022)),
+    ((1, 2.27331014751653820792359768449), (4, -1.05344954667372501984066689879e1),
+     (5, -2.00087205822486249909675718444), (6, -1.79589318631187989172765950534e1),
+     (7, 2.79488845294199600508499808837e1), (8, -2.85899827713502369474065508674),
+     (9, -8.87285693353062954433549289258), (10, 1.23605671757943030647266201528e1),
+     (11, 6.43392746015763530355970484046e-1)),
 )
-_A4_1, _A4_3 = (
-    2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2,
+_B = (
+    (1, 5.42937341165687622380535766363e-2), (6, 4.45031289275240888144113950566),
+    (7, 1.89151789931450038304281599044), (8, -5.8012039600105847814672114227),
+    (9, 3.1116436695781989440891606237e-1), (10, -1.52160949662516078556178806805e-1),
+    (11, 2.01365400804030348374776537501e-1), (12, 4.47106157277725905176885569043e-2),
 )
-_A5_1, _A5_3, _A5_4 = (
-    2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
-    9.24834003261792003115737966543e-1,
-)
-_A6_1, _A6_4, _A6_5 = (
-    3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
-    1.25467687566822425016691814123e-1,
-)
-_A7_1, _A7_4, _A7_5, _A7_6 = (
-    3.7109375e-2, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
-    -1.7578125e-2,
-)
-_A8_1, _A8_4, _A8_5, _A8_6, _A8_7 = (
-    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
-    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
-    8.27378916381402288758473766002e-3,
-)
-_A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = (
-    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
-    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
-    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
-)
-_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = (
-    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
-    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
-    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
-    -2.03312017085086261358222928593e-2,
-)
-_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = (
-    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
-    1.09143734899672957818500254654, -8.14978701074692612513997267357,
-    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
-    2.49360555267965238987089396762, -3.0467644718982195003823669022,
-)
-_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11 = (
-    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
-    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
-    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
-    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-    6.43392746015763530355970484046e-1,
-)
-_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
-    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
-    1.89151789931450038304281599044, -5.8012039600105847814672114227,
-    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
-    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
-)
-_E1, _E6, _E7, _E8, _E9, _E10, _E11, _E12 = (
-    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
-    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
-    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
-    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+_E = (
+    (1, 0.1312004499419488073250102996e-1), (6, -0.1225156446376204440720569753e+1),
+    (7, -0.4957589496572501915214079952), (8, 0.1664377182454986536961530415e+1),
+    (9, -0.3503288487499736816886487290), (10, 0.3341791187130174790297318841),
+    (11, 0.8192320648511571246570742613e-1), (12, -0.2235530786388629525884427845e-1),
 )
 _SAFETY = 0.9
 # step-size controller exponent: -1/(q + 1) for the order q = 5 estimate
@@ -268,14 +266,15 @@ class _Step:
         return (self.c1x + th * (self.c2x + om * (self.c3x + th * self.c4x)),
                 self.c1y + th * (self.c2y + om * (self.c3y + th * self.c4y)))
 
-    def state(self, rhs, sign: float, s: float) -> Point:
+    def state(self, dop853, sign: float, s: float) -> Point:
         """The propagated solution at progress time s in [s0, s0 + h): one
-        DOP853 step of signed length sign * (s - s0) from the step's start
-        with k1 reused, 11 field evaluations; the start itself at s0."""
+        step of the DOP853 step function ``dop853``, of signed length
+        sign * (s - s0) from the step's start with k1 reused, 11 field
+        evaluations; the start itself at s0."""
         u = s - self.s0
         if u <= 0.0:
             return self.c1x, self.c1y
-        return _dop853(rhs, self.c1x, self.c1y, self.k1x, self.k1y, sign * u)[:2]
+        return dop853(self.c1x, self.c1y, self.k1x, self.k1y, sign * u)[:2]
 
 
 @dataclass
@@ -287,11 +286,11 @@ class Trajectory:
     t = direction * s.  ``z_final`` is the end state of the last step,
     which after a terminal event is the step holding the root.  A step
     boundary reads back the step's start state, or ``z_final`` at s_end,
-    exactly; any other time is one partial step of ``rhs`` from the start
-    of the step holding it.
+    exactly; any other time is one partial step of the integration's step
+    function ``dop853`` from the start of the step holding it.
     """
 
-    rhs: Callable[[float, float], tuple[float, float]]
+    dop853: Callable[..., tuple[float, float, float, float]]
     direction: int
     steps: list[_Step]
     z_final: Point
@@ -314,7 +313,7 @@ class Trajectory:
         if s == s_end:
             return self.z_final
         step = steps[max(bisect_right(steps, s, key=attrgetter("s0")) - 1, 0)]
-        return step.state(self.rhs, float(self.direction), s)
+        return step.state(self.dop853, float(self.direction), s)
 
 
 def _initial_step(rhs, x, y, fx, fy, rtol, atol, s_end, sign):
@@ -387,54 +386,46 @@ def brent(f, a, b, fa=None, fb=None):
     return b
 
 
-def _dop853(rhs, x, y, fx, fy, hs):
-    """One DOP853 step of signed length hs from (x, y), where the field is
-    (fx, fy): the 8th-order end state and the 5th-order error sum
-    sum_j E_j k_j, per component, from 11 field evaluations."""
-    k2x, k2y = rhs(x + hs * (_A2_1 * fx),
-                   y + hs * (_A2_1 * fy))
-    k3x, k3y = rhs(x + hs * (_A3_1 * fx + _A3_2 * k2x),
-                   y + hs * (_A3_1 * fy + _A3_2 * k2y))
-    k4x, k4y = rhs(x + hs * (_A4_1 * fx + _A4_3 * k3x),
-                   y + hs * (_A4_1 * fy + _A4_3 * k3y))
-    k5x, k5y = rhs(x + hs * (_A5_1 * fx + _A5_3 * k3x + _A5_4 * k4x),
-                   y + hs * (_A5_1 * fy + _A5_3 * k3y + _A5_4 * k4y))
-    k6x, k6y = rhs(x + hs * (_A6_1 * fx + _A6_4 * k4x + _A6_5 * k5x),
-                   y + hs * (_A6_1 * fy + _A6_4 * k4y + _A6_5 * k5y))
-    k7x, k7y = rhs(x + hs * (_A7_1 * fx + _A7_4 * k4x + _A7_5 * k5x + _A7_6 * k6x),
-                   y + hs * (_A7_1 * fy + _A7_4 * k4y + _A7_5 * k5y + _A7_6 * k6y))
-    k8x, k8y = rhs(x + hs * (_A8_1 * fx + _A8_4 * k4x + _A8_5 * k5x + _A8_6 * k6x
-                             + _A8_7 * k7x),
-                   y + hs * (_A8_1 * fy + _A8_4 * k4y + _A8_5 * k5y + _A8_6 * k6y
-                             + _A8_7 * k7y))
-    k9x, k9y = rhs(x + hs * (_A9_1 * fx + _A9_4 * k4x + _A9_5 * k5x + _A9_6 * k6x
-                             + _A9_7 * k7x + _A9_8 * k8x),
-                   y + hs * (_A9_1 * fy + _A9_4 * k4y + _A9_5 * k5y + _A9_6 * k6y
-                             + _A9_7 * k7y + _A9_8 * k8y))
-    k10x, k10y = rhs(x + hs * (_A10_1 * fx + _A10_4 * k4x + _A10_5 * k5x + _A10_6 * k6x
-                               + _A10_7 * k7x + _A10_8 * k8x + _A10_9 * k9x),
-                     y + hs * (_A10_1 * fy + _A10_4 * k4y + _A10_5 * k5y + _A10_6 * k6y
-                               + _A10_7 * k7y + _A10_8 * k8y + _A10_9 * k9y))
-    k11x, k11y = rhs(x + hs * (_A11_1 * fx + _A11_4 * k4x + _A11_5 * k5x + _A11_6 * k6x
-                               + _A11_7 * k7x + _A11_8 * k8x + _A11_9 * k9x + _A11_10 * k10x),
-                     y + hs * (_A11_1 * fy + _A11_4 * k4y + _A11_5 * k5y + _A11_6 * k6y
-                               + _A11_7 * k7y + _A11_8 * k8y + _A11_9 * k9y + _A11_10 * k10y))
-    k12x, k12y = rhs(x + hs * (_A12_1 * fx + _A12_4 * k4x + _A12_5 * k5x + _A12_6 * k6x
-                               + _A12_7 * k7x + _A12_8 * k8x + _A12_9 * k9x + _A12_10 * k10x
-                               + _A12_11 * k11x),
-                     y + hs * (_A12_1 * fy + _A12_4 * k4y + _A12_5 * k5y + _A12_6 * k6y
-                               + _A12_7 * k7y + _A12_8 * k8y + _A12_9 * k9y + _A12_10 * k10y
-                               + _A12_11 * k11y))
-    return (
-        x + hs * (_B1 * fx + _B6 * k6x + _B7 * k7x + _B8 * k8x + _B9 * k9x + _B10 * k10x
-                  + _B11 * k11x + _B12 * k12x),
-        y + hs * (_B1 * fy + _B6 * k6y + _B7 * k7y + _B8 * k8y + _B9 * k9y + _B10 * k10y
-                  + _B11 * k11y + _B12 * k12y),
-        (_E1 * fx + _E6 * k6x + _E7 * k7x + _E8 * k8x + _E9 * k9x + _E10 * k10x
-         + _E11 * k11x + _E12 * k12x),
-        (_E1 * fy + _E6 * k6y + _E7 * k7y + _E8 * k8y + _E9 * k9y + _E10 * k10y
-         + _E11 * k11y + _E12 * k12y),
-    )
+def _step_lines(stage: Callable[[int], list[str]]) -> list[str]:
+    """The DOP853 template: the lines of one step of signed length hs from
+    (x0, y0), where the field is (fx, fy), ending in the return of the
+    8th-order end state and the 5th-order error sum sum_j E_j k_j, per
+    component.  Each stage i = 2..12 sets its point (x, y) and then runs
+    ``stage(i)``, which sets k{i}x and k{i}y to the field there."""
+
+    def total(weights, c):
+        return " + ".join(f"{w!r} * {'f' if j == 1 else f'k{j}'}{c}" for j, w in weights)
+
+    lines = []
+    for i, row in enumerate(_A, start=2):
+        lines += [f"x = x0 + hs * ({total(row, 'x')})",
+                  f"y = y0 + hs * ({total(row, 'y')})", *stage(i)]
+    lines.append(f"return (x0 + hs * ({total(_B, 'x')}), y0 + hs * ({total(_B, 'y')}), "
+                 f"{total(_E, 'x')}, {total(_E, 'y')})")
+    return lines
+
+
+# the template's generic instance, _dop853(rhs, x0, y0, fx, fy, hs): each
+# stage calls rhs(x, y)
+_dop853 = _exec("def _dop853(rhs, x0, y0, fx, fy, hs):\n" + "".join(
+    f"    {line}\n" for line in _step_lines(lambda i: [f"k{i}x, k{i}y = rhs(x, y)"])),
+    "_dop853")
+
+# PlanarField.rhs as defined, so a wrapper set on the class later is one
+# more callable and runs the generic step
+_FIELD_RHS = PlanarField.rhs
+
+
+def _field_step(field: PlanarField) -> Callable[..., tuple[float, float, float, float]]:
+    """The field's own instance of the template, (x0, y0, fx, fy, hs) ->
+    the same four floats as ``_dop853``, with P and Q inline at each stage
+    and the step in one try block, so a failure raises the DomainError of
+    ``PlanarField.rhs`` at the stage point.  Compiled on the field's first
+    integration and kept on the field."""
+    if field._step is None:
+        field._step = _exec(_guarded("_dop853", "x0, y0, fx, fy, hs", _step_lines(
+            lambda i: _evaluation(field.p, field.q, f"k{i}x", f"k{i}y"))), "_dop853")
+    return field._step
 
 
 def _crossed(ga: float, gb: float) -> bool:
@@ -442,7 +433,7 @@ def _crossed(ga: float, gb: float) -> bool:
     return (ga < 0.0 < gb) or (ga > 0.0 > gb) or (gb == 0.0 and ga != 0.0)
 
 
-def _scan_step(rhs, sign, step, end, events, scan, g_prev, zero_start):
+def _scan_step(dop853, sign, step, end, events, scan, g_prev, zero_start):
     """Look for crossings of the events ``events[k]``, k in ``scan``, inside
     one accepted step whose end state is ``end``.
 
@@ -470,7 +461,7 @@ def _scan_step(rhs, sign, step, end, events, scan, g_prev, zero_start):
             return end
         z = seen.get(s)
         if z is None:
-            z = step.state(rhs, sign, s)
+            z = step.state(dop853, sign, s)
             if s > s0:
                 seen[s] = z
         return z
@@ -519,10 +510,20 @@ def integrate(
     each accepted state as an (x, y) pair.  Stops early at the first
     terminal event root.  Raises StepLimitExceeded, DomainEscape, or lets
     field DomainError propagate.
+
+    A field's own ``PlanarField.rhs`` runs the field's generated step, and
+    its generated ``_rhs`` for the start, the initial step's trial and each
+    step's end; any other callable runs ``_dop853``, which calls it at every
+    stage.  Both give the same bits.
     """
+    if getattr(rhs, "__func__", None) is _FIELD_RHS:
+        dop853 = _field_step(rhs.__self__)
+        rhs = rhs.__self__._rhs
+    else:
+        dop853 = partial(_dop853, rhs)
     x, y = as_point(z0)
     if t_final == 0.0:
-        return Trajectory(rhs, 1, [], (x, y), 0, 0)
+        return Trajectory(dop853, 1, [], (x, y), 0, 0)
     direction = 1 if t_final > 0 else -1
     sign = float(direction)
     s_end = abs(t_final)
@@ -558,7 +559,7 @@ def integrate(
         if rest < h:
             h = rest
         hs = sign * h
-        xn, yn, ex, ey = _dop853(rhs, x, y, fx, fy, hs)
+        xn, yn, ex, ey = dop853(x, y, fx, fy, hs)
         a, b = abs(x), abs(xn)
         ex /= atol + rtol * (b if b > a else a)
         a, b = abs(y), abs(yn)
@@ -594,9 +595,9 @@ def integrate(
                         continue
                 scan.append(k)
             if scan:
-                found, partial = _scan_step(rhs, sign, step, (xn, yn), events, scan,
+                found, nstates = _scan_step(dop853, sign, step, (xn, yn), events, scan,
                                             g_prev, zero_start)
-                npartial += partial
+                npartial += nstates
                 for s_root, hit in found:
                     hits.append(hit)
                     if events[hit.index].terminal:
@@ -623,7 +624,7 @@ def integrate(
     # nfev: the start, the trial stage of _initial_step, eleven stages per
     # attempt and per partial step of the event scan, and the end point of
     # each accepted step
-    return Trajectory(rhs, direction, steps, (x, y) if terminal_hit is None else (xn, yn),
+    return Trajectory(dop853, direction, steps, (x, y) if terminal_hit is None else (xn, yn),
                       attempts - len(steps),
                       2 + 11 * (attempts + npartial) + len(steps), hits)
 

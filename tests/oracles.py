@@ -30,7 +30,6 @@ the package reads both legs from the one cycle of z.
 """
 
 import math
-import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -162,24 +161,11 @@ T_CUBIC_AMP1 = 7.416298709205488
 
 # --- reference DOP853 step loop on ndarrays -----------------------------------
 
-def _tableau(pattern):
-    """flow's coefficients whose names match pattern, as {row: [(stage,
-    weight), ...]} with the stages ascending; a pattern with one group
-    gives the single row 0."""
-    rows = {}
-    for name, weight in vars(F).items():
-        m = re.fullmatch(pattern, name)
-        if m:
-            row, stage = (0, m[1]) if m.lastindex == 1 else (int(m[1]), m[2])
-            rows.setdefault(row, []).append((int(stage), weight))
-    return {row: sorted(terms) for row, terms in rows.items()}
-
-
-# stage rows 2..12, the 8th-order weights and the 5th-order error weights,
-# read off flow's names
-_REF_A = _tableau(r"_A(\d+)_(\d+)")
-_REF_B = _tableau(r"_B(\d+)")[0]
-_REF_E = _tableau(r"_E(\d+)")[0]
+# stage rows 2..12 as {row: [(stage, weight), ...]}, the 8th-order weights
+# and the 5th-order error weights: flow's tableau
+_REF_A = dict(enumerate(F._A, start=2))
+_REF_B = F._B
+_REF_E = F._E
 
 
 def _ref_sum(terms, k):

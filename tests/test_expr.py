@@ -109,6 +109,17 @@ class TestTokenize:
         assert str(exc.value) == "malformed number starting with '.' (offset 4)"
 
 
+# shapes of source text, as (make, n): make(n) is as deep as parse accepts
+DEEPEST = {
+    "flat": (lambda n: "+".join(["x"] * n), MAX_DEPTH),
+    "nested": (lambda n: "x+(" * n + "x" + ")" * n, 85),
+    "signs": (lambda n: "-" * n + "x", 85),
+    "calls": (lambda n: "sin(" * n + "x" + ")" * n, 85),
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n, 127),
+    "powers": (lambda n: "^".join(["x"] * n), 86),
+}
+
+
 class TestParse:
     def test_precedence_add_mul(self):
         assert parse("x + y * 2") == Bin("+", Var("x"), Bin("*", Var("y"), Const(2.0)))
@@ -169,14 +180,7 @@ class TestParse:
         assert str(exc.value) == (
             f"expression nested deeper than {MAX_DEPTH} levels (offset {offset})")
 
-    @pytest.mark.parametrize("make, n", [
-        (lambda n: "+".join(["x"] * n), MAX_DEPTH),
-        (lambda n: "x+(" * n + "x" + ")" * n, 85),
-        (lambda n: "-" * n + "x", 85),
-        (lambda n: "sin(" * n + "x" + ")" * n, 85),
-        (lambda n: "(" * n + "x" + ")" * n, 127),
-        (lambda n: "^".join(["x"] * n), 86),
-    ], ids=["flat", "nested", "signs", "calls", "parentheses", "powers"])
+    @pytest.mark.parametrize("make, n", list(DEEPEST.values()), ids=list(DEEPEST))
     def test_deepest_accepted_is_usable(self, make, n):
         # at the limit (a leaf inside 127 parentheses is 255 deep): one more
         # level is refused, and the tree compiles, differentiates and prints

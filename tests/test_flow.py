@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from annulus_involutions.errors import (
     DomainError,
@@ -11,8 +12,8 @@ from annulus_involutions.errors import (
     EventNotFound,
     StepLimitExceeded,
 )
-from annulus_involutions import flow as flow_mod, period as period_mod
-from annulus_involutions.expr import PlanarField
+from annulus_involutions import expr as expr_mod, flow as flow_mod, period as period_mod
+from annulus_involutions.expr import PlanarField, parse
 from annulus_involutions.fields import builtin_field, builtin_names
 from annulus_involutions.flow import (
     EventSpec,
@@ -39,6 +40,7 @@ from oracles import (
     side_reference,
     variational_jacobian,
 )
+from test_expr import DEEPEST, _arg, _trees
 
 
 class TestConfig:
@@ -256,22 +258,24 @@ class TestTrajectory:
         # state() inside a step is one DOP853 step of the partial length from
         # the start of the step holding it, k1 reused: at the full length it
         # is the kernel's own step end to the bit, and it agrees with a fresh
-        # flow from the step's start
+        # flow from the step's start; the generic step, which calls the field
+        # at every stage, gives the bits of the field's own step
         traj = integrate(pendulum.rhs, [1.0, 0.0], t_final, cfg, bounds=pendulum.contains)
+        generic = functools.partial(flow_mod._dop853, pendulum.rhs)
         sign = traj.direction
         grid, states = _boundaries(traj), _boundary_states(traj)
         full = [i for i, st in enumerate(traj.steps) if (st.s0 + st.h) - st.s0 == st.h]
         assert len(full) >= 3
         for i in full:
             st = traj.steps[i]
-            assert st.state(pendulum.rhs, float(sign), st.s0 + st.h) == states[i + 1]
+            assert st.state(generic, float(sign), st.s0 + st.h) == states[i + 1]
             assert (st.k1x, st.k1y) == pendulum.rhs(st.c1x, st.c1y)
         i = len(traj.steps) // 3
         step = traj.steps[i]
         t = sign * (step.s0 + 0.37 * step.h)
         dt = t - sign * grid[i]
         assert dt * sign > 0.0 and abs(dt) < step.h
-        assert traj.state(t) == step.state(pendulum.rhs, float(sign), sign * t)
+        assert traj.state(t) == step.state(generic, float(sign), sign * t)
         assert math.dist(flow(pendulum, states[i], dt, cfg), traj.state(t)) <= 1e-11
         with pytest.raises(ValueError):
             traj.state(2.0 * t_final)
@@ -817,3 +821,79 @@ class TestEventSkip:
                                  + iterates[0])
         assert traj.nfev == (2 + 12 * traj.naccepted + 11 * traj.nrejected
                              + 11 * (2 * flagged + iterates[0]))
+
+
+def _step_outcome(step, *args):
+    """A step's four floats as hex, or the DomainError it raised: its class,
+    its text and the class of its cause."""
+    try:
+        return [v.hex() for v in step(*args)]
+    except DomainError as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+
+
+class TestGeneratedStep:
+    """A field's own step, P and Q inline at every stage, against the generic
+    step that calls ``PlanarField.rhs`` at every stage: the same bits, or the
+    same DomainError at the same stage point."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(p=_trees, q=_trees, x=_arg, y=_arg, fx=_arg, fy=_arg,
+           h=strategies.floats(min_value=1e-3, max_value=2.0),
+           sign=strategies.sampled_from([1.0, -1.0]))
+    def test_same_bits_as_the_generic_step(self, p, q, x, y, fx, fy, h, sign):
+        field = PlanarField(p, q)
+        args = (x, y, fx, fy, sign * h)
+        assert _step_outcome(flow_mod._field_step(field), *args) == \
+            _step_outcome(functools.partial(flow_mod._dop853, field.rhs), *args)
+
+    @pytest.mark.parametrize("q, message, cause", [
+        ("sqrt(1.8 - x)", "field evaluation failed at ({}, {}): math domain error", ValueError),
+        ("x*1e308", "non-finite field value at ({}, {})", type(None)),
+    ], ids=["math-domain", "non-finite"])
+    def test_failure_names_the_stage_point(self, q, message, cause):
+        # x moves from 1.7 past 1.8 at stage 4, where Q fails
+        field = PlanarField.from_strings("1", q)
+        points = []
+
+        def rhs(x, y):
+            points.append((x, y))
+            return field.rhs(x, y)
+
+        args = (1.7, 0.0, 1.0, 0.0, 1.0)
+        generic = _step_outcome(functools.partial(flow_mod._dop853, rhs), *args)
+        assert len(points) == 3
+        assert generic == (DomainError, message.format(*points[-1]), cause)
+        assert _step_outcome(flow_mod._field_step(field), *args) == generic
+
+    @pytest.mark.parametrize("make, n", list(DEEPEST.values()), ids=list(DEEPEST))
+    def test_deepest_field_gets_a_step(self, make, n):
+        # each stage holds P's text as _rhs does, nested no deeper, so a
+        # field that constructs also compiles its step on first use
+        field = PlanarField(parse(make(n)), parse("-x"))
+        args = (0.5, 0.25, 0.1, -0.2, 0.01)
+        outcome = _step_outcome(flow_mod._field_step(field), *args)
+        assert len(outcome) == 4
+        assert outcome == _step_outcome(functools.partial(flow_mod._dop853, field.rhs), *args)
+
+    def test_step_compiled_on_first_integration(self, cfg, monkeypatch):
+        # construction compiles _rhs alone; the first integration compiles
+        # the step and keeps it on the field, and later ones reuse it; a
+        # wrapper of rhs runs the generic step
+        compiled = []
+        real = expr_mod._exec
+
+        def counted(src, name):
+            compiled.append(name)
+            return real(src, name)
+
+        monkeypatch.setattr(expr_mod, "_exec", counted)
+        monkeypatch.setattr(flow_mod, "_exec", counted)
+        field = PlanarField.from_strings("-y", "x + 0.375*x^2")
+        assert compiled == ["_rhs"] and field._step is None
+        traj = integrate(field.rhs, (0.5, 0.0), 1.0, cfg)
+        assert compiled == ["_rhs", "_dop853"] and traj.dop853 is field._step
+        assert integrate(field.rhs, (0.25, 0.0), -1.0, cfg).dop853 is field._step
+        wrapped = integrate(lambda x, y: field.rhs(x, y), (0.5, 0.0), 1.0, cfg)
+        assert compiled == ["_rhs", "_dop853"] and wrapped.dop853.func is flow_mod._dop853
+        assert wrapped.z_final == traj.z_final

@@ -155,13 +155,14 @@ class TestTau:
         assert t.hex() == t_hit.hex()
         assert len(calls) - n_tau == n_tau
 
-    def test_orbit_missing_section(self, linear_center, cfg, monkeypatch):
-        from annulus_involutions import flow as flow_mod
-
-        monkeypatch.setattr(flow_mod, "MAX_HORIZON", 50.0)
+    def test_orbit_missing_section(self, linear_center, cfg):
+        # the radius-1 cycle closes and never meets the short segment: the
+        # crossing count over one period is 0, not a search to the horizon
         short = make_section(linear_center, "s", "0", (0.2, 0.5), name="short")
-        with pytest.raises(EventNotFound):
-            tau(linear_center, short, on_circle(math.pi / 2), cfg)  # radius 1 cycle
+        with pytest.raises(EventNotFound) as exc:
+            tau(linear_center, short, on_circle(math.pi / 2), cfg)
+        assert "meets the cycle through" in str(exc.value)
+        assert "0 times per period" in str(exc.value)
 
     def test_double_crossing_detected(self, linear_center, cfg):
         # a horizontal chord meets the r = 1.8 cycle twice; grid validation

@@ -5,7 +5,7 @@ reversibilities."""
 from .expr import PlanarField, differentiate, evaluate, parse, to_source, tokenize
 from .fields import builtin_field, builtin_names
 from .flow import EventSpec, IntegratorConfig, Trajectory, flow_to_event, jacobian_fd
-from .period import AnnulusSample, Cycle, detect_cycle, sample_annulus
+from .period import Cycle, detect_cycle
 from .reversibility import (
     BranchTag,
     ReversibilityInvolution,
@@ -42,9 +42,7 @@ __all__ = [
     "flow_to_event",
     "jacobian_fd",
     "Cycle",
-    "AnnulusSample",
     "detect_cycle",
-    "sample_annulus",
     "Section",
     "make_section",
     "SymmetryInvolution",

@@ -14,7 +14,10 @@ numerical failures in ``errors.SAMPLE_FAILURES``.  A sample whose sigma
 fails is left out of the pairs CSV with one stderr line.  One command run
 is one memo scope (see :mod:`.memo`), so the checks and the pairs CSV
 share each point's cycle detection and section crossings, or their
-failure.
+failure, and the reversibility command's second involution, built for
+the pairs and ``delta_star.csv``, integrates nothing.  Commands keep
+records, not orbits: ``period`` writes each cycle's row as it detects it
+and a failed parameter as one stderr line.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .expr import PlanarField, parse_field_text, parse_key_values, parse_number_
 from .fields import builtin_field, builtin_names, default_section_range
 from .flow import IntegratorConfig
 from .memo import suite_scope
-from .period import sample_annulus
+from .period import detect_cycle
 from .reversibility import ReversibilityInvolution, verify_reversibility
 from .sections import Section, make_section
 from .symmetry import SymmetryInvolution, verify_sigma_symmetry
@@ -71,9 +74,6 @@ class RunConfig:
     seed: int
     out_dir: Path
     raw: dict
-
-    def digest(self) -> str:
-        return config_digest(self.raw)
 
     def build_section(self) -> Section:
         return make_section(
@@ -296,17 +296,22 @@ def _period_command(config: RunConfig, section, cfg):
     else:
         params = sorted(sample_parameters(config.samples, section.s_min,
                                           section.s_max, config.seed))
-    result = sample_annulus(config.field, section, params, cfg)
-    periods = _csv_text(["s", "x0", "y0", "T", "closure_residual"], result.rows())
-    n_ok = sum(1 for c in result.cycles if c is not None)
-    errors = [f"sample s = {s:.6g} failed: {msg}" for s, msg in result.errors]
-    return (n_ok, len(result.cycles)), [("periods.csv", periods)], errors
+    rows, errors = [], []
+    for s in params:
+        try:
+            cyc = detect_cycle(config.field, section.point(s), cfg)
+        except SAMPLE_FAILURES as exc:
+            errors.append(f"sample s = {s:.6g} failed: {exc}")
+            continue
+        rows.append((s, *cyc.base_point, cyc.period, cyc.closure_residual))
+    periods = _csv_text(["s", "x0", "y0", "T", "closure_residual"], rows)
+    return (len(rows), len(params)), [("periods.csv", periods)], errors
 
 
 def _symmetry_command(config: RunConfig, section, cfg):
     samples, times = _gather_samples(config, section, cfg)
     report = verify_sigma_symmetry(config.field, section, samples, times, cfg)
-    report.provenance["config_digest"] = config.digest()
+    report.provenance["config_digest"] = config_digest(config.raw)
     pairs = _pairs_csv("symmetry_pairs", samples, SymmetryInvolution(config.field, cfg))
     return _outcome(report, [("symmetry_report.json", report.to_json()),
                              ("symmetry_pairs.csv", pairs)])
@@ -314,10 +319,11 @@ def _symmetry_command(config: RunConfig, section, cfg):
 
 def _reversibility_command(config: RunConfig, section, cfg):
     samples, times = _gather_samples(config, section, cfg)
+    report = verify_reversibility(config.field, section, samples, times, cfg)
+    report.provenance["config_digest"] = config_digest(config.raw)
+    # the suite stored every grid record of the conjugate section in this
+    # command's scope, so this second build integrates nothing
     sigma = ReversibilityInvolution(config.field, section, cfg)
-    report = verify_reversibility(config.field, section, samples, times, cfg,
-                                  sigma=sigma)
-    report.provenance["config_digest"] = config.digest()
     pairs = _pairs_csv("reversibility_pairs", samples, sigma)
     star = sigma.delta_star
     star_csv = _csv_text(["s", "x_star", "y_star", "T"],
@@ -341,7 +347,7 @@ def _verify_command(config: RunConfig, section, cfg):
         provenance={
             "field": config.field.name,
             "section": section.label,
-            "config_digest": config.digest(),
+            "config_digest": config_digest(config.raw),
         },
     )
     return _outcome(report, [("verify_report.json", report.to_json()),

@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import SAMPLE_FAILURES, CriticalPointError, DomainEscape, NotACycle
+from .errors import CriticalPointError, DomainEscape, NotACycle
 from .expr import PlanarField
 from .flow import MAX_HORIZON, EventSpec, IntegratorConfig, Point, Trajectory, as_point, integrate
 from .memo import memoized
 
-__all__ = ["Cycle", "AnnulusSample", "detect_cycle", "period", "sample_annulus"]
+__all__ = ["Cycle", "detect_cycle", "period"]
 
 _CRITICAL_SPEED = 1e-12
 
@@ -101,36 +101,3 @@ def period(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig()) ->
     """Minimal positive period T(z) of the cycle through z, from one cycle
     detection per call (never memoized)."""
     return detect_cycle(field, z, cfg).period
-
-
-@dataclass
-class AnnulusSample:
-    """Cycles detected along a seed curve, one per parameter value."""
-
-    params: list[float]
-    cycles: list[Cycle | None]
-    errors: list[tuple[float, str]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def rows(self) -> list[tuple[float, float, float, float, float]]:
-        return [(s, *c.base_point, c.period, c.closure_residual)
-                for s, c in zip(self.params, self.cycles) if c is not None]
-
-
-def sample_annulus(field: PlanarField, seed, params,
-                   cfg: IntegratorConfig = IntegratorConfig()) -> AnnulusSample:
-    """Detect one cycle per seed parameter; per-point failures are recorded,
-    not raised."""
-    params = [float(s) for s in params]
-    cycles: list[Cycle | None] = []
-    errors: list[tuple[float, str]] = []
-    for s in params:
-        try:
-            cycles.append(detect_cycle(field, seed.point(s), cfg))
-        except SAMPLE_FAILURES as exc:
-            cycles.append(None)
-            errors.append((s, str(exc)))
-    return AnnulusSample(params=params, cycles=cycles, errors=errors)

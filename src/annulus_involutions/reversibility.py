@@ -16,7 +16,11 @@ is the mirror (x, -y), which also fixes the negative x-axis).
 The conjugate curve is a certified tabulated :class:`~.sections.Section`
 that also carries the period of each grid cycle.  ``sigma_reversible`` and
 ``ReversibilityInvolution`` evaluate sigma through one body, which reads
-the image off the one cycle detection that finds tau.
+the image off the one cycle detection that finds tau; ``tau_star`` is
+``tau`` on the conjugate curve.  ``verify_reversibility`` always builds
+its own involution, inside its memo scope: within a scope that stays
+open, as a CLI command's does, building the involution again reads every
+grid record back and integrates nothing.
 """
 
 from __future__ import annotations
@@ -123,14 +127,6 @@ def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, Point, Po
     return memoized(("crossing", field, section, cfg), z, search)
 
 
-def _signed_crossing(field, delta: Section, z, cfg) -> tuple[float, Point]:
-    """(tau, crossing point); a point on the section is its own crossing."""
-    z = as_point(z)
-    if delta.contains(z):
-        return 0.0, z
-    return _nearest_crossing(field, delta, z, cfg)[:2]
-
-
 def tau(field: PlanarField, delta: Section, z,
         cfg: IntegratorConfig = IntegratorConfig()) -> float:
     """Signed time to the section along the orbit, in (-T(z)/2, T(z)/2].
@@ -139,13 +135,17 @@ def tau(field: PlanarField, delta: Section, z,
     negative when the section is behind z (forward arc), positive when it
     is ahead (backward arc).
     """
-    return _signed_crossing(field, delta, z, cfg)[0]
+    z = as_point(z)
+    if delta.contains(z):
+        return 0.0
+    return _nearest_crossing(field, delta, z, cfg)[0]
 
 
 def tau_star(field: PlanarField, delta_star: Section, z,
              cfg: IntegratorConfig = IntegratorConfig()) -> float:
-    """Signed time to the conjugate section; differs from tau by half a period."""
-    return _signed_crossing(field, delta_star, z, cfg)[0]
+    """Signed time to the conjugate section, ``tau`` on that curve; it
+    differs from tau by half a period."""
+    return tau(field, delta_star, z, cfg)
 
 
 def classify(field: PlanarField, delta: Section, delta_star: Section, z,
@@ -262,16 +262,15 @@ def verify_reversibility(
     samples,
     times,
     cfg: IntegratorConfig = IntegratorConfig(),
-    *,
-    sigma: ReversibilityInvolution | None = None,
 ) -> VerificationReport:
-    """Run the reversibility identity suite for one section."""
+    """Run the reversibility identity suite for one section, on an
+    involution built for it in the suite's scope."""
     samples, times = list(samples), list(times)  # each check reads them again
-    if sigma is None:
-        sigma = ReversibilityInvolution(field, delta, cfg)
-    on_delta = [delta.point(s) for s in sample_parameters(5, delta.s_min, delta.s_max, seed=1)]
-    fixed_samples = [as_point(z) for z in samples] + on_delta
     with suite_scope():
+        sigma = ReversibilityInvolution(field, delta, cfg)
+        on_delta = [delta.point(s)
+                    for s in sample_parameters(5, delta.s_min, delta.s_max, seed=1)]
+        fixed_samples = [as_point(z) for z in samples] + on_delta
         checks = [
             check_commutation(field, sigma, -1, samples, times, cfg),
             check_involution(sigma, samples),

@@ -89,8 +89,9 @@ class Section:
     """A curve s -> C(s) on [s_min, s_max]; once certified, a transversal
     section that carries its certificate.
 
-    Subclasses define ``jet(s)``, the floats (x, y, x', y', x'', y'') of C,
-    C' and C'' at s, and may override ``project`` and ``side``.
+    Subclasses define ``jet(s)`` (a method, or an attribute holding the
+    compiled function), the floats (x, y, x', y', x'', y'') of C, C' and
+    C'' at s, and may override ``project`` and ``side``.
     ``side_lipschitz`` bounds |grad side| for the event scan; the generic
     side (offset at a Newton projection) has no proven bound.
     Certification sets ``label``, ``orientation`` (the common sign of
@@ -254,19 +255,16 @@ class ExpressionCurve(Section):
         self.grid = [float(s) for s in grid]
         dx, dy = differentiate(sx, "s"), differentiate(sy, "s")
         ddx, ddy = differentiate(dx, "s"), differentiate(dy, "s")
-        self._jet = compile_fn((sx, sy, dx, dy, ddx, ddy), ("s",))
+        self.jet = compile_fn((sx, sy, dx, dy, ddx, ddy), ("s",))
         # C'' is symbolically zero; abs() also differentiates to a zero C'',
         # so a kinked curve is told apart only by the grid test of _as_affine
         self.straight = ddx == Const(0.0) and ddy == Const(0.0)
         self.points = []
         for s in self.grid:
-            jet = self._defined(self._jet, s)
+            jet = self._defined(self.jet, s)
             if not all(map(math.isfinite, jet[:4])):
                 raise SectionError(f"section {self.label}: curve not finite at s = {s:.6g}")
             self.points.append(jet[:2])
-
-    def jet(self, s: float) -> tuple[float, ...]:
-        return self._jet(s)
 
 
 class TabulatedCurve(Section):
@@ -364,6 +362,9 @@ def make_section(field, sx, sy, s_range, n_grid: int = 33, name: str | None = No
     """
     sx, sy = parse(sx, variables=("s",)), parse(sy, variables=("s",))
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
+    if not all(map(math.isfinite, (s_lo, s_hi, s_hi - s_lo))):
+        raise SectionError(f"parameter range [{s_lo}, {s_hi}] needs finite ends "
+                           f"and a finite length")
     if not (s_hi > s_lo):
         raise SectionError(f"empty parameter range [{s_lo}, {s_hi}]")
     if n_grid < 4:

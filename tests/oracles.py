@@ -27,6 +27,8 @@ package and checks the copied tableau and the step control.
 ``uniqueness_probe_reference`` composes each fractional shift with
 itself through two cycle detections, one at z and one at its image, where
 the package reads both legs from the one cycle of z.
+``ConjugatedRotation`` is a family of fields with curved sections whose
+period, involutions, section times and conjugate section are closed forms.
 """
 
 import math
@@ -38,9 +40,9 @@ from scipy import integrate
 
 from annulus_involutions import flow as F
 from annulus_involutions.errors import DomainEscape, StepLimitExceeded
-from annulus_involutions.expr import compile_fn, differentiate
+from annulus_involutions.expr import PlanarField, compile_fn, differentiate
 from annulus_involutions.period import detect_cycle
-from annulus_involutions.sections import _AffineSegment
+from annulus_involutions.sections import _AffineSegment, make_section
 
 
 def elliptic_k_quad(k: float) -> float:
@@ -457,3 +459,85 @@ def uniqueness_probe_reference(field, z, fractions, cfg):
         cyc1 = detect_cycle(field, z1, cfg)
         out.append(math.dist(cyc1.trajectory.state(f * cyc1.period), z))
     return out
+
+
+# --- conjugated rotations: exact answers on curved sections --------------------
+
+@dataclass(frozen=True)
+class ConjugatedRotation:
+    """The rotation V0 = w(u^2 + v^2) (-v, u), w(rho) = 1 + b rho, carried
+    by the polynomial diffeomorphism Psi = S2 o S1, S1(u, v) = (u, v + a u^2),
+    S2(u, v) = (u + c v^2, v), with the section Psi o delta0 for the spiral
+    delta0(s) = s (cos ks, sin ks) on [0.2, 1.0].
+
+    Both involutions are natural under conjugacy, so with p = Psi^-1(z),
+    r = |p| and phi = arg p every answer is closed: T = 2 pi / w(r^2),
+    sigma_sym(z) = Psi(-p), tau(z) = wrap(k r - phi) / w with wrap into
+    (-pi, pi], sigma_R(z) = Psi(r cos(2 k r - phi), r sin(2 k r - phi)) and
+    delta*(s) = Psi(-delta0(s)).  The spiral's radial speed is 1, so it is
+    transversal to every circle and meets each once.  The field and the
+    section are built from text, as a user would write them.
+    """
+
+    a: float
+    c: float
+    b: float
+    k: float
+
+    S_RANGE = (0.2, 1.0)
+
+    def field(self):
+        a, c, b = f"({self.a!r})", f"({self.c!r})", f"({self.b!r})"
+        u = f"(x - {c}*y^2)"
+        v = f"(y - {a}*{u}^2)"
+        w = f"(1 + {b}*({u}^2 + {v}^2))"
+        # Q = dY/dt and P = dX/dt, X = u + c Y^2, at Y = y
+        q = f"{w}*{u}*(1 - 2*{a}*{v})"
+        return PlanarField.from_strings(f"-{w}*{v} + 2*{c}*y*{q}", q, name="conjugated-rotation")
+
+    def _spiral(self, field, sign, name):
+        """Psi o (sign delta0) as a section built from its text."""
+        a, c, k = f"({self.a!r})", f"({self.c!r})", f"({self.k!r})"
+        u, v = f"({sign}s*cos({k}*s))", f"({sign}s*sin({k}*s))"
+        y = f"({v} + {a}*{u}^2)"
+        return make_section(field, f"{u} + {c}*{y}^2", y, self.S_RANGE, name=name)
+
+    def section(self, field):
+        return self._spiral(field, "", "spiral")
+
+    def star_section(self, field):
+        """delta* = Psi(-delta0) from its text, exact where the package's
+        conjugate section is a spline through its grid points."""
+        return self._spiral(field, "-", "spiral_star")
+
+    def psi(self, u, v):
+        y = v + self.a * u * u
+        return u + self.c * y * y, y
+
+    def _polar(self, z):
+        """(r, phi, w(r^2)) at p = Psi^-1(z)."""
+        u = z[0] - self.c * z[1] * z[1]
+        v = z[1] - self.a * u * u
+        r = math.hypot(u, v)
+        return r, math.atan2(v, u), 1.0 + self.b * r * r
+
+    def period(self, z):
+        return 2.0 * math.pi / self._polar(z)[2]
+
+    def sigma_sym(self, z):
+        r, phi, _ = self._polar(z)
+        return self.psi(-r * math.cos(phi), -r * math.sin(phi))
+
+    def tau(self, z, shift=0.0):
+        """Signed time to the section, or to delta* with shift = pi."""
+        r, phi, w = self._polar(z)
+        x = self.k * r + shift - phi
+        return (x - 2.0 * math.pi * math.ceil((x - math.pi) / (2.0 * math.pi))) / w
+
+    def sigma_rev(self, z):
+        r, phi, _ = self._polar(z)
+        angle = 2.0 * self.k * r - phi
+        return self.psi(r * math.cos(angle), r * math.sin(angle))
+
+    def delta_star(self, s):
+        return self.psi(-s * math.cos(self.k * s), -s * math.sin(self.k * s))

@@ -14,6 +14,7 @@ import numpy as np
 from annulus_involutions.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from annulus_involutions.fields import builtin_field
 from annulus_involutions.flow import IntegratorConfig
+from annulus_involutions.memo import suite_scope
 from annulus_involutions.period import period
 from annulus_involutions.reversibility import (
     ReversibilityInvolution,
@@ -127,16 +128,17 @@ def test_06_section_reversibility_linear_center():
     failures = []
     for label, sx, sy, expected in cases:
         sec = make_section(lc, sx, sy, (0.3, 1.9), name=label)
-        sigma = ReversibilityInvolution(lc, sec, cfg)
         samples = annulus_points(lc, sec, 20, cfg, seed=3)
-        worst_match = max(float(np.linalg.norm(sigma(z) - expected(z)))
-                          for z in samples)
+        t_ref = 2 * math.pi
+        # in one scope the suite's involution reads back sigma's records
+        with suite_scope():
+            sigma = ReversibilityInvolution(lc, sec, cfg)
+            worst_match = max(float(np.linalg.norm(sigma(z) - expected(z)))
+                              for z in samples)
+            rep = verify_reversibility(
+                lc, sec, samples[:10], [0.17 * t_ref, 0.43 * t_ref, 0.71 * t_ref], cfg)
         if worst_match > 1e-8:
             failures.append(f"{label}: sigma mismatch {worst_match:.2e}")
-        t_ref = 2 * math.pi
-        rep = verify_reversibility(
-            lc, sec, samples[:10], [0.17 * t_ref, 0.43 * t_ref, 0.71 * t_ref],
-            cfg, sigma=sigma)
         for check, gate in [("flow_anticommutation", 1e-8), ("involution", 1e-8),
                             ("well_posedness", 1e-8),
                             ("field_condition_reversibility", 1e-6)]:

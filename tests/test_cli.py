@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from annulus_involutions import period as period_mod
 from annulus_involutions.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -20,6 +21,7 @@ from annulus_involutions.cli import (
 )
 from annulus_involutions.errors import ConfigError, FlowError
 from annulus_involutions.flow import IntegratorConfig
+from annulus_involutions.period import detect_cycle
 from annulus_involutions.symmetry import verify_sigma_symmetry
 
 
@@ -289,6 +291,38 @@ out = {tmp_path / 'out'}
         rows = read_csv(tmp_path / "out" / "periods.csv")
         assert len(rows) == 2  # header + the surviving sample
 
+    def test_rows_are_the_detected_cycles(self, lc_config, tmp_path):
+        # each row is (s, x0, y0, T, closure_residual) of the cycle through
+        # the seed point, to the bit
+        assert main(["period", "--config", lc_config]) == EXIT_OK
+        config = load_config(lc_config)
+        section = config.build_section()
+        rows = read_csv(tmp_path / "out" / "periods.csv")[1:]
+        assert len(rows) == len(config.params) == 3
+        for row, s in zip(rows, config.params):
+            c = detect_cycle(config.field, section.point(s), config.cfg)
+            assert row == [repr(v) for v in (s, *c.base_point, c.period, c.closure_residual)]
+
+    def test_failures_recorded_not_fatal(self, tmp_path, capsys, monkeypatch):
+        # the x = 3.1 cycle's period, about 21, exceeds the shortened
+        # horizon: its sample fails with one stderr line, and the other
+        # sample's row is written
+        monkeypatch.setattr(period_mod, "MAX_HORIZON", 20.0)
+        cfg = write_config(tmp_path / "p.cfg", f"""
+field = pendulum
+section = x-axis [0.3, 3.1]
+params = [1.0, 3.1]
+out = {tmp_path / 'out'}
+""")
+        assert main(["period", "--config", cfg]) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "FAIL 1/2"
+        assert captured.err.splitlines() == [
+            "sample s = 3.1 failed: no return to the transversal within t = 20 "
+            "(not a cycle, or annulus boundary)"]
+        rows = read_csv(tmp_path / "out" / "periods.csv")
+        assert [row[0] for row in rows] == ["s", "1.0"]
+
     def test_field_math_error_recorded(self, tmp_path, capsys):
         # sqrt(x + 1) is real only for x >= -1: the r = 0.5 circle stays
         # there, the r = 1.3 circle does not
@@ -448,13 +482,21 @@ UNBUILDABLE_SECTIONS = {
                                     "section_range = [0.3, 1.5]\n"),
 }
 
-# a literal that parses to inf, and a section whose derivative folds to inf:
+# a literal that parses to inf, a section whose derivative folds to inf,
+# and section ranges with an infinite end or a length that overflows:
 # (config, the stderr line's start)
 NON_FINITE_CONSTANTS = {
     "literal": ("P = -y\nQ = x + 0*1e400\nsection = x-axis [0.2, 1.0]\n",
                 "config error: inline field: number '1e400' is not finite"),
     "folded": ("field = linear-center\nsx = s\nsy = s*1e308*10\nsection_range = [0.3, 1.0]\n",
                "section error: section (s, s*1e+308*10.0): curve not finite at s = 0.3"),
+    "range-end": ("field = linear-center\nsection = x-axis [0.2, inf]\n",
+                  "section error: parameter range [0.2, inf] needs finite ends and a finite "
+                  "length"),
+    "range-length": ("field = linear-center\nsx = s\nsy = 0\n"
+                     "section_range = [-1.7e308, 1.7e308]\n",
+                     "section error: parameter range [-1.7e+308, 1.7e+308] needs finite ends "
+                     "and a finite length"),
 }
 
 # field expressions nested deeper than the parser accepts, and a section

@@ -12,7 +12,8 @@ from annulus_involutions.flow import IntegratorConfig
 from annulus_involutions.memo import suite_scope
 from annulus_involutions.period import period
 from annulus_involutions.reversibility import (
-    _signed_crossing,
+    ReversibilityInvolution,
+    _nearest_crossing,
     sigma_reversible,
     tau,
     verify_reversibility,
@@ -103,11 +104,11 @@ def test_hit_has_the_bits_of_a_fresh_call(pendulum, cfg):
 
 def test_mutating_a_result_leaves_the_entry(linear_center, lc_xaxis, cfg, integrations):
     z = np.array([0.6, 0.8])
-    w = np.array([0.3, -0.9])
+    w = (0.3, -0.9)  # off the section
     with suite_scope():
         image = sigma_symmetric(linear_center, z, cfg)
         kept = np.array(image)
-        _, z_hit = _signed_crossing(linear_center, lc_xaxis, w, cfg)
+        _, z_hit = _nearest_crossing(linear_center, lc_xaxis, w, cfg)[:2]
         kept_hit = np.array(z_hit)
         rev_image = sigma_reversible(linear_center, lc_xaxis, w, cfg)
         kept_rev = np.array(rev_image)
@@ -116,7 +117,7 @@ def test_mutating_a_result_leaves_the_entry(linear_center, lc_xaxis, cfg, integr
                 result[0] = 99.0
         done = integrations[0]
         assert np.array_equal(sigma_symmetric(linear_center, z, cfg), kept)
-        assert np.array_equal(_signed_crossing(linear_center, lc_xaxis, w, cfg)[1], kept_hit)
+        assert np.array_equal(_nearest_crossing(linear_center, lc_xaxis, w, cfg)[1], kept_hit)
         assert np.array_equal(sigma_reversible(linear_center, lc_xaxis, w, cfg), kept_rev)
         assert integrations[0] == done
 
@@ -266,6 +267,30 @@ def test_symmetry_after_reversibility_runs_no_integration(pendulum, cfg, integra
         for z in samples:
             sigma_symmetric(pendulum, z, cfg)
         assert integrations[0] == done
+
+
+def test_second_involution_runs_no_integration(pendulum, cfg, monkeypatch, integrations):
+    # the suite stores every grid record of the conjugate section in the
+    # scope, so building the involution again there reads them back, bits
+    # and all; the parabola's conjugate section is a tabulated curve
+    sec = make_section(pendulum, "s", "0.3*s^2", (0.35, 1.75), name="parabola")
+    samples = annulus_points(pendulum, sec, 2, cfg, seed=3)
+    built = []
+    monkeypatch.setattr(reversibility, "ReversibilityInvolution",
+                        lambda *args: built.append(ReversibilityInvolution(*args)) or built[-1])
+    with suite_scope():
+        verify_reversibility(pendulum, sec, samples, [1.3], cfg)
+        done = integrations[0]
+        second = ReversibilityInvolution(pendulum, sec, cfg)
+        assert integrations[0] == done
+    fresh = ReversibilityInvolution(pendulum, sec, cfg)  # no scope: integrates again
+    assert integrations[0] == done + len(sec.grid)
+
+    def bits(star):
+        return ([v.hex() for p in star.points for v in p], [t.hex() for t in star.periods])
+
+    [suite] = built
+    assert bits(second.delta_star) == bits(suite.delta_star) == bits(fresh.delta_star)
 
 
 def _verify_outputs(tmp_path, name, memo_on, monkeypatch, integrations):

@@ -6,8 +6,8 @@ import pytest
 from annulus_involutions import period as period_mod
 from annulus_involutions.errors import CriticalPointError, NotACycle
 from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
-from annulus_involutions.flow import IntegratorConfig, flow
-from annulus_involutions.period import detect_cycle, period, sample_annulus
+from annulus_involutions.flow import flow
+from annulus_involutions.period import detect_cycle, period
 from annulus_involutions.sections import curve_event, make_section
 
 from oracles import (
@@ -149,51 +149,36 @@ class TestPeriodFunction:
 
 
 class TestSampleAnnulus:
+    """Cycles detected along a seed curve, one per parameter, as the period
+    command detects them."""
+
     def test_linear_center(self, linear_center, cfg):
         sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
-        samp = sample_annulus(linear_center, sec, [0.5, 1.0, 1.5], cfg)
-        assert samp.ok
-        periods = np.array([c.period for c in samp.cycles])
+        periods = np.array([period(linear_center, sec.point(s), cfg) for s in (0.5, 1.0, 1.5)])
         assert np.abs(periods - 2 * math.pi).max() <= 1e-9
 
     def test_cubic_scaling(self, cubic_center, cfg):
         sec = make_section(cubic_center, "s", "0", (0.25, 2.5), name="x-axis")
         params = np.array([0.5, 1.0, 2.0])
-        samp = sample_annulus(cubic_center, sec, params, cfg)
-        assert samp.ok
-        scaled = np.array([c.period for c in samp.cycles]) * params ** 2
+        periods = np.array([period(cubic_center, sec.point(s), cfg) for s in params])
+        scaled = periods * params ** 2
         assert np.abs(scaled - scaled[1]).max() <= 1e-5 * scaled[1]
 
     def test_pendulum_monotone(self, pendulum, cfg):
         sec = make_section(pendulum, "s", "0", (0.3, 3.05), name="x-axis")
         params = np.arange(0.5, 3.01, 0.5)
-        samp = sample_annulus(pendulum, sec, params, cfg)
-        assert samp.ok
-        periods = np.array([c.period for c in samp.cycles])
+        periods = np.array([period(pendulum, sec.point(s), cfg) for s in params])
         assert np.all(np.diff(periods) > 0.0)
         # anchor against the quadrature oracle
         for s, T in zip(params, periods):
             assert T == pytest.approx(pendulum_period(float(s)), abs=1e-6)
 
-    def test_failures_recorded_not_fatal(self, pendulum, monkeypatch):
-        # the x = 3.1 cycle's period, about 21, exceeds the shortened horizon
-        monkeypatch.setattr(period_mod, "MAX_HORIZON", 20.0)
-        tight = IntegratorConfig(rtol=1e-10, atol=1e-12)
-        sec = make_section(pendulum, "s", "0", (0.3, 3.1), name="x-axis")
-        samp = sample_annulus(pendulum, sec, [1.0, 3.1], tight)
-        assert not samp.ok
-        assert samp.cycles[0] is not None
-        assert samp.cycles[1] is None
-        assert len(samp.errors) == 1 and samp.errors[0][0] == 3.1
-
     def test_consecutive_cycles_disjoint(self, duffing, cfg):
         sec = make_section(duffing, "s", "0", (0.3, 1.5), name="x-axis")
-        params = [0.5, 1.0, 1.5]
-        samp = sample_annulus(duffing, sec, params, cfg)
-        assert samp.ok
         # sample each trajectory and check pairwise separation
         clouds = []
-        for c in samp.cycles:
+        for s in (0.5, 1.0, 1.5):
+            c = detect_cycle(duffing, sec.point(s), cfg)
             ts = np.linspace(0.0, c.period, 60, endpoint=False)
             clouds.append(np.array([c.trajectory.state(float(t)) for t in ts]))
         for a, b in zip(clouds, clouds[1:]):
@@ -201,11 +186,10 @@ class TestSampleAnnulus:
             assert gaps.min() > 1e-3
 
     def test_csv_rows(self, linear_center, cfg):
+        # the period command's row (s, x0, y0, T, closure_residual)
         sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
-        samp = sample_annulus(linear_center, sec, [0.5, 1.0], cfg)
-        rows = samp.rows()
-        assert len(rows) == 2
-        s, x0, y0, T, res = rows[0]
-        assert (s, x0, y0) == (0.5, 0.5, 0.0)
-        assert T == pytest.approx(2 * math.pi, abs=1e-9)
-        assert res < 1e-8
+        c = detect_cycle(linear_center, sec.point(0.5), cfg)
+        x0, y0 = c.base_point
+        assert (x0, y0) == (0.5, 0.0)
+        assert c.period == pytest.approx(2 * math.pi, abs=1e-9)
+        assert c.closure_residual < 1e-8

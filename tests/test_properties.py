@@ -14,8 +14,16 @@ from hypothesis import Phase, given, settings, strategies as st
 from annulus_involutions.expr import Bin, Call, Const, Neg, PlanarField, Var, parse, to_source
 from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
 from annulus_involutions.flow import EventSpec, flow, integrate
+from annulus_involutions.memo import suite_scope
 from annulus_involutions.period import detect_cycle, period
-from annulus_involutions.reversibility import ReversibilityInvolution, tau, verify_reversibility
+from annulus_involutions.reversibility import (
+    BranchTag,
+    ReversibilityInvolution,
+    classify,
+    tau,
+    tau_star,
+    verify_reversibility,
+)
 from annulus_involutions.sections import (
     ExpressionCurve,
     TabulatedCurve,
@@ -26,6 +34,8 @@ from annulus_involutions.sections import (
 )
 from annulus_involutions.symmetry import SymmetryInvolution, verify_sigma_symmetry
 from annulus_involutions.verify import annulus_points
+
+from oracles import ConjugatedRotation
 
 # every example runs orbit computations, so a failure is reported as found,
 # unshrunk: shrinking it would take minutes
@@ -281,29 +291,86 @@ _CENTRE_TOL = 1e-9
 def test_random_reversible_centre(cfg, coefs):
     field = _reversible_centre(*coefs)
     section = make_section(field, "s", "0", _CENTRE_SECTION, name="x-axis")
-    sym = SymmetryInvolution(field, cfg)
-    rev = ReversibilityInvolution(field, section, cfg)
-    samples = annulus_points(field, section, 4, cfg, seed=3)
-    times = [0.7, 2.9]
+    # one scope, as in a command: the suite's own involution reads back the
+    # conjugate section that rev tabulated, so no grid cycle is detected twice
+    with suite_scope():
+        sym = SymmetryInvolution(field, cfg)
+        rev = ReversibilityInvolution(field, section, cfg)
+        samples = annulus_points(field, section, 4, cfg, seed=3)
+        times = [0.7, 2.9]
 
-    def mirror(z):
-        return z[0], -z[1]
+        def mirror(z):
+            return z[0], -z[1]
 
-    # (iv) both suites pass
-    for report in (verify_sigma_symmetry(field, section, samples, times, cfg),
-                   verify_reversibility(field, section, samples, times, cfg, sigma=rev)):
-        assert report.all_pass, [(c.name, c.max_residual, c.errors) for c in report.checks]
-    # (iii) delta_q = phi(-T/4, delta), tabulated from delta's grid periods
-    quarter = [flow(field, section.point(s), -0.25 * t, cfg)
-               for s, t in zip(section.grid, rev.delta_star.periods)]
-    rev_q = ReversibilityInvolution(
-        field, section_from_points(field, section.grid, quarter, name="x-axis_quarter"), cfg)
-    for z in samples:
-        scale = 1.0 + np.linalg.norm(z)
-        # (i) the reversibility fixing the positive x-axis is the mirror
-        assert np.linalg.norm(np.subtract(rev(z), mirror(z))) / scale <= _CENTRE_TOL
-        # (ii) the symmetry commutes with the mirror
-        assert np.linalg.norm(np.subtract(sym(mirror(z)), mirror(sym(z)))) / scale \
-            <= _CENTRE_TOL
-        # (iii) the symmetry turns one reversibility into another
-        assert np.linalg.norm(np.subtract(rev(sym(z)), rev_q(z))) / scale <= _CENTRE_TOL
+        # (iv) both suites pass
+        for report in (verify_sigma_symmetry(field, section, samples, times, cfg),
+                       verify_reversibility(field, section, samples, times, cfg)):
+            assert report.all_pass, [(c.name, c.max_residual, c.errors) for c in report.checks]
+        # (iii) delta_q = phi(-T/4, delta), tabulated from delta's grid periods
+        quarter = [flow(field, section.point(s), -0.25 * t, cfg)
+                   for s, t in zip(section.grid, rev.delta_star.periods)]
+        rev_q = ReversibilityInvolution(
+            field, section_from_points(field, section.grid, quarter, name="x-axis_quarter"), cfg)
+        for z in samples:
+            scale = 1.0 + np.linalg.norm(z)
+            # (i) the reversibility fixing the positive x-axis is the mirror
+            assert np.linalg.norm(np.subtract(rev(z), mirror(z))) / scale <= _CENTRE_TOL
+            # (ii) the symmetry commutes with the mirror
+            assert np.linalg.norm(np.subtract(sym(mirror(z)), mirror(sym(z)))) / scale \
+                <= _CENTRE_TOL
+            # (iii) the symmetry turns one reversibility into another
+            assert np.linalg.norm(np.subtract(rev(sym(z)), rev_q(z))) / scale <= _CENTRE_TOL
+
+
+# --- conjugated rotations: curved sections with closed-form answers -------------
+
+# T (relative), both involutions and delta* (scaled by 1 + |z|), tau and
+# tau_star (absolute) against the closed forms; the largest measured over
+# these examples is 2.5e-14, from sigma_R
+_CONJ_TOL = 1e-9
+
+
+def _signed(lo, hi):
+    """Floats of either sign with magnitude in [lo, hi]."""
+    return st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(lo, hi)).map(
+        lambda t: t[0] * t[1])
+
+
+# shears of magnitude at least 0.1, so that no example is a bare rotation;
+# |k| stays at most 1 because the spline error of the tabulated delta* grows
+# with k
+@settings(max_examples=3, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
+@given(a=_signed(0.1, 0.3), c=_signed(0.1, 0.3), b=st.floats(0.2, 1.0), k=_signed(0.3, 1.0))
+def test_conjugated_rotation_closed_forms(cfg, a, c, b, k):
+    fam = ConjugatedRotation(a, c, b, k)
+    field = fam.field()
+    delta = fam.section(field)
+    exact_star = fam.star_section(field)
+    with suite_scope():
+        samples = annulus_points(field, delta, 5, cfg, seed=3)
+        times = [0.7, 2.9]
+        for report in (verify_sigma_symmetry(field, delta, samples, times, cfg),
+                       verify_reversibility(field, delta, samples, times, cfg)):
+            assert report.all_pass, [(chk.name, chk.max_residual, chk.errors)
+                                     for chk in report.checks]
+        # built again in the suite's scope, as the reversibility command does
+        rev = ReversibilityInvolution(field, delta, cfg)
+        sym = SymmetryInvolution(field, cfg)
+        star = rev.delta_star
+        errors = []
+        for z in samples:
+            scale = 1.0 + math.hypot(*z)
+            t_closed = fam.period(z)
+            t_delta = fam.tau(z)
+            errors += [abs(period(field, z, cfg) - t_closed) / t_closed,
+                       math.dist(sym(z), fam.sigma_sym(z)) / scale,
+                       math.dist(rev(z), fam.sigma_rev(z)) / scale,
+                       abs(tau(field, delta, z, cfg) - t_delta),
+                       abs(tau_star(field, exact_star, z, cfg) - fam.tau(z, math.pi))]
+            tag, _ = classify(field, delta, star, z, cfg)
+            assert tag is (BranchTag.A_PLUS if t_delta < 0.0 else BranchTag.A_MINUS)
+        # the tabulated delta* and its periods at its grid points
+        for s, p, t in zip(star.grid, star.points, star.periods):
+            errors += [math.dist(p, fam.delta_star(s)) / (1.0 + math.hypot(*p)),
+                       abs(t - fam.period(p)) / t]
+    assert max(errors) <= _CONJ_TOL

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from annulus_involutions import reversibility
 from annulus_involutions.errors import EventNotFound, NotASection
 from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
 from annulus_involutions.flow import flow
 from annulus_involutions.memo import suite_scope
 from annulus_involutions.period import period
 from annulus_involutions.reversibility import (
-    _signed_crossing,
     BranchTag,
     ReversibilityInvolution,
+    _nearest_crossing,
     check_half_period_roundtrip,
     check_well_posedness,
     classify,
@@ -135,25 +136,34 @@ class TestTau:
     def test_hit_point_on_section(self, cubic_center, cfg):
         sec = make_section(cubic_center, "s", "s", (0.3, 1.5), name="diagonal")
         z = flow(cubic_center, [1.0, 1.0], 1.1, cfg)
-        t, z_hit = _signed_crossing(cubic_center, sec, z, cfg)
+        t, z_hit = _nearest_crossing(cubic_center, sec, z, cfg)[:2]
         s_hit, _ = sec.project(z_hit)
         assert np.linalg.norm(np.subtract(z_hit, sec.point(s_hit))) <= 1e-8
         assert np.linalg.norm(np.subtract(flow(cubic_center, z, t, cfg), z_hit)) <= 1e-8
 
-    @pytest.mark.parametrize("start", [(0.4, 0.9), (0.8, 0.192)], ids=["off", "on"])
-    def test_tau_projects_no_crossing(self, pendulum, cfg, start):
-        # tau equals the crossing search's time and projects no more often
-        # than that search: it does not project the crossing point;
-        # (0.8, 0.3 * 0.8^2) lies on the section
+    @pytest.mark.parametrize("start, detections", [((0.4, 0.9), 1), ((0.8, 0.192), 0)],
+                             ids=["off", "on"])
+    def test_tau_projects_no_crossing(self, pendulum, cfg, monkeypatch, start, detections):
+        # outside its one cycle detection tau projects once, for the
+        # membership test: it does not project the crossing point;
+        # (0.8, 0.3 * 0.8^2) lies on the section, so its tau detects nothing
         sec = make_section(pendulum, "s", "0.3*s^2", (0.35, 1.75), name="parabola")
-        calls = []
+        calls, during = [], []
         project = sec.project
         sec.project = lambda z: calls.append(1) or project(z)
+        detect = reversibility.detect_cycle
+
+        def counted(*args, **kwargs):
+            before = len(calls)
+            cycle = detect(*args, **kwargs)
+            during.append(len(calls) - before)
+            return cycle
+
+        monkeypatch.setattr(reversibility, "detect_cycle", counted)
         t = tau(pendulum, sec, start, cfg)
-        n_tau = len(calls)
-        t_hit, _ = _signed_crossing(pendulum, sec, start, cfg)
-        assert t.hex() == t_hit.hex()
-        assert len(calls) - n_tau == n_tau
+        assert len(during) == detections
+        assert len(calls) - sum(during) == 1
+        assert (t == 0.0) == (detections == 0)
 
     def test_orbit_missing_section(self, linear_center, cfg):
         # the radius-1 cycle closes and never meets the short segment: the
@@ -336,7 +346,7 @@ class TestRectifiedChart:
         rev = ReversibilityInvolution(duffing, sec, cfg)
 
         def chart(z):
-            t, z_hit = _signed_crossing(duffing, sec, z, cfg)
+            t, z_hit = _nearest_crossing(duffing, sec, z, cfg)[:2]
             s_hit, _ = sec.project(z_hit)
             return -t, s_hit
 

@@ -45,6 +45,17 @@ class TestMakeSection:
         with pytest.raises(SectionError):
             make_section(linear_center, "s", "0", (2.0, 0.2))
 
+    @pytest.mark.parametrize("s_range", [(0.2, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                         (-1.7e308, 1.7e308)],
+                             ids=["inf-end", "minus-inf-end", "nan-end", "length-overflows"])
+    def test_non_finite_range_rejected(self, linear_center, s_range):
+        # refused before the grid is built, which would put nan into s
+        lo, hi = s_range
+        with pytest.raises(SectionError) as exc:
+            make_section(linear_center, "s", "0", s_range)
+        assert str(exc.value) == (f"parameter range [{lo}, {hi}] needs finite ends "
+                                  f"and a finite length")
+
     def test_through_critical_point_rejected(self, linear_center):
         with pytest.raises(TransversalityError):
             make_section(linear_center, "s", "0", (-1.0, 1.0))

@@ -15,9 +15,10 @@ step length that multiplies them is hs = -h.  Trajectories remember their
 direction.
 
 Each accepted step keeps its start s0, its length h, its start state c1
-and the field k1 there, and the cubic Hermite interpolant through its two
-ends and their derivatives,
-c1 + th (c2 + (1-th) (c3 + th c4)).
+and the field k1 there: what ``Trajectory.state`` replays.  An integration
+that watches events also forms, for each accepted step, the cubic Hermite
+interpolant through the step's two ends and their derivatives,
+c1 + th (c2 + (1-th) (c3 + th c4)), and drops it after the step's scan.
 The cubic only screens a step for event crossings.  Every state handed
 out inside a step -- a located root, a Brent iterate, ``Trajectory.state``
 -- is the propagated solution: one partial DOP853 step of length s - s0
@@ -244,27 +245,16 @@ class EventHit:
 
 
 class _Step:
-    """One accepted step: start s0 and length h in progress time, the start
-    state c1 and the field k1 there, and the cubic Hermite coefficients
-    c2..c4, per component, as plain floats."""
+    """One accepted step: start s0 and length h in progress time, and the
+    start state c1 and the field k1 there, as plain floats."""
 
-    __slots__ = ("s0", "h", "c1x", "c1y", "k1x", "k1y", "c2x", "c2y", "c3x", "c3y",
-                 "c4x", "c4y")
+    __slots__ = ("s0", "h", "c1x", "c1y", "k1x", "k1y")
 
-    def __init__(self, s0, h, c1x, c1y, k1x, k1y, c2x, c2y, c3x, c3y, c4x, c4y):
+    def __init__(self, s0, h, c1x, c1y, k1x, k1y):
         self.s0 = s0
         self.h = h
         self.c1x, self.c1y = c1x, c1y
         self.k1x, self.k1y = k1x, k1y
-        self.c2x, self.c2y = c2x, c2y
-        self.c3x, self.c3y = c3x, c3y
-        self.c4x, self.c4y = c4x, c4y
-
-    def hermite(self, th: float) -> Point:
-        """The cubic at the fraction th of the step, as two floats."""
-        om = 1.0 - th
-        return (self.c1x + th * (self.c2x + om * (self.c3x + th * self.c4x)),
-                self.c1y + th * (self.c2y + om * (self.c3y + th * self.c4y)))
 
     def state(self, dop853, sign: float, s: float) -> Point:
         """The propagated solution at progress time s in [s0, s0 + h): one
@@ -433,9 +423,10 @@ def _crossed(ga: float, gb: float) -> bool:
     return (ga < 0.0 < gb) or (ga > 0.0 > gb) or (gb == 0.0 and ga != 0.0)
 
 
-def _scan_step(dop853, sign, step, end, events, scan, g_prev, zero_start):
+def _scan_step(dop853, sign, step, end, cubic, events, scan, g_prev, zero_start):
     """Look for crossings of the events ``events[k]``, k in ``scan``, inside
-    one accepted step whose end state is ``end``.
+    one accepted step whose end state is ``end`` and whose cubic Hermite
+    coefficients c2..c4 are ``cubic``, (c2x, c2y, c3x, c3y, c4x, c4y).
 
     Each event's values at the cubic's interior samples and at ``end``
     flag a possible crossing by a sign change from the start value; a
@@ -452,7 +443,10 @@ def _scan_step(dop853, sign, step, end, events, scan, g_prev, zero_start):
     s0, h = step.s0, step.h
     s1 = s0 + h
     svals = [s0 + q * h for q in _SAMPLE_FRACTIONS]
-    cubic = [step.hermite(q) for q in _SAMPLE_FRACTIONS[:-1]]
+    c1x, c1y = step.c1x, step.c1y
+    c2x, c2y, c3x, c3y, c4x, c4y = cubic
+    inner = [(c1x + q * (c2x + (1.0 - q) * (c3x + q * c4x)),
+              c1y + q * (c2y + (1.0 - q) * (c3y + q * c4y))) for q in _SAMPLE_FRACTIONS[:-1]]
     exact = None
     seen: dict[float, Point] = {}  # the partial steps taken, by progress time
 
@@ -470,7 +464,7 @@ def _scan_step(dop853, sign, step, end, events, scan, g_prev, zero_start):
         ev = events[k]
         g = ev.g
         ga = g_prev[k]
-        gvals = [g(*z) for z in cubic]
+        gvals = [g(*z) for z in inner]
         gvals.append(g(*end))
         if any(map(_crossed, [ga, *gvals[:-1]], gvals)):
             if exact is None:
@@ -571,14 +565,16 @@ def integrate(
             continue
 
         k13x, k13y = rhs(xn, yn)
-        dx, dy = xn - x, yn - y
-        c3x, c3y = hs * fx - dx, hs * fy - dy
-        c4x, c4y = 2.0 * dx - hs * (k13x + fx), 2.0 * dy - hs * (k13y + fy)
-        step = _Step(s, h, x, y, fx, fy, dx, dy, c3x, c3y, c4x, c4y)
+        step = _Step(s, h, x, y, fx, fy)
         steps.append(step)
         s += h
 
         if events:
+            # the cubic Hermite interpolant c1 + th (c2 + (1-th) (c3 + th c4))
+            # through the step's ends and their derivatives, with c2 = (dx, dy)
+            dx, dy = xn - x, yn - y
+            c3x, c3y = hs * fx - dx, hs * fy - dy
+            c4x, c4y = 2.0 * dx - hs * (k13x + fx), 2.0 * dy - hs * (k13y + fy)
             # the Lipschitz skip: an event whose start value clears
             # 2 L reach + floor takes only its value at the step's end
             scan = []
@@ -595,7 +591,8 @@ def integrate(
                         continue
                 scan.append(k)
             if scan:
-                found, nstates = _scan_step(dop853, sign, step, (xn, yn), events, scan,
+                found, nstates = _scan_step(dop853, sign, step, (xn, yn),
+                                            (dx, dy, c3x, c3y, c4x, c4y), events, scan,
                                             g_prev, zero_start)
                 npartial += nstates
                 for s_root, hit in found:

@@ -111,10 +111,10 @@ class Section:
     points: list[Point]
 
     def point(self, s: float) -> Point:
-        return self.jet(s)[:2]
+        return self._defined(self.jet, s)[:2]
 
     def tangent(self, s: float) -> tuple[float, float]:
-        return self.jet(s)[2:4]
+        return self._defined(self.jet, s)[2:4]
 
     def _undefined(self, s: float, exc: Exception) -> SectionError:
         return SectionError(f"section {self.label}: curve undefined at s = {s:.6g}: {exc}")

@@ -21,6 +21,9 @@ package skips the steps an event's Lipschitz bound rules out.  Event functions t
 state.  ``side_reference`` is the signed side function of each curve kind
 on ndarrays, with its own nearest-point Newton iteration; it shares only
 the curve's evaluation of C(s), C'(s) and C''(s).
+``step_cubic`` rebuilds the cubic Hermite coefficients that the package's
+event scan forms for one accepted step, from the step record alone, which
+keeps no cubic.
 ``ScipyE5DOP853`` is scipy's own DOP853 steered by its 5th-order error
 estimate alone, as the package's kernel is; it shares nothing with the
 package and checks the copied tableau and the step control.
@@ -387,6 +390,33 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
         h *= factor
     return RefTrajectory(direction, steps, np.array(boundaries), np.array(states),
                          nrejected, nfev, hits)
+
+
+def step_cubic(traj, i, rhs):
+    """The cubic Hermite coefficients (c2x, c2y, c3x, c3y, c4x, c4y) that the
+    event scan forms for accepted step i of a package Trajectory, in its
+    operation order with hs = direction * h: from the step's start and
+    field, and the next step's start and field, or for the last step
+    ``z_final`` and ``rhs(z_final)``."""
+    step = traj.steps[i]
+    if i + 1 < len(traj.steps):
+        nxt = traj.steps[i + 1]
+        xn, yn, fxn, fyn = nxt.c1x, nxt.c1y, nxt.k1x, nxt.k1y
+    else:
+        xn, yn = traj.z_final
+        fxn, fyn = rhs(xn, yn)
+    hs = traj.direction * step.h
+    dx, dy = xn - step.c1x, yn - step.c1y
+    return (dx, dy, hs * step.k1x - dx, hs * step.k1y - dy,
+            2.0 * dx - hs * (fxn + step.k1x), 2.0 * dy - hs * (fyn + step.k1y))
+
+
+def hermite(step, cubic, th):
+    """The cubic c1 + th (c2 + (1-th) (c3 + th c4)) of a step at the fraction
+    th, with ``cubic`` from ``step_cubic``, in the scan's operation order."""
+    c2x, c2y, c3x, c3y, c4x, c4y = cubic
+    return (step.c1x + th * (c2x + (1.0 - th) * (c3x + th * c4x)),
+            step.c1y + th * (c2y + (1.0 - th) * (c3y + th * c4y)))
 
 
 class ScipyE5DOP853(integrate.DOP853):

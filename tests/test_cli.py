@@ -340,6 +340,27 @@ out = {tmp_path / 'out'}
         assert "sample s = 1.3 failed: field evaluation failed" in captured.err
         assert len(read_csv(tmp_path / "out" / "periods.csv")) == 2
 
+    def test_section_math_error_recorded(self, tmp_path, capsys):
+        # log(s) is undefined at the parameter s = -1, outside the section's
+        # range: that sample fails with a SectionError naming s, and the
+        # s = 0.7 row is written
+        cfg = write_config(tmp_path / "p.cfg", f"""
+field = linear-center
+sx = s
+sy = 0.01*log(s)
+section_range = [0.5, 1.0]
+params = [-1.0, 0.7]
+out = {tmp_path / 'out'}
+""")
+        assert main(["period", "--config", cfg]) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "FAIL 1/2"
+        assert captured.err.splitlines() == [
+            "sample s = -1 failed: section (s, 0.01*log(s)): curve undefined at s = -1: "
+            "math domain error"]
+        rows = read_csv(tmp_path / "out" / "periods.csv")
+        assert [row[0] for row in rows] == ["s", "0.7"]
+
 
 class TestSymmetryCommand:
     def test_linear_center_all_pass(self, lc_config, tmp_path, capsys):

@@ -32,12 +32,14 @@ from oracles import (
     T_DUFFING_AMP1,
     T_PENDULUM_HALF_PI,
     cubic_center_period,
+    hermite,
     integrate_reference,
     linear_center_flow,
     pendulum_period,
     rotation_matrix,
     scipy_dop853,
     side_reference,
+    step_cubic,
     variational_jacobian,
 )
 from test_expr import DEEPEST, _arg, _trees
@@ -712,9 +714,10 @@ def _counting(ev, calls):
     return dataclasses.replace(ev, g=g)
 
 
-def _reach(step):
-    """The skip's reach of a step: |c2| + |c3| + |c4|, x terms then y."""
-    return sum(abs(getattr(step, f"c{i}{c}")) for c in "xy" for i in range(2, 5))
+def _reach(traj, i, rhs):
+    """The skip's reach of step i: |c2| + |c3| + |c4|, x terms then y."""
+    c2x, c2y, c3x, c3y, c4x, c4y = step_cubic(traj, i, rhs)
+    return abs(c2x) + abs(c3x) + abs(c4x) + abs(c2y) + abs(c3y) + abs(c4y)
 
 
 class TestEventSkip:
@@ -741,10 +744,11 @@ class TestEventSkip:
         # once after each accepted step's scan, so it splits the g calls by
         # step.
         z0 = (1.0, 0.0)
-        steps = integrate(linear_center.rhs, z0, 9.0, cfg).steps
+        traj = integrate(linear_center.rhs, z0, 9.0, cfg)
+        steps = traj.steps
         i = next(i for i, st in enumerate(steps) if i > 0 and 0.3 < st.c1y < 0.9)
         step, end = steps[i], (steps[i + 1].c1x, steps[i + 1].c1y)
-        reach = _reach(step)
+        reach = _reach(traj, i, linear_center.rhs)
         margin = 2.0 * 1.0 * reach + 1e-12 * (1.0 + abs(step.c1x) + abs(step.c1y))
         c = step.c1y - margin * (1.0 + offset)
         event = EventSpec(g=lambda x, y: y - c, direction=0, terminal=False, lipschitz=1.0)
@@ -809,7 +813,8 @@ class TestEventSkip:
         [traj] = runs
         points = set(seen)
         q = flow_mod._SAMPLE_FRACTIONS[0]
-        scanned = sum(step.hermite(q) in points for step in traj.steps)
+        scanned = sum(hermite(step, step_cubic(traj, i, field.rhs), q) in points
+                      for i, step in enumerate(traj.steps))
         flagged = sum(traj.state(step.s0 + q * step.h) in points for step in traj.steps)
         assert iterates[0] > 0 and flagged >= 2
         if bound is None:

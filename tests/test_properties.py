@@ -35,7 +35,7 @@ from annulus_involutions.sections import (
 from annulus_involutions.symmetry import SymmetryInvolution, verify_sigma_symmetry
 from annulus_involutions.verify import annulus_points
 
-from oracles import ConjugatedRotation
+from oracles import ConjugatedRotation, hermite, step_cubic
 
 # every example runs orbit computations, so a failure is reported as found,
 # unshrunk: shrinking it would take minutes
@@ -187,9 +187,11 @@ def test_dense_output_stays_within_reach(cfg, name, u, t, thetas):
     lo, hi = default_section_range(name)
     traj = integrate(field.rhs, (lo + u * (hi - lo), 0.0), t, cfg, bounds=field.contains)
     ends = [(st.c1x, st.c1y) for st in traj.steps[1:]] + [traj.z_final]
-    for step, end in zip(traj.steps, ends):
-        reach = sum(abs(getattr(step, f"c{i}{c}")) for c in "xy" for i in range(2, 5))
-        for x, y in [step.hermite(th) for th in thetas + [0.0, 1.0]] + [end]:
+    for i, (step, end) in enumerate(zip(traj.steps, ends)):
+        cubic = step_cubic(traj, i, field.rhs)
+        c2x, c2y, c3x, c3y, c4x, c4y = cubic
+        reach = abs(c2x) + abs(c3x) + abs(c4x) + abs(c2y) + abs(c3y) + abs(c4y)
+        for x, y in [hermite(step, cubic, th) for th in thetas + [0.0, 1.0]] + [end]:
             assert abs(x - step.c1x) + abs(y - step.c1y) <= reach
 
 

@@ -85,6 +85,15 @@ class TestMakeSection:
         with pytest.raises(SectionError, match="curve undefined at s = 0: "):
             make_section(linear_center, "s", "sqrt(s)", (0.0, 1.0))
 
+    @pytest.mark.parametrize("method", ["point", "tangent"])
+    def test_point_and_tangent_name_s(self, linear_center, method):
+        # a parameter outside the certified range where the curve is undefined
+        sec = make_section(linear_center, "s", "0.01*log(s)", (0.5, 1.0))
+        with pytest.raises(SectionError) as exc:
+            getattr(sec, method)(-1.0)
+        assert str(exc.value) == ("section (s, 0.01*log(s)): curve undefined at s = -1: "
+                                  "math domain error")
+
     def test_undefined_field_names_s(self):
         field = PlanarField.from_strings("-y", "x + 0*sqrt(x - 0.5)")
         with pytest.raises(SectionError) as exc:

@@ -127,6 +127,13 @@ for name in builtin_names():
 """
 
 
+def config_text(name: str) -> str:
+    """The run.cfg of one config: its text, the default params unless it
+    names its own, and the common sample settings."""
+    text = CONFIGS[name]
+    return text + ("" if "params" in text else PARAMS) + COMMON
+
+
 def _env(src: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src / "src")
@@ -241,11 +248,10 @@ def main(argv=None) -> int:
     src = args.src.resolve()
     env = _env(src)
     _check_origin(src, env)
-    for name, text in CONFIGS.items():
+    for name in CONFIGS:
         case = args.out / name
         case.mkdir(parents=True, exist_ok=True)
-        params = "" if "params" in text else PARAMS
-        (case / "run.cfg").write_text(text + params + COMMON, encoding="utf-8")
+        (case / "run.cfg").write_text(config_text(name), encoding="utf-8")
         for command in COMMANDS:
             run = subprocess.run(
                 [sys.executable, "-m", "annulus_involutions.cli", command,

@@ -14,17 +14,15 @@ numerical failures in ``errors.SAMPLE_FAILURES``.  A sample whose sigma
 fails is left out of the pairs CSV with one stderr line.  One command run
 is one memo scope (see :mod:`.memo`), so the checks and the pairs CSV
 share each point's cycle detection and section crossings, or their
-failure, and the reversibility command's second involution, built for
-the pairs and ``delta_star.csv``, integrates nothing.  Commands keep
-records, not orbits: ``period`` writes each cycle's row as it detects it
-and a failed parameter as one stderr line.
+failure.  The pairs and ``delta_star.csv`` are written from the
+involution on the suite's report, the map the checks verified.  Commands
+keep records, not orbits: ``period`` writes each cycle's row as it
+detects it and a failed parameter as one stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,12 +34,13 @@ from .errors import (
     SectionError,
     TransversalityError,
 )
-from .expr import PlanarField, parse_field_text, parse_key_values, parse_number_list
+from .expr import (PlanarField, field_from_entries, parse_field_text, parse_key_values,
+                   parse_number_list)
 from .fields import builtin_field, builtin_names, default_section_range
 from .flow import IntegratorConfig
 from .memo import suite_scope
 from .period import detect_cycle
-from .reversibility import ReversibilityInvolution, verify_reversibility
+from .reversibility import verify_reversibility
 from .sections import Section, make_section
 from .symmetry import SymmetryInvolution, verify_sigma_symmetry
 from .verify import (
@@ -50,6 +49,7 @@ from .verify import (
     config_digest,
     sample_parameters,
     sample_time_fractions,
+    table_text,
     write_atomic,
 )
 
@@ -130,11 +130,8 @@ def _resolve_field(entries: dict[str, str], config_dir: Path) -> PlanarField:
     if inline:
         if "P" not in entries or "Q" not in entries:
             raise ConfigError("inline field needs both P and Q")
-        kwargs = {"name": "custom"}
-        if "domain" in entries:
-            kwargs["domain"] = parse_number_list(entries["domain"], "domain")
         try:
-            return PlanarField.from_strings(entries["P"], entries["Q"], **kwargs)
+            return field_from_entries(entries, "custom")
         except ExpressionError as exc:
             raise ConfigError(f"inline field: {exc}") from exc
     raise ConfigError("config must name a field (built-in or file) or define P and Q")
@@ -233,12 +230,7 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
 
 
 def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()
+    return table_text([header, *([repr(float(v)) for v in row] for row in rows)])
 
 
 def _pairs_csv(name: str, samples, sigma) -> str:
@@ -312,7 +304,7 @@ def _symmetry_command(config: RunConfig, section, cfg):
     samples, times = _gather_samples(config, section, cfg)
     report = verify_sigma_symmetry(config.field, section, samples, times, cfg)
     report.provenance["config_digest"] = config_digest(config.raw)
-    pairs = _pairs_csv("symmetry_pairs", samples, SymmetryInvolution(config.field, cfg))
+    pairs = _pairs_csv("symmetry_pairs", samples, report.involution)
     return _outcome(report, [("symmetry_report.json", report.to_json()),
                              ("symmetry_pairs.csv", pairs)])
 
@@ -321,11 +313,8 @@ def _reversibility_command(config: RunConfig, section, cfg):
     samples, times = _gather_samples(config, section, cfg)
     report = verify_reversibility(config.field, section, samples, times, cfg)
     report.provenance["config_digest"] = config_digest(config.raw)
-    # the suite stored every grid record of the conjugate section in this
-    # command's scope, so this second build integrates nothing
-    sigma = ReversibilityInvolution(config.field, section, cfg)
-    pairs = _pairs_csv("reversibility_pairs", samples, sigma)
-    star = sigma.delta_star
+    pairs = _pairs_csv("reversibility_pairs", samples, report.involution)
+    star = report.involution.delta_star
     star_csv = _csv_text(["s", "x_star", "y_star", "T"],
                          ((s, *p, t) for s, p, t in zip(star.grid, star.points,
                                                         star.periods)))

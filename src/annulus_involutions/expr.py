@@ -60,6 +60,7 @@ __all__ = [
     "compile_fn",
     "PlanarField",
     "parse_field_text",
+    "field_from_entries",
     "parse_key_values",
     "parse_number_list",
 ]
@@ -635,6 +636,11 @@ def parse_field_text(text: str, name: str = "field") -> PlanarField:
     unknown = set(entries) - {"P", "Q", "domain"}
     if unknown:
         raise ConfigError(f"unknown field keys: {sorted(unknown)}")
+    return field_from_entries(entries, name)
+
+
+def field_from_entries(entries: dict[str, str], name: str) -> PlanarField:
+    """The field of the ``P``, ``Q`` and optional ``domain`` entries; others are ignored."""
     for required in ("P", "Q"):
         if required not in entries:
             raise ConfigError(f"missing required key {required!r}")

@@ -17,10 +17,10 @@ The conjugate curve is a certified tabulated :class:`~.sections.Section`
 that also carries the period of each grid cycle.  ``sigma_reversible`` and
 ``ReversibilityInvolution`` evaluate sigma through one body, which reads
 the image off the one cycle detection that finds tau; ``tau_star`` is
-``tau`` on the conjugate curve.  ``verify_reversibility`` always builds
-its own involution, inside its memo scope: within a scope that stays
-open, as a CLI command's does, building the involution again reads every
-grid record back and integrates nothing.
+``tau`` on the conjugate curve.  ``verify_reversibility`` builds its own
+involution inside its memo scope and returns it on the report, so a
+caller reads the pairs and the conjugate curve off the map the suite
+verified.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import CycleError, EventNotFound, NotASection
+from .errors import SAMPLE_FAILURES, EventNotFound, NotASection
 from .expr import PlanarField
 from .flow import IntegratorConfig, Point, as_point, flow
 from .memo import memoized, suite_scope
@@ -78,15 +78,16 @@ def conjugate_section(field: PlanarField, delta: Section,
                       cfg: IntegratorConfig = IntegratorConfig()) -> Section:
     """Tabulate phi(T/2, delta(s)) over the section grid and certify it.
 
-    The result carries the period of each grid cycle in ``periods``.
+    The result carries the period of each grid cycle in ``periods``.  A
+    known failure at a grid point is raised again with its type, naming s.
     """
     points = []
     periods = []
     for s in delta.grid:
         try:
             t_period, image = _half_period_image(field, delta.point(s), cfg)
-        except CycleError as exc:
-            raise CycleError(f"conjugate section failed at s = {s:.6g}: {exc}") from exc
+        except SAMPLE_FAILURES as exc:
+            raise type(exc)(f"conjugate section failed at s = {s:.6g}: {exc}") from exc
         periods.append(t_period)
         points.append(image)
     star = section_from_points(field, delta.grid, points, name=f"{delta.label}_star")
@@ -264,7 +265,7 @@ def verify_reversibility(
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> VerificationReport:
     """Run the reversibility identity suite for one section, on an
-    involution built for it in the suite's scope."""
+    involution built for it in the suite's scope; the report carries it."""
     samples, times = list(samples), list(times)  # each check reads them again
     with suite_scope():
         sigma = ReversibilityInvolution(field, delta, cfg)
@@ -286,4 +287,4 @@ def verify_reversibility(
         "config_digest": config_digest({"rtol": cfg.rtol, "atol": cfg.atol,
                                         "samples": len(samples), "times": len(times)}),
     }
-    return VerificationReport(checks=checks, provenance=provenance)
+    return VerificationReport(checks=checks, provenance=provenance, involution=sigma)

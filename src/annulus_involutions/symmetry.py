@@ -118,8 +118,8 @@ def verify_sigma_symmetry(
     times,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> VerificationReport:
-    """Run the symmetry identity suite over the samples and times, then
-    the uniqueness probe at the midpoint of the section."""
+    """Run the symmetry identity suite over the samples and times, then the
+    uniqueness probe at the section's midpoint; the report carries sigma."""
     samples, times = list(samples), list(times)  # each check reads them again
     sigma = SymmetryInvolution(field, cfg)
     threshold = 0.1  # non-triviality: the largest |sigma(z) - z| must exceed it
@@ -148,4 +148,4 @@ def verify_sigma_symmetry(
                                         "samples": len(samples), "times": len(times)}),
         "section": section.label,
     }
-    return VerificationReport(checks=checks, provenance=provenance)
+    return VerificationReport(checks=checks, provenance=provenance, involution=sigma)

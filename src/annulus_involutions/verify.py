@@ -11,9 +11,7 @@ shifted by an integer seed.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -39,6 +37,7 @@ __all__ = [
     "sample_time_fractions",
     "annulus_points",
     "config_digest",
+    "table_text",
     "write_atomic",
 ]
 
@@ -88,6 +87,7 @@ class CheckResult:
 class VerificationReport:
     checks: list[CheckResult]
     provenance: dict
+    involution: object = None  # the map a suite's checks verified; never serialized
 
     @property
     def all_pass(self) -> bool:
@@ -114,13 +114,15 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["check", "residual", "tolerance", "pass"])
-        for c in self.checks:
-            w.writerow([c.name, repr(c.max_residual), repr(c.tolerance),
-                        "true" if c.passed else "false"])
-        return buf.getvalue()
+        return table_text([["check", "residual", "tolerance", "pass"]]
+                          + [[c.name, repr(c.max_residual), repr(c.tolerance),
+                              "true" if c.passed else "false"] for c in self.checks])
+
+
+def table_text(rows) -> str:
+    """CSV text, one line per row of string cells.  No cell the package
+    writes holds a comma, a quote or a line break, so none is quoted."""
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def write_atomic(path, text: str) -> None:

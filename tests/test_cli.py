@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annulus_involutions import period as period_mod
+from annulus_involutions import cli, period as period_mod, reversibility
 from annulus_involutions.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -169,6 +169,37 @@ section_grid = 17
         path = write_config(tmp_path / "run.cfg", f"field = linear-center\n{text}\n")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
+
+    # each refusal of the field and section keys, and of an empty params
+    # list, is one "config error:" line and exit 2; {dir} is the config's
+    # directory
+    @pytest.mark.parametrize("text, message", [
+        ("field = linear-center\nP = -y\nQ = x\n",
+         "give either 'field = <name-or-file>' or inline P/Q, not both"),
+        ("field = f.txt\nsection = x-axis [0.2, 2.0]\n",
+         "field file {dir}/f.txt: unexpected end of input (offset 3)"),
+        ("P = -y\nsection = x-axis [0.2, 2.0]\n", "inline field needs both P and Q"),
+        ("field = linear-center\nsection = x-axis [0.2, 2.0]\nsx = s\n",
+         "give either 'section = ...' shorthand or sx/sy, not both"),
+        ("field = linear-center\nsection = y-axis [0.2, 2.0]\n",
+         "unknown section shorthand 'y-axis' (use x-axis or diagonal)"),
+        ("field = linear-center\nsx = s\nsection_range = [0.2, 2.0]\n",
+         "expression sections need both sx and sy"),
+        ("field = linear-center\nsx = s\nsy = 0\n",
+         "expression sections need section_range = [smin, smax]"),
+        ("field = linear-center\nparams = []\n", "params list is empty"),
+    ], ids=["field-and-inline", "field-file-expression", "inline-without-q",
+            "shorthand-and-expressions", "unknown-shorthand", "expression-without-sy",
+            "expression-without-range", "empty-params"])
+    def test_refused_keys_one_line(self, tmp_path, capsys, text, message):
+        write_config(tmp_path / "f.txt", "P = -y\nQ = x +\n")
+        cfg = write_config(tmp_path / "run.cfg", f"{text}out = {tmp_path / 'out'}\n")
+        assert main(["period", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "config error: " + message.format(dir=tmp_path.resolve())]
+        assert not (tmp_path / "out").exists()
 
     def test_bad_expression_reported(self, tmp_path):
         path = write_config(tmp_path / "run.cfg",
@@ -454,6 +485,17 @@ out = {tmp_path / 'out'}
         for c in report["checks"]:
             assert c["pass"], c["check_name"]
 
+    def test_one_conjugate_section_per_run(self, lc_config, tmp_path, monkeypatch):
+        # the pairs and delta_star.csv come from the involution the suite
+        # built, so the conjugate section is tabulated once
+        calls = []
+        tabulate = reversibility.conjugate_section
+        monkeypatch.setattr(reversibility, "conjugate_section",
+                            lambda *args: calls.append(args) or tabulate(*args))
+        assert main(["reversibility", "--config", lc_config]) == EXIT_OK
+        assert len(calls) == 1
+        assert len(read_csv(tmp_path / "out" / "delta_star.csv")) == 1 + 33
+
 
 class TestVerifyCommand:
     def test_combined_report(self, lc_config, tmp_path, capsys):
@@ -603,6 +645,27 @@ out = {tmp_path / 'out'}
         assert capsys.readouterr().err.startswith(prefix)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["reversibility", "verify"])
+    def test_conjugate_section_failure_names_s(self, tmp_path, capsys, command):
+        # log(1.5 + y) is undefined below y = -1.5, which the half-period
+        # image of the s = 1.55 grid point reaches: a numerical failure
+        # (exit 1) whose line names the grid point
+        cfg = write_config(tmp_path / "c.cfg", f"""
+P = -y
+Q = x + 0*log(1.5 + y)
+section = x-axis [0.2, 2.0]
+samples = 2
+times = 1
+out = {tmp_path / 'out'}
+""")
+        assert main([command, "--config", cfg]) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: conjugate section failed at s = 1.55: field evaluation failed at "
+            "(-0.34519410257151384, -1.5110728083055331): math domain error"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", COMMANDS[1:])
     def test_undefined_field_exits_like_domain_escape(self, tmp_path, capsys, command):
         # outer cycles leave the working box in one config and reach
@@ -642,6 +705,23 @@ class TestPairsCsv:
                                      "0.5,0.0,0.5,-0.0"]
         assert capsys.readouterr().err.splitlines() == [
             "symmetry_pairs: (-0.25, 2): left the domain"]
+
+    @pytest.mark.parametrize("command, suite", [("symmetry", "verify_sigma_symmetry"),
+                                                ("reversibility", "verify_reversibility")])
+    def test_rows_are_the_reported_involution(self, lc_config, tmp_path, monkeypatch,
+                                              command, suite):
+        # the pairs are the images of the map the suite verified, to the bit
+        reports = []
+        run_suite = getattr(cli, suite)
+        monkeypatch.setattr(cli, suite, lambda *args: reports.append(run_suite(*args))
+                            or reports[-1])
+        assert main([command, "--config", lc_config]) == EXIT_OK
+        [report] = reports
+        rows = read_csv(tmp_path / "out" / f"{command}_pairs.csv")[1:]
+        assert len(rows) == 5
+        for row in rows:
+            z = tuple(map(float, row[:2]))
+            assert row == [repr(v) for v in (*z, *report.involution(z))]
 
 
 class TestDeterminism:

@@ -321,6 +321,12 @@ class TestEvents:
         assert t_hit == pytest.approx(math.pi, abs=1e-9)
         assert np.abs(z_hit - [-1.0, 0.0]).max() <= 1e-9
 
+    def test_time_direction_is_a_sign(self, linear_center, cfg):
+        ev = EventSpec(g=lambda x, y: y, direction=0)
+        with pytest.raises(ValueError, match=r"^t_direction must be \+1 or -1$") as info:
+            flow_to_event(linear_center, [1.0, 0.0], ev, 0, cfg)
+        assert type(info.value) is ValueError
+
     def test_duffing_half_period(self, duffing, cfg):
         ev = EventSpec(g=lambda x, y: y, direction=0)
         hit = flow_to_event(duffing, [1.0, 0.0], ev, 1, cfg).events[0]

@@ -269,17 +269,14 @@ def test_symmetry_after_reversibility_runs_no_integration(pendulum, cfg, integra
         assert integrations[0] == done
 
 
-def test_second_involution_runs_no_integration(pendulum, cfg, monkeypatch, integrations):
+def test_second_involution_runs_no_integration(pendulum, cfg, integrations):
     # the suite stores every grid record of the conjugate section in the
     # scope, so building the involution again there reads them back, bits
     # and all; the parabola's conjugate section is a tabulated curve
     sec = make_section(pendulum, "s", "0.3*s^2", (0.35, 1.75), name="parabola")
     samples = annulus_points(pendulum, sec, 2, cfg, seed=3)
-    built = []
-    monkeypatch.setattr(reversibility, "ReversibilityInvolution",
-                        lambda *args: built.append(ReversibilityInvolution(*args)) or built[-1])
     with suite_scope():
-        verify_reversibility(pendulum, sec, samples, [1.3], cfg)
+        suite = verify_reversibility(pendulum, sec, samples, [1.3], cfg).involution
         done = integrations[0]
         second = ReversibilityInvolution(pendulum, sec, cfg)
         assert integrations[0] == done
@@ -289,7 +286,6 @@ def test_second_involution_runs_no_integration(pendulum, cfg, monkeypatch, integ
     def bits(star):
         return ([v.hex() for p in star.points for v in p], [t.hex() for t in star.periods])
 
-    [suite] = built
     assert bits(second.delta_star) == bits(suite.delta_star) == bits(fresh.delta_star)
 
 

@@ -59,10 +59,12 @@ def test_traced_benchmark_names_exist():
 
 
 def test_import_loads_no_scipy():
-    # scipy and numpy are test-only dependencies; a fresh interpreter shows
-    # what the package itself imports
+    # scipy and numpy are test-only dependencies, and the package writes
+    # its CSV text without the csv module; a fresh interpreter shows what
+    # the package itself imports
     code = ("import sys; import annulus_involutions; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'numpy', 'csv', '_csv')))")
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout

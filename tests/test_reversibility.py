@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from annulus_involutions import reversibility
-from annulus_involutions.errors import EventNotFound, NotASection
+from annulus_involutions.errors import DomainError, EventNotFound, NotACycle, NotASection
+from annulus_involutions.expr import PlanarField
 from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
 from annulus_involutions.flow import flow
 from annulus_involutions.memo import suite_scope
@@ -82,6 +83,21 @@ class TestConjugateSection:
         sec = make_section(cubic_center, "s", "s", (0.3, 1.5), name="diagonal")
         star = conjugate_section(cubic_center, sec, cfg)
         assert star.min_transversality > 1e-6
+
+
+    @pytest.mark.parametrize("q, domain, s_hi, error, start", [
+        ("x + 0*log(1.5 + y)", (-100.0, 100.0, -100.0, 100.0), 2.0, DomainError,
+         "conjugate section failed at s = 1.55: field evaluation failed at "),
+        ("x", (-1.0, 2.0, -2.0, 2.0), 1.4, NotACycle,
+         "conjugate section failed at s = 1.025: orbit of (1.025, 0) left the domain: "),
+    ], ids=["undefined-field", "left-the-domain"])
+    def test_failure_keeps_its_type_and_names_s(self, cfg, q, domain, s_hi, error, start):
+        field = PlanarField.from_strings("-y", q, domain=domain)
+        delta = make_section(field, "s", "0", (0.2, s_hi))
+        with pytest.raises(error) as info:
+            conjugate_section(field, delta, cfg)
+        assert type(info.value) is error
+        assert str(info.value).startswith(start)
 
 
 class TestTau:

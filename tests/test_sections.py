@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,6 +229,22 @@ class TestGeometry:
         z = (0.228125, 0.02)
         assert sec.distance(z) <= 1e-15
         assert ReversibilityInvolution(linear_center, sec)(z) == z
+
+    @pytest.mark.parametrize("case, message", [
+        ("three-points", "tabulated curve needs at least 4 grid points"),
+        ("closed-circle", "section (cos(s), sin(s)) self-intersects on the grid"),
+    ])
+    def test_refusal_names_its_cause(self, linear_center, case, message):
+        # a table too short for the spline, and a circle whose grid ends
+        # meet, transversal everywhere to the focus x' = x - y, y' = x + y
+        with pytest.raises(SectionError, match=f"^{re.escape(message)}$") as info:
+            if case == "three-points":
+                section_from_points(linear_center, [0.5, 1.0, 1.5],
+                                    [(0.5, 0.0), (1.0, 0.0), (1.5, 0.0)], name="short")
+            else:
+                focus = PlanarField.from_strings("x - y", "x + y")
+                make_section(focus, "cos(s)", "sin(s)", (0.0, 2.0 * math.pi))
+        assert type(info.value) is SectionError
 
     def test_self_intersection_rejected(self, linear_center):
         grid = np.linspace(0.0, 1.0, 9)

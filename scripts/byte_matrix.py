@@ -1,4 +1,4 @@
-"""Run every CLI command on ten configs, and the period function on a
+"""Run every CLI command on eleven configs, and the period function on a
 grid, and keep everything they leave.
 
     python3 scripts/byte_matrix.py --src <source tree> --out <dir>
@@ -6,8 +6,8 @@ grid, and keep everything they leave.
 Each config has samples 4, times 2 and seed 7, and params = [0.5, 1.0,
 1.5] unless it names its own.  Five cover the constructions: the four
 built-ins with their default x-axis sections, and the inline field
-P = y, Q = -sin(x) with the section (s, 0.3*s^2) on [0.35, 1.75].  Five
-reach the driver's other paths:
+P = y, Q = -sin(x) with the section (s, 0.3*s^2) on [0.35, 1.75].  Six
+reach the driver's other paths and limits:
 
 - ``shorthand-x``: linear-center with ``section = x-axis [0.2, 2.0]``;
 - ``shorthand-diag``: duffing with ``section = diagonal [0.2, 1.1]``;
@@ -16,17 +16,20 @@ reach the driver's other paths:
 - ``escape``: P = -y, Q = x in the box [-1, 2] x [-2, 2] on
   ``x-axis [0.2, 1.4]`` with params [0.5, 1.3], whose outer cycles leave
   the box (degraded samples and the ``error:`` line);
-- ``loose``: the pendulum with rtol = 1e-3 (failing gates).
+- ``loose``: the pendulum with rtol = 1e-3 (failing gates);
+- ``wiggle``: linear-center with the section
+  (s, 0.02*sin(55.850536063818545*(s - 0.2))) on [0.2, 2.0], whose detail
+  between grid points the conjugate section misses (well_posedness fails).
 
 Each of period, symmetry, reversibility and verify runs in a fresh
 interpreter with the package imported from ``<src>/src``.  Under
 ``<out>/<config>/`` it writes ``run.cfg``, and for each command the output
 directory ``<command>/`` plus ``<command>.stdout``, ``<command>.stderr`` and
-``<command>.exit``.  An eleventh case, ``<out>/period-grid/``, holds
+``<command>.exit``.  A twelfth case, ``<out>/period-grid/``, holds
 ``grid.stdout`` (with ``.stderr`` and ``.exit``): the repr of ``period()``
 at 24 points (x, 0) spread over each built-in's default section range,
 with the pendulum's range stretched to x = 3.1 so that near-separatrix
-orbits are covered.  A twelfth, ``<out>/time-maps/``, holds ``maps.stdout``:
+orbits are covered.  A thirteenth, ``<out>/time-maps/``, holds ``maps.stdout``:
 for each built-in with its default x-axis section, the repr of ``tau``,
 ``tau_star`` and ``classify`` at six points (a section point, the conjugate
 point of the same grid parameter and four ``annulus_points``), or the
@@ -36,7 +39,7 @@ trees give the same files exactly when their outputs agree, and
 
     diff -r <out of tree A> <out of tree B>
 
-is empty.  The exit code is 0 when all 42 runs completed, whatever they
+is empty.  The exit code is 0 when all 46 runs completed, whatever they
 printed.
 
 A change that may move numbers but nothing else is checked with
@@ -86,6 +89,8 @@ CONFIGS = {
     "escape": ("P = -y\nQ = x\ndomain = [-1, 2, -2, 2]\n"
                "section = x-axis [0.2, 1.4]\nparams = [0.5, 1.3]\n"),
     "loose": "field = pendulum\nrtol = 1e-3\n",
+    "wiggle": ("field = linear-center\nsx = s\n"
+               "sy = 0.02*sin(55.850536063818545*(s - 0.2))\nsection_range = [0.2, 2.0]\n"),
 }
 COMMANDS = ("period", "symmetry", "reversibility", "verify")
 PERIOD_GRID = """

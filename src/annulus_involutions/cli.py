@@ -123,9 +123,10 @@ def _resolve_field(entries: dict[str, str], config_dir: Path) -> PlanarField:
                 f"field {named!r} is neither a built-in "
                 f"({', '.join(builtin_names())}) nor an existing file"
             )
+        text = _read_text(path, "field file")
         try:
-            return parse_field_text(_read_text(path, "field file"), name=path.stem)
-        except ExpressionError as exc:
+            return parse_field_text(text, name=path.stem)
+        except (ExpressionError, ConfigError) as exc:
             raise ConfigError(f"field file {path}: {exc}") from exc
     if inline:
         if "P" not in entries or "Q" not in entries:

@@ -7,14 +7,18 @@ crossing time tau(z) -- negative on the forward arc, positive on the
 backward arc, zero on delta -- satisfies tau(phi(t,z)) = tau(z) - t, and
 sigma(z) = phi(2 tau(z), z) is an involution anti-commuting with the flow
 that fixes the prescribed section.  Off delta the same map is
-phi(2 tau_star(z), z) through the conjugate curve; both routes agree where
-both are defined.  Since sigma reverses orientation along each invariant
-cycle it has exactly two fixed points per cycle, the delta point and its
-conjugate (on the linear center with the positive x-axis as section, sigma
-is the mirror (x, -y), which also fixes the negative x-axis).
+phi(2 tau_star(z), z) through the conjugate curve; the well-posedness
+check compares the two routes, but sigma itself reads only delta and the
+flow.  Since sigma reverses orientation along each invariant cycle it has
+exactly two fixed points per cycle, the delta point and its conjugate (on
+the linear center with the positive x-axis as section, sigma is the
+mirror (x, -y), which also fixes the negative x-axis).
 
 The conjugate curve is a certified tabulated :class:`~.sections.Section`
-that also carries the period of each grid cycle.  ``sigma_reversible`` and
+that also carries the period of each grid cycle; it is the witness that
+``tau_star``, ``classify``, the well-posedness and half-period checks and
+a command's ``delta_star.csv`` read, and sigma never evaluates through it,
+so its spline error cannot reach sigma.  ``sigma_reversible`` and
 ``ReversibilityInvolution`` evaluate sigma through one body, which reads
 the image off the one cycle detection that finds tau; ``tau_star`` is
 ``tau`` on the conjugate curve.  ``verify_reversibility`` builds its own
@@ -26,14 +30,13 @@ verified.
 from __future__ import annotations
 
 import enum
-import math
 
 from .errors import SAMPLE_FAILURES, EventNotFound, NotASection
 from .expr import PlanarField
 from .flow import IntegratorConfig, Point, as_point, flow
 from .memo import memoized, suite_scope
 from .period import _half_period_image, detect_cycle
-from .sections import Section, curve_event, linspace, membership_tol, section_from_points
+from .sections import Section, curve_event, linspace, section_from_points
 from .verify import (
     CheckResult,
     VerificationReport,
@@ -60,8 +63,6 @@ __all__ = [
     "check_half_period_roundtrip",
 ]
 
-_BAND_WIDTH = 1e-7  # inside this distance of either curve, both time routes
-                    # are computed and their agreement asserted
 _TIE_RTOL = 1e-8  # crossings equally far within this share of the period are a
                   # tie, whose time is +T/2; at the grid points of the built-ins'
                   # default sections the largest share is 3.9e-11 (pendulum)
@@ -170,41 +171,27 @@ def classify(field: PlanarField, delta: Section, delta_star: Section, z,
 
 
 def sigma_reversible(field: PlanarField, delta: Section, z,
-                     cfg: IntegratorConfig = IntegratorConfig(),
-                     delta_star: Section | None = None) -> Point:
-    """The section-fixing involution phi(2 tau(z), z).
+                     cfg: IntegratorConfig = IntegratorConfig()) -> Point:
+    """The section-fixing involution phi(2 tau(z), z), read off delta and
+    the flow alone.
 
-    Points on the section (and on the conjugate curve, whose nearest
-    crossings sit half a period away on both sides) map to themselves.
-    When the conjugate curve is supplied and z falls within the overlap
-    band of either curve, both time routes are computed and their
-    agreement is asserted before returning.
+    Points on the section map to themselves.  A point of the conjugate
+    curve, half a period from the section both ways, takes the tie's
+    time +T/2 and maps to phi(T, z), its own cycle closed, within
+    integration error of z.
     """
     z = as_point(z)
-    tol = membership_tol(z)
-    d_delta = delta.distance(z)
-    if d_delta <= tol:
+    if delta.contains(z):
         return z
-    if delta_star is not None:
-        d_star = delta_star.distance(z)
-        if d_star <= tol:
-            return z
-    image = _nearest_crossing(field, delta, z, cfg)[2]
-    if delta_star is not None and min(d_delta, d_star) <= _BAND_WIDTH:
-        alt = _nearest_crossing(field, delta_star, z, cfg)[2]
-        if math.dist(alt, image) > 1e-6 * (1.0 + math.hypot(*z)):
-            raise NotASection(
-                f"section-time routes disagree near the curves at "
-                f"({z[0]:.6g}, {z[1]:.6g}); section data inconsistent"
-            )
-    return image
+    return _nearest_crossing(field, delta, z, cfg)[2]
 
 
 class ReversibilityInvolution:
     """Evaluatable reversibility involution for a fixed section.
 
-    Construction tabulates the conjugate curve; evaluation is
-    :func:`sigma_reversible` with that curve supplied.
+    Construction tabulates the conjugate curve, which ``tau_star`` and the
+    suite's checks read; evaluation is :func:`sigma_reversible` on the
+    section alone.
     """
 
     def __init__(self, field: PlanarField, delta: Section,
@@ -221,7 +208,7 @@ class ReversibilityInvolution:
         return tau_star(self.field, self.delta_star, z, self.cfg)
 
     def __call__(self, z) -> Point:
-        return sigma_reversible(self.field, self.delta, z, self.cfg, self.delta_star)
+        return sigma_reversible(self.field, self.delta, z, self.cfg)
 
 
 def check_well_posedness(field: PlanarField, delta: Section, delta_star: Section, samples,

@@ -105,7 +105,9 @@ section = x-axis [0.2, 2.0]
             load_config(path)
         write_config(tmp_path / "f.txt", "P = -y\nQ x\n")
         path = write_config(tmp_path / "run.cfg", "field = f.txt\n")
-        with pytest.raises(ConfigError, match="^line 2: expected 'key = value', got 'Q x'$"):
+        message = (f"field file {tmp_path.resolve() / 'f.txt'}: "
+                   "line 2: expected 'key = value', got 'Q x'")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
 
     def test_inline_needs_section(self, tmp_path):
@@ -178,6 +180,12 @@ section_grid = 17
          "give either 'field = <name-or-file>' or inline P/Q, not both"),
         ("field = f.txt\nsection = x-axis [0.2, 2.0]\n",
          "field file {dir}/f.txt: unexpected end of input (offset 3)"),
+        ("field = domain.txt\nsection = x-axis [0.2, 2.0]\n",
+         "field file {dir}/domain.txt: domain: expected a bracketed list, got '1, 2'"),
+        ("field = no-p.txt\nsection = x-axis [0.2, 2.0]\n",
+         "field file {dir}/no-p.txt: missing required key 'P'"),
+        ("field = r.txt\nsection = x-axis [0.2, 2.0]\n",
+         "field file {dir}/r.txt: unknown field keys: ['R']"),
         ("P = -y\nsection = x-axis [0.2, 2.0]\n", "inline field needs both P and Q"),
         ("field = linear-center\nsection = x-axis [0.2, 2.0]\nsx = s\n",
          "give either 'section = ...' shorthand or sx/sy, not both"),
@@ -188,11 +196,15 @@ section_grid = 17
         ("field = linear-center\nsx = s\nsy = 0\n",
          "expression sections need section_range = [smin, smax]"),
         ("field = linear-center\nparams = []\n", "params list is empty"),
-    ], ids=["field-and-inline", "field-file-expression", "inline-without-q",
+    ], ids=["field-and-inline", "field-file-expression", "field-file-domain",
+            "field-file-without-p", "field-file-unknown-key", "inline-without-q",
             "shorthand-and-expressions", "unknown-shorthand", "expression-without-sy",
             "expression-without-range", "empty-params"])
     def test_refused_keys_one_line(self, tmp_path, capsys, text, message):
-        write_config(tmp_path / "f.txt", "P = -y\nQ = x +\n")
+        for name, body in (("f.txt", "P = -y\nQ = x +\n"),
+                           ("domain.txt", "P = -y\nQ = x\ndomain = 1, 2\n"),
+                           ("no-p.txt", "Q = x\n"), ("r.txt", "P = -y\nQ = x\nR = 1\n")):
+            write_config(tmp_path / name, body)
         cfg = write_config(tmp_path / "run.cfg", f"{text}out = {tmp_path / 'out'}\n")
         assert main(["period", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()

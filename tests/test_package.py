@@ -1,6 +1,8 @@
-"""Package surface: submodules stay reachable, exported names resolve, and
-the names the traced benchmark looks up still exist."""
+"""Package surface: submodules stay reachable, exported names resolve,
+every import is used, and the names the traced benchmark looks up still
+exist."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -28,6 +30,39 @@ def test_submodules_and_exports():
         assert attr is mod, info.name
     for name in annulus_involutions.__all__:
         assert hasattr(annulus_involutions, name), name
+
+
+def _imported_names(tree) -> set:
+    """The names a module's import statements bind, ``__future__`` aside."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+def _exported_names(tree) -> set:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_unused_imports():
+    # a deletion can leave an import behind; each imported name must be
+    # read somewhere in its module or be re-exported through __all__
+    src = ROOT / "src" / "annulus_involutions"
+    unused = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names = _imported_names(tree) - used - _exported_names(tree)
+        if names:
+            unused[path.name] = sorted(names)
+    assert unused == {}
 
 
 def _tracing():

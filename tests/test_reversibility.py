@@ -49,6 +49,24 @@ def pend_xaxis(pendulum):
     return make_section(pendulum, "s", "0", (0.3, 2.5), name="x-axis")
 
 
+# each built-in's default x-axis section, and the parabola in the pendulum,
+# whose conjugate section is a tabulated curve
+STAR_CASES = [*builtin_names(), "parabola"]
+
+
+@pytest.fixture(scope="module")
+def star_case(request, cfg):
+    """The reversibility of one of STAR_CASES."""
+    if request.param == "parabola":
+        field = builtin_field("pendulum")
+        delta = make_section(field, "s", "0.3*s^2", (0.35, 1.75), name="parabola")
+    else:
+        field = builtin_field(request.param)
+        delta = make_section(field, "s", "0", default_section_range(request.param),
+                             name="x-axis")
+    return ReversibilityInvolution(field, delta, cfg)
+
+
 def on_circle(theta, r=1.0):
     return np.array([r * math.cos(theta), r * math.sin(theta)])
 
@@ -295,12 +313,34 @@ class TestSigmaReversible:
             z = pend_xaxis.point(s)
             assert np.array_equal(rev(z), z)
 
-    def test_conjugate_curve_also_fixed(self, linear_center, lc_xaxis, cfg):
+    @pytest.mark.parametrize("i", range(33))
+    @pytest.mark.parametrize("star_case", STAR_CASES, indirect=True)
+    def test_conjugate_curve_also_fixed(self, star_case, i):
         # each cycle carries exactly two fixed points of the involution:
-        # its section point and its conjugate point
-        rev = ReversibilityInvolution(linear_center, lc_xaxis, cfg)
-        z = np.array([-1.3, 0.0])
-        assert np.linalg.norm(rev(z) - z) <= 1e-8
+        # its section point and its conjugate point, which sigma reaches
+        # through the tie's time +T/2 as phi(T, z), not by a membership test
+        z = star_case.delta_star.points[i]
+        assert math.dist(star_case(z), z) <= 1e-8
+
+    def test_wiggle_spline_points_move(self, linear_center, cfg):
+        # the README's known-limit section: every grid point sits on a zero
+        # of its sine, so the spline delta_star is the straight negative
+        # x-axis, which misses the true conjugate curve between grid points;
+        # sigma reads delta alone, so a point of the spline moves 0.040, and
+        # 5e-8 off it nothing compares the spline's time route with delta's
+        delta = make_section(linear_center, "s", "0.02*sin(55.850536063818545*(s - 0.2))",
+                             (0.2, 2.0), name="wiggle")
+        rev = ReversibilityInvolution(linear_center, delta, cfg)
+        star = rev.delta_star
+        s = 0.5 * (star.grid[4] + star.grid[5])
+        z = star.point(s)
+        tx, ty = star.tangent(s)
+        off = (z[0] - 5e-8 * ty / math.hypot(tx, ty), z[1] + 5e-8 * tx / math.hypot(tx, ty))
+        for w in (z, off):
+            image = rev(w)
+            assert [c.hex() for c in image] == \
+                [c.hex() for c in sigma_reversible(linear_center, delta, w, cfg)]
+            assert math.dist(image, w) > 0.03
 
     def test_involution_property(self, duffing, cfg):
         sec = make_section(duffing, "s", "0", (0.3, 1.5), name="x-axis")

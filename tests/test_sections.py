@@ -246,11 +246,16 @@ class TestGeometry:
                 make_section(focus, "cos(s)", "sin(s)", (0.0, 2.0 * math.pi))
         assert type(info.value) is SectionError
 
-    def test_self_intersection_rejected(self, linear_center):
+    def test_tabulated_orientation_flip_rejected(self, linear_center):
+        # the table runs out along y ~ 1 and back: the rotation crosses it
+        # one way on the way out and the other way back, which transversality
+        # refuses before any self-intersection test
         grid = np.linspace(0.0, 1.0, 9)
         pts = np.array([[math.sin(math.pi * g), 1.0 + 0.1 * g] for g in grid])
-        with pytest.raises(SectionError):
+        with pytest.raises(SectionError) as info:
             section_from_points(linear_center, grid, pts, name="loop")
+        assert type(info.value) is TransversalityError
+        assert str(info.value) == "section loop: crossing orientation flips at s = 0.625"
 
 
 class TestCurveEvents:

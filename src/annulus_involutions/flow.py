@@ -14,16 +14,17 @@ with a signed step: the stages use the field's own velocities, and each
 step length that multiplies them is hs = -h.  Trajectories remember their
 direction.
 
-Each accepted step keeps its start s0, its length h, its start state c1
-and the field k1 there: what ``Trajectory.state`` replays.  An integration
-that watches events also forms, for each accepted step, the cubic Hermite
-interpolant through the step's two ends and their derivatives,
-c1 + th (c2 + (1-th) (c3 + th c4)), and drops it after the step's scan.
-The cubic only screens a step for event crossings.  Every state handed
-out inside a step -- a located root, a Brent iterate, ``Trajectory.state``
--- is the propagated solution: one partial DOP853 step of length s - s0
-from the step's start with k1 reused (11 field evaluations), whose error
-is no larger than the full step's.  DOP853's 7th-order dense output,
+Each accepted step is kept as the tuple (s0, h, x, y, fx, fy): its start
+and length in progress time, its start state c1 = (x, y) and the field k1
+= (fx, fy) there.  An integration that watches events also forms, for
+each accepted step, the cubic Hermite interpolant through the step's two
+ends and their derivatives, c1 + th (c2 + (1-th) (c3 + th c4)), and drops
+it after the step's scan.  The cubic only screens a step for event
+crossings.  Every state handed out inside a step -- a located root, a
+Brent iterate, ``Trajectory.state`` -- is the propagated solution, which
+``_replay`` reads off the step record: one partial DOP853 step of length
+s - s0 from the step's start with k1 reused (11 field evaluations), whose
+error is no larger than the full step's.  DOP853's 7th-order dense output,
 which costs three more stages per accepted step and is one order below
 the propagated solution, is not formed.
 
@@ -95,7 +96,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -244,27 +245,17 @@ class EventHit:
     z: Point
 
 
-class _Step:
-    """One accepted step: start s0 and length h in progress time, and the
-    start state c1 and the field k1 there, as plain floats."""
-
-    __slots__ = ("s0", "h", "c1x", "c1y", "k1x", "k1y")
-
-    def __init__(self, s0, h, c1x, c1y, k1x, k1y):
-        self.s0 = s0
-        self.h = h
-        self.c1x, self.c1y = c1x, c1y
-        self.k1x, self.k1y = k1x, k1y
-
-    def state(self, dop853, sign: float, s: float) -> Point:
-        """The propagated solution at progress time s in [s0, s0 + h): one
-        step of the DOP853 step function ``dop853``, of signed length
-        sign * (s - s0) from the step's start with k1 reused, 11 field
-        evaluations; the start itself at s0."""
-        u = s - self.s0
-        if u <= 0.0:
-            return self.c1x, self.c1y
-        return dop853(self.c1x, self.c1y, self.k1x, self.k1y, sign * u)[:2]
+def _replay(dop853, sign: float, step: tuple, s: float) -> Point:
+    """The propagated solution at progress time s in [s0, s0 + h) of the
+    step record (s0, h, x, y, fx, fy): one step of the DOP853 step function
+    ``dop853``, of signed length sign * (s - s0) from the step's start
+    (x, y) with the field (fx, fy) there reused, 11 field evaluations; the
+    start itself at s0."""
+    s0, _, x, y, fx, fy = step
+    u = s - s0
+    if u <= 0.0:
+        return x, y
+    return dop853(x, y, fx, fy, sign * u)[:2]
 
 
 @dataclass
@@ -282,7 +273,7 @@ class Trajectory:
 
     dop853: Callable[..., tuple[float, float, float, float]]
     direction: int
-    steps: list[_Step]
+    steps: list[tuple[float, float, float, float, float, float]]
     z_final: Point
     nrejected: int
     nfev: int
@@ -295,15 +286,15 @@ class Trajectory:
     def state(self, t: float) -> Point:
         """State at requested time t inside the integrated span."""
         steps = self.steps
-        s_end = steps[-1].s0 + steps[-1].h if steps else 0.0
+        s_end = steps[-1][0] + steps[-1][1] if steps else 0.0
         s = self.direction * t
         if s < -1e-12 or s > s_end + 1e-12:
             raise ValueError(f"time {t} outside integrated span")
         s = min(max(s, 0.0), s_end)
         if s == s_end:
             return self.z_final
-        step = steps[max(bisect_right(steps, s, key=attrgetter("s0")) - 1, 0)]
-        return step.state(self.dop853, float(self.direction), s)
+        step = steps[max(bisect_right(steps, s, key=itemgetter(0)) - 1, 0)]
+        return _replay(self.dop853, float(self.direction), step, s)
 
 
 def _initial_step(rhs, x, y, fx, fy, rtol, atol, s_end, sign):
@@ -430,24 +421,23 @@ def _scan_step(dop853, sign, step, end, cubic, events, scan, g_prev, zero_start)
 
     Each event's values at the cubic's interior samples and at ``end``
     flag a possible crossing by a sign change from the start value; a
-    flagged event is then sampled on the propagated solution (the step's
-    partial steps, shared between events) and its roots located there.
-    g_prev holds event values at the step start and is updated to the step
-    end.  zero_start[k] is None for a normal event, or a threshold while
-    the event started at g ~ 0 and crossings are still being suppressed.
-    A root is the Brent iterate it was located at, so it costs no partial
-    step of its own.  Returns the accepted hits as (progress time, hit)
-    ordered by time, and the number of partial steps taken.
+    flagged event is then sampled on the propagated solution and its roots
+    located there, each state read through ``at``, which keeps the partial
+    steps by progress time for all events.  g_prev holds event values at
+    the step start and is updated to the step end.  zero_start[k] is None
+    for a normal event, or a threshold while the event started at g ~ 0
+    and crossings are still being suppressed.  A root is the Brent iterate
+    it was located at, so it costs no partial step of its own.  Returns the
+    accepted EventHits ordered by time (|t| is the progress time, as the
+    sign is +-1.0), and the number of partial steps taken.
     """
     hits = []
-    s0, h = step.s0, step.h
+    s0, h, c1x, c1y, _, _ = step
     s1 = s0 + h
     svals = [s0 + q * h for q in _SAMPLE_FRACTIONS]
-    c1x, c1y = step.c1x, step.c1y
     c2x, c2y, c3x, c3y, c4x, c4y = cubic
     inner = [(c1x + q * (c2x + (1.0 - q) * (c3x + q * c4x)),
               c1y + q * (c2y + (1.0 - q) * (c3y + q * c4y))) for q in _SAMPLE_FRACTIONS[:-1]]
-    exact = None
     seen: dict[float, Point] = {}  # the partial steps taken, by progress time
 
     def at(s):
@@ -455,7 +445,7 @@ def _scan_step(dop853, sign, step, end, cubic, events, scan, g_prev, zero_start)
             return end
         z = seen.get(s)
         if z is None:
-            z = step.state(dop853, sign, s)
+            z = _replay(dop853, sign, step, s)
             if s > s0:
                 seen[s] = z
         return z
@@ -467,9 +457,7 @@ def _scan_step(dop853, sign, step, end, cubic, events, scan, g_prev, zero_start)
         gvals = [g(*z) for z in inner]
         gvals.append(g(*end))
         if any(map(_crossed, [ga, *gvals[:-1]], gvals)):
-            if exact is None:
-                exact = [at(s) for s in svals[:-1]]
-            gvals[:-1] = [g(*z) for z in exact]
+            gvals[:-1] = [g(*at(s)) for s in svals[:-1]]
         sa = s0
         for s_b, gb in zip(svals, gvals):
             if zero_start[k] is not None:
@@ -482,11 +470,11 @@ def _scan_step(dop853, sign, step, end, cubic, events, scan, g_prev, zero_start)
                 s_root = float(brent(lambda s: g(*at(s)), sa, s_b, ga, gb))
                 z_root = at(s_root)
                 if ev.accept is None or ev.accept(z_root):
-                    hits.append((s_root, EventHit(k, float(sign * s_root), z_root)))
+                    hits.append(EventHit(k, float(sign * s_root), z_root))
             ga, sa = gb, s_b
         g_prev[k] = ga
     if len(hits) > 1:
-        hits.sort(key=itemgetter(0))
+        hits.sort(key=lambda hit: abs(hit.t))
     return hits, len(seen)
 
 
@@ -533,7 +521,7 @@ def integrate(
     g_floor = 1e-12 * (1.0 + math.hypot(x, y))
     zero_start: list[float | None] = [g_floor if abs(g) < g_floor else None for g in g_prev]
 
-    steps: list[_Step] = []
+    steps: list[tuple] = []
     hits: list[EventHit] = []
     attempts = npartial = 0
     s = 0.0
@@ -565,7 +553,7 @@ def integrate(
             continue
 
         k13x, k13y = rhs(xn, yn)
-        step = _Step(s, h, x, y, fx, fy)
+        step = (s, h, x, y, fx, fy)
         steps.append(step)
         s += h
 
@@ -595,7 +583,7 @@ def integrate(
                                             (dx, dy, c3x, c3y, c4x, c4y), events, scan,
                                             g_prev, zero_start)
                 npartial += nstates
-                for s_root, hit in found:
+                for hit in found:
                     hits.append(hit)
                     if events[hit.index].terminal:
                         terminal_hit = hit

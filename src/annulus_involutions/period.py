@@ -74,8 +74,6 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig
             f"first return misses the base point by {closure:.3g} (> {tol:.3g}); "
             f"not a simple cycle through ({z[0]:.6g}, {z[1]:.6g})"
         )
-    if hit.t <= 0.0:
-        raise NotACycle("non-positive return time")
     return Cycle(base_point=z, period=hit.t, trajectory=traj,
                  closure_residual=closure)
 

@@ -398,25 +398,25 @@ def step_cubic(traj, i, rhs):
     operation order with hs = direction * h: from the step's start and
     field, and the next step's start and field, or for the last step
     ``z_final`` and ``rhs(z_final)``."""
-    step = traj.steps[i]
+    _, h, x, y, fx, fy = traj.steps[i]
     if i + 1 < len(traj.steps):
-        nxt = traj.steps[i + 1]
-        xn, yn, fxn, fyn = nxt.c1x, nxt.c1y, nxt.k1x, nxt.k1y
+        xn, yn, fxn, fyn = traj.steps[i + 1][2:]
     else:
         xn, yn = traj.z_final
         fxn, fyn = rhs(xn, yn)
-    hs = traj.direction * step.h
-    dx, dy = xn - step.c1x, yn - step.c1y
-    return (dx, dy, hs * step.k1x - dx, hs * step.k1y - dy,
-            2.0 * dx - hs * (fxn + step.k1x), 2.0 * dy - hs * (fyn + step.k1y))
+    hs = traj.direction * h
+    dx, dy = xn - x, yn - y
+    return (dx, dy, hs * fx - dx, hs * fy - dy,
+            2.0 * dx - hs * (fxn + fx), 2.0 * dy - hs * (fyn + fy))
 
 
 def hermite(step, cubic, th):
     """The cubic c1 + th (c2 + (1-th) (c3 + th c4)) of a step at the fraction
     th, with ``cubic`` from ``step_cubic``, in the scan's operation order."""
+    x, y = step[2:4]
     c2x, c2y, c3x, c3y, c4x, c4y = cubic
-    return (step.c1x + th * (c2x + (1.0 - th) * (c3x + th * c4x)),
-            step.c1y + th * (c2y + (1.0 - th) * (c3y + th * c4y)))
+    return (x + th * (c2x + (1.0 - th) * (c3x + th * c4x)),
+            y + th * (c2y + (1.0 - th) * (c3y + th * c4y)))
 
 
 class ScipyE5DOP853(integrate.DOP853):

@@ -19,7 +19,7 @@ from annulus_involutions.cli import (
     load_config,
     main,
 )
-from annulus_involutions.errors import ConfigError, FlowError
+from annulus_involutions.errors import ConfigError, FlowError, TransversalityError
 from annulus_involutions.flow import IntegratorConfig
 from annulus_involutions.period import detect_cycle
 from annulus_involutions.symmetry import verify_sigma_symmetry
@@ -655,6 +655,22 @@ out = {tmp_path / 'out'}
         assert main([command, "--config", cfg]) == code
         prefix = "section error: " if code == EXIT_CONFIG else "transversality error: "
         assert capsys.readouterr().err.startswith(prefix)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["reversibility", "verify"])
+    def test_transversality_error_in_body_exit3(self, lc_config, tmp_path, capsys,
+                                                monkeypatch, command):
+        # the conjugate section is certified inside the command's body: a
+        # transversality failure there exits 3 and writes no files
+        def refuse(field, grid, points, name):
+            raise TransversalityError(f"section {name}: crossing orientation flips")
+
+        monkeypatch.setattr(reversibility, "section_from_points", refuse)
+        assert main([command, "--config", lc_config]) == EXIT_TRANSVERSALITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "transversality error: section x-axis_star: crossing orientation flips"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["reversibility", "verify"])

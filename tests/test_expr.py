@@ -32,7 +32,7 @@ from annulus_involutions.expr import (
     to_source,
     tokenize,
 )
-from annulus_involutions.fields import builtin_field, builtin_names
+from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
 
 from oracles import field_jacobian
 
@@ -405,6 +405,11 @@ class TestDifferentiate:
         assert evaluate(d, -3.0, 0.0) == -1.0
         assert evaluate(d, 0.0, 0.0) == 0.0
 
+    def test_folds_division_by_one_and_zeroth_power(self):
+        # d log(1)/dx takes (1 / 1) * 0, and d x^1/dx takes 1 * x^0 * 1
+        assert differentiate(parse("log(1)"), "x") == Const(0.0)
+        assert differentiate(parse("x^1"), "x") == Const(1.0)
+
     def test_general_power(self):
         d = differentiate(parse("x^y"), "x")
         assert evaluate(d, 2.0, 3.0) == pytest.approx(12.0, rel=1e-12)
@@ -522,6 +527,12 @@ class TestPlanarField:
             PlanarField.from_strings(p, q).rhs(*z)
         assert str(info.value) == message
         assert type(info.value.__cause__) is (cause or type(None))
+
+    def test_unknown_builtin(self):
+        with pytest.raises(ConfigError, match="unknown built-in field 'nope'"):
+            builtin_field("nope")
+        with pytest.raises(ConfigError, match="unknown built-in field 'nope'"):
+            default_section_range("nope")
 
     def test_domain_validation(self):
         with pytest.raises(ConfigError):

@@ -82,6 +82,16 @@ class TestBrent:
         with pytest.raises(ValueError):
             brent(lambda x: x * x + 1.0, -1.0, 1.0)
 
+    def test_root_at_bracket_start(self):
+        assert brent(lambda x: x - 0.25, 0.25, 1.0) == 0.25
+
+    def test_bisection_fallback(self):
+        # a flat triple root with a jump of 2e-12 across it: Brent refuses
+        # some interpolation steps, as too slow or outside the bracket, and
+        # bisects instead (d = e = m)
+        f = lambda x: 1e6 * (x - 0.7) ** 3 + (1e-12 if x > 0.7 else -1e-12)
+        assert brent(f, 0.0, 1.0) == 0.6999999999999864
+
 
 class TestFlow:
     def test_quarter_turn(self, linear_center, cfg):
@@ -180,12 +190,13 @@ class TestFlow:
 
 def _boundaries(traj):
     """Each step's start, then the end of the last step."""
-    return [st.s0 for st in traj.steps] + [traj.steps[-1].s0 + traj.steps[-1].h]
+    s0, h = traj.steps[-1][:2]
+    return [st[0] for st in traj.steps] + [s0 + h]
 
 
 def _boundary_states(traj):
     """Each step's start state, then z_final."""
-    return [(st.c1x, st.c1y) for st in traj.steps] + [traj.z_final]
+    return [st[2:4] for st in traj.steps] + [traj.z_final]
 
 
 class TestTrajectory:
@@ -204,7 +215,7 @@ class TestTrajectory:
         assert np.all(np.diff(grid) > 0.0)
         # each step starts exactly where the previous ended
         for prev, step in zip(traj.steps, traj.steps[1:]):
-            assert step.s0 == prev.s0 + prev.h
+            assert step[0] == prev[0] + prev[1]
 
     def test_time_zero(self, pendulum, cfg):
         traj = integrate(pendulum.rhs, (0.7, -0.3), 0.0, cfg)
@@ -224,8 +235,8 @@ class TestTrajectory:
         got = integrate(field.rhs, (1.0, 0.3), t, cfg, events, field.contains)
         ref = integrate_reference(field, (1.0, 0.3), t, cfg, events, field.contains)
         [hit] = got.events
-        last = got.steps[-1]
-        assert last.s0 < abs(hit.t) <= last.s0 + last.h < abs(t)
+        s0, h = got.steps[-1][:2]
+        assert s0 < abs(hit.t) <= s0 + h < abs(t)
         assert len(ref.s_grid) == len(got.steps) + 1
         for s, z in zip(ref.s_grid, ref.states):
             assert np.array(got.state(got.direction * float(s))).tobytes() == z.tobytes()
@@ -266,18 +277,20 @@ class TestTrajectory:
         generic = functools.partial(flow_mod._dop853, pendulum.rhs)
         sign = traj.direction
         grid, states = _boundaries(traj), _boundary_states(traj)
-        full = [i for i, st in enumerate(traj.steps) if (st.s0 + st.h) - st.s0 == st.h]
+        full = [i for i, (s0, h, *_) in enumerate(traj.steps) if (s0 + h) - s0 == h]
         assert len(full) >= 3
         for i in full:
             st = traj.steps[i]
-            assert st.state(generic, float(sign), st.s0 + st.h) == states[i + 1]
-            assert (st.k1x, st.k1y) == pendulum.rhs(st.c1x, st.c1y)
+            s0, h, x, y, fx, fy = st
+            assert flow_mod._replay(generic, float(sign), st, s0 + h) == states[i + 1]
+            assert (fx, fy) == pendulum.rhs(x, y)
         i = len(traj.steps) // 3
         step = traj.steps[i]
-        t = sign * (step.s0 + 0.37 * step.h)
+        s0, h = step[:2]
+        t = sign * (s0 + 0.37 * h)
         dt = t - sign * grid[i]
-        assert dt * sign > 0.0 and abs(dt) < step.h
-        assert traj.state(t) == step.state(generic, float(sign), sign * t)
+        assert dt * sign > 0.0 and abs(dt) < h
+        assert traj.state(t) == flow_mod._replay(generic, float(sign), step, sign * t)
         assert math.dist(flow(pendulum, states[i], dt, cfg), traj.state(t)) <= 1e-11
         with pytest.raises(ValueError):
             traj.state(2.0 * t_final)
@@ -320,6 +333,19 @@ class TestEvents:
         t_hit, z_hit = hit.t, np.asarray(hit.z)
         assert t_hit == pytest.approx(math.pi, abs=1e-9)
         assert np.abs(z_hit - [-1.0, 0.0]).max() <= 1e-9
+
+    def test_root_on_step_boundary_is_the_boundary_state(self, linear_center, cfg):
+        # g = x - c vanishes exactly at the start of step 7: the scan of
+        # step 6 lands on zero at its end, where the root is the step's end
+        # state, the next step's start to the bit
+        z0 = (1.0, 0.3)
+        plain = integrate(linear_center.rhs, z0, 9.0, cfg)
+        s0, _, x, y, _, _ = plain.steps[7]
+        event = EventSpec(g=lambda px, py: px - x, terminal=False)
+        got = integrate(linear_center.rhs, z0, 9.0, cfg, [event])
+        assert got.steps == plain.steps
+        [hit] = [hit for hit in got.events if hit.t == s0]
+        assert [v.hex() for v in hit.z] == [x.hex(), y.hex()]
 
     def test_time_direction_is_a_sign(self, linear_center, cfg):
         ev = EventSpec(g=lambda x, y: y, direction=0)
@@ -562,9 +588,9 @@ class TestKernelMatchesReference:
         _assert_same_run(got, ref)
         if name == "cubic-center" and cfg.rtol == 1e-6:
             assert got.nrejected >= 50
-        for step in got.steps:
+        for s0, h, *_ in got.steps:
             for w in (0.25, 0.5, 0.9):
-                t_in = got.direction * (step.s0 + w * step.h)
+                t_in = got.direction * (s0 + w * h)
                 assert np.array_equal(got.state(t_in), ref.state(t_in))
         assert [e.index for e in got.events][-1:] == ([1] if events else [])
 
@@ -665,7 +691,7 @@ class TestScipyDOP853:
         # does not let a step grow right after a rejection.
         field = builtin_field(name)
         got = integrate(field.rhs, z0, 40.0, cfg)
-        sol = scipy_dop853(field, z0, 0.0, 40.0, cfg, got.steps[0].h)
+        sol = scipy_dop853(field, z0, 0.0, 40.0, cfg, got.steps[0][1])
         accepted = 0
         while sol.status == "running":
             sol.step()
@@ -692,8 +718,7 @@ class TestScipyDOP853:
             return sol.y
 
         for step, end in zip(traj.steps, ends):
-            s0, h = step.s0, step.h
-            z = (step.c1x, step.c1y)
+            s0, h, *z, _, _ = step
             sol = scipy_dop853(field, z, s0, s0 + 2.0 * h, cfg, h)
             sol.step()
             assert (sol.t_old, sol.t) == (s0, s0 + h)
@@ -701,8 +726,7 @@ class TestScipyDOP853:
             assert math.dist(sol.y, end) <= tol
         end_err = inner_err = 0.0
         for step, end in list(zip(traj.steps, ends))[::5]:
-            s0, h = step.s0, step.h
-            z = (step.c1x, step.c1y)
+            s0, h, *z, _, _ = step
             scale = 1.0 + math.hypot(*z)
             end_err = max(end_err, math.dist(reference(z, s0, s0 + h), end) / scale)
             for q in (0.1, 0.5, 0.9):
@@ -752,13 +776,14 @@ class TestEventSkip:
         z0 = (1.0, 0.0)
         traj = integrate(linear_center.rhs, z0, 9.0, cfg)
         steps = traj.steps
-        i = next(i for i, st in enumerate(steps) if i > 0 and 0.3 < st.c1y < 0.9)
-        step, end = steps[i], (steps[i + 1].c1x, steps[i + 1].c1y)
+        i = next(i for i, st in enumerate(steps) if i > 0 and 0.3 < st[3] < 0.9)
+        step, end = steps[i], steps[i + 1][2:4]
+        x, y = step[2:4]
         reach = _reach(traj, i, linear_center.rhs)
-        margin = 2.0 * 1.0 * reach + 1e-12 * (1.0 + abs(step.c1x) + abs(step.c1y))
-        c = step.c1y - margin * (1.0 + offset)
+        margin = 2.0 * 1.0 * reach + 1e-12 * (1.0 + abs(x) + abs(y))
+        c = y - margin * (1.0 + offset)
         event = EventSpec(g=lambda x, y: y - c, direction=0, terminal=False, lipschitz=1.0)
-        assert (abs(event.g(step.c1x, step.c1y)) > margin) == (offset > 0)
+        assert (abs(event.g(x, y)) > margin) == (offset > 0)
 
         seen = [[]]  # g's arguments, one list per accepted step
 
@@ -772,7 +797,7 @@ class TestEventSkip:
 
         got = integrate(linear_center.rhs, z0, 9.0, cfg,
                         [dataclasses.replace(event, g=g)], bounds)
-        assert got.steps[i].s0 == step.s0 and got.steps[i].h == step.h
+        assert got.steps[i][:2] == step[:2]
         assert len(seen[i]) == (1 if offset > 0 else flow_mod._EVENT_SAMPLES)
         assert [v.hex() for v in seen[i][-1]] == [v.hex() for v in end]
 
@@ -821,7 +846,7 @@ class TestEventSkip:
         q = flow_mod._SAMPLE_FRACTIONS[0]
         scanned = sum(hermite(step, step_cubic(traj, i, field.rhs), q) in points
                       for i, step in enumerate(traj.steps))
-        flagged = sum(traj.state(step.s0 + q * step.h) in points for step in traj.steps)
+        flagged = sum(traj.state(s0 + q * h) in points for s0, h, *_ in traj.steps)
         assert iterates[0] > 0 and flagged >= 2
         if bound is None:
             assert scanned == traj.naccepted

@@ -76,7 +76,7 @@ class TestDetectCycle:
 
         def bits(cyc):
             traj = cyc.trajectory
-            return ([(st.s0.hex(), st.h.hex(), st.c1x.hex(), st.c1y.hex()) for st in traj.steps],
+            return ([(s0.hex(), h.hex(), x.hex(), y.hex()) for s0, h, x, y, _, _ in traj.steps],
                     [v.hex() for v in traj.z_final], cyc.period.hex())
 
         assert bits(watched) == bits(plain)

@@ -20,6 +20,7 @@ from annulus_involutions.reversibility import (
     BranchTag,
     ReversibilityInvolution,
     classify,
+    sigma_reversible,
     tau,
     tau_star,
     verify_reversibility,
@@ -32,7 +33,11 @@ from annulus_involutions.sections import (
     make_section,
     section_from_points,
 )
-from annulus_involutions.symmetry import SymmetryInvolution, verify_sigma_symmetry
+from annulus_involutions.symmetry import (
+    SymmetryInvolution,
+    sigma_symmetric,
+    verify_sigma_symmetry,
+)
 from annulus_involutions.verify import annulus_points
 
 from oracles import ConjugatedRotation, hermite, step_cubic
@@ -186,13 +191,13 @@ def test_dense_output_stays_within_reach(cfg, name, u, t, thetas):
     field = builtin_field(name)
     lo, hi = default_section_range(name)
     traj = integrate(field.rhs, (lo + u * (hi - lo), 0.0), t, cfg, bounds=field.contains)
-    ends = [(st.c1x, st.c1y) for st in traj.steps[1:]] + [traj.z_final]
+    ends = [st[2:4] for st in traj.steps[1:]] + [traj.z_final]
     for i, (step, end) in enumerate(zip(traj.steps, ends)):
         cubic = step_cubic(traj, i, field.rhs)
         c2x, c2y, c3x, c3y, c4x, c4y = cubic
         reach = abs(c2x) + abs(c3x) + abs(c4x) + abs(c2y) + abs(c3y) + abs(c4y)
         for x, y in [hermite(step, cubic, th) for th in thetas + [0.0, 1.0]] + [end]:
-            assert abs(x - step.c1x) + abs(y - step.c1y) <= reach
+            assert abs(x - step[2]) + abs(y - step[3]) <= reach
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
@@ -322,6 +327,60 @@ def test_random_reversible_centre(cfg, coefs):
                 <= _CENTRE_TOL
             # (iii) the symmetry turns one reversibility into another
             assert np.linalg.norm(np.subtract(rev(sym(z)), rev_q(z))) / scale <= _CENTRE_TOL
+
+
+# --- the reversing-symmetry group ----------------------------------------------
+
+# each identity, scaled by 1 + |z|; the largest measured is 1.7e-13 (cubic-center)
+_GROUP_TOL = 1e-9
+
+# (u, frac): the point a fraction frac of a period along the cycle through
+# delta1 at relative parameter u.  The last two lie 5e-7 T from delta1*, so
+# their nearest delta1 crossings are 1e-6 T from a tie.
+_GROUP_POINTS = [(0.2, 0.1), (0.45, 0.35), (0.6, 0.7), (0.8, 0.9),
+                 (0.3, 0.5 + 5e-7), (0.7, 0.5 - 5e-7)]
+
+
+@pytest.mark.parametrize("name", ["pendulum", "duffing", "cubic-center"])
+def test_reversing_symmetries_form_a_group(cfg, name):
+    # with tau_i the signed time to delta_i: s1 s2 = phi(2 (tau1 - tau2)) is a
+    # symmetry, so it commutes with the flow; the half-period symmetry
+    # commutes with each reversibility, and sym s_d is the reversibility of
+    # phi(T/4, delta), so it fixes phi(T/4, delta(s))
+    field = builtin_field(name)
+    lo, hi = default_section_range(name)
+    d1 = make_section(field, "s", "0", (lo, hi), name="x-axis")
+    d2 = make_section(field, "s", "0.2*s", (lo, hi), name="ray")
+
+    def rev(delta, z):
+        return sigma_reversible(field, delta, z, cfg)
+
+    def sym(z):
+        return sigma_symmetric(field, z, cfg)
+
+    def both(z):
+        return rev(d1, rev(d2, z))
+
+    worst = dict.fromkeys(["s1 s2 = phi(2 (tau1 - tau2))", "s1 s2 commutes with phi(0.77)",
+                           "sym s_d = s_d sym", "sym s_d fixes phi(T/4, delta)"], 0.0)
+    with suite_scope():
+        for u, frac in _GROUP_POINTS:
+            z, _ = _annulus_point(field, d1, u, frac, cfg)
+            shift = 2.0 * (tau(field, d1, z, cfg) - tau(field, d2, z, cfg))
+            residuals = [
+                ("s1 s2 = phi(2 (tau1 - tau2))", both(z), flow(field, z, shift, cfg)),
+                ("s1 s2 commutes with phi(0.77)", both(flow(field, z, 0.77, cfg)),
+                 flow(field, both(z), 0.77, cfg))]
+            s = lo + u * (hi - lo)
+            for delta in (d1, d2):
+                start = delta.point(s)
+                quarter = flow(field, start, 0.25 * period(field, start, cfg), cfg)
+                residuals += [("sym s_d = s_d sym", sym(rev(delta, z)), rev(delta, sym(z))),
+                              ("sym s_d fixes phi(T/4, delta)", sym(rev(delta, quarter)),
+                               quarter)]
+            for key, a, b in residuals:
+                worst[key] = max(worst[key], math.dist(a, b) / (1.0 + math.hypot(*b)))
+    assert max(worst.values()) <= _GROUP_TOL, worst
 
 
 # --- conjugated rotations: curved sections with closed-form answers -------------

@@ -235,6 +235,14 @@ class TestTauStar:
     def test_zero_on_conjugate(self, linear_center, lc_star, cfg):
         assert tau_star(linear_center, lc_star, [-1.3, 0.0], cfg) == 0.0
 
+    def test_class_tau_star(self, linear_center, lc_xaxis, cfg):
+        # the involution's tau_star is the module's on its own delta_star
+        rev = ReversibilityInvolution(linear_center, lc_xaxis, cfg)
+        for theta in (0.4, 2.0, 4.5):
+            z = on_circle(theta, 1.1)
+            assert rev.tau_star(z).hex() == tau_star(linear_center, rev.delta_star, z,
+                                                     cfg).hex()
+
     def test_half_period_relation(self, pendulum, pend_xaxis, cfg):
         # tau* = tau + T/2 on the forward arc, tau - T/2 on the backward arc
         star = conjugate_section(pendulum, pend_xaxis, cfg)

@@ -4,7 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from annulus_involutions.errors import ExpressionError, SectionError, TransversalityError
+from annulus_involutions.errors import (
+    EventNotFound,
+    ExpressionError,
+    SectionError,
+    TransversalityError,
+)
 from annulus_involutions.expr import PlanarField, compile_fn, differentiate, parse
 from annulus_involutions.flow import flow_to_event
 from annulus_involutions.reversibility import ReversibilityInvolution
@@ -275,6 +280,19 @@ class TestCurveEvents:
         t, z = hit.t, hit.z
         assert t == pytest.approx(1.5 * math.pi, abs=1e-9)
         assert np.abs(np.asarray(z) - [1.0, 0.0]).max() <= 1e-9
+
+    def test_crossing_just_past_the_end_is_vetoed(self, linear_center, cfg):
+        # the orbits through (0, 2 +- 1e-5) meet the x-axis 1e-5 past and
+        # 1e-5 before the segment's end s = 2: a projection distance of 1e-5
+        # is above the hit tolerance 1e-7 * (1 + |z|), so only the inner
+        # crossing is a hit
+        sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
+        with pytest.raises(EventNotFound):
+            flow_to_event(linear_center, (0.0, 2.0 + 1e-5), curve_event(sec), 1, cfg)
+        hit = flow_to_event(linear_center, (0.0, 2.0 - 1e-5), curve_event(sec), 1,
+                            cfg).events[0]
+        assert hit.z[0] == pytest.approx(2.0 - 1e-5, abs=1e-12)
+        assert abs(hit.z[1]) <= 1e-12
 
     def test_curved_section_event(self, linear_center, cfg):
         sec = make_section(linear_center, "s", "0.2*sin(3*s)", (0.3, 1.8), name="wavy")

@@ -7,7 +7,7 @@ import pytest
 from annulus_involutions import symmetry
 from annulus_involutions.expr import PlanarField
 from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
-from annulus_involutions.flow import _dop853, flow
+from annulus_involutions.flow import _dop853, _replay, flow
 from annulus_involutions.memo import suite_scope
 from annulus_involutions.period import detect_cycle, period
 from annulus_involutions.sections import make_section
@@ -69,7 +69,7 @@ class TestSigmaSymmetric:
 
 def _step_holding(traj, s):
     """The accepted step of a forward trajectory that holds time s."""
-    return next(st for st in reversed(traj.steps) if st.s0 <= s)
+    return next(st for st in reversed(traj.steps) if st[0] <= s)
 
 
 class TestImageAccuracy:
@@ -84,14 +84,14 @@ class TestImageAccuracy:
         cyc = detect_cycle(field, z, cfg)
         half = 0.5 * cyc.period
         step = _step_holding(cyc.trajectory, half)
-        assert step.s0 < half < step.s0 + step.h
+        s0, h, x, y, _, _ = step
+        assert s0 < half < s0 + h
         image = sigma_symmetric(field, z, cfg)
         # the generic step, calling the field at every stage, gives the
         # field's own step's bits
         assert image == cyc.trajectory.state(half) == \
-            step.state(partial(_dop853, field.rhs), 1.0, half)
-        start = (step.c1x, step.c1y)
-        assert math.dist(image, flow(field, start, half - step.s0, cfg)) <= 1e-12
+            _replay(partial(_dop853, field.rhs), 1.0, step, half)
+        assert math.dist(image, flow(field, (x, y), half - s0, cfg)) <= 1e-12
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_energy_error_below_dense_output(self, name, cfg):
@@ -108,9 +108,8 @@ class TestImageAccuracy:
             h = field.energy(z)
             image_err = max(image_err, abs(field.energy(sigma_symmetric(field, z, cfg)) - h))
             half = 0.5 * cyc.period
-            step = _step_holding(cyc.trajectory, half)
-            sol = scipy_dop853(field, (step.c1x, step.c1y), step.s0, step.s0 + 2.0 * step.h,
-                               cfg, step.h)
+            s0, step_h, x, y, _, _ = _step_holding(cyc.trajectory, half)
+            sol = scipy_dop853(field, (x, y), s0, s0 + 2.0 * step_h, cfg, step_h)
             sol.step()
             dense = sol.dense_output()(half)
             dense_err = max(dense_err, abs(field.energy(dense) - h))

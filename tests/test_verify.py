@@ -6,7 +6,7 @@ import pytest
 
 from annulus_involutions.errors import DomainError, FlowError
 from annulus_involutions.period import period
-from annulus_involutions.sections import make_section
+from annulus_involutions.sections import make_section, membership_tol
 from annulus_involutions.symmetry import SymmetryInvolution
 from annulus_involutions.verify import (
     CheckResult,
@@ -211,6 +211,20 @@ class TestFixedSetDistance:
         r = fixed_set_distance(swap, samples, sec)
         assert r.passed
         assert r.extras["on_delta_move"] <= 1e-10
+
+    def test_small_move_is_not_fixed(self, linear_center):
+        # the identity on the section that shifts every other point by
+        # 5e-8: off the section it moves more than the 1e-8 "does not move"
+        # gate, so the two points far from the section are not fixed points
+        sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
+
+        def shift_off(z):
+            return z if sec.distance(z) <= membership_tol(z) else (z[0] + 5e-8, z[1])
+
+        samples = [np.array(p) for p in [(0.5, 0.0), (1.5, 0.0), (0.3, 0.9), (-1.0, 0.4)]]
+        r = fixed_set_distance(shift_off, samples, sec)
+        assert r.passed
+        assert r.extras["n_on_delta"] == r.extras["n_fixed"] == 2
 
     def test_swap_fixed_ray_off_segment_fails(self, linear_center):
         # the swap also fixes the opposite ray of the diagonal line, which is

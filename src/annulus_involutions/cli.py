@@ -138,7 +138,7 @@ def _resolve_field(entries: dict[str, str], config_dir: Path) -> PlanarField:
     raise ConfigError("config must name a field (built-in or file) or define P and Q")
 
 
-def _resolve_section(entries: dict[str, str], field: PlanarField):
+def _resolve_section(entries: dict[str, str]):
     shorthand = entries.get("section")
     expressions = "sx" in entries or "sy" in entries
     if shorthand and expressions:
@@ -166,8 +166,10 @@ def _resolve_section(entries: dict[str, str], field: PlanarField):
             raise ConfigError("section_range needs exactly [smin, smax]")
         label = f"({entries['sx']}, {entries['sy']})"
         return entries["sx"], entries["sy"], (rng[0], rng[1]), label
-    if field.name in builtin_names():
-        lo, hi = default_section_range(field.name)
+    # a field file's name is its stem, which may spell a built-in's name
+    named = entries.get("field")
+    if named in builtin_names():
+        lo, hi = default_section_range(named)
         return "s", "0", (lo, hi), "x-axis"
     raise ConfigError("config needs a section (shorthand or sx/sy expressions)")
 
@@ -181,7 +183,7 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     field = _resolve_field(entries, path.parent)
-    sx, sy, rng, label = _resolve_section(entries, field)
+    sx, sy, rng, label = _resolve_section(entries)
     rtol = _parse_number(entries, "rtol", 1e-10)
     if rtol_override is not None:
         rtol = rtol_override

@@ -393,14 +393,6 @@ def _guarded(name: str, params: str, lines: list[str]) -> str:
             "        raise DomainError(f'field evaluation failed at ({x}, {y}): {exc}') from exc\n")
 
 
-def _compile_rhs(p: ExprAst, q: ExprAst) -> Callable[[float, float], tuple[float, float]]:
-    """One function (x, y) -> (P, Q): the arithmetic of ``compile_fn`` for
-    each component, with math-domain failures and non-finite values raised
-    as DomainError."""
-    return _exec(_guarded("_rhs", "x, y", [*_evaluation(p, q, "px", "qy"), "return px, qy"]),
-                 "_rhs")
-
-
 def evaluate(e: ExprAst, x: float, y: float) -> float:
     """Evaluate at (x, y) in IEEE double; non-finite results raise DomainError."""
     fn = compile_fn((e,), ("x", "y"))
@@ -551,7 +543,8 @@ class PlanarField:
         if not (self.domain[0] < self.domain[1] and self.domain[2] < self.domain[3]):
             raise ConfigError(f"degenerate domain box {self.domain}")
         self.hamiltonian = hamiltonian
-        self._rhs = _compile_rhs(p, q)
+        self._rhs = _exec(_guarded("_rhs", "x, y",
+                                   [*_evaluation(p, q, "px", "qy"), "return px, qy"]), "_rhs")
         # the field's DOP853 step, compiled by flow on its first integration
         self._step = None
 

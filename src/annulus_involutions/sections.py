@@ -116,15 +116,13 @@ class Section:
     def tangent(self, s: float) -> tuple[float, float]:
         return self._defined(self.jet, s)[2:4]
 
-    def _undefined(self, s: float, exc: Exception) -> SectionError:
-        return SectionError(f"section {self.label}: curve undefined at s = {s:.6g}: {exc}")
-
     def _defined(self, f, s: float):
         """f(s), with a math error raised as SectionError naming s."""
         try:
             return f(s)
         except _MATH_ERRORS as exc:
-            raise self._undefined(s, exc) from exc
+            raise SectionError(
+                f"section {self.label}: curve undefined at s = {s:.6g}: {exc}") from exc
 
     def _fine_polyline(self):
         """(parameters, xs, ys, blocks) of the fine polyline.  Block k covers
@@ -171,23 +169,20 @@ class Section:
         undefined raises SectionError."""
         s = self._fine_polyline()[0][self._nearest_vertex(zx, zy)]
         span = self.s_max - self.s_min
-        try:
-            jet = self.jet(s)
-            for _ in range(30):
-                cx, cy, tx, ty, c2x, c2y = jet
-                rx, ry = zx - cx, zy - cy
-                h = rx * tx + ry * ty
-                hp = -(tx * tx + ty * ty) + rx * c2x + ry * c2y
-                if hp == 0.0:
-                    break
-                s_new = min(max(s - h / hp, self.s_min), self.s_max)
-                converged = abs(s_new - s) < 1e-14 * span
-                s = s_new
-                jet = self.jet(s)
-                if converged:
-                    break
-        except _MATH_ERRORS as exc:
-            raise self._undefined(s, exc) from exc
+        jet = self._defined(self.jet, s)
+        for _ in range(30):
+            cx, cy, tx, ty, c2x, c2y = jet
+            rx, ry = zx - cx, zy - cy
+            h = rx * tx + ry * ty
+            hp = -(tx * tx + ty * ty) + rx * c2x + ry * c2y
+            if hp == 0.0:
+                break
+            s_new = min(max(s - h / hp, self.s_min), self.s_max)
+            converged = abs(s_new - s) < 1e-14 * span
+            s = s_new
+            jet = self._defined(self.jet, s)
+            if converged:
+                break
         return s, jet
 
     def project(self, z) -> tuple[float, float]:
@@ -201,11 +196,8 @@ class Section:
         _, (cx, cy, tx, ty, _, _) = self._foot(x, y)
         return (tx * (y - cy) - ty * (x - cx)) / math.hypot(tx, ty)
 
-    def distance(self, z) -> float:
-        return self.project(z)[1]
-
     def contains(self, z) -> bool:
-        return self.distance(z) <= membership_tol(z)
+        return self.project(z)[1] <= membership_tol(z)
 
 
 # bench/tracing.py looks the base class up by this name

@@ -314,7 +314,7 @@ def fixed_set_distance(sigma, samples, delta) -> CheckResult:
     def one(z):
         nonlocal n_on, n_fixed, on_delta_move, fixed_dist
         move = math.dist(sigma(z), z)
-        dist = float(delta.distance(z))
+        dist = float(delta.project(z)[1])
         out = []
         if dist <= membership_tol(z):
             n_on += 1

@@ -525,10 +525,12 @@ class ConjugatedRotation:
         q = f"{w}*{u}*(1 - 2*{a}*{v})"
         return PlanarField.from_strings(f"-{w}*{v} + 2*{c}*y*{q}", q, name="conjugated-rotation")
 
-    def _spiral(self, field, sign, name):
-        """Psi o (sign delta0) as a section built from its text."""
+    def _spiral(self, field, sign, name, angle=None):
+        """Psi o (sign s (cos angle, sin angle)) as a section built from its
+        text; the angle is k s, that of delta0, unless given."""
         a, c, k = f"({self.a!r})", f"({self.c!r})", f"({self.k!r})"
-        u, v = f"({sign}s*cos({k}*s))", f"({sign}s*sin({k}*s))"
+        angle = angle or f"{k}*s"
+        u, v = f"({sign}s*cos({angle}))", f"({sign}s*sin({angle}))"
         y = f"({v} + {a}*{u}^2)"
         return make_section(field, f"{u} + {c}*{y}^2", y, self.S_RANGE, name=name)
 
@@ -539,6 +541,19 @@ class ConjugatedRotation:
         """delta* = Psi(-delta0) from its text, exact where the package's
         conjugate section is a spline through its grid points."""
         return self._spiral(field, "-", "spiral_star")
+
+    def flowed_section(self, field, m):
+        """delta'(s) = phi(c(s), delta(s)) for c(s) = m s^2 / w(s^2): the flow
+        turns delta(s) on by the angle m s^2, so delta' = Psi o s (cos(k s +
+        m s^2), sin(k s + m s^2)), built from its text.  Its radial speed is
+        1, so it is transversal to every circle and meets each once."""
+        return self._spiral(field, "", "flowed", f"({self.k!r})*s + ({m!r})*s^2")
+
+    def flow_time(self, z, m):
+        """c(r) = m r^2 / w(r^2) at r = |Psi^-1(z)|: the time that carries
+        delta to the flowed section on the cycle through z."""
+        r, _, w = self._polar(z)
+        return m * r * r / w
 
     def psi(self, u, v):
         y = v + self.a * u * u
@@ -564,9 +579,10 @@ class ConjugatedRotation:
         x = self.k * r + shift - phi
         return (x - 2.0 * math.pi * math.ceil((x - math.pi) / (2.0 * math.pi))) / w
 
-    def sigma_rev(self, z):
+    def sigma_rev(self, z, m=0.0):
+        """The reversibility of delta, or of the flowed section for m."""
         r, phi, _ = self._polar(z)
-        angle = 2.0 * self.k * r - phi
+        angle = 2.0 * (self.k * r + m * r * r) - phi
         return self.psi(r * math.cos(angle), r * math.sin(angle))
 
     def delta_star(self, s):

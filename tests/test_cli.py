@@ -134,6 +134,20 @@ section_grid = 17
         assert config.section_label == "x-axis"
         assert config.section_range == (0.3, 2.5)
 
+    # a field file's name is its stem; named after a built-in, it still gets
+    # no default section
+    @pytest.mark.parametrize("stem", ["pendulum", "myfield"])
+    def test_field_file_gets_no_default_section(self, tmp_path, capsys, stem):
+        (tmp_path / f"{stem}.txt").write_text("P = -y\nQ = x + x^2\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "run.cfg",
+                           f"field = {stem}.txt\nout = {tmp_path / 'out'}\n")
+        assert main(["period", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "config error: config needs a section (shorthand or sx/sy expressions)"]
+        assert not (tmp_path / "out").exists()
+
     def test_overrides(self, lc_config, tmp_path):
         config = load_config(lc_config, rtol_override=1e-8, seed_override=7,
                              out_override=tmp_path / "elsewhere")

@@ -73,24 +73,24 @@ class TestConfig:
 class TestBrent:
     def test_simple_root(self):
         f = lambda x: x * x - 2.0
-        assert brent(f, 0.0, 2.0) == pytest.approx(math.sqrt(2.0), abs=1e-13)
+        assert brent(f, 0.0, 2.0, f(0.0), f(2.0)) == pytest.approx(math.sqrt(2.0), abs=1e-13)
 
     def test_root_at_bracket_end(self):
-        assert brent(lambda x: x, -1.0, 0.0) == 0.0
+        assert brent(lambda x: x, -1.0, 0.0, -1.0, 0.0) == 0.0
 
     def test_rejects_no_sign_change(self):
         with pytest.raises(ValueError):
-            brent(lambda x: x * x + 1.0, -1.0, 1.0)
+            brent(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0)
 
     def test_root_at_bracket_start(self):
-        assert brent(lambda x: x - 0.25, 0.25, 1.0) == 0.25
+        assert brent(lambda x: x - 0.25, 0.25, 1.0, 0.0, 0.75) == 0.25
 
     def test_bisection_fallback(self):
         # a flat triple root with a jump of 2e-12 across it: Brent refuses
         # some interpolation steps, as too slow or outside the bracket, and
         # bisects instead (d = e = m)
         f = lambda x: 1e6 * (x - 0.7) ** 3 + (1e-12 if x > 0.7 else -1e-12)
-        assert brent(f, 0.0, 1.0) == 0.6999999999999864
+        assert brent(f, 0.0, 1.0, f(0.0), f(1.0)) == 0.6999999999999864
 
 
 class TestFlow:
@@ -110,6 +110,13 @@ class TestFlow:
     def test_negative_time(self, linear_center, cfg):
         z = np.asarray(flow(linear_center, [1.0, 0.0], -math.pi / 2, cfg))
         assert np.abs(z - [0.0, -1.0]).max() <= 1e-9
+
+    # refused before any evaluation: a NaN time gave back z unchanged, and
+    # an infinite one ran to the step cap
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, linear_center, cfg, t):
+        with pytest.raises(ValueError, match="is not finite"):
+            flow(linear_center, [1.0, 0.0], t, cfg)
 
     def test_domain_escape(self, cfg):
         field = PlanarField.from_strings("1", "0", domain=(-1.0, 1.0, -1.0, 1.0))
@@ -265,6 +272,8 @@ class TestTrajectory:
             traj.state(2.0)
         with pytest.raises(ValueError):
             traj.state(-0.5)
+        with pytest.raises(ValueError, match="outside integrated span"):
+            traj.state(math.nan)
 
     @pytest.mark.parametrize("t_final", [5.0, -5.0], ids=["fwd", "bwd"])
     def test_step_start(self, pendulum, cfg, t_final):
@@ -333,6 +342,15 @@ class TestEvents:
         t_hit, z_hit = hit.t, np.asarray(hit.z)
         assert t_hit == pytest.approx(math.pi, abs=1e-9)
         assert np.abs(z_hit - [-1.0, 0.0]).max() <= 1e-9
+
+    def test_start_near_zero_set_is_not_skipped(self, linear_center, cfg):
+        # 1e-10 off the zero set is above the start-zero floor
+        # 1e-12 * (1 + |z|), so the crossing just after the start is the
+        # hit, not the one at t = pi
+        ev = EventSpec(g=lambda x, y: y - 1e-10)
+        hit = flow_to_event(linear_center, [1.0, 0.0], ev, 1, cfg).events[0]
+        assert hit.t == pytest.approx(1e-10, abs=1e-12)
+        assert hit.z[1] == pytest.approx(1e-10, abs=1e-12)
 
     def test_root_on_step_boundary_is_the_boundary_state(self, linear_center, cfg):
         # g = x - c vanishes exactly at the start of step 7: the scan of

@@ -1,11 +1,13 @@
 """Package surface: submodules stay reachable, exported names resolve,
-every import is used, and the names the traced benchmark looks up still
-exist."""
+every import is used, the names the traced benchmark looks up still
+exist, and the README's library example prints what it says."""
 
 import ast
 import importlib
+import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -104,6 +106,21 @@ def test_import_loads_no_scipy():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_library_example():
+    # the README's python block, run in a fresh interpreter, prints what
+    # its comments claim: the period, then sigma and rev at one point each
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block, = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    out = subprocess.run([sys.executable, "-c", block], cwd=ROOT, check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    t, half, mirrored = out.splitlines()[:3]
+    assert t.startswith("7.416298709")
+    half, mirrored = ast.literal_eval(half), ast.literal_eval(mirrored)
+    assert isinstance(half, tuple) and math.dist(half, (-math.pi / 2, 0.0)) <= 1e-9
+    assert math.dist(mirrored, (0.0, -1.0)) <= 1e-9
 
 
 def _section(mods, field, kind):

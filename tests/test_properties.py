@@ -435,3 +435,26 @@ def test_conjugated_rotation_closed_forms(cfg, a, c, b, k):
             errors += [math.dist(p, fam.delta_star(s)) / (1.0 + math.hypot(*p)),
                        abs(t - fam.period(p)) / t]
     assert max(errors) <= _CONJ_TOL
+
+
+def test_flowed_section_reversibility(cfg):
+    # delta'(s) = phi(c(s), delta(s)) is a section for every function c, and
+    # its reversibility is sigma_delta' = phi(2 c) o sigma_delta: one
+    # reversing symmetry for each c, the paper's "infinitely many" (Lamb &
+    # Roberts, Physica D 112, 1998)
+    fam = ConjugatedRotation(0.2, -0.15, 0.5, 0.8)
+    field = fam.field()
+    delta = fam.section(field)
+    worst = {"sigma_d' = phi(2 c) sigma_d": 0.0, "sigma_d' closed form": 0.0}
+    with suite_scope():
+        samples = annulus_points(field, delta, 6, cfg, seed=3)
+        for m in (0.7, -1.3):
+            flowed = fam.flowed_section(field, m)
+            for z in samples:
+                scale = 1.0 + math.hypot(*z)
+                image = sigma_reversible(field, flowed, z, cfg)
+                moved = flow(field, sigma_reversible(field, delta, z, cfg),
+                             2.0 * fam.flow_time(z, m), cfg)
+                for key, ref in zip(worst, (moved, fam.sigma_rev(z, m))):
+                    worst[key] = max(worst[key], math.dist(image, ref) / scale)
+    assert max(worst.values()) <= _CONJ_TOL, worst

@@ -219,7 +219,7 @@ class TestFixedSetDistance:
         sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
 
         def shift_off(z):
-            return z if sec.distance(z) <= membership_tol(z) else (z[0] + 5e-8, z[1])
+            return z if sec.project(z)[1] <= membership_tol(z) else (z[0] + 5e-8, z[1])
 
         samples = [np.array(p) for p in [(0.5, 0.0), (1.5, 0.0), (0.3, 0.9), (-1.0, 0.4)]]
         r = fixed_set_distance(shift_off, samples, sec)

@@ -73,7 +73,7 @@ class RunConfig:
     times: int
     seed: int
     out_dir: Path
-    raw: dict
+    digest: str
 
     def build_section(self) -> Section:
         return make_section(
@@ -107,6 +107,8 @@ def _read_text(path: Path, what: str) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{what} {path} cannot be read: {exc}") from exc
 
 
 def _resolve_field(entries: dict[str, str], config_dir: Path) -> PlanarField:
@@ -129,11 +131,9 @@ def _resolve_field(entries: dict[str, str], config_dir: Path) -> PlanarField:
         except (ExpressionError, ConfigError) as exc:
             raise ConfigError(f"field file {path}: {exc}") from exc
     if inline:
-        if "P" not in entries or "Q" not in entries:
-            raise ConfigError("inline field needs both P and Q")
         try:
             return field_from_entries(entries, "custom")
-        except ExpressionError as exc:
+        except (ExpressionError, ConfigError) as exc:
             raise ConfigError(f"inline field: {exc}") from exc
     raise ConfigError("config must name a field (built-in or file) or define P and Q")
 
@@ -174,7 +174,7 @@ def _resolve_section(entries: dict[str, str]):
     raise ConfigError("config needs a section (shorthand or sx/sy expressions)")
 
 
-def load_config(path, *, out_override=None, rtol_override=None, seed_override=None) -> RunConfig:
+def load_config(path, *, out_override=None) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -185,12 +185,11 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
     field = _resolve_field(entries, path.parent)
     sx, sy, rng, label = _resolve_section(entries)
     rtol = _parse_number(entries, "rtol", 1e-10)
-    if rtol_override is not None:
-        rtol = rtol_override
     atol = _parse_number(entries, "atol", max(1e-12, 0.01 * rtol))
     seed = _parse_number(entries, "seed", 0, int)
-    if seed_override is not None:
-        seed = seed_override
+    # the sample generators take the seed as a double, exact up to 2**53
+    if abs(seed) > 2**53:
+        raise ConfigError(f"seed must lie within ±2**53, got {seed}")
     params = None
     if "params" in entries:
         params = parse_number_list(entries["params"], "params")
@@ -208,9 +207,6 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
             if not existing.is_dir():
                 raise ConfigError(f"out: {existing} exists and is not a directory")
             break
-    raw = dict(entries)
-    raw["rtol"] = repr(rtol)
-    raw["seed"] = repr(seed)
     try:
         cfg = IntegratorConfig(rtol=rtol, atol=atol)
     except ValueError as exc:
@@ -228,7 +224,7 @@ def load_config(path, *, out_override=None, rtol_override=None, seed_override=No
         times=times,
         seed=seed,
         out_dir=out_dir,
-        raw=raw,
+        digest=config_digest({**entries, "rtol": repr(rtol), "seed": repr(seed)}),
     )
 
 
@@ -250,7 +246,7 @@ def _pairs_csv(name: str, samples, sigma) -> str:
     return _csv_text(["x", "y", "sigma_x", "sigma_y"], rows)
 
 
-def _gather_samples(config: RunConfig, section, cfg) -> tuple[list, list[float]]:
+def _gather_samples(config: RunConfig, section) -> tuple[list, list[float]]:
     """Annulus samples and flow times for the verification suites.
 
     If cycle detection cannot certify closures (e.g. deliberately loose
@@ -259,7 +255,7 @@ def _gather_samples(config: RunConfig, section, cfg) -> tuple[list, list[float]]
     each fallback prints one stderr line.
     """
     try:
-        samples = list(annulus_points(config.field, section, config.samples, cfg,
+        samples = list(annulus_points(config.field, section, config.samples, config.cfg,
                                       config.seed))
     except SAMPLE_FAILURES as exc:
         print(f"sample generation degraded to section points: {exc}", file=sys.stderr)
@@ -268,7 +264,7 @@ def _gather_samples(config: RunConfig, section, cfg) -> tuple[list, list[float]]
         samples = [section.point(s) for s in params]
     try:
         mid = 0.5 * (section.s_min + section.s_max)
-        t_ref = SymmetryInvolution(config.field, cfg).period_of(section.point(mid))
+        t_ref = SymmetryInvolution(config.field, config.cfg).period_of(section.point(mid))
     except SAMPLE_FAILURES as exc:
         print(f"reference period unavailable, using unit-scale times: {exc}",
               file=sys.stderr)
@@ -285,7 +281,7 @@ def _outcome(report: VerificationReport, files):
     return report.counts(), files, errors
 
 
-def _period_command(config: RunConfig, section, cfg):
+def _period_command(config: RunConfig, section):
     if config.params is not None:
         params = config.params
     else:
@@ -294,7 +290,7 @@ def _period_command(config: RunConfig, section, cfg):
     rows, errors = [], []
     for s in params:
         try:
-            cyc = detect_cycle(config.field, section.point(s), cfg)
+            cyc = detect_cycle(config.field, section.point(s), config.cfg)
         except SAMPLE_FAILURES as exc:
             errors.append(f"sample s = {s:.6g} failed: {exc}")
             continue
@@ -303,19 +299,19 @@ def _period_command(config: RunConfig, section, cfg):
     return (len(rows), len(params)), [("periods.csv", periods)], errors
 
 
-def _symmetry_command(config: RunConfig, section, cfg):
-    samples, times = _gather_samples(config, section, cfg)
-    report = verify_sigma_symmetry(config.field, section, samples, times, cfg)
-    report.provenance["config_digest"] = config_digest(config.raw)
+def _symmetry_command(config: RunConfig, section):
+    samples, times = _gather_samples(config, section)
+    report = verify_sigma_symmetry(config.field, section, samples, times, config.cfg)
+    report.provenance["config_digest"] = config.digest
     pairs = _pairs_csv("symmetry_pairs", samples, report.involution)
     return _outcome(report, [("symmetry_report.json", report.to_json()),
                              ("symmetry_pairs.csv", pairs)])
 
 
-def _reversibility_command(config: RunConfig, section, cfg):
-    samples, times = _gather_samples(config, section, cfg)
-    report = verify_reversibility(config.field, section, samples, times, cfg)
-    report.provenance["config_digest"] = config_digest(config.raw)
+def _reversibility_command(config: RunConfig, section):
+    samples, times = _gather_samples(config, section)
+    report = verify_reversibility(config.field, section, samples, times, config.cfg)
+    report.provenance["config_digest"] = config.digest
     pairs = _pairs_csv("reversibility_pairs", samples, report.involution)
     star = report.involution.delta_star
     star_csv = _csv_text(["s", "x_star", "y_star", "T"],
@@ -326,11 +322,11 @@ def _reversibility_command(config: RunConfig, section, cfg):
                              ("reversibility_pairs.csv", pairs)])
 
 
-def _verify_command(config: RunConfig, section, cfg):
-    samples, times = _gather_samples(config, section, cfg)
+def _verify_command(config: RunConfig, section):
+    samples, times = _gather_samples(config, section)
     # the reversibility's crossings make the symmetry's records of their points
-    rev = verify_reversibility(config.field, section, samples, times, cfg)
-    sym = verify_sigma_symmetry(config.field, section, samples, times, cfg)
+    rev = verify_reversibility(config.field, section, samples, times, config.cfg)
+    sym = verify_sigma_symmetry(config.field, section, samples, times, config.cfg)
     for prefix, suite in (("symmetry", sym), ("reversibility", rev)):
         for c in suite.checks:
             c.name = f"{prefix}/{c.name}"
@@ -339,7 +335,7 @@ def _verify_command(config: RunConfig, section, cfg):
         provenance={
             "field": config.field.name,
             "section": section.label,
-            "config_digest": config_digest(config.raw),
+            "config_digest": config.digest,
         },
     )
     return _outcome(report, [("verify_report.json", report.to_json()),
@@ -381,7 +377,7 @@ def _run(config: RunConfig, command: str) -> int:
         return _fail(EXIT_CONFIG, f"section error: {exc}")
     with suite_scope():
         try:
-            (npass, total), files, errors = body(config, section, config.cfg)
+            (npass, total), files, errors = body(config, section)
         except TransversalityError as exc:
             return _fail(EXIT_TRANSVERSALITY, f"transversality error: {exc}")
         except SAMPLE_FAILURES as exc:
@@ -406,14 +402,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--rtol", type=float, default=None,
-                       help="integrator relative tolerance (overrides config)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="sample sequence seed (overrides config)")
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, out_override=args.out,
-                             rtol_override=args.rtol, seed_override=args.seed)
+        config = load_config(args.config, out_override=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

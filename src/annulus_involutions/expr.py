@@ -130,24 +130,25 @@ _TOKEN_RE = re.compile(r"""\s*(?:
 )?""", re.VERBOSE)
 
 
-def _byte_offset(source: str, index: int) -> int:
-    return len(source[:index].encode("utf-8"))
-
-
 def tokenize(source: str) -> list[Token]:
     """Split source into number/identifier/operator tokens, skipping whitespace."""
     tokens = []
-    i = 0
+    i = offset = 0  # offset: the UTF-8 byte offset of source[i]
     while True:
         m = _TOKEN_RE.match(source, i)
-        kind, i = m.lastgroup, m.end()
+        kind, end = m.lastgroup, m.end()
+        start = m.start(kind) if kind else end
+        # skipped whitespace may be non-ASCII; every token is ASCII
+        offset += len(source[i:start].encode("utf-8"))
         if kind is None:
-            if i == len(source):
+            if end == len(source):
                 return tokens
-            ch = source[i]  # every token is ASCII, and a number needs a digit
+            ch = source[end]  # a number needs a digit
             what = "malformed number starting with" if ch == "." else "unexpected character"
-            raise LexicalError(f"{what} {ch!r}", _byte_offset(source, i))
-        tokens.append(Token(kind, m.group(kind), _byte_offset(source, m.start(kind))))
+            raise LexicalError(f"{what} {ch!r}", offset)
+        tokens.append(Token(kind, m.group(kind), offset))
+        offset += end - start
+        i = end
 
 
 # --- parser ----------------------------------------------------------------

@@ -188,8 +188,8 @@ def test_09_negative_controls(linear_center, cfg, tmp_path):
     config = tmp_path / "loose.cfg"
     config.write_text(
         "field = pendulum\nsection = x-axis [0.3, 2.5]\nsamples = 4\ntimes = 2\n"
-        f"out = {tmp_path / 'out'}\n", encoding="utf-8")
-    code = main(["symmetry", "--config", str(config), "--rtol", "1e-3"])
+        f"rtol = 1e-3\nout = {tmp_path / 'out'}\n", encoding="utf-8")
+    code = main(["symmetry", "--config", str(config)])
     loose_report = json.loads((tmp_path / "out" / "symmetry_report.json").read_text())
     control_b = code == EXIT_CHECK_FAILED and not loose_report["all_pass"]
     report(9, "negative controls: mirror fails +1 commutation (> 0.5); rtol=1e-3 exits 1",

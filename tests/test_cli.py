@@ -149,32 +149,40 @@ section_grid = 17
         assert not (tmp_path / "out").exists()
 
     def test_overrides(self, lc_config, tmp_path):
-        config = load_config(lc_config, rtol_override=1e-8, seed_override=7,
-                             out_override=tmp_path / "elsewhere")
-        assert config.cfg == IntegratorConfig(rtol=1e-8, atol=1e-10)
-        assert config.seed == 7
+        config = load_config(lc_config, out_override=tmp_path / "elsewhere")
         assert config.out_dir == tmp_path / "elsewhere"
 
-    # a non-finite tolerance, and sample or time counts below 1 (which
-    # would make period's PASS 0/0 vacuous)
-    @pytest.mark.parametrize("text, args, message", [
-        ("samples = 2\ntimes = 1\n", ["--rtol", "nan"], "tolerances must be positive and finite"),
-        ("samples = 2\ntimes = 1\n", ["--rtol", "inf"], "tolerances must be positive and finite"),
-        ("samples = 2\ntimes = 1\natol = nan\n", [], "tolerances must be positive and finite"),
-        ("samples = 0\ntimes = 1\n", [], "samples must be at least 1, got 0"),
-        ("samples = -3\ntimes = 1\n", [], "samples must be at least 1, got -3"),
-        ("samples = 2\ntimes = 0\n", [], "times must be at least 1, got 0"),
-    ], ids=["rtol-nan", "rtol-inf", "atol-nan", "samples-0", "samples-negative", "times-0"])
-    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, text, args, message):
+    # a non-finite tolerance, sample or time counts below 1 (which would
+    # make period's PASS 0/0 vacuous), and a seed beyond 2**53, which the
+    # sample generators, taking it as a double, would round to another
+    # seed's samples or overflow on
+    @pytest.mark.parametrize("text, message", [
+        ("samples = 2\ntimes = 1\nrtol = nan\n", "tolerances must be positive and finite"),
+        ("samples = 2\ntimes = 1\nrtol = inf\n", "tolerances must be positive and finite"),
+        ("samples = 2\ntimes = 1\natol = nan\n", "tolerances must be positive and finite"),
+        ("samples = 0\ntimes = 1\n", "samples must be at least 1, got 0"),
+        ("samples = -3\ntimes = 1\n", "samples must be at least 1, got -3"),
+        ("samples = 2\ntimes = 0\n", "times must be at least 1, got 0"),
+        ("seed = 100000000000000000\n", "seed must lie within ±2**53, got 100000000000000000"),
+        ("seed = -100000000000000000\n", "seed must lie within ±2**53, got -100000000000000000"),
+        (f"seed = 1{'0' * 400}\n", f"seed must lie within ±2**53, got 1{'0' * 400}"),
+    ], ids=["rtol-nan", "rtol-inf", "atol-nan", "samples-0", "samples-negative", "times-0",
+            "seed-1e17", "seed-minus-1e17", "seed-401-digits"])
+    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, text, message):
         cfg = write_config(tmp_path / "run.cfg",
                            f"field = linear-center\n{text}out = {tmp_path / 'out'}\n")
-        assert main(["period", "--config", cfg, *args]) == EXIT_CONFIG
+        assert main(["period", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"config error: {message}")
         assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_loads(self, tmp_path):
+        path = write_config(tmp_path / "run.cfg",
+                            "field = linear-center\nseed = 9007199254740992\n")
+        assert load_config(path).seed == 2**53
 
     @pytest.mark.parametrize("text, message", [
         ("rtol = tight", "rtol: expected a number, got 'tight'"),
@@ -200,7 +208,9 @@ section_grid = 17
          "field file {dir}/no-p.txt: missing required key 'P'"),
         ("field = r.txt\nsection = x-axis [0.2, 2.0]\n",
          "field file {dir}/r.txt: unknown field keys: ['R']"),
-        ("P = -y\nsection = x-axis [0.2, 2.0]\n", "inline field needs both P and Q"),
+        ("P = -y\nsection = x-axis [0.2, 2.0]\n", "inline field: missing required key 'Q'"),
+        ("P = -y\nQ = x\ndomain = 1, 2\nsection = x-axis [0.2, 2.0]\n",
+         "inline field: domain: expected a bracketed list, got '1, 2'"),
         ("field = linear-center\nsection = x-axis [0.2, 2.0]\nsx = s\n",
          "give either 'section = ...' shorthand or sx/sy, not both"),
         ("field = linear-center\nsection = y-axis [0.2, 2.0]\n",
@@ -211,7 +221,7 @@ section_grid = 17
          "expression sections need section_range = [smin, smax]"),
         ("field = linear-center\nparams = []\n", "params list is empty"),
     ], ids=["field-and-inline", "field-file-expression", "field-file-domain",
-            "field-file-without-p", "field-file-unknown-key", "inline-without-q",
+            "field-file-without-p", "field-file-unknown-key", "inline-without-q", "inline-domain",
             "shorthand-and-expressions", "unknown-shorthand", "expression-without-sy",
             "expression-without-range", "empty-params"])
     def test_refused_keys_one_line(self, tmp_path, capsys, text, message):
@@ -266,6 +276,31 @@ class TestOutsideInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(start)
         assert taken.read_text(encoding="utf-8") == "kept\n"
+        assert not (tmp_path / "out").exists()
+
+    # a file that exists but cannot be read, as without read permission
+    @pytest.mark.parametrize("unreadable, what", [
+        ("run.cfg", "config file"), ("f.txt", "field file")], ids=["config", "field-file"])
+    def test_unreadable_file(self, tmp_path, capsys, monkeypatch, unreadable, what):
+        write_config(tmp_path / "f.txt", "P = -y\nQ = x\n")
+        cfg = write_config(tmp_path / "run.cfg", "field = f.txt\nsection = x-axis [0.2, 2.0]\n"
+                                                 f"out = {tmp_path / 'out'}\n")
+        read_text = Path.read_text
+
+        def refuse(self, *args, **kwargs):
+            if self.name == unreadable:
+                raise PermissionError(13, "Permission denied")
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        assert main(["period", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        path = tmp_path / unreadable
+        if what == "field file":
+            path = path.resolve()  # a field file is named by its resolved path
+        assert captured.err.splitlines() == [
+            f"config error: {what} {path} cannot be read: [Errno 13] Permission denied"]
         assert not (tmp_path / "out").exists()
 
 
@@ -444,7 +479,7 @@ class TestSymmetryCommand:
         config = load_config(lc_config)
         cfg = config.cfg
         section = config.build_section()
-        samples, times = _gather_samples(config, section, cfg)
+        samples, times = _gather_samples(config, section)
         suite = verify_sigma_symmetry(config.field, section, samples, times, cfg).to_dict()
         for report in (written, suite):
             del report["provenance"]["config_digest"]
@@ -459,9 +494,10 @@ field = pendulum
 section = x-axis [0.3, 2.5]
 samples = 4
 times = 2
+rtol = 1e-3
 out = {tmp_path / 'out'}
 """)
-        code = main(["symmetry", "--config", cfg, "--rtol", "1e-3"])
+        code = main(["symmetry", "--config", cfg])
         assert code == EXIT_CHECK_FAILED
         assert capsys.readouterr().out.strip().startswith("FAIL")
         report = json.loads((tmp_path / "out" / "symmetry_report.json").read_text())

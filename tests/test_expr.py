@@ -1,6 +1,7 @@
 import math
 import operator
 import string
+import time
 
 import numpy as np
 import pytest
@@ -75,6 +76,21 @@ class TestTokenize:
 
     def test_offsets_are_bytes(self):
         assert [t.offset for t in tokenize("x + y")] == [0, 2, 4]
+
+    def test_offsets_after_non_ascii_spaces(self):
+        # U+3000 and U+2003 are three UTF-8 bytes, U+00A0 two
+        assert [t.offset for t in tokenize("x\u3000+\u00a0y\u2003*\u3000z")] == [
+            0, 4, 7, 11, 15]
+        with pytest.raises(LexicalError) as exc:
+            tokenize("x\u3000+\u00a0$")
+        assert exc.value.offset == 7
+
+    def test_long_source_is_linear(self):
+        # 400 001 characters; re-encoding each token's prefix took seconds.
+        # CPU time, so that other processes on the host do not count
+        start = time.process_time()
+        assert len(tokenize("x+" * 200_000 + "x")) == 400_001
+        assert time.process_time() - start < 3.0
 
     def test_every_code_point(self):
         # each character after an ideographic space (three UTF-8 bytes):
@@ -456,6 +472,12 @@ class TestDifferentiate:
 class TestPlanarField:
     def test_velocity(self, linear_center):
         assert np.allclose(linear_center.rhs(1.0, 2.0), [-2.0, 1.0])
+
+    def test_repr(self):
+        assert repr(builtin_field("pendulum")) == "PlanarField('pendulum': P=y, Q=-sin(x))"
+
+    def test_no_first_integral_has_no_energy(self):
+        assert PlanarField.from_strings("-y", "x").energy((1.0, 0.0)) is None
 
     def test_exact_partials_match_finite_differences(self, pendulum):
         # the variational-equation oracle differentiates the field itself

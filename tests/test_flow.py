@@ -92,6 +92,12 @@ class TestBrent:
         f = lambda x: 1e6 * (x - 0.7) ** 3 + (1e-12 if x > 0.7 else -1e-12)
         assert brent(f, 0.0, 1.0, f(0.0), f(1.0)) == 0.6999999999999864
 
+    def test_iteration_cap_returns_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(flow_mod, "_BRENT_MAXITER", 2)
+        root = brent(lambda s: s ** 3 - 0.3, 0.0, 1.0, -0.3, 0.7)
+        assert root == 0.6499999999999999
+        assert 0.0 < root < 1.0
+
 
 class TestFlow:
     def test_quarter_turn(self, linear_center, cfg):

@@ -225,6 +225,13 @@ class TestGeometry:
         with pytest.raises(SectionError, match="curve undefined at s = "):
             sec.side(*z)
 
+    def test_foot_at_a_vanishing_tangent(self):
+        # at the vertex s = 0 of (s^3, 0) the tangent and C'' vanish, so
+        # h = h' = 0 and Newton stops there instead of dividing by zero
+        curve = ExpressionCurve(parse("s^3", ("s",)), parse("0", ("s",)), -1.0, 1.0,
+                                linspace(-1.0, 1.0, 33))
+        assert curve.project((0.0, 0.5)) == (0.0, 0.5)
+
     def test_curve_straight_only_at_grid_points_kept(self, linear_center):
         # the wiggle vanishes at all 33 grid points, so the grid alone looks
         # straight; its C'' is not zero, so it stays the user's curve

@@ -187,7 +187,8 @@ def load_config(path, *, out_override=None) -> RunConfig:
     rtol = _parse_number(entries, "rtol", 1e-10)
     atol = _parse_number(entries, "atol", max(1e-12, 0.01 * rtol))
     seed = _parse_number(entries, "seed", 0, int)
-    # the sample generators take the seed as a double, exact up to 2**53
+    # the seed range a run config admits; the sample generators reduce large
+    # seeds exactly, so every seed in it draws its own samples
     if abs(seed) > 2**53:
         raise ConfigError(f"seed must lie within ±2**53, got {seed}")
     params = None
@@ -366,7 +367,8 @@ def _run(config: RunConfig, command: str) -> int:
     that cannot be built exits 2, or 3 for a transversality failure of a
     section that is more than a seed.  A known numerical failure that
     escapes the body exits 3 for transversality and 1 otherwise, with no
-    files written.
+    files written.  An output directory that cannot be created or written
+    exits 2 with no summary line; the files written before the failure stay.
     """
     body, seed_only = _COMMANDS[command]
     try:
@@ -382,9 +384,13 @@ def _run(config: RunConfig, command: str) -> int:
             return _fail(EXIT_TRANSVERSALITY, f"transversality error: {exc}")
         except SAMPLE_FAILURES as exc:
             return _fail(EXIT_CHECK_FAILED, f"error: {exc}")
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files:
-        write_atomic(config.out_dir / name, text)
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files:
+            write_atomic(config.out_dir / name, text)
+    except OSError as exc:
+        return _fail(EXIT_CONFIG,
+                     f"config error: output directory {config.out_dir} cannot be written: {exc}")
     for line in errors:
         print(line, file=sys.stderr)
     passed = npass == total

@@ -521,9 +521,9 @@ class PlanarField:
     """An autonomous planar vector field (P(x,y), Q(x,y)).
 
     Immutable after construction; evaluation is reentrant.  ``domain`` is the
-    working box (xmin, xmax, ymin, ymax) that integration must stay inside.
-    ``hamiltonian`` is an optional first integral, used by the
-    energy-invariance check of the built-in examples.
+    working box (xmin, xmax, ymin, ymax), edges included, that integration
+    must stay inside.  ``hamiltonian`` is an optional first integral, used
+    by the energy-invariance check of the built-in examples.
     """
 
     def __init__(
@@ -583,10 +583,6 @@ class PlanarField:
         if self.hamiltonian is None:
             return None
         return evaluate(self.hamiltonian, float(z[0]), float(z[1]))
-
-    def contains(self, z) -> bool:
-        xmin, xmax, ymin, ymax = self.domain
-        return xmin <= z[0] <= xmax and ymin <= z[1] <= ymax
 
 
 def parse_key_values(text: str, prefix: str) -> dict[str, str]:

@@ -12,7 +12,9 @@ power 1/6).
 A negative flow time is integrated over positive internal progress time s
 with a signed step: the stages use the field's own velocities, and each
 step length that multiplies them is hs = -h.  Trajectories remember their
-direction.
+direction, the sign 1.0 or -1.0.  A box ``bounds`` (xmin, xmax, ymin, ymax),
+edges included, stops an integration with ``DomainEscape`` after the first
+accepted step that ends outside it.
 
 Each accepted step is kept as the tuple (s0, h, x, y, fx, fy): its start
 and length in progress time, its start state c1 = (x, y) and the field k1
@@ -272,7 +274,7 @@ class Trajectory:
     """
 
     dop853: Callable[..., tuple[float, float, float, float]]
-    direction: int
+    direction: float
     steps: list[tuple[float, float, float, float, float, float]]
     z_final: Point
     nrejected: int
@@ -294,8 +296,8 @@ class Trajectory:
         s = min(max(s, 0.0), s_end)
         if s == s_end:
             return self.z_final
-        step = steps[max(bisect_right(steps, s, key=itemgetter(0)) - 1, 0)]
-        return _replay(self.dop853, float(self.direction), step, s)
+        return _replay(self.dop853, self.direction,
+                       steps[bisect_right(steps, s, key=itemgetter(0)) - 1], s)
 
 
 def _initial_step(rhs, x, y, fx, fy, rtol, atol, s_end, sign):
@@ -465,10 +467,10 @@ def _scan_step(dop853, sign, step, end, cubic, events, scan, g_prev, zero_start)
                 continue
             if _crossed(ga, gb) and (ev.direction == 0
                                      or math.copysign(1.0, gb - ga) == ev.direction):
-                s_root = float(brent(lambda s: g(*at(s)), sa, s_b, ga, gb))
+                s_root = brent(lambda s: g(*at(s)), sa, s_b, ga, gb)
                 z_root = at(s_root)
                 if ev.accept is None or ev.accept(z_root):
-                    hits.append(EventHit(k, float(sign * s_root), z_root))
+                    hits.append(EventHit(k, sign * s_root, z_root))
             ga, sa = gb, s_b
         g_prev[k] = ga
     if len(hits) > 1:
@@ -482,12 +484,13 @@ def integrate(
     t_final: float,
     cfg: IntegratorConfig,
     events: Sequence[EventSpec] = (),
-    bounds: Callable[[Point], bool] | None = None,
+    bounds: tuple[float, float, float, float] | None = None,
 ) -> Trajectory:
     """Integrate dz/dt = rhs(x, y) from z0 to t_final (either sign).
 
-    ``rhs(x, y)`` returns the velocity as two floats; ``bounds`` receives
-    each accepted state as an (x, y) pair.  Stops early at the first
+    ``rhs(x, y)`` returns the velocity as two floats; ``bounds`` is a box
+    (xmin, xmax, ymin, ymax), edges included, that each accepted state must
+    lie in, as a field's ``domain`` is.  Stops early at the first
     terminal event root.  Raises ValueError for a non-finite t_final,
     before any evaluation; raises StepLimitExceeded, DomainEscape, or lets
     field DomainError propagate.
@@ -506,9 +509,8 @@ def integrate(
         dop853 = partial(_dop853, rhs)
     x, y = as_point(z0)
     if t_final == 0.0:
-        return Trajectory(dop853, 1, [], (x, y), 0, 0)
-    direction = 1 if t_final > 0 else -1
-    sign = float(direction)
+        return Trajectory(dop853, 1.0, [], (x, y), 0, 0)
+    sign = 1.0 if t_final > 0 else -1.0
     s_end = abs(t_final)
 
     fx, fy = rhs(x, y)
@@ -522,6 +524,8 @@ def integrate(
     g_floor = 1e-12 * (1.0 + math.hypot(x, y))
     zero_start: list[float | None] = [g_floor if abs(g) < g_floor else None for g in g_prev]
 
+    if bounds is not None:
+        xmin, xmax, ymin, ymax = bounds
     steps: list[tuple] = []
     hits: list[EventHit] = []
     attempts = npartial = 0
@@ -531,11 +535,11 @@ def integrate(
     while s < s_end:
         if attempts >= _MAX_STEPS:
             raise StepLimitExceeded(
-                f"step limit {_MAX_STEPS} reached at t={direction * s:.6g}"
+                f"step limit {_MAX_STEPS} reached at t={sign * s:.6g}"
             )
         if 0.1 * h <= s * _UROUND:
             raise StepLimitExceeded(
-                f"step size {h:.3g} too small at t={direction * s:.6g}"
+                f"step size {h:.3g} too small at t={sign * s:.6g}"
             )
         attempts += 1
         rest = s_end - s
@@ -571,18 +575,15 @@ def integrate(
             c4x, c4y = 2.0 * dx - hs * (k13x + fx), 2.0 * dy - hs * (k13y + fy)
             # the Lipschitz skip: an event whose start value clears
             # 2 L reach + floor takes only its value at the step's end
+            reach = abs(dx) + abs(c3x) + abs(c4x) + abs(dy) + abs(c3y) + abs(c4y)
+            floor = 1e-12 * (1.0 + abs(x) + abs(y))
             scan = []
-            reach = None
             for k, ev in enumerate(events):
                 lip = ev.lipschitz
-                if lip is not None and zero_start[k] is None:
-                    if reach is None:
-                        reach = (abs(dx) + abs(c3x) + abs(c4x)
-                                 + abs(dy) + abs(c3y) + abs(c4y))
-                        floor = 1e-12 * (1.0 + abs(x) + abs(y))
-                    if abs(g_prev[k]) > (2.0 * lip) * reach + floor:
-                        g_prev[k] = ev.g(xn, yn)
-                        continue
+                if (lip is not None and zero_start[k] is None
+                        and abs(g_prev[k]) > (2.0 * lip) * reach + floor):
+                    g_prev[k] = ev.g(xn, yn)
+                    continue
                 scan.append(k)
             if scan:
                 found, nstates = _scan_step(dop853, sign, step, (xn, yn),
@@ -597,10 +598,10 @@ def integrate(
                 if terminal_hit is not None:
                     break
 
-        if bounds is not None and not bounds((xn, yn)):
+        if bounds is not None and not (xmin <= xn <= xmax and ymin <= yn <= ymax):
             raise DomainEscape(
                 f"state ({xn:.6g}, {yn:.6g}) left the working domain "
-                f"at t={direction * s:.6g}"
+                f"at t={sign * s:.6g}"
             )
 
         x, y = xn, yn
@@ -610,14 +611,14 @@ def integrate(
     # nfev: the start, the trial stage of _initial_step, eleven stages per
     # attempt and per partial step of the event scan, and the end point of
     # each accepted step
-    return Trajectory(dop853, direction, steps, (x, y) if terminal_hit is None else (xn, yn),
+    return Trajectory(dop853, sign, steps, (x, y) if terminal_hit is None else (xn, yn),
                       attempts - len(steps),
                       2 + 11 * (attempts + npartial) + len(steps), hits)
 
 
 def flow(field: PlanarField, z0, t: float, cfg: IntegratorConfig = IntegratorConfig()) -> Point:
     """The flow map: z0 advanced by time t (t = 0 returns z0 unchanged)."""
-    return integrate(field.rhs, z0, t, cfg, bounds=field.contains).z_final
+    return integrate(field.rhs, z0, t, cfg, bounds=field.domain).z_final
 
 
 def flow_to_event(field: PlanarField, z0, event: EventSpec, t_direction: int,
@@ -634,7 +635,7 @@ def flow_to_event(field: PlanarField, z0, event: EventSpec, t_direction: int,
     if t_direction not in (1, -1):
         raise ValueError("t_direction must be +1 or -1")
     traj = integrate(field.rhs, z0, t_direction * MAX_HORIZON, cfg,
-                     events=[replace(event, terminal=True)], bounds=field.contains)
+                     events=[replace(event, terminal=True)], bounds=field.domain)
     if not traj.events:
         raise EventNotFound(
             f"no event crossing within |t| <= {MAX_HORIZON:.6g} from ({z0[0]:.6g}, {z0[1]:.6g})"

@@ -58,7 +58,7 @@ def detect_cycle(field: PlanarField, z, cfg: IntegratorConfig = IntegratorConfig
                       direction=1, terminal=True, lipschitz=1.0)
     try:
         traj = integrate(field.rhs, z, MAX_HORIZON, cfg, events=[event, *events],
-                         bounds=field.contains)
+                         bounds=field.domain)
     except DomainEscape as exc:
         raise NotACycle(f"orbit of ({z[0]:.6g}, {z[1]:.6g}) left the domain: {exc}") from exc
     if not traj.events or traj.events[-1].index != 0:

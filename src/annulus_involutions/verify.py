@@ -141,9 +141,21 @@ def config_digest(mapping: dict) -> str:
 
 # --- sample generation -------------------------------------------------------
 
+def _seed_base(offset: float, seed: int, c: float) -> float:
+    """(offset + seed * c) % 1.0, in doubles while |seed| < 2**40, which
+    keeps those seeds' bits.  Beyond, the double product keeps too few
+    fraction bits to tell consecutive seeds apart, so the sum is reduced
+    exactly in integers, the seed's sign kept, and rounded once."""
+    if abs(seed) < 2**40:
+        return (offset + seed * c) % 1.0
+    a, b = offset.as_integer_ratio()
+    n, d = c.as_integer_ratio()
+    return (a * d + seed * n * b) % (b * d) / (b * d) % 1.0
+
+
 def sample_parameters(n: int, lo: float, hi: float, seed: int = 0) -> list[float]:
     """n low-discrepancy parameters in (lo, hi)."""
-    base = (seed * _SQRT2_FRAC) % 1.0
+    base = _seed_base(0.0, seed, _SQRT2_FRAC)
     return [lo + (0.02 + 0.96 * ((base + (i + 1) * _GOLDEN) % 1.0)) * (hi - lo)
             for i in range(n)]
 
@@ -151,7 +163,7 @@ def sample_parameters(n: int, lo: float, hi: float, seed: int = 0) -> list[float
 def sample_time_fractions(n: int, seed: int = 0) -> list[float]:
     """n period fractions, nudged away from 0, 1/2 and 1 so that generated
     points stay clear of the seed section and its half-period image."""
-    base = (0.37 + seed * _GOLDEN) % 1.0
+    base = _seed_base(0.37, seed, _GOLDEN)
     out = []
     for i in range(n):
         f = (base + (i + 1) * _SQRT2_FRAC) % 1.0

@@ -379,7 +379,8 @@ def integrate_reference(field, z0, t_final, cfg, events=(), bounds=None):
                     break
             if terminal_hit is not None:
                 break
-        if bounds is not None and not bounds(y_new):
+        if bounds is not None and not (bounds[0] <= y_new[0] <= bounds[1]
+                                       and bounds[2] <= y_new[1] <= bounds[3]):
             raise DomainEscape(
                 f"state ({y_new[0]:.6g}, {y_new[1]:.6g}) left the working domain "
                 f"at t={direction * s:.6g}")

@@ -153,9 +153,8 @@ section_grid = 17
         assert config.out_dir == tmp_path / "elsewhere"
 
     # a non-finite tolerance, sample or time counts below 1 (which would
-    # make period's PASS 0/0 vacuous), and a seed beyond 2**53, which the
-    # sample generators, taking it as a double, would round to another
-    # seed's samples or overflow on
+    # make period's PASS 0/0 vacuous), and a seed beyond 2**53, outside the
+    # range a run config admits
     @pytest.mark.parametrize("text, message", [
         ("samples = 2\ntimes = 1\nrtol = nan\n", "tolerances must be positive and finite"),
         ("samples = 2\ntimes = 1\nrtol = inf\n", "tolerances must be positive and finite"),
@@ -302,6 +301,45 @@ class TestOutsideInput:
         assert captured.err.splitlines() == [
             f"config error: {what} {path} cannot be read: [Errno 13] Permission denied"]
         assert not (tmp_path / "out").exists()
+
+    # an output directory that cannot be created, or a file in it that
+    # cannot be written, after the whole run: exit 2, one stderr line and no
+    # summary line; a file written before the failure stays
+    @pytest.mark.parametrize("command, error", [
+        ("period", "[Errno 13] Permission denied"),
+        ("symmetry", "[Errno 28] No space left on device"),
+    ], ids=["mkdir", "write"])
+    def test_unwritable_out(self, tmp_path, capsys, monkeypatch, command, error):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", "field = linear-center\nsamples = 1\n"
+                                                 f"times = 1\nout = {out}\n")
+        if command == "period":
+            mkdir = Path.mkdir
+
+            def refuse(self, *args, **kwargs):
+                if self == out:
+                    raise PermissionError(13, "Permission denied")
+                return mkdir(self, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "mkdir", refuse)
+        else:
+            write_atomic = cli.write_atomic
+
+            def full(path, text):
+                if path.name != "symmetry_report.json":
+                    raise OSError(28, "No space left on device")
+                write_atomic(path, text)
+
+            monkeypatch.setattr(cli, "write_atomic", full)
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"config error: output directory {out} cannot be written: {error}"]
+        if command == "period":
+            assert not out.exists()
+        else:
+            assert [p.name for p in out.iterdir()] == ["symmetry_report.json"]
 
 
 class TestPeriodCommand:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from annulus_involutions.errors import (
     ConfigError,
     DomainError,
+    DomainEscape,
     LexicalError,
     ParseError,
     UnknownFunctionError,
@@ -34,6 +35,7 @@ from annulus_involutions.expr import (
     tokenize,
 )
 from annulus_involutions.fields import builtin_field, builtin_names, default_section_range
+from annulus_involutions.flow import integrate
 
 from oracles import field_jacobian
 
@@ -515,9 +517,17 @@ class TestPlanarField:
             field.energy(z)
         assert str(exc.value) == message
 
-    def test_contains(self, pendulum):
-        assert pendulum.contains([0.0, 0.0])
-        assert not pendulum.contains([10.0, 0.0])
+    def test_domain_edges(self, cfg):
+        # the domain box includes its edges: a zero field keeps a state on
+        # the edge for the whole run, and a state one ulp outside escapes at
+        # the first accepted step
+        field = PlanarField.from_strings("0", "0", domain=(-1, 1, -1, 1))
+        traj = integrate(field.rhs, (1.0, 0.0), 1.0, cfg, bounds=field.domain)
+        assert traj.z_final == (1.0, 0.0) and traj.naccepted > 0
+        x = math.nextafter(1.0, 2.0)
+        with pytest.raises(DomainEscape) as exc:
+            integrate(field.rhs, (x, 0.0), 1.0, cfg, bounds=field.domain)
+        assert str(exc.value) == "state (1, 0) left the working domain at t=1e-06"
 
     @pytest.mark.parametrize("q, x", [("sqrt(x)", -1.0), ("log(x)", -1.0),
                                       ("exp(x)", 1000.0), ("x^-1", 0.0)])

@@ -214,14 +214,14 @@ def _boundary_states(traj):
 
 class TestTrajectory:
     def test_boundary_states_exact(self, pendulum, cfg):
-        traj = integrate(pendulum.rhs, [1.0, 0.0], 5.0, cfg, bounds=pendulum.contains)
+        traj = integrate(pendulum.rhs, [1.0, 0.0], 5.0, cfg, bounds=pendulum.domain)
         grid, states = _boundaries(traj), _boundary_states(traj)
         for i in (0, len(traj.steps) // 2, len(traj.steps)):
             assert traj.state(grid[i]) == states[i]
         assert traj.state(5.0) == traj.z_final
 
     def test_spans_tile_interval(self, pendulum, cfg):
-        traj = integrate(pendulum.rhs, [1.0, 0.0], 5.0, cfg, bounds=pendulum.contains)
+        traj = integrate(pendulum.rhs, [1.0, 0.0], 5.0, cfg, bounds=pendulum.domain)
         grid = _boundaries(traj)
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(5.0, abs=1e-12)
@@ -245,8 +245,8 @@ class TestTrajectory:
         # reference's stored states to the bit
         field = builtin_field(name)
         events = [EventSpec(g=lambda x, y: y - 0.1 * x, direction=1)]
-        got = integrate(field.rhs, (1.0, 0.3), t, cfg, events, field.contains)
-        ref = integrate_reference(field, (1.0, 0.3), t, cfg, events, field.contains)
+        got = integrate(field.rhs, (1.0, 0.3), t, cfg, events, field.domain)
+        ref = integrate_reference(field, (1.0, 0.3), t, cfg, events, field.domain)
         [hit] = got.events
         s0, h = got.steps[-1][:2]
         assert s0 < abs(hit.t) <= s0 + h < abs(t)
@@ -258,7 +258,7 @@ class TestTrajectory:
 
     def test_interpolation_accuracy(self, linear_center, cfg):
         traj = integrate(linear_center.rhs, [1.0, 0.0], 2 * math.pi, cfg,
-                         bounds=linear_center.contains)
+                         bounds=linear_center.domain)
         for t in np.linspace(0.1, 6.1, 23):
             exact = linear_center_flow([1.0, 0.0], t)
             assert np.linalg.norm(traj.state(float(t)) - exact) <= 1e-9
@@ -266,14 +266,14 @@ class TestTrajectory:
     def test_stats_counted(self, pendulum, cfg):
         # without events: the start, the initial step's trial, 11 per attempt
         # and the end point of each accepted step
-        traj = integrate(pendulum.rhs, [1.0, 0.0], 5.0, cfg, bounds=pendulum.contains)
+        traj = integrate(pendulum.rhs, [1.0, 0.0], 5.0, cfg, bounds=pendulum.domain)
         assert traj.naccepted == len(traj.steps)
         assert traj.nfev == 2 + 11 * (traj.naccepted + traj.nrejected) + traj.naccepted
         assert traj.nrejected >= 0
 
     def test_out_of_span_query(self, linear_center, cfg):
         traj = integrate(linear_center.rhs, [1.0, 0.0], 1.0, cfg,
-                         bounds=linear_center.contains)
+                         bounds=linear_center.domain)
         with pytest.raises(ValueError):
             traj.state(2.0)
         with pytest.raises(ValueError):
@@ -288,7 +288,7 @@ class TestTrajectory:
         # is the kernel's own step end to the bit, and it agrees with a fresh
         # flow from the step's start; the generic step, which calls the field
         # at every stage, gives the bits of the field's own step
-        traj = integrate(pendulum.rhs, [1.0, 0.0], t_final, cfg, bounds=pendulum.contains)
+        traj = integrate(pendulum.rhs, [1.0, 0.0], t_final, cfg, bounds=pendulum.domain)
         generic = functools.partial(flow_mod._dop853, pendulum.rhs)
         sign = traj.direction
         grid, states = _boundaries(traj), _boundary_states(traj)
@@ -325,7 +325,7 @@ class TestTrajectory:
 
         events = [EventSpec(g=lambda x, y: y, terminal=False),
                   EventSpec(g=lambda x, y: x - 0.3 * y, direction=1, terminal=False)]
-        traj = integrate(rhs, (1.0, 0.3), 9.0, cfg, events, field.contains)
+        traj = integrate(rhs, (1.0, 0.3), 9.0, cfg, events, field.domain)
         assert len(traj.events) >= 3
         assert calls[0] == traj.nfev > 2 + 12 * traj.naccepted + 11 * traj.nrejected
         traj.state(0.5)
@@ -456,7 +456,7 @@ class TestEvents:
         # with the x-axis watch fully scanned or skipped as detect_cycle's is
         field = builtin_field(name)
         ev = EventSpec(g=lambda x, y: y, terminal=False, lipschitz=bound)
-        traj = integrate(field.rhs, (a, 0.0), 10.25 * period, cfg, [ev], field.contains)
+        traj = integrate(field.rhs, (a, 0.0), 10.25 * period, cfg, [ev], field.domain)
         assert len(traj.events) == 20
         for k, hit in enumerate(traj.events, start=1):
             assert abs(hit.t - k * period / 2) <= 1e-8 * period
@@ -607,8 +607,8 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("name, z0, t, cfg, events", _KERNEL_CASES)
     def test_bit_identical(self, name, z0, t, cfg, events):
         field = builtin_field(name)
-        got = integrate(field.rhs, z0, t, cfg, events, field.contains)
-        ref = integrate_reference(field, z0, t, cfg, events, field.contains)
+        got = integrate(field.rhs, z0, t, cfg, events, field.domain)
+        ref = integrate_reference(field, z0, t, cfg, events, field.domain)
         _assert_same_run(got, ref)
         if name == "cubic-center" and cfg.rtol == 1e-6:
             assert got.nrejected >= 50
@@ -635,7 +635,7 @@ class TestKernelMatchesReference:
             events = [_recording_vetoes(curve_event(sec, terminal=False), vetoed),
                       _recording_vetoes(curve_event(sec, terminal=True), vetoed)]
             rhs = field.rhs if run is integrate else field
-            runs.append((run(rhs, z0, t, cfg, events, field.contains), vetoed))
+            runs.append((run(rhs, z0, t, cfg, events, field.domain), vetoed))
         (got, got_vetoed), (ref, ref_vetoed) = runs
         _assert_same_run(got, ref)
         assert [e.index for e in got.events] == [0, 1]
@@ -674,7 +674,7 @@ class TestKernelMatchesReference:
 
         traj = integrate(field.rhs, (0.0, y0), 9.0, cfg,
                          [EventSpec(g=g, terminal=False, accept=curve_event(sec).accept)],
-                         field.contains)
+                         field.domain)
         assert traj.events and len(seen) > 100
         for x, y in seen:
             assert sec.side(x, y).hex() == float(side_reference(sec, (x, y))).hex()
@@ -691,9 +691,9 @@ class TestKernelMatchesReference:
         if max_steps is not None:  # both loops read the limit from flow
             monkeypatch.setattr(flow_mod, "_MAX_STEPS", max_steps)
         with pytest.raises(exc) as got:
-            integrate(field.rhs, z0, t, cfg, bounds=field.contains)
+            integrate(field.rhs, z0, t, cfg, bounds=field.domain)
         with pytest.raises(exc) as ref:
-            integrate_reference(field, z0, t, cfg, bounds=field.contains)
+            integrate_reference(field, z0, t, cfg, bounds=field.domain)
         assert str(got.value) == str(ref.value)
 
 
@@ -794,9 +794,10 @@ class TestEventSkip:
         # start state, a relative 1e-12 outside or inside that step's margin:
         # only outside is the step skipped, and the hits of the whole run
         # equal the full scan's either way.  The value carried out of the
-        # step is g at its end state, the next step's start.  bounds runs
-        # once after each accepted step's scan, so it splits the g calls by
-        # step.
+        # step is g at its end state, the next step's start.  A tick event,
+        # first in the list, is a constant far above any margin, so it is
+        # skipped and called once per accepted step, at its end state before
+        # the level line's calls: it splits the g calls by step.
         z0 = (1.0, 0.0)
         traj = integrate(linear_center.rhs, z0, 9.0, cfg)
         steps = traj.steps
@@ -809,24 +810,26 @@ class TestEventSkip:
         event = EventSpec(g=lambda x, y: y - c, direction=0, terminal=False, lipschitz=1.0)
         assert (abs(event.g(x, y)) > margin) == (offset > 0)
 
-        seen = [[]]  # g's arguments, one list per accepted step
+        seen = []  # g's arguments: the start's, then one list per accepted step
 
         def g(x, y):
             seen[-1].append((x, y))
             return event.g(x, y)
 
-        def bounds(z):
+        def tick(x, y):
             seen.append([])
-            return True
+            return 1e300
 
+        tick_event = EventSpec(g=tick, direction=0, terminal=False, lipschitz=1.0)
         got = integrate(linear_center.rhs, z0, 9.0, cfg,
-                        [dataclasses.replace(event, g=g)], bounds)
+                        [tick_event, dataclasses.replace(event, g=g)])
         assert got.steps[i][:2] == step[:2]
-        assert len(seen[i]) == (1 if offset > 0 else flow_mod._EVENT_SAMPLES)
-        assert [v.hex() for v in seen[i][-1]] == [v.hex() for v in end]
+        assert len(seen) == 1 + got.naccepted
+        assert len(seen[i + 1]) == (1 if offset > 0 else flow_mod._EVENT_SAMPLES)
+        assert [v.hex() for v in seen[i + 1][-1]] == [v.hex() for v in end]
 
         full = integrate(linear_center.rhs, z0, 9.0, cfg,
-                         [dataclasses.replace(event, lipschitz=None)])
+                         [tick_event, dataclasses.replace(event, lipschitz=None)])
         assert len(full.events) >= 2
         _assert_same_hits(got, full)
 

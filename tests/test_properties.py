@@ -174,7 +174,7 @@ def test_event_bound_keeps_hits(cfg, name, x0, y0, ax, ay, angle, length, direct
     event = EventSpec(g=line.side, direction=direction, terminal=False,
                       lipschitz=line.side_lipschitz)
     hits = [[(e.index, e.t.hex(), np.array(e.z).tobytes()) for e in
-             integrate(field.rhs, (x0, y0), t, cfg, [ev], field.contains).events]
+             integrate(field.rhs, (x0, y0), t, cfg, [ev], field.domain).events]
             for ev in (event, dataclasses.replace(event, lipschitz=None))]
     assert hits[0] == hits[1]
 
@@ -190,7 +190,7 @@ def test_dense_output_stays_within_reach(cfg, name, u, t, thetas):
     # at every sample, and at the end state, which the cubic meets at th = 1
     field = builtin_field(name)
     lo, hi = default_section_range(name)
-    traj = integrate(field.rhs, (lo + u * (hi - lo), 0.0), t, cfg, bounds=field.contains)
+    traj = integrate(field.rhs, (lo + u * (hi - lo), 0.0), t, cfg, bounds=field.domain)
     ends = [st[2:4] for st in traj.steps[1:]] + [traj.z_final]
     for i, (step, end) in enumerate(zip(traj.steps, ends)):
         cubic = step_cubic(traj, i, field.rhs)
@@ -214,7 +214,7 @@ def test_hits_lie_on_the_propagated_solution(cfg, name, x0, y0, ax, ay, angle, d
     line = _AffineSegment((ax, ay), (math.cos(angle), math.sin(angle)), 0.0, 1.0, None, None)
     event = EventSpec(g=line.side, direction=direction, terminal=False,
                       lipschitz=line.side_lipschitz if bound else None)
-    traj = integrate(field.rhs, (x0, y0), t, cfg, [event], field.contains)
+    traj = integrate(field.rhs, (x0, y0), t, cfg, [event], field.domain)
     for hit in traj.events:
         assert [v.hex() for v in hit.z] == [v.hex() for v in traj.state(hit.t)]
         speed = math.hypot(*field.rhs(*hit.z))

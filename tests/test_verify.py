@@ -274,6 +274,35 @@ class TestSampling:
         assert not np.array_equal(sample_parameters(10, 0.0, 1.0, 0),
                                   sample_parameters(10, 0.0, 1.0, 1))
 
+    # the samples of seeds below 2**40 in magnitude keep their bits
+    @pytest.mark.parametrize("seed, params, fracs", [
+        (0, ["0x1.3a041ce94651ap-1", "0x1.f916a9d98eb5bp-3"],
+         ["0x1.918470a6f1b71p-1", "0x1.9660f5db64c30p-3"]),
+        (1, ["0x1.a171ef88aef52p-5", "0x1.49ddcb3dfa36bp-1"],
+         ["0x1.9be6c833e0980p-2", "0x1.a20730e9d7c5cp-1"]),
+        (7, ["0x1.089da6356e4fdp-1", "0x1.337ccf0a2eaebp-3"],
+         ["0x1.c468c65f3e510p-4", "0x1.0ca0e59bcf43cp-1"]),
+        (301, ["0x1.37c54f2a8b5b8p-2", "0x1.cba953dab4f52p-1"],
+         ["0x1.9ff8aedc46e9ap-1", "0x1.d031eeb0b98d0p-3"]),
+        (-5, ["0x1.1715b673f97a9p-1", "0x1.6d5d10045b599p-3"],
+         ["0x1.6359af67f8ce2p-1", "0x1.bb6be1bf023e0p-4"]),
+        (2**40 - 1, ["0x1.d8f4c0c0508f0p-1", "0x1.1d364e4d6deaep-1"],
+         ["0x1.d427999fcef34p-2", "0x1.be27999fcef34p-1"]),
+        (-(2**40 - 1), ["0x1.3626f22478285p-2", "0x1.cada2557ab5b8p-1"],
+         ["0x1.c79e667f3bcd0p-4", "0x1.0d07999fcef34p-1"]),
+    ])
+    def test_small_seed_bits(self, seed, params, fracs):
+        assert [v.hex() for v in sample_parameters(2, 0.0, 1.0, seed)] == params
+        assert [v.hex() for v in sample_time_fractions(2, seed)] == fracs
+
+    # a seed's product with the generator's constant, formed in doubles,
+    # keeps too few fraction bits to tell consecutive large seeds apart
+    @pytest.mark.parametrize("start", [2**48, 2**53 - 1000], ids=["2**48", "2**53-1000"])
+    def test_large_seeds_keep_distinct_samples(self, start):
+        seeds = range(start, start + 1000)
+        assert len({tuple(sample_parameters(3, 0.2, 2.0, s)) for s in seeds}) == 1000
+        assert len({tuple(sample_time_fractions(2, s)) for s in seeds}) == 1000
+
     def test_fractions_avoid_special_values(self):
         # a single nudge of 0.037 would leave a fraction just below 1/2 or 1
         # within 0.02 of 1/2 or 0; seed 99992 draws one at 0.4815

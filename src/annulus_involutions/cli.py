@@ -23,7 +23,10 @@ detects it and a failed parameter as one stderr line.
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,7 +107,7 @@ _KNOWN_KEYS = {
 
 def _read_text(path: Path, what: str) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
@@ -225,7 +228,9 @@ def load_config(path, *, out_override=None) -> RunConfig:
         times=times,
         seed=seed,
         out_dir=out_dir,
-        digest=config_digest({**entries, "rtol": repr(rtol), "seed": repr(seed)}),
+        # the digest names the computation, so the output directory is not in it
+        digest=config_digest({**{k: v for k, v in entries.items() if k != "out"},
+                              "rtol": repr(rtol), "seed": repr(seed)}),
     )
 
 
@@ -367,8 +372,11 @@ def _run(config: RunConfig, command: str) -> int:
     that cannot be built exits 2, or 3 for a transversality failure of a
     section that is more than a seed.  A known numerical failure that
     escapes the body exits 3 for transversality and 1 otherwise, with no
-    files written.  An output directory that cannot be created or written
-    exits 2 with no summary line; the files written before the failure stay.
+    files written.  The files are staged in a directory inside the output
+    directory and moved into place only once all of them are written, so
+    an output directory that cannot be created or written exits 2 with no
+    summary line, nothing of the failed run and an earlier run's files as
+    they were.
     """
     body, seed_only = _COMMANDS[command]
     try:
@@ -384,13 +392,20 @@ def _run(config: RunConfig, command: str) -> int:
             return _fail(EXIT_TRANSVERSALITY, f"transversality error: {exc}")
         except SAMPLE_FAILURES as exc:
             return _fail(EXIT_CHECK_FAILED, f"error: {exc}")
+    stage = None
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=config.out_dir))
         for name, text in files:
-            write_atomic(config.out_dir / name, text)
+            write_atomic(stage / name, text)
+        for name, _ in files:
+            os.replace(stage / name, config.out_dir / name)
     except OSError as exc:
         return _fail(EXIT_CONFIG,
                      f"config error: output directory {config.out_dir} cannot be written: {exc}")
+    finally:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
     for line in errors:
         print(line, file=sys.stderr)
     passed = npass == total

@@ -18,9 +18,9 @@ The conjugate curve is a certified tabulated :class:`~.sections.Section`
 that also carries the period of each grid cycle; it is the witness that
 ``tau_star``, ``classify``, the well-posedness and half-period checks and
 a command's ``delta_star.csv`` read, and sigma never evaluates through it,
-so its spline error cannot reach sigma.  ``sigma_reversible`` and
-``ReversibilityInvolution`` evaluate sigma through one body, which reads
-the image off the one cycle detection that finds tau; ``tau_star`` is
+so its spline error cannot reach sigma.  ``tau``, ``sigma_reversible``
+and ``ReversibilityInvolution`` each make one read of z's memoized
+crossing record, which also answers z on the curve; ``tau_star`` is
 ``tau`` on the conjugate curve.  ``verify_reversibility`` builds its own
 involution inside its memo scope and returns it on the report, so a
 caller reads the pairs and the conjugate curve off the map the suite
@@ -97,20 +97,23 @@ def conjugate_section(field: PlanarField, delta: Section,
 
 
 def _nearest_crossing(field, section: Section, z, cfg) -> tuple[float, Point, Point, float]:
-    """The curve's crossing with the smaller |t|, read off one cycle
-    detection that watches the curve; the cycle must meet the curve once
-    per period (no crossing over [0, T) raises EventNotFound, two or more
-    NotASection).  The one at t_f gives t_b = t_f - T, and
-    phi(2 tau, z) = phi(t_b + t_f, z) is the cycle's state at 2 t_f mod T,
-    a partial step of its propagated solution.  Returns
-    (t, z_hit, image, t_b): t is the nearer of t_b and t_f, or +T/2 at a
-    tie (``_TIE_RTOL``), so t is in (-T/2, T/2].  Inside a suite scope the
-    result, or its failure, is memoized on (field, section, cfg, z bits),
-    and the detection makes the symmetry's record of z too; z is an (x, y)
-    tuple.
+    """(t, z_hit, image, t_b): (0.0, z, z, 0.0) for z on the curve, else
+    the crossing with the smaller |t|, read off one cycle detection that
+    watches the curve; the cycle must meet the curve once per period (no
+    crossing over [0, T) raises EventNotFound, two or more NotASection).
+    The one at t_f gives t_b = t_f - T, and phi(2 tau, z) =
+    phi(t_b + t_f, z) is the cycle's state at 2 t_f mod T, a partial step
+    of its propagated solution; t is the nearer of t_b and t_f, or +T/2 at
+    a tie (``_TIE_RTOL``), so t is in (-T/2, T/2].  Inside a suite scope
+    the result, or its failure (a refused membership test too), is
+    memoized on (field, section, cfg, z bits), and the detection makes the
+    symmetry's record of z too.
     """
+    z = as_point(z)
 
     def search():
+        if section.contains(z):
+            return 0.0, z, z, 0.0
         cyc = detect_cycle(field, z, cfg, events=[curve_event(section, terminal=False)])
         _half_period_image(field, z, cfg, cyc)
         hits = [hit for hit in cyc.trajectory.events if hit.index == 1]
@@ -137,9 +140,6 @@ def tau(field: PlanarField, delta: Section, z,
     negative when the section is behind z (forward arc), positive when it
     is ahead (backward arc).
     """
-    z = as_point(z)
-    if delta.contains(z):
-        return 0.0
     return _nearest_crossing(field, delta, z, cfg)[0]
 
 
@@ -157,7 +157,8 @@ def classify(field: PlanarField, delta: Section, delta_star: Section, z,
     Membership is a distance test; otherwise the backward orbit decides:
     whichever of the two curves it crosses first names the branch.  The
     backward crossing times of both curves, read from their crossing
-    records, come back for inspection.
+    records, come back for inspection.  The two membership tests stay
+    first, so a point of delta_star runs no search for delta.
     """
     z = as_point(z)
     if delta.contains(z):
@@ -180,9 +181,6 @@ def sigma_reversible(field: PlanarField, delta: Section, z,
     time +T/2 and maps to phi(T, z), its own cycle closed, within
     integration error of z.
     """
-    z = as_point(z)
-    if delta.contains(z):
-        return z
     return _nearest_crossing(field, delta, z, cfg)[2]
 
 
@@ -258,7 +256,7 @@ def verify_reversibility(
         sigma = ReversibilityInvolution(field, delta, cfg)
         on_delta = [delta.point(s)
                     for s in sample_parameters(5, delta.s_min, delta.s_max, seed=1)]
-        fixed_samples = [as_point(z) for z in samples] + on_delta
+        fixed_samples = samples + on_delta
         checks = [
             check_commutation(field, sigma, -1, samples, times, cfg),
             check_involution(sigma, samples),

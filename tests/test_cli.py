@@ -152,6 +152,30 @@ section_grid = 17
         config = load_config(lc_config, out_override=tmp_path / "elsewhere")
         assert config.out_dir == tmp_path / "elsewhere"
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # an editor's UTF-8 byte-order mark is not part of the first key,
+        # in a config file or a field file
+        text = "field = linear-center\nsamples = 2\n"
+        plain = tmp_path / "plain.cfg"
+        plain.write_bytes(text.encode("utf-8"))
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert load_config(marked).digest == load_config(plain).digest
+        (tmp_path / "f.txt").write_bytes("P = -y\nQ = x\n".encode("utf-8-sig"))
+        path = write_config(tmp_path / "run.cfg", "field = f.txt\nsection = x-axis [0.2, 2]\n")
+        assert np.allclose(load_config(path).field.rhs(1.0, 0.0), [0.0, 1.0])
+
+    def test_readme_config_block_loads(self, tmp_path):
+        # the README's config block names only keys a run config takes
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        block, = re.findall(r"^### Config format\n.*?^```\n(.*?)^```", readme, re.S | re.M)
+        config = load_config(write_config(tmp_path / "readme.cfg", block))
+        assert config.field.name == "pendulum"
+        assert config.section_label == "x-axis"
+        assert config.section_range == (0.3, 2.5)
+        assert config.cfg == IntegratorConfig(rtol=1e-10, atol=1e-12)
+
     # a non-finite tolerance, sample or time counts below 1 (which would
     # make period's PASS 0/0 vacuous), and a seed beyond 2**53, outside the
     # range a run config admits
@@ -303,8 +327,8 @@ class TestOutsideInput:
         assert not (tmp_path / "out").exists()
 
     # an output directory that cannot be created, or a file in it that
-    # cannot be written, after the whole run: exit 2, one stderr line and no
-    # summary line; a file written before the failure stays
+    # cannot be written, after the whole run: exit 2, one stderr line, no
+    # summary line and no file of the failed run
     @pytest.mark.parametrize("command, error", [
         ("period", "[Errno 13] Permission denied"),
         ("symmetry", "[Errno 28] No space left on device"),
@@ -339,7 +363,33 @@ class TestOutsideInput:
         if command == "period":
             assert not out.exists()
         else:
-            assert [p.name for p in out.iterdir()] == ["symmetry_report.json"]
+            assert list(out.iterdir()) == []
+
+    def test_failed_write_keeps_the_earlier_run(self, tmp_path, capsys, monkeypatch):
+        # a run whose second file cannot be written leaves the directory
+        # holding the earlier run's files, each with its bytes
+        out = tmp_path / "out"
+        text = f"field = linear-center\nsamples = 1\ntimes = 1\nout = {out}\n"
+        names = ["symmetry_pairs.csv", "symmetry_report.json"]
+        cfg = write_config(tmp_path / "run.cfg", text + "seed = 1\n")
+        assert main(["symmetry", "--config", cfg]) == EXIT_OK
+        first = {name: (out / name).read_bytes() for name in names}
+        write_atomic = cli.write_atomic
+
+        def full(path, text):
+            if path.name == "symmetry_pairs.csv":
+                raise OSError(28, "No space left on device")
+            write_atomic(path, text)
+
+        monkeypatch.setattr(cli, "write_atomic", full)
+        cfg = write_config(tmp_path / "run.cfg", text + "seed = 2\n")
+        capsys.readouterr()
+        assert main(["symmetry", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: output directory {out} cannot be written: "
+            "[Errno 28] No space left on device"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert {name: (out / name).read_bytes() for name in names} == first
 
 
 class TestPeriodCommand:
@@ -859,3 +909,15 @@ seed = 3
         assert main(["symmetry", "--config", cfg, "--out", str(out2)]) == EXIT_OK
         for name in ("symmetry_report.json", "symmetry_pairs.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_digest_leaves_out_the_output_directory(self, tmp_path):
+        # one computation, written to two directories named in two ways,
+        # gives one report
+        text = "field = linear-center\nsamples = 2\ntimes = 1\n"
+        out_a, out_b = tmp_path / "o_a", tmp_path / "o_b"
+        cfg_a = write_config(tmp_path / "a.cfg", text + f"out = {out_a}\n")
+        cfg_b = write_config(tmp_path / "b.cfg", text)
+        assert main(["symmetry", "--config", cfg_a]) == EXIT_OK
+        assert main(["symmetry", "--config", cfg_b, "--out", str(out_b)]) == EXIT_OK
+        for name in ("symmetry_report.json", "symmetry_pairs.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()

@@ -7,7 +7,7 @@ import pytest
 
 from annulus_involutions import cli, flow as flow_mod, memo, period as period_mod
 from annulus_involutions import reversibility, symmetry
-from annulus_involutions.errors import CriticalPointError, EventNotFound
+from annulus_involutions.errors import CriticalPointError, EventNotFound, NotASection
 from annulus_involutions.flow import IntegratorConfig
 from annulus_involutions.memo import suite_scope
 from annulus_involutions.period import period
@@ -120,6 +120,44 @@ def test_mutating_a_result_leaves_the_entry(linear_center, lc_xaxis, cfg, integr
         assert np.array_equal(_nearest_crossing(linear_center, lc_xaxis, w, cfg)[1], kept_hit)
         assert np.array_equal(sigma_reversible(linear_center, lc_xaxis, w, cfg), kept_rev)
         assert integrations[0] == done
+
+
+def test_on_section_answer_is_the_record(linear_center, cfg, monkeypatch):
+    # a point of the section is its own crossing record: inside a scope tau
+    # and then sigma of it make one membership test between them, and
+    # outside a scope each call makes its own
+    sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
+    calls = []
+    project = sec.project
+    monkeypatch.setattr(sec, "project", lambda z: calls.append(1) or project(z))
+    z = np.array([1.1, 0.0])
+    assert tau(linear_center, sec, z, cfg) == 0.0
+    assert sigma_reversible(linear_center, sec, z, cfg) == (1.1, 0.0)
+    assert len(calls) == 2
+    with suite_scope():
+        assert tau(linear_center, sec, z, cfg) == 0.0
+        assert sigma_reversible(linear_center, sec, z, cfg) == (1.1, 0.0)
+        assert len(calls) == 3
+        assert _nearest_crossing(linear_center, sec, z, cfg) == (0.0, (1.1, 0.0),
+                                                                 (1.1, 0.0), 0.0)
+        assert len(calls) == 3
+
+
+def test_refused_membership_is_a_stored_failure(linear_center, cfg, monkeypatch):
+    # a section that refuses the membership test fails the record once per scope
+    sec = make_section(linear_center, "s", "0", (0.2, 2.0), name="x-axis")
+    calls = []
+
+    def refuse(z):
+        calls.append(1)
+        raise NotASection("refused")
+
+    monkeypatch.setattr(sec, "project", refuse)
+    with suite_scope():
+        for _ in range(2):
+            with pytest.raises(NotASection, match="refused"):
+                sigma_reversible(linear_center, sec, (1.1, 0.3), cfg)
+    assert len(calls) == 1
 
 
 def test_nested_scope_reuses_the_outer_one(linear_center, cfg, integrations):
